@@ -9,7 +9,6 @@ from . import tensor_kernels
 from . import gauge_fields
 from . import reduction
 from . import monopole
-from . import cli
 
 __all__ = [
     "sphere_algebra",
@@ -17,6 +16,5 @@ __all__ = [
     "gauge_fields",
     "reduction",
     "monopole",
-    "cli",
     "__version__",
 ]

@@ -138,12 +138,19 @@ def cmd_identities(args):
     return 0 if worst <= tol else 1
 
 
+def _background(args):
+    if not (np.isfinite(args.e) and args.e != 0.0):
+        raise ValueError("--e must be finite and nonzero, got %r" % args.e)
+    return Background(args.e)
+
+
 def _drawn_reduction_inputs(args, dim, want_scalar):
+    bg = _background(args)
     rng = np.random.default_rng(args.seed)
     cfg = random_gauge_config(dim, args.lmax, rng, amplitude=args.amplitude)
     scal = random_adjoint_scalar(dim, args.lmax, rng, amplitude=args.amplitude) if want_scalar else None
     metric = BlockMetric(_default_spacetime(dim), args.b)
-    return cfg, scal, metric, Background(args.e)
+    return cfg, scal, metric, bg
 
 
 def _reduce_exit(rep, tol):
@@ -188,10 +195,11 @@ def cmd_reduce_two_dim(args):
 
 def cmd_reduce_scan_b(args):
     b_list = _parse_floats(args.b_list)
+    bg = _background(args)
     rng = np.random.default_rng(args.seed)
     cfg = random_gauge_config(args.D, args.lmax, rng, amplitude=args.amplitude)
     scal = random_adjoint_scalar(args.D, args.lmax, rng, amplitude=args.amplitude)
-    scan = reduction.b_scan(cfg, scal, _default_spacetime(args.D), Background(args.e), b_list)
+    scan = reduction.b_scan(cfg, scal, _default_spacetime(args.D), bg, b_list)
     columns = ["b", "q", "covariant_group", "residual_group_1",
                "residual_group_0", "ratio", "fit_exponent"]
     rows = [[row[c] for c in columns] for row in scan["rows"]]
@@ -203,10 +211,10 @@ def cmd_reduce_scan_b(args):
 
 def cmd_reduce_born_infeld(args):
     b_list = _parse_floats(args.b_list)
+    bg = _background(args)
     rng = np.random.default_rng(args.seed)
     cfg = random_gauge_config(args.D, args.lmax, rng, amplitude=args.amplitude)
     spacetime = _default_spacetime(args.D)
-    bg = Background(args.e)
     reps = [
         reduction.born_infeld_report(cfg, BlockMetric(spacetime, b), bg, args.alpha, C=args.C)
         for b in b_list

@@ -20,14 +20,16 @@ F_(theta mu) = +d_theta A_mu. All node work uses coordinate derivatives
 d_theta = -sin(theta) d/dx with x = cos(theta).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 import math
 
 import numpy as np
 
-from .sphere_algebra import grid_for_band_limit, bracket, integral_of_product
-from .tensor_kernels import epsilon_symbol
+from .gauge_fields import field_strength, scalar_kinetic_integral, yang_mills_integral
+# bracket stays bound here: bench/test_bench_helpers.py checks every binding site
+from .sphere_algebra import bracket, grid_for_band_limit, integral_of_product  # noqa: F401
+from .tensor_kernels import _perm_sign, epsilon_symbol
 
 __all__ = [
     "BlockMetric",
@@ -94,10 +96,7 @@ def _node_data(cfg, scal, grid):
     for nu in range(D):
         for mu in range(D):
             dav[nu, mu] = cfg.da[nu][mu].values(grid)
-    flow = np.zeros((D, D) + shape)
-    for mu in range(D):
-        for nu in range(D):
-            flow[mu, nu] = dav[mu, nu] - dav[nu, mu]
+    flow = dav - dav.swapaxes(0, 1)
     out = {"s": s, "dAex": dAex, "flow": flow, "shape": shape}
     if scal is not None:
         dphst = np.zeros((D,) + shape)
@@ -118,18 +117,26 @@ def _ghat_inv(grid):
     return np.stack([np.ones_like(s2), 1.0 / s2])
 
 
-def _scalar_groups(nd, grid, ginv, b, q):
-    """Node densities of the four scalar-sector groups, ordered by the
-    inverse sphere-block power."""
+def _block_invariants(nd, grid, ginv, b):
+    """Inverse sphere metric gh, raised spacetime field strength fup, its
+    square S, the mixed-block products P and their spacetime trace X."""
     gh = _ghat_inv(grid)
-    s = nd["s"]
-    dAex, flow = nd["dAex"], nd["flow"]
-    dphst, dphiex = nd["dphst"], nd["dphiex"]
+    flow, dAex = nd["flow"], nd["dAex"]
     fup = np.einsum("ac,bd,cdij->abij", ginv, ginv, flow)
-    vup = np.einsum("ab,bij->aij", ginv, dphst)
     S = np.einsum("abij,abij->ij", flow, fup)
     P = np.einsum("mij,maij,mbij->abij", gh, dAex, dAex)
     X = np.einsum("ab,abij->ij", ginv, P) / b**2
+    return gh, fup, S, P, X
+
+
+def _scalar_groups(nd, grid, ginv, b, q):
+    """Node densities of the four scalar-sector groups, ordered by the
+    inverse sphere-block power."""
+    gh, fup, S, P, X = _block_invariants(nd, grid, ginv, b)
+    s = nd["s"]
+    dAex, flow = nd["dAex"], nd["flow"]
+    dphst, dphiex = nd["dphst"], nd["dphiex"]
+    vup = np.einsum("ab,bij->aij", ginv, dphst)
     Bc = 2.0 / (q**2 * b**4)
     p_st = np.einsum("aij,aij->ij", dphst, vup)
     p_ex = np.einsum("mij,mij,mij->ij", gh, dphiex, dphiex) / b**2
@@ -156,13 +163,9 @@ def _scalar_groups(nd, grid, ginv, b, q):
 
 def _ym_groups(nd, grid, ginv, b, q):
     """Node densities of the five quartic-sector groups."""
-    gh = _ghat_inv(grid)
+    gh, fup, S, P, X = _block_invariants(nd, grid, ginv, b)
     s = nd["s"]
     dAex, flow = nd["dAex"], nd["flow"]
-    fup = np.einsum("ac,bd,cdij->abij", ginv, ginv, flow)
-    S = np.einsum("abij,abij->ij", flow, fup)
-    P = np.einsum("mij,maij,mbij->abij", gh, dAex, dAex)
-    X = np.einsum("ab,abij->ij", ginv, P) / b**2
     Bc = 2.0 / (q**2 * b**4)
     M = np.einsum("ab,bcij->acij", ginv, flow)
     M2 = np.einsum("abij,bcij->acij", M, M)
@@ -237,8 +240,7 @@ def _reference_scalar_density(F, v, Ginv):
     total = np.zeros(F.shape[2:])
     for p in permutations(range(3)):
         sub = "".join("abc"[i] for i in p)
-        sign = 1 - 2 * (sum(1 for i in range(3) for j in range(i + 1, 3) if p[i] > p[j]) % 2)
-        total = total + sign * np.einsum(f"abcij,{sub}ij->ij", low, up)
+        total = total + _perm_sign(p) * np.einsum(f"abcij,{sub}ij->ij", low, up)
     return 0.5 * total
 
 
@@ -256,35 +258,6 @@ def _integrate(grid, density):
     return float(np.sum(grid.w2d * density))
 
 
-def _covariant_scalar(cfg, scal, ginv, q, sign):
-    D = cfg.dim
-    d = [scal.dphi[mu] + sign * q * bracket(cfg.a[mu], scal.phi) for mu in range(D)]
-    total = 0.0
-    for mu in range(D):
-        for nu in range(D):
-            if ginv[mu, nu] == 0.0:
-                continue
-            total += ginv[mu, nu] * integral_of_product(d[mu], d[nu]).real
-    return total
-
-
-def _covariant_ym(cfg, ginv, q, sign):
-    D = cfg.dim
-    ft = {}
-    for mu in range(D):
-        for nu in range(mu + 1, D):
-            lin = cfg.da[mu][nu] - cfg.da[nu][mu]
-            ft[(mu, nu)] = lin + sign * q * bracket(cfg.a[mu], cfg.a[nu])
-    total = 0.0
-    for (mu, nu), f1 in ft.items():
-        for (rho, sig), f2 in ft.items():
-            w = ginv[mu, rho] * ginv[nu, sig] - ginv[mu, sig] * ginv[nu, rho]
-            if w == 0.0:
-                continue
-            total += 2.0 * w * integral_of_product(f1, f2).real
-    return total
-
-
 def _grid_for(cfg, scal):
     L = cfg.l_max if scal is None else max(cfg.l_max, scal.l_max)
     return grid_for_band_limit(2 * L), L
@@ -297,23 +270,24 @@ def _reduce_common(sector, cfg, scal, metric, background):
     nd = _node_data(cfg, scal, grid)
     ginv = np.linalg.inv(metric.spacetime)
     b, q = metric.b, background.q
+    F = _full_field_matrix(nd, cfg.dim, q)
     if sector == "scalar":
         groups = _scalar_groups(nd, grid, ginv, b, q)
         v = _full_gradient(nd, cfg.dim)
+        density = lambda Ginv: _reference_scalar_density(F, v, Ginv)  # noqa: E731
+        covariant = lambda c: scalar_kinetic_integral(c, scal, metric.spacetime)  # noqa: E731
+        const = 2.0 / q**2
     else:
         groups = _ym_groups(nd, grid, ginv, b, q)
-        v = None
-    F = _full_field_matrix(nd, cfg.dim, q)
+        density = lambda Ginv: _reference_quartic_density(F, Ginv)  # noqa: E731
+        covariant = lambda c: yang_mills_integral(c, metric.spacetime)  # noqa: E731
+        const = 4.0 / q**2
     gk = [_integrate(grid, gden) for gden in groups]
     total = float(sum(gk))
 
     def reference(t):
         Ginv = _full_inverse_metric(grid, ginv, b, nd["shape"], t=t)
-        if sector == "scalar":
-            dens = _reference_scalar_density(F, v, Ginv)
-        else:
-            dens = _reference_quartic_density(F, Ginv)
-        return _integrate(grid, dens)
+        return _integrate(grid, density(Ginv))
 
     ref = reference(1.0)
     scale = max(abs(gk[2]), abs(total), 1.0)
@@ -323,12 +297,7 @@ def _reduce_common(sector, cfg, scal, metric, background):
         scan_scale = max(sum(abs(c) * float(t) ** k for k, c in enumerate(gk)), 1.0)
         scan_resid = max(scan_resid, abs(reference(float(t)) - predicted) / scan_scale)
 
-    if sector == "scalar":
-        const = 2.0 / q**2
-        cov = {s: _covariant_scalar(cfg, scal, ginv, q, s) for s in (1.0, -1.0)}
-    else:
-        const = 4.0 / q**2
-        cov = {s: _covariant_ym(cfg, ginv, q, s) for s in (1.0, -1.0)}
+    cov = {s: covariant(replace(cfg, coupling=s * q)) for s in (1.0, -1.0)}
     resid = {s: abs(gk[2] * b**4 - const * c) for s, c in cov.items()}
     sign = 1.0 if resid[1.0] <= resid[-1.0] else -1.0
     cov_scale = max(abs(gk[2] * b**4), abs(const * cov[sign]), 1e-30)
@@ -430,7 +399,7 @@ def two_dim_report(cfg, metric, background):
     pointwise_rel = float(np.max(np.abs(eps_contract - predicted))) / pw_scale
     eps_sq_integral = _integrate(grid, eps_contract**2)
     # coefficient-route integral of the bracket-extended component
-    ft01 = (cfg.da[0][1] - cfg.da[1][0]) + q * bracket(cfg.a[0], cfg.a[1])
+    ft01 = field_strength(replace(cfg, coupling=q), 0, 1)
     ft_sq = integral_of_product(ft01, ft01).real
     measured_constant = eps_sq_integral * (q**2 * b**4 * abs(det_st)) / ft_sq
     gk = rep["group_integrals"]
@@ -493,18 +462,13 @@ def born_infeld_report(cfg, metric, background, alpha, C=1.0):
     lhs_vac = bi_integral(F_vac)
     lhs = lhs_full - lhs_vac
 
+    charged = replace(cfg, coupling=q)
     ft_nodes = np.zeros(shape + (D, D))
-    f_nodes = np.zeros(shape + (D, D))
     for mu in range(D):
         for nu in range(mu + 1, D):
-            lin = cfg.da[mu][nu] - cfg.da[nu][mu]
-            full = lin + q * bracket(cfg.a[mu], cfg.a[nu])
-            vals_f = full.values(grid)
-            vals_l = lin.values(grid)
-            ft_nodes[..., mu, nu] = vals_f
-            ft_nodes[..., nu, mu] = -vals_f
-            f_nodes[..., mu, nu] = vals_l
-            f_nodes[..., nu, mu] = -vals_l
+            vals = field_strength(charged, mu, nu).values(grid)
+            ft_nodes[..., mu, nu] = vals
+            ft_nodes[..., nu, mu] = -vals
 
     w_sphere = grid.w2d
 
@@ -517,15 +481,9 @@ def born_infeld_report(cfg, metric, background, alpha, C=1.0):
         return float(np.sum(w_sphere * dens))
 
     rhs = rhs_integral(ft_nodes)
-    rhs_plain = rhs_integral(f_nodes)
+    rhs_plain = rhs_integral(F[..., :D, :D])
 
-    ginv = np.linalg.inv(g_st)
-    gh = _ghat_inv(grid)
-    flow, dAex = nd["flow"], nd["dAex"]
-    fup = np.einsum("ac,bd,cdij->abij", ginv, ginv, flow)
-    S = np.einsum("abij,abij->ij", flow, fup)
-    P = np.einsum("mij,maij,mbij->abij", gh, dAex, dAex)
-    X = np.einsum("ab,abij->ij", ginv, P) / b**2
+    _, _, S, _, X = _block_invariants(nd, grid, np.linalg.inv(g_st), b)
     kk_reference = C / 4.0 * b**2 * math.sqrt(-det_st) * _integrate(grid, S + 2.0 * X)
 
     ratio = lhs / rhs

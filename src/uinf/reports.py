@@ -45,10 +45,6 @@ def render_json(payload):
     return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
-def write_json(path, payload):
-    atomic_write_text(path, render_json(payload))
-
-
 def render_csv(columns, rows, meta=None):
     """rows: iterable of sequences aligned with columns. meta: dict rendered
     as leading '# key = value' comment lines."""
@@ -73,7 +69,3 @@ def render_csv(columns, rows, meta=None):
                 cells.append(str(cell))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path, columns, rows, meta=None):
-    atomic_write_text(path, render_csv(columns, rows, meta))

@@ -77,7 +77,9 @@ class SphereGrid:
     """Quadrature grid: Gauss-Legendre in x = cos(theta), uniform in phi.
 
     Integration is exact for integrands of harmonic band <= 2*band_limit;
-    analysis is exact for fields of band <= band_limit.
+    analysis is exact for fields of band <= band_limit. trig[m] holds
+    (cos(m phi), -sin(m phi)) for 0 <= m <= band_limit, so that
+    Re(a exp(i m phi)) = (Re a, Im a) . trig[m].
     """
 
     band_limit: int
@@ -88,6 +90,7 @@ class SphereGrid:
     phi: np.ndarray = field(repr=False)
     P: np.ndarray = field(repr=False)
     dPdx: np.ndarray = field(repr=False)
+    trig: np.ndarray = field(repr=False)
 
     @property
     def theta(self):
@@ -101,17 +104,6 @@ class SphereGrid:
     def w2d(self):
         """Quadrature weights on the (theta, phi) product grid; sums to 4 pi."""
         return np.outer(self.w, np.full(self.n_phi, 2.0 * math.pi / self.n_phi))
-
-    @property
-    def nodes(self):
-        """Flattened (theta, phi) pairs, row-major over (theta, phi)."""
-        th = np.repeat(self.theta, self.n_phi)
-        ph = np.tile(self.phi, self.n_theta)
-        return np.column_stack([th, ph])
-
-    @property
-    def weights(self):
-        return self.w2d.ravel()
 
 
 @lru_cache(maxsize=None)
@@ -133,9 +125,11 @@ def grid_for_band_limit(band_limit, n_theta=None, n_phi=None):
     x, w = roots_legendre(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     P, dPdx = _legendre_tables(band_limit, x)
-    for arr in (x, w, phi, P, dPdx):
+    m_phi = np.outer(np.arange(band_limit + 1), phi)
+    trig = np.stack([np.cos(m_phi), -np.sin(m_phi)], axis=1)
+    for arr in (x, w, phi, P, dPdx, trig):
         arr.setflags(write=False)
-    return SphereGrid(band_limit, n_theta, n_phi, x, w, phi, P, dPdx)
+    return SphereGrid(band_limit, n_theta, n_phi, x, w, phi, P, dPdx, trig)
 
 
 def make_grid(l_max):
@@ -163,18 +157,6 @@ def eval_harmonic(l, m, theta, phi):
     return out
 
 
-def _signed_p(grid, l_max, derivative=False):
-    """Legendre table extended to negative m columns: index [l, m + l_max]."""
-    src = grid.dPdx if derivative else grid.P
-    out = np.zeros((l_max + 1, 2 * l_max + 1, grid.n_theta))
-    for l in range(l_max + 1):
-        for m in range(0, l + 1):
-            out[l, l_max + m] = src[l, m]
-            if m > 0:
-                out[l, l_max - m] = (-1.0) ** m * src[l, m]
-    return out
-
-
 @dataclass(frozen=True)
 class HarmonicField:
     """Band-limited function on the sphere stored as harmonic coefficients.
@@ -190,9 +172,8 @@ class HarmonicField:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.shape != (self.l_max + 1, 2 * self.l_max + 1):
             raise ValueError("coefficient array shape does not match l_max")
-        for l in range(self.l_max):
-            if np.any(c[l, : self.l_max - l]) or np.any(c[l, self.l_max + l + 1 :]):
-                raise ValueError("nonzero coefficient with |m| > l")
+        if np.any(c[_outside_band(self.l_max)]):
+            raise ValueError("nonzero coefficient with |m| > l")
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
@@ -224,13 +205,6 @@ class HarmonicField:
         c[: self.l_max + 1, off : off + 2 * self.l_max + 1] = self.coeffs
         return HarmonicField(l_max, c)
 
-    def truncate(self, l_max):
-        if l_max >= self.l_max:
-            return self.pad_to(l_max)
-        off = self.l_max - l_max
-        c = self.coeffs[: l_max + 1, off : off + 2 * l_max + 1].copy()
-        return HarmonicField(l_max, c)
-
     def __add__(self, other):
         L = max(self.l_max, other.l_max)
         return HarmonicField(L, self.pad_to(L).coeffs + other.pad_to(L).coeffs)
@@ -247,23 +221,8 @@ class HarmonicField:
 
     __rmul__ = __mul__
 
-    def _hermitian_exact(self):
-        """True when coeffs(l, -m) == (-1)^m conj(coeffs(l, m)) bitwise."""
-        c = self.coeffs
-        flipped = c[:, ::-1].conj().copy()
-        for m in range(1, self.l_max + 1, 2):
-            flipped[:, self.l_max + m] *= -1.0
-            flipped[:, self.l_max - m] *= -1.0
-        return np.array_equal(c, flipped) and np.all(c[:, self.l_max].imag == 0.0)
-
     def is_real(self, tol=1e-12):
-        c = self.coeffs
-        for m in range(0, self.l_max + 1):
-            a = c[:, self.l_max + m]
-            b = c[:, self.l_max - m]
-            if np.max(np.abs(b - (-1.0) ** m * a.conj())) > tol:
-                return False
-        return True
+        return bool(np.max(np.abs(self.coeffs - _mirror(self.coeffs, self.l_max))) <= tol)
 
     def values(self, grid):
         return synthesize(self, grid)
@@ -309,79 +268,105 @@ class HarmonicField:
         return cls(l_max, f)
 
 
+@lru_cache(maxsize=None)
+def _outside_band(l_max):
+    """Mask of the coefficient slots with |m| > l."""
+    mask = np.abs(np.arange(-l_max, l_max + 1)) > np.arange(l_max + 1)[:, None]
+    mask.setflags(write=False)
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _column_parity(l_max):
+    """(-1)^m over the coefficient columns m = -l_max..l_max."""
+    parity = 1.0 - 2.0 * (np.arange(-l_max, l_max + 1) % 2)
+    parity.setflags(write=False)
+    return parity
+
+
+def _mirror(c, l_max):
+    """c~(l, m) = (-1)^m conj c(l, -m); the field is real when c~ == c."""
+    return _column_parity(l_max) * c[:, ::-1].conj()
+
+
+def _real_parts(f):
+    """Split f = h1 + i h2 into real fields; h1 = (c + c~)/2, h2 = (c - c~)/2i.
+
+    Returns the m >= 0 coefficients of each part as (re, im) pairs, shaped
+    (parts, l, m, 2), with m > 0 doubled for the one-sided cos/sin sum.
+    Exactly Hermitian coefficients give h2 == 0 and a single part equal
+    to c, so real fields keep real values.
+    """
+    L = f.l_max
+    c = f.coeffs[:, L:]
+    mirror = _mirror(f.coeffs, L)[:, L:]
+    weight = np.where(np.arange(L + 1) > 0, 1.0, 0.5)
+    parts = [(c + mirror) * weight]
+    h2 = (c - mirror) * weight
+    if np.any(h2):
+        parts.append(h2 / 1j)
+    parts = np.stack(parts)
+    return np.stack([parts.real, parts.imag], axis=-1)
+
+
+def _sum_over_l(parts, table):
+    """Order amplitudes per node: sum over l of parts against a Legendre
+    table, one matrix product per order m; shape (parts, n_theta, m, 2)."""
+    k, M = parts.shape[:2]
+    per_m = table[:M, :M].transpose(1, 2, 0) @ parts.transpose(2, 1, 0, 3).reshape(M, M, 2 * k)
+    return per_m.reshape(M, -1, k, 2).transpose(2, 1, 0, 3)
+
+
+def _sum_over_m(amps, grid):
+    """Grid values sum_m Re(a_m exp(i m phi)) of each part; h1 + i h2 when
+    there are two."""
+    k, n, M, _ = amps.shape
+    vals = amps.reshape(k, n, 2 * M) @ grid.trig[:M].reshape(2 * M, grid.n_phi)
+    return vals[0] if k == 1 else vals[0] + 1j * vals[1]
+
+
 def synthesize(f, grid):
     """Pointwise values of the field on the grid, shape (n_theta, n_phi).
     Returns a real array when the coefficients are exactly Hermitian."""
     if grid.band_limit < f.l_max:
         raise ValueError("grid too coarse for band limit")
-    L = f.l_max
-    c = f.coeffs
-    if f._hermitian_exact():
-        out = np.zeros((grid.n_theta, grid.n_phi))
-        for m in range(0, L + 1):
-            A = np.tensordot(c[m:, L + m], grid.P[m : L + 1, m], axes=(0, 0))
-            block = np.multiply.outer(A, np.exp(1j * m * grid.phi))
-            out += (1.0 if m == 0 else 2.0) * block.real
-        return out
-    Ps = _signed_p(grid, L)
-    A = np.einsum("lm,lmt->tm", c, Ps)
-    ms = np.arange(-L, L + 1)
-    return A @ np.exp(1j * np.outer(ms, grid.phi))
+    return _sum_over_m(_sum_over_l(_real_parts(f), grid.P), grid)
 
 
 def _gradient_values(f, grid):
     """Pointwise (df/dx, df/dphi) on the grid, x = cos(theta)."""
     if grid.band_limit < f.l_max:
         raise ValueError("grid too coarse for band limit")
-    L = f.l_max
-    c = f.coeffs
-    if f._hermitian_exact():
-        dvx = np.zeros((grid.n_theta, grid.n_phi))
-        dvp = np.zeros((grid.n_theta, grid.n_phi))
-        for m in range(0, L + 1):
-            cm = c[m:, L + m]
-            phase = np.exp(1j * m * grid.phi)
-            fac = 1.0 if m == 0 else 2.0
-            Ax = np.tensordot(cm, grid.dPdx[m : L + 1, m], axes=(0, 0))
-            dvx += fac * np.multiply.outer(Ax, phase).real
-            if m > 0:
-                A = np.tensordot(cm, grid.P[m : L + 1, m], axes=(0, 0))
-                dvp += fac * (1j * m * np.multiply.outer(A, phase)).real
-        return dvx, dvp
-    Ps = _signed_p(grid, L)
-    dPs = _signed_p(grid, L, derivative=True)
-    ms = np.arange(-L, L + 1)
-    phase = np.exp(1j * np.outer(ms, grid.phi))
-    Ax = np.einsum("lm,lmt->tm", c, dPs)
-    A = np.einsum("lm,lmt->tm", c, Ps)
-    return Ax @ phase, (A * (1j * ms)) @ phase
+    parts = _real_parts(f)
+    amps = _sum_over_l(parts, grid.P)
+    # d/dphi turns a_m into i m a_m: (re, im) -> m (-im, re)
+    dphi = amps[..., ::-1] * (np.arange(f.l_max + 1)[:, None] * [-1.0, 1.0])
+    return _sum_over_m(_sum_over_l(parts, grid.dPdx), grid), _sum_over_m(dphi, grid)
 
 
 def analyze(values, l_max, grid):
-    """Project grid values onto harmonics up to l_max by quadrature."""
+    """Project grid values onto harmonics up to l_max by quadrature.
+
+    Real values give exactly Hermitian coefficients: m >= 0 is computed and
+    m < 0 mirrored. Complex values are analyzed as re + i im.
+    """
     values = np.asarray(values)
     if values.shape != (grid.n_theta, grid.n_phi):
         raise ValueError("value array does not match the grid")
     if grid.band_limit < l_max:
         raise ValueError("grid too coarse for band limit")
     L = l_max
-    scale = 2.0 * math.pi / grid.n_phi
-    coeffs = np.zeros((L + 1, 2 * L + 1), dtype=complex)
-    if not np.iscomplexobj(values):
-        for m in range(0, L + 1):
-            phase = np.exp(-1j * m * grid.phi)
-            Fm = values @ phase * scale
-            col = np.tensordot(grid.P[m : L + 1, m] * grid.w, Fm, axes=(1, 0))
-            coeffs[m:, L + m] = col
-            if m > 0:
-                coeffs[m:, L - m] = (-1.0) ** m * col.conj()
-    else:
-        Ps = _signed_p(grid, L)
-        ms = np.arange(-L, L + 1)
-        phase = np.exp(-1j * np.outer(grid.phi, ms))
-        Fm = values @ phase * scale
-        coeffs = np.einsum("lmt,t,tm->lm", Ps, grid.w, Fm)
-    return HarmonicField(L, coeffs)
+    parts = np.stack([values.real, values.imag]) if np.iscomplexobj(values) else values[None]
+    k, M = len(parts), L + 1
+    trig = grid.trig[:M].reshape(2 * M, grid.n_phi)
+    F = (parts @ trig.T).reshape(k, grid.n_theta, M, 2)
+    F *= (2.0 * math.pi / grid.n_phi) * grid.w[:, None, None]
+    per_m = grid.P[:M, :M].transpose(1, 0, 2) @ F.transpose(2, 1, 0, 3).reshape(M, -1, 2 * k)
+    pairs = per_m.reshape(M, M, k, 2).transpose(2, 1, 0, 3)
+    half = pairs[..., 0] + 1j * pairs[..., 1]
+    neg = _column_parity(L)[:L] * half[..., :0:-1].conj()
+    coeffs = np.concatenate([neg, half], axis=-1)
+    return HarmonicField(L, coeffs[0] if k == 1 else coeffs[0] + 1j * coeffs[1])
 
 
 def bracket(f, g):
@@ -407,11 +392,7 @@ def integral_of_product(f, g):
     L = max(f.l_max, g.l_max)
     a = f.pad_to(L).coeffs
     b = g.pad_to(L).coeffs
-    total = 0j
-    for m in range(-L, L + 1):
-        sign = (-1.0) ** m
-        total += sign * np.sum(a[:, L + m] * b[:, L - m])
-    return complex(total)
+    return complex(np.sum(_column_parity(L) * a * b[:, ::-1]))
 
 
 def lm_index(l, m):

@@ -244,3 +244,16 @@ def test_csv_determinism(tmp_path, capsys):
         capsys.readouterr()
         assert rc == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("sub", ["scalar", "ym", "two-dim", "scan-b", "born-infeld"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_reduce_rejects_non_finite_e(tmp_path, capsys, sub, value):
+    rc, out, err = run(capsys, ["reduce", sub, "--e", value])
+    assert rc == 2 and out == ""
+    assert "--e" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("e = %s\n" % value)
+    rc, out, err = run(capsys, ["reduce", sub, "--config", str(cfg)])
+    assert rc == 2 and out == ""
+    assert "--e" in err

@@ -80,8 +80,58 @@ def test_real_field_synthesizes_real():
     rng = np.random.default_rng(11)
     f = random_real_field(4, rng)
     assert f.is_real()
-    vals = synthesize(f, make_grid(4))
-    assert not np.iscomplexobj(vals) or np.max(np.abs(vals.imag)) == 0.0
+    grid = make_grid(4)
+    for vals in (synthesize(f, grid), *f.grad_values(grid)):
+        assert not np.iscomplexobj(vals) or np.max(np.abs(vals.imag)) == 0.0
+
+
+def _random_complex_field(l_max, rng):
+    """Field with independent complex coefficients, far from Hermitian."""
+    c = rng.standard_normal((l_max + 1, 2 * l_max + 1)) + 1j * rng.standard_normal(
+        (l_max + 1, 2 * l_max + 1)
+    )
+    m = np.arange(-l_max, l_max + 1)
+    c[np.abs(m) > np.arange(l_max + 1)[:, None]] = 0.0
+    return HarmonicField(l_max, c)
+
+
+def _direct_sum(f, theta, phi, weight=lambda l, m: 1.0):
+    """sum_lm weight(l, m) c_lm Y_lm at the given nodes, one harmonic at a time."""
+    total = np.zeros(np.broadcast(theta, phi).shape, dtype=complex)
+    for l in range(f.l_max + 1):
+        for m in range(-l, l + 1):
+            total += weight(l, m) * f.get(l, m) * eval_harmonic(l, m, theta, phi)
+    return total
+
+
+def test_complex_field_synthesis_and_gradient_match_direct_sums():
+    f = _random_complex_field(4, np.random.default_rng(21))
+    assert not f.is_real()
+    grid = make_grid(4)
+    theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    np.testing.assert_allclose(synthesize(f, grid), _direct_sum(f, theta, phi), atol=1e-13)
+    dx, dphi = f.grad_values(grid)
+    np.testing.assert_allclose(dphi, _direct_sum(f, theta, phi, lambda l, m: 1j * m), atol=1e-12)
+    # d/dx = -(d/dtheta) / sin(theta), by a central difference in theta
+    h = 1e-5
+    d_theta = (_direct_sum(f, theta + h, phi) - _direct_sum(f, theta - h, phi)) / (2 * h)
+    np.testing.assert_allclose(dx, -d_theta / np.sin(theta), atol=1e-8)
+
+
+def test_complex_values_roundtrip():
+    f = _random_complex_field(4, np.random.default_rng(22))
+    grid = make_grid(4)
+    back = analyze(synthesize(f, grid), 4, grid)
+    np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-13)
+
+
+@pytest.mark.parametrize("l,j", [(0, 0), (0, 6), (1, 1), (2, 6), (2, 0)])
+def test_field_rejects_coefficient_outside_band(l, j):
+    """Slot (l, m = j - 3) with |m| > l at l_max 3."""
+    c = np.zeros((4, 7), dtype=complex)
+    c[l, j] = 1e-300
+    with pytest.raises(ValueError, match=r"\|m\| > l"):
+        HarmonicField(3, c)
 
 
 def test_grid_exactness_plateau():
