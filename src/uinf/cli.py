@@ -4,10 +4,10 @@ Subcommands mirror the package layout: ``identities`` for the contraction
 ratio suite, ``reduce`` for the sphere-to-spacetime splits, ``monopole``
 for the radial profile workbench, ``algebra`` for harmonic utilities.
 
-Exit codes: 0 on success, 1 when a numerical identity or solver check
-fails, 2 on configuration errors (bad flags, bad config file, unreadable
-input).  Output is deterministic byte for byte for a fixed command line:
-all randomness flows from --seed and nothing timestamps itself.
+Every report carries its checks, one of them "finite". Exit codes: 0 when
+all checks hold, 1 when one fails or a linear solve breaks down, 2 on bad
+flags, flag values, config files or input files. Output is deterministic
+byte for byte: all randomness flows from --seed, nothing timestamps itself.
 """
 
 import argparse
@@ -19,14 +19,28 @@ import numpy as np
 from . import __version__, monopole, reduction, reports, sphere_algebra, tensor_kernels
 from .gauge_fields import random_adjoint_scalar, random_gauge_config
 from .reduction import Background, BlockMetric
+from .reports import check
 from .sphere_algebra import HarmonicField
 
 
-def _parse_floats(text):
-    items = [t for t in text.split(",") if t.strip()]
-    if not items:
-        raise ValueError("empty list: %r" % text)
-    return [float(t) for t in items]
+def _require(ok, flag, rule, value):
+    if not ok:
+        raise ValueError("%s must be %s, got %r" % (flag, rule, value))
+
+
+def _finite(text, flag):
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    _require(np.isfinite(value), flag, "a finite number", text)
+    return value
+
+
+def _parse_floats(text, flag):
+    items = [_finite(t, flag) for t in text.split(",") if t.strip()]
+    _require(items, flag, "a nonempty list", text)
+    return items
 
 
 def _parse_ints(text):
@@ -37,13 +51,6 @@ def _default_spacetime(dim):
     diag = np.ones(dim)
     diag[0] = -1.0
     return np.diag(diag)
-
-
-def _emit(args, text):
-    if args.out:
-        reports.atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _meta(args, **extra):
@@ -58,12 +65,34 @@ def _tol(args, default):
 
 def _parse_coeffs(pairs):
     table = {}
-    for pair in pairs or []:
+    for pair in pairs:
         name, sep, value = pair.partition("=")
-        if not sep:
-            raise ValueError("coefficient override must look like name=value: %r" % pair)
-        table[name.strip()] = float(value)
+        _require(sep, "--coeff", "NAME=VALUE", pair)
+        table[name.strip()] = _finite(value, "--coeff")
     return table
+
+
+def _check_inputs(args):
+    """Hold the flags that reach the numerics, whether given on the command
+    line or by --config, to the range they need; a bad value is a usage
+    error naming the flag. List flags are parsed here, once."""
+    given = vars(args)
+    if "e" in given:
+        _require(np.isfinite(args.e) and args.e != 0.0, "--e", "finite and nonzero", args.e)
+    if "b_list" in given:
+        text = args.b_list
+        args.b_list = _parse_floats(text, "--b-list")
+        _require(len(set(args.b_list)) == len(args.b_list) >= 2 and min(args.b_list) > 0,
+                 "--b-list", "a list of at least two distinct positive radii", text)
+    if "evb_list" in given:
+        args.evb_list = _parse_floats(args.evb_list, "--evb-list")
+    if "coeff" in given:
+        args.coeff = _parse_coeffs(args.coeff)
+    if "trials" in given:
+        _require(args.trials >= 1, "--trials", "at least 1", args.trials)
+    if "xi_max" in given:
+        _require(np.isfinite(args.xi_max) and args.xi_max > 0, "--xi-max",
+                 "finite and positive", args.xi_max)
 
 
 # ---------------------------------------------------------------------------
@@ -133,114 +162,87 @@ def cmd_identities(args):
                       signature=args.signature, spread_tolerance=tol),
         "ratios": suite,
     }
-    _emit(args, reports.render_json(payload))
-    worst = max(entry["spread"] for entry in suite.values())
-    return 0 if worst <= tol else 1
-
-
-def _background(args):
-    if not (np.isfinite(args.e) and args.e != 0.0):
-        raise ValueError("--e must be finite and nonzero, got %r" % args.e)
-    return Background(args.e)
+    return payload, [check("spread." + name, row["spread"], tol) for name, row in suite.items()]
 
 
 def _drawn_reduction_inputs(args, dim, want_scalar):
-    bg = _background(args)
     rng = np.random.default_rng(args.seed)
     cfg = random_gauge_config(dim, args.lmax, rng, amplitude=args.amplitude)
     scal = random_adjoint_scalar(dim, args.lmax, rng, amplitude=args.amplitude) if want_scalar else None
     metric = BlockMetric(_default_spacetime(dim), args.b)
-    return cfg, scal, metric, bg
+    return cfg, scal, metric, Background(args.e)
 
 
-def _reduce_exit(rep, tol):
-    checks = (
-        rep["classification_residual_rel"],
-        rep["covariant_identity_rel"],
-        rep["forward_scan_residual_rel"],
-    )
-    ok = all(c <= tol for c in checks) and rep["vanishing_group_rel"] <= 1e-12
-    return 0 if ok else 1
+def _reduce_result(args, rep, groups=("vanishing_group_rel",),
+                   residuals=("classification_residual_rel", "covariant_identity_rel",
+                              "forward_scan_residual_rel")):
+    """The report and its checks: route residuals against --tol; the
+    vanishing groups are exact zeros up to rounding, so their bound does not
+    move with it."""
+    tol = _tol(args, 1e-10)
+    checks = [check(n, rep[n], tol) for n in residuals] + [check(n, rep[n], 1e-12) for n in groups]
+    return {"meta": _meta(args, amplitude=args.amplitude), "report": rep}, checks
 
 
 def cmd_reduce_scalar(args):
     cfg, scal, metric, bg = _drawn_reduction_inputs(args, args.D, True)
-    rep = reduction.reduce_scalar(cfg, scal, metric, bg)
-    payload = {"meta": _meta(args, amplitude=args.amplitude), "report": rep}
-    _emit(args, reports.render_json(payload))
-    return _reduce_exit(rep, _tol(args, 1e-10))
+    return _reduce_result(args, reduction.reduce_scalar(cfg, scal, metric, bg))
 
 
 def cmd_reduce_ym(args):
     cfg, _, metric, bg = _drawn_reduction_inputs(args, args.D, False)
-    rep = reduction.reduce_yang_mills(cfg, metric, bg)
-    payload = {"meta": _meta(args, amplitude=args.amplitude), "report": rep}
-    _emit(args, reports.render_json(payload))
-    return _reduce_exit(rep, _tol(args, 1e-10))
+    return _reduce_result(args, reduction.reduce_yang_mills(cfg, metric, bg))
 
 
 def cmd_reduce_two_dim(args):
     cfg, _, metric, bg = _drawn_reduction_inputs(args, 2, False)
-    rep = reduction.two_dim_report(cfg, metric, bg)
-    payload = {"meta": _meta(args, amplitude=args.amplitude), "report": rep}
-    _emit(args, reports.render_json(payload))
-    tol = _tol(args, 1e-10)
-    ok = (
-        rep["pointwise_residual_rel"] <= tol
-        and rep["group_0_rel"] <= 1e-12
-        and rep["group_1_rel"] <= 1e-12
-    )
-    return 0 if ok else 1
+    return _reduce_result(args, reduction.two_dim_report(cfg, metric, bg),
+                          groups=("group_0_rel", "group_1_rel"),
+                          residuals=("pointwise_residual_rel",))
 
 
 def cmd_reduce_scan_b(args):
-    b_list = _parse_floats(args.b_list)
-    bg = _background(args)
     rng = np.random.default_rng(args.seed)
     cfg = random_gauge_config(args.D, args.lmax, rng, amplitude=args.amplitude)
     scal = random_adjoint_scalar(args.D, args.lmax, rng, amplitude=args.amplitude)
-    scan = reduction.b_scan(cfg, scal, _default_spacetime(args.D), bg, b_list)
+    scan = reduction.b_scan(cfg, scal, _default_spacetime(args.D), Background(args.e), args.b_list)
     columns = ["b", "q", "covariant_group", "residual_group_1",
                "residual_group_0", "ratio", "fit_exponent"]
     rows = [[row[c] for c in columns] for row in scan["rows"]]
     meta = _meta(args, D=args.D, e=args.e, lmax=args.lmax, amplitude=args.amplitude,
                  fit_exponent=scan["fit_exponent"])
-    _emit(args, reports.render_csv(columns, rows, meta))
-    return 0
+    return (columns, rows, meta), []
 
 
 def cmd_reduce_born_infeld(args):
-    b_list = _parse_floats(args.b_list)
-    bg = _background(args)
     rng = np.random.default_rng(args.seed)
     cfg = random_gauge_config(args.D, args.lmax, rng, amplitude=args.amplitude)
     spacetime = _default_spacetime(args.D)
+    bg = Background(args.e)
     reps = [
         reduction.born_infeld_report(cfg, BlockMetric(spacetime, b), bg, args.alpha, C=args.C)
-        for b in b_list
+        for b in args.b_list
     ]
     columns = ["b", "alpha", "lhs", "rhs", "ratio", "drift"]
     rows = [[rep[c] for c in columns] for rep in reps]
     meta = _meta(args, D=args.D, e=args.e, lmax=args.lmax, amplitude=args.amplitude, C=args.C)
-    _emit(args, reports.render_csv(columns, rows, meta))
-    drifts = [rep["drift"] for rep in reps]
-    ok = all(b - a > 0 for a, b in zip(drifts[1:], drifts[:-1]))
-    return 0 if ok or len(drifts) < 2 else 1
+    fall = float(np.min(-np.diff([rep["drift"] for rep in reps])))
+    return (columns, rows, meta), [check("drift_min_fall", fall, 0.0, ok=fall > 0.0)]
 
 
 def cmd_monopole_solve(args):
     grid = monopole.RadialGrid(args.xi_max, args.n)
     profile = monopole.bps_profile(grid)
     r1, r2 = monopole.bogomolnyi_residuals(profile)
-    worst = max(np.abs(r1).max(), np.abs(r2).max())
     breakdown = monopole.energy_breakdown(profile)
     meta = _meta(args, xi_max=args.xi_max, n=args.n,
                  max_residual_first=float(np.abs(r1).max()),
                  max_residual_second=float(np.abs(r2).max()),
                  completed_energy=breakdown.completed)
-    rows = zip(grid.xi, profile.K, profile.H)
-    _emit(args, reports.render_csv(["xi", "K", "H"], rows, meta))
-    return 0 if worst <= _tol(args, 1e-8) else 1
+    tol = _tol(args, 1e-8)
+    checks = [check(k, meta[k], tol) for k in ("max_residual_first", "max_residual_second")]
+    checks.append(check("completed_energy_error", abs(breakdown.completed - 1.0), 1e-4))
+    return (["xi", "K", "H"], zip(grid.xi, profile.K, profile.H), meta), checks
 
 
 def cmd_monopole_energy(args):
@@ -248,48 +250,40 @@ def cmd_monopole_energy(args):
     profile = monopole.bps_profile(grid)
     breakdown = monopole.energy_breakdown(profile)
     physical = monopole.physical_energy(
-        profile, args.evb, v=args.v, beta=args.beta, e=args.e, b=args.b,
-        coeffs=_parse_coeffs(args.coeff),
+        profile, args.evb, v=args.v, beta=args.beta, e=args.e, b=args.b, coeffs=args.coeff,
     )
     payload = {
         "meta": _meta(args, xi_max=args.xi_max, n=args.n),
         "breakdown": vars(breakdown),
         "physical": physical,
     }
-    _emit(args, reports.render_json(payload))
-    return 0 if abs(breakdown.completed - 1.0) <= _tol(args, 1e-4) else 1
+    return payload, [check("completed_energy_error", abs(breakdown.completed - 1.0),
+                           _tol(args, 1e-4))]
 
 
 def cmd_monopole_perturb(args):
-    coeffs = _parse_coeffs(args.coeff)
     grid = monopole.RadialGrid(args.xi_max, args.n)
     profile = monopole.bps_profile(grid)
-    pert = monopole.solve_perturbation(profile, coeffs=coeffs)
-    if not (np.isfinite(pert.K1).all() and np.isfinite(pert.H1).all()):
-        print("error: perturbation solve produced non-finite values", file=sys.stderr)
-        return 1
+    pert = monopole.solve_perturbation(profile, coeffs=args.coeff)
     rep = monopole.perturbation_report(profile, pert=pert)
     meta = _meta(args, **rep)
     for name in sorted(pert.coeffs):
         meta["coeff_%s" % name] = pert.coeffs[name]
     rows = zip(grid.xi, profile.K, profile.H, pert.K1, pert.H1)
-    _emit(args, reports.render_csv(["xi", "K", "H", "K1", "H1"], rows, meta))
-    return 0
+    return (["xi", "K", "H", "K1", "H1"], rows, meta), []
 
 
 def cmd_monopole_scan_evb(args):
-    evb_list = _parse_floats(args.evb_list)
     rows_data = monopole.energy_scan(
-        evb_list, xi_max=args.xi_max, n=args.n, v=args.v, beta=args.beta,
-        e=args.e, b=args.b, coeffs=_parse_coeffs(args.coeff),
+        args.evb_list, xi_max=args.xi_max, n=args.n, v=args.v, beta=args.beta,
+        e=args.e, b=args.b, coeffs=args.coeff,
     )
     columns = ["evb", "epsilon", "E0_integral", "correction_integral", "dE_over_E0", "cutoff"]
     rows = [[row[c] for c in columns] for row in rows_data]
     meta = _meta(args, xi_max=args.xi_max, n=args.n, v=args.v, beta=args.beta,
                  e=args.e, b=args.b, prefactor=rows_data[0]["prefactor"],
                  quantization_ok=rows_data[0]["quantization_ok"])
-    _emit(args, reports.render_csv(columns, rows, meta))
-    return 0
+    return (columns, rows, meta), []
 
 
 def cmd_algebra_structure_constants(args):
@@ -305,8 +299,7 @@ def cmd_algebra_structure_constants(args):
                     continue
                 rows.append([l1, m1, l2, m2, l3, m3, value.real, value.imag])
     meta = _meta(args, lmax=args.lmax, threshold=1e-12, entries=len(rows))
-    _emit(args, reports.render_csv(columns, rows, meta))
-    return 0
+    return (columns, rows, meta), []
 
 
 def cmd_algebra_su2(args):
@@ -320,8 +313,7 @@ def cmd_algebra_su2(args):
         "substituted": gen.substituted,
         "generators": [t.to_dict() for t in gen.as_tuple()],
     }
-    _emit(args, reports.render_json(payload))
-    return 0 if gen.closure_residual <= _tol(args, 1e-10) else 1
+    return payload, [check("closure_residual", gen.closure_residual, _tol(args, 1e-10))]
 
 
 def cmd_algebra_bracket(args):
@@ -330,9 +322,7 @@ def cmd_algebra_bracket(args):
     with open(args.g) as fh:
         g = HarmonicField.from_dict(json.load(fh))
     result = sphere_algebra.bracket(f, g)
-    payload = {"meta": _meta(args), "result": result.to_dict()}
-    _emit(args, reports.render_json(payload))
-    return 0
+    return {"meta": _meta(args), "result": result.to_dict()}, []
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +384,7 @@ def build_parser():
         sp.add_argument("--xi-max", type=float, default=25.0)
         sp.add_argument("--n", type=int, default=4000)
         if coeff:
-            sp.add_argument("--coeff", action="append", default=None,
+            sp.add_argument("--coeff", action="append", default=[],
                             metavar="NAME=VALUE",
                             help="override a correction coefficient (repeatable)")
         if physical:
@@ -432,6 +422,9 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand. Its handler returns (document, checks); this is
+    the one place that adds the finite check, writes the output and turns
+    the checks into the exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
@@ -441,13 +434,25 @@ def main(argv=None):
     try:
         if args.config:
             _apply_config(args, argv)
-        return args.handler(args)
+        _check_inputs(args)
+        document, checks = args.handler(args)
+        document, bad = reports.scrub(document)
+        if bad:
+            print("error: %d non-finite value(s) written as null: %s%s" % (
+                len(bad), ", ".join(bad[:10]), ", ..." if len(bad) > 10 else ""), file=sys.stderr)
+        checks.append(check("finite", len(bad), 0))
+        text = reports.render(document, checks)
+        if args.out:
+            reports.atomic_write_text(args.out, text)
+        else:
+            sys.stdout.write(text)
     except np.linalg.LinAlgError as exc:
         print("error: linear solve failed: %s" % exc, file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return 0 if all(c["ok"] for c in checks) else 1
 
 
 if __name__ == "__main__":

@@ -543,6 +543,8 @@ def solve_perturbation(profile, coeffs=None, diagnostic_n=400):
 
 
 def _log_slope(xi, y, lo, hi):
+    if not np.isfinite(y).all():  # a broken response has no slope to fit
+        return float("nan")
     mask = (xi >= lo) & (xi <= hi) & (np.abs(y) > 0)
     if mask.sum() < 4:
         raise ValueError("fit window holds fewer than 4 usable nodes")
@@ -591,11 +593,12 @@ def perturbation_report(profile, pert=None, coeffs=None, epsilons=None):
         energies.append(total)
     energies = np.array(energies)
     eps_arr = np.asarray(epsilons, dtype=float)
-    slope, intercept = np.polyfit(eps_arr, energies, 1)
+    finite = np.isfinite(energies).all()  # the LAPACK fit fails on non-finite data
+    slope, intercept = np.polyfit(eps_arr, energies, 1) if finite else (np.nan, np.nan)
     fitted = slope * eps_arr + intercept
     ss_res = float(np.sum((energies - fitted) ** 2))
     ss_tot = float(np.sum((energies - energies.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot != 0 else 1.0  # NaN stays NaN
     return {
         "origin_exponent_K": origin_exponent(grid, pert.K1),
         "origin_exponent_H": origin_exponent(grid, pert.H1),

@@ -264,6 +264,7 @@ def _grid_for(cfg, scal):
 
 
 def _reduce_common(sector, cfg, scal, metric, background):
+    """(report, grid, node data, full field matrix) of one sector's split."""
     if metric.dim != cfg.dim:
         raise ValueError("metric dimension does not match the jet")
     grid, L = _grid_for(cfg, scal)
@@ -333,19 +334,19 @@ def _reduce_common(sector, cfg, scal, metric, background):
         report["vanishing_group_rel"] = abs(gk[3]) / scale
     else:
         report["vanishing_group_rel"] = max(abs(gk[3]), abs(gk[4])) / scale
-    return report
+    return report, grid, nd, F
 
 
 def reduce_scalar(cfg, scal, metric, background):
     """Group split of the scalar-gradient contraction; see module docstring."""
     if scal is None:
         raise ValueError("the scalar sector needs a scalar jet")
-    return _reduce_common("scalar", cfg, scal, metric, background)
+    return _reduce_common("scalar", cfg, scal, metric, background)[0]
 
 
 def reduce_yang_mills(cfg, metric, background):
     """Group split of the quartic trace form; see module docstring."""
-    return _reduce_common("yang_mills", cfg, None, metric, background)
+    return _reduce_common("yang_mills", cfg, None, metric, background)[0]
 
 
 def b_scan(cfg, scal, spacetime_metric, background, b_list):
@@ -380,11 +381,8 @@ def two_dim_report(cfg, metric, background):
     onto the bracket-extended F_01, and the two lowest groups vanish."""
     if cfg.dim != 2 or metric.dim != 2:
         raise ValueError("this check needs exactly two spacetime dimensions")
-    rep = reduce_yang_mills(cfg, metric, background)
-    grid, L = _grid_for(cfg, None)
-    nd = _node_data(cfg, None, grid)
+    rep, grid, nd, F = _reduce_common("yang_mills", cfg, None, metric, background)
     b, q = metric.b, background.q
-    F = _full_field_matrix(nd, 2, q)
     eps = epsilon_symbol(4)
     raw = np.einsum("abcd,abij,cdij->ij", eps, F, F)
     det_st = float(np.linalg.det(metric.spacetime))

@@ -191,15 +191,19 @@ def identity_suite(dims=(3, 4, 6), trials=500, rng=None, signature="euclidean"):
         raise ValueError("dims must all be >= 3")
     if 3 not in dims or 4 not in dims:
         raise ValueError("dims must include 3 and 4 for the epsilon rows")
+    # ratio: (dimensions, numerator route, denominator route); the rank-3
+    # routes contract F with a vector v, the rank-4 routes F with itself
     plans = {
-        "delta3_vs_trace3": list(dims),
-        "delta4_vs_trace4": [d for d in dims if d >= 4],
-        "eps3_vs_delta3": [3],
-        "eps4_vs_trace4": [4],
+        "delta3_vs_trace3": (list(dims), delta_contract_scalar, trace_form_scalar),
+        "delta4_vs_trace4": ([d for d in dims if d >= 4], delta_contract_quartic,
+                             trace_form_quartic),
+        "eps3_vs_delta3": ([3], eps_square_3d, delta_contract_scalar),
+        "eps4_vs_trace4": ([4], eps_square_4d, trace_form_quartic),
     }
     floor = 1e-3
     out = {}
-    for name, ds in plans.items():
+    for name, (ds, num_route, den_route) in plans.items():
+        rank3 = den_route in (trace_form_scalar, delta_contract_scalar)
         per = -(-trials // len(ds))
         vals = []
         redraws = 0
@@ -216,30 +220,22 @@ def identity_suite(dims=(3, 4, 6), trials=500, rng=None, signature="euclidean"):
                 ginv = np.linalg.inv(g)
                 Fup = ginv @ F @ ginv.T
                 s1 = float(np.einsum("ab,ab->", F, Fup))
-                if name in ("delta3_vs_trace3", "eps3_vs_delta3"):
+                if rank3:
                     vup = ginv @ v
                     s2 = float(v @ vup)
                     t2 = float(np.einsum("ac,ab,b,c->", Fup, F, vup, v))
                     scale = 2.0 * abs(s1 * s2) + 4.0 * abs(t2)
-                    den = trace_form_scalar(F, v, g)
-                    if name == "eps3_vs_delta3":
-                        den = delta_contract_scalar(F, v, g)
-                        num = eps_square_3d(F, v, g)
-                    else:
-                        num = delta_contract_scalar(F, v, g)
+                    route_args = (F, v, g)
                 else:
                     M = ginv @ F
                     M2 = M @ M
                     scale = s1 * s1 + 2.0 * abs(float(np.trace(M2 @ M2)))
-                    den = trace_form_quartic(F, g)
-                    if name == "eps4_vs_trace4":
-                        num = eps_square_4d(F, g)
-                    else:
-                        num = delta_contract_quartic(F, g)
+                    route_args = (F, g)
+                den = den_route(*route_args)
                 if scale == 0.0 or abs(den) <= floor * scale:
                     redraws += 1
                     continue
-                vals.append(num / den)
+                vals.append(num_route(*route_args) / den)
                 got += 1
         arr = np.asarray(vals)
         out[name] = {

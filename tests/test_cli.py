@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from uinf import monopole
 from uinf.cli import main
 from uinf.sphere_algebra import HarmonicField, random_real_field
 
@@ -11,6 +13,36 @@ def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _reject_constant(text):
+    raise ValueError("non-finite number in JSON: %s" % text)
+
+
+def parse_report(out):
+    """(document, checks) of a report, parsed strictly: JSON without NaN or
+    Infinity, or CSV with '# key = value' meta lines, a column line and rows
+    of finite numbers of that width."""
+    if out.startswith("{"):
+        doc = json.loads(out, parse_constant=_reject_constant)
+        return doc, doc["checks"]
+    lines = out.splitlines()
+    meta = [ln[2:] for ln in lines if ln.startswith("# ")]
+    assert lines[: len(meta)] == ["# " + m for m in meta]
+    checks = []
+    for line in meta:
+        key, value = line.split(" = ")
+        if key.startswith("check."):
+            fields = dict(item.split("=") for item in value.split(" "))
+            assert set(fields) == {"value", "bound", "ok"} and fields["ok"] in ("True", "False")
+            checks.append({"name": key[len("check."):], "value": float(fields["value"]),
+                           "bound": float(fields["bound"]), "ok": fields["ok"] == "True"})
+    header, *rows = lines[len(meta):]
+    width = len(header.split(","))
+    for row in rows:
+        cells = [float(c) for c in row.split(",")]
+        assert len(cells) == width and all(math.isfinite(c) for c in cells)
+    return (header, rows, meta), checks
 
 
 def test_identities_exits_clean(capsys):
@@ -29,8 +61,12 @@ def test_identities_exits_clean(capsys):
 
 
 def test_identities_impossible_tolerance_fails(capsys):
-    rc, _, _ = run(capsys, ["identities", "--trials", "20", "--tol", "1e-20"])
+    rc, out, _ = run(capsys, ["identities", "--trials", "20", "--tol", "1e-20"])
     assert rc == 1
+    _, checks = parse_report(out)
+    failing = [c for c in checks if not c["ok"]]
+    assert failing and all(c["name"].startswith("spread.") for c in failing)
+    assert all(c["bound"] == 1e-20 and c["value"] > 1e-20 for c in failing)
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -257,3 +293,114 @@ def test_reduce_rejects_non_finite_e(tmp_path, capsys, sub, value):
     rc, out, err = run(capsys, ["reduce", sub, "--config", str(cfg)])
     assert rc == 2 and out == ""
     assert "--e" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identities", "--trials", "20"],
+        ["reduce", "scalar", "--lmax", "2"],
+        ["reduce", "ym", "--lmax", "2"],
+        ["reduce", "two-dim", "--lmax", "2"],
+        ["reduce", "scan-b", "--lmax", "2", "--b-list", "0.4,0.2"],
+        ["reduce", "born-infeld", "--lmax", "1", "--b-list", "0.4,0.2"],
+        ["monopole", "solve", "--xi-max", "10", "--n", "800"],
+        ["monopole", "energy", "--xi-max", "10", "--n", "800"],
+        ["monopole", "perturb", "--xi-max", "10", "--n", "800"],
+        ["monopole", "scan-evb", "--xi-max", "10", "--n", "800", "--evb-list", "0.1,0.2"],
+        ["algebra", "structure-constants", "--lmax", "1"],
+        ["algebra", "su2"],
+        ["algebra", "bracket"],
+        ["monopole", "solve", "--xi-max", "25", "--n", "400"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_every_report_carries_checks_that_set_the_exit_code(tmp_path, capsys, argv):
+    if argv[-1] == "bracket":
+        rng = np.random.default_rng(1)
+        for name in ("f", "g"):
+            path = tmp_path / (name + ".json")
+            path.write_text(json.dumps(random_real_field(2, rng).to_dict()))
+            argv = argv + ["--" + name, str(path)]
+    rc, out, _ = run(capsys, argv)
+    _, checks = parse_report(out)
+    assert [c["name"] for c in checks].count("finite") == 1
+    assert all(set(c) == {"name", "value", "bound", "ok"} for c in checks)
+    assert rc == (0 if all(c["ok"] for c in checks) else 1)
+
+
+@pytest.mark.parametrize(
+    "argv, rc, failing",
+    [
+        (["--xi-max", "10", "--n", "800"], 0, []),
+        (["--xi-max", "25", "--n", "400"], 1, ["max_residual_first", "max_residual_second"]),
+        (["--xi-max", "1e-9"], 1, ["completed_energy_error"]),
+    ],
+)
+def test_monopole_solve_checks_completed_energy(capsys, argv, rc, failing):
+    got, out, _ = run(capsys, ["monopole", "solve"] + argv)
+    assert got == rc
+    _, checks = parse_report(out)
+    energy = [c for c in checks if c["name"] == "completed_energy_error"]
+    assert len(energy) == 1 and energy[0]["bound"] == 1e-4
+    assert sorted(c["name"] for c in checks if not c["ok"]) == failing
+
+
+def test_non_finite_report_value_is_null_and_exits_one(monkeypatch, capsys):
+    real = monopole.physical_energy
+
+    def broken(*args, **kwargs):
+        return dict(real(*args, **kwargs), total=float("nan"))
+
+    monkeypatch.setattr(monopole, "physical_energy", broken)
+    rc, out, err = run(capsys, ["monopole", "energy", "--xi-max", "10", "--n", "800"])
+    assert rc == 1
+    doc, checks = parse_report(out)
+    assert doc["physical"]["total"] is None
+    assert "physical.total" in err
+    assert [c for c in checks if not c["ok"]] == [
+        {"name": "finite", "value": 1, "bound": 0, "ok": False}
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_broken_perturbation_response_is_reported(capsys):
+    """A coefficient that overflows the response leaves null cells, names
+    them on stderr and exits 1, instead of a failed fit."""
+    rc, out, err = run(capsys, ["monopole", "perturb", "--xi-max", "10", "--n", "800",
+                                "--coeff", "h2_kprime2=1e308"])
+    assert rc == 1
+    assert "rows[0][3]" in err
+    lines = out.splitlines()
+    finite = [ln for ln in lines if ln.startswith("# check.finite = ")]
+    assert len(finite) == 1 and finite[0].endswith(" ok=False")
+    assert lines[-1].endswith(",,")
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, flag",
+    [
+        (["reduce", "scan-b"], "b_list", "1,1", "--b-list"),
+        (["reduce", "scan-b"], "b_list", "0.4,0", "--b-list"),
+        (["reduce", "born-infeld"], "b_list", "0.1", "--b-list"),
+        (["reduce", "born-infeld"], "b_list", "0.1,0.1", "--b-list"),
+        (["reduce", "born-infeld"], "b_list", "0.4,nan", "--b-list"),
+        (["identities"], "trials", "0", "--trials"),
+        (["monopole", "energy"], "coeff", "h2_kprime2=nan", "--coeff"),
+        (["monopole", "energy"], "e", "0", "--e"),
+        (["monopole", "perturb"], "coeff", "h2_kprime2=inf", "--coeff"),
+        (["monopole", "scan-evb"], "evb_list", "nan", "--evb-list"),
+        (["monopole", "solve"], "xi_max", "nan", "--xi-max"),
+        (["monopole", "energy"], "xi_max", "-1", "--xi-max"),
+        (["monopole", "perturb"], "xi_max", "inf", "--xi-max"),
+    ],
+)
+def test_bad_input_is_usage_error_naming_the_flag(tmp_path, capsys, argv, key, value, flag):
+    rc, out, err = run(capsys, argv + [flag, value])
+    assert rc == 2 and out == ""
+    assert flag in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s = %s\n" % (key, value))
+    rc, out, err = run(capsys, argv + ["--config", str(cfg)])
+    assert rc == 2 and out == ""
+    assert flag in err
