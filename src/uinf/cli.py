@@ -21,6 +21,7 @@ from .gauge_fields import random_adjoint_scalar, random_gauge_config
 from .reduction import Background, BlockMetric
 from .reports import check
 from .sphere_algebra import HarmonicField
+from .tensor_kernels import minkowski_metric
 
 
 def _require(ok, flag, rule, value):
@@ -47,12 +48,6 @@ def _parse_ints(text):
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _default_spacetime(dim):
-    diag = np.ones(dim)
-    diag[0] = -1.0
-    return np.diag(diag)
-
-
 def _meta(args, **extra):
     meta = {"version": __version__, "command": args.command_path, "seed": args.seed}
     meta.update(extra)
@@ -60,7 +55,7 @@ def _meta(args, **extra):
 
 
 def _tol(args, default):
-    return default if args.tol is None else float(args.tol)
+    return default if args.tol is None else args.tol
 
 
 def _parse_coeffs(pairs):
@@ -72,13 +67,31 @@ def _parse_coeffs(pairs):
     return table
 
 
+# range rules of float flags beyond finiteness, by destination
+_FLOAT_RULES = {
+    "e": (lambda x: x != 0.0, "finite and nonzero"),
+    "alpha": (lambda x: x != 0.0, "finite and nonzero"),
+    "b": (lambda x: x > 0.0, "finite and positive"),
+    "xi_max": (lambda x: x > 0.0, "finite and positive"),
+    "tol": (lambda x: x >= 0.0, "finite and nonnegative"),
+}
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
 def _check_inputs(args):
     """Hold the flags that reach the numerics, whether given on the command
     line or by --config, to the range they need; a bad value is a usage
-    error naming the flag. List flags are parsed here, once."""
+    error naming the flag. --tol and the list flags are parsed here, once."""
     given = vars(args)
-    if "e" in given:
-        _require(np.isfinite(args.e) and args.e != 0.0, "--e", "finite and nonzero", args.e)
+    if given.get("tol") is not None:
+        args.tol = _finite(args.tol, "--tol")
+    for dest, value in given.items():
+        if isinstance(value, float):
+            ok, rule = _FLOAT_RULES.get(dest, (lambda x: True, "finite"))
+            _require(np.isfinite(value) and ok(value), _flag(dest), rule, value)
     if "b_list" in given:
         text = args.b_list
         args.b_list = _parse_floats(text, "--b-list")
@@ -90,9 +103,10 @@ def _check_inputs(args):
         args.coeff = _parse_coeffs(args.coeff)
     if "trials" in given:
         _require(args.trials >= 1, "--trials", "at least 1", args.trials)
-    if "xi_max" in given:
-        _require(np.isfinite(args.xi_max) and args.xi_max > 0, "--xi-max",
-                 "finite and positive", args.xi_max)
+    if "n" in given:
+        _require(args.n >= 16, "--n", "at least 16", args.n)
+    if "lmax" in given:
+        _require(args.lmax >= 0, "--lmax", "at least 0", args.lmax)
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +128,12 @@ def _read_config(path):
 
 
 def _flag_given(argv, dest):
-    flag = "--" + dest.replace("_", "-")
+    flag = _flag(dest)
     return any(tok == flag or tok.startswith(flag + "=") for tok in argv)
 
 
 def _convert_like(current, text):
-    if isinstance(current, bool):
-        return text.lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int) and not isinstance(current, bool):
+    if isinstance(current, int):
         return int(text)
     if isinstance(current, float):
         return float(text)
@@ -143,7 +155,12 @@ def _apply_config(args, argv):
             raise ValueError("unknown config key: %s" % key)
         if _flag_given(argv, key):
             continue
-        setattr(args, key, _convert_like(getattr(args, key), text))
+        current = getattr(args, key)
+        try:
+            setattr(args, key, _convert_like(current, text))
+        except ValueError:
+            raise ValueError("%s must be of type %s, got %r"
+                             % (_flag(key), type(current).__name__, text)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +186,7 @@ def _drawn_reduction_inputs(args, dim, want_scalar):
     rng = np.random.default_rng(args.seed)
     cfg = random_gauge_config(dim, args.lmax, rng, amplitude=args.amplitude)
     scal = random_adjoint_scalar(dim, args.lmax, rng, amplitude=args.amplitude) if want_scalar else None
-    metric = BlockMetric(_default_spacetime(dim), args.b)
+    metric = BlockMetric(minkowski_metric(dim), args.b)
     return cfg, scal, metric, Background(args.e)
 
 
@@ -205,7 +222,7 @@ def cmd_reduce_scan_b(args):
     rng = np.random.default_rng(args.seed)
     cfg = random_gauge_config(args.D, args.lmax, rng, amplitude=args.amplitude)
     scal = random_adjoint_scalar(args.D, args.lmax, rng, amplitude=args.amplitude)
-    scan = reduction.b_scan(cfg, scal, _default_spacetime(args.D), Background(args.e), args.b_list)
+    scan = reduction.b_scan(cfg, scal, minkowski_metric(args.D), Background(args.e), args.b_list)
     columns = ["b", "q", "covariant_group", "residual_group_1",
                "residual_group_0", "ratio", "fit_exponent"]
     rows = [[row[c] for c in columns] for row in scan["rows"]]
@@ -217,7 +234,7 @@ def cmd_reduce_scan_b(args):
 def cmd_reduce_born_infeld(args):
     rng = np.random.default_rng(args.seed)
     cfg = random_gauge_config(args.D, args.lmax, rng, amplitude=args.amplitude)
-    spacetime = _default_spacetime(args.D)
+    spacetime = minkowski_metric(args.D)
     bg = Background(args.e)
     reps = [
         reduction.born_infeld_report(cfg, BlockMetric(spacetime, b), bg, args.alpha, C=args.C)

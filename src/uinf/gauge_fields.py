@@ -12,7 +12,6 @@ differentiates omega twice (scalar covariant derivatives).
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 

@@ -21,7 +21,6 @@ d_theta = -sin(theta) d/dx with x = cos(theta).
 """
 
 from dataclasses import dataclass, replace
-from itertools import permutations
 import math
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from .gauge_fields import field_strength, scalar_kinetic_integral, yang_mills_integral
 # bracket stays bound here: bench/test_bench_helpers.py checks every binding site
 from .sphere_algebra import bracket, grid_for_band_limit, integral_of_product  # noqa: F401
-from .tensor_kernels import _perm_sign, epsilon_symbol
+from .tensor_kernels import _delta3, _eps, _trace4, born_infeld_density
 
 __all__ = [
     "BlockMetric",
@@ -194,64 +193,30 @@ def _ym_groups(nd, grid, ginv, b, q):
 
 
 def _full_field_matrix(nd, D, q):
-    """Lowered full-space field strength at every node, shape (N, N, ...)."""
-    shape = nd["shape"]
-    N = D + 2
-    F = np.zeros((N, N) + shape)
-    F[:D, :D] = nd["flow"]
-    for m in range(2):
-        for mu in range(D):
-            F[mu, D + m] = -nd["dAex"][m, mu]
-            F[D + m, mu] = nd["dAex"][m, mu]
-    F[D, D + 1] = nd["s"] / q
-    F[D + 1, D] = -nd["s"] / q
+    """Lowered full-space field strength at every node, shape (..., N, N)."""
+    F = np.zeros(nd["shape"] + (D + 2, D + 2))
+    F[..., :D, :D] = nd["flow"].transpose(2, 3, 0, 1)
+    F[..., :D, D:] = -nd["dAex"].transpose(2, 3, 1, 0)
+    F[..., D:, :D] = nd["dAex"].transpose(2, 3, 0, 1)
+    F[..., D, D + 1] = nd["s"] / q
+    F[..., D + 1, D] = -nd["s"] / q
     return F
 
 
-def _full_gradient(nd, D):
-    shape = nd["shape"]
-    v = np.zeros((D + 2,) + shape)
-    v[:D] = nd["dphst"]
-    v[D:] = nd["dphiex"]
-    return v
+def _full_gradient(nd):
+    return np.concatenate([nd["dphst"], nd["dphiex"]]).transpose(1, 2, 0)
 
 
-def _full_inverse_metric(grid, ginv, b, shape, t=1.0):
+def _full_inverse_metric(grid, ginv, b, t=1.0):
+    """Inverse full-space metric with its sphere block scaled by t, shape
+    (n_theta, 1, N, N); t = 0 is the degenerate limit."""
     D = ginv.shape[0]
-    N = D + 2
     gh = _ghat_inv(grid)
-    G = np.zeros((N, N) + shape)
-    for a in range(D):
-        for c in range(D):
-            if ginv[a, c] != 0.0:
-                G[a, c] = ginv[a, c]
+    G = np.zeros(gh.shape[1:] + (D + 2, D + 2))
+    G[..., :D, :D] = ginv
     for m in range(2):
-        G[D + m, D + m] = t * gh[m] / b**2
+        G[..., D + m, D + m] = t * gh[m] / b**2
     return G
-
-
-def _reference_scalar_density(F, v, Ginv):
-    """Half the rank-3 generalized-delta contraction of the full-space data,
-    evaluated as the literal six-permutation sum at every node."""
-    Fup = np.einsum("acij,bdij,cdij->abij", Ginv, Ginv, F)
-    vup = np.einsum("abij,bij->aij", Ginv, v)
-    low = np.einsum("abij,cij->abcij", F, v)
-    up = np.einsum("abij,cij->abcij", Fup, vup)
-    total = np.zeros(F.shape[2:])
-    for p in permutations(range(3)):
-        sub = "".join("abc"[i] for i in p)
-        total = total + _perm_sign(p) * np.einsum(f"abcij,{sub}ij->ij", low, up)
-    return 0.5 * total
-
-
-def _reference_quartic_density(F, Ginv):
-    """Quartic trace form of the full-space data at every node."""
-    Fup = np.einsum("acij,bdij,cdij->abij", Ginv, Ginv, F)
-    s1 = np.einsum("abij,abij->ij", F, Fup)
-    M = np.einsum("abij,bcij->acij", Ginv, F)
-    M2 = np.einsum("abij,bcij->acij", M, M)
-    t4 = np.einsum("abij,baij->ij", M2, M2)
-    return s1 * s1 - 2.0 * t4
 
 
 def _integrate(grid, density):
@@ -274,21 +239,20 @@ def _reduce_common(sector, cfg, scal, metric, background):
     F = _full_field_matrix(nd, cfg.dim, q)
     if sector == "scalar":
         groups = _scalar_groups(nd, grid, ginv, b, q)
-        v = _full_gradient(nd, cfg.dim)
-        density = lambda Ginv: _reference_scalar_density(F, v, Ginv)  # noqa: E731
+        v = _full_gradient(nd)
+        density = lambda Ginv: 0.5 * _delta3(F, v, Ginv)  # noqa: E731
         covariant = lambda c: scalar_kinetic_integral(c, scal, metric.spacetime)  # noqa: E731
         const = 2.0 / q**2
     else:
         groups = _ym_groups(nd, grid, ginv, b, q)
-        density = lambda Ginv: _reference_quartic_density(F, Ginv)  # noqa: E731
+        density = lambda Ginv: _trace4(F, Ginv)  # noqa: E731
         covariant = lambda c: yang_mills_integral(c, metric.spacetime)  # noqa: E731
         const = 4.0 / q**2
     gk = [_integrate(grid, gden) for gden in groups]
     total = float(sum(gk))
 
     def reference(t):
-        Ginv = _full_inverse_metric(grid, ginv, b, nd["shape"], t=t)
-        return _integrate(grid, density(Ginv))
+        return _integrate(grid, density(_full_inverse_metric(grid, ginv, b, t)))
 
     ref = reference(1.0)
     scale = max(abs(gk[2]), abs(total), 1.0)
@@ -383,11 +347,8 @@ def two_dim_report(cfg, metric, background):
         raise ValueError("this check needs exactly two spacetime dimensions")
     rep, grid, nd, F = _reduce_common("yang_mills", cfg, None, metric, background)
     b, q = metric.b, background.q
-    eps = epsilon_symbol(4)
-    raw = np.einsum("abcd,abij,cdij->ij", eps, F, F)
+    eps_contract = _eps(F, F, _full_inverse_metric(grid, np.linalg.inv(metric.spacetime), b))
     det_st = float(np.linalg.det(metric.spacetime))
-    sqrt_det = math.sqrt(abs(det_st)) * b**2 * nd["s"]
-    eps_contract = raw / sqrt_det
     # node-route bracket-extended F_01
     dAex = nd["dAex"]
     br01 = (dAex[1, 0] * dAex[0, 1] - dAex[0, 0] * dAex[1, 1]) / nd["s"]
@@ -422,61 +383,42 @@ def born_infeld_report(cfg, metric, background, alpha, C=1.0):
     (small-alpha) form, and suppression_ratio compares rhs built with and
     without the bracket term.
     """
-    if alpha == 0.0:
-        raise ValueError("alpha must be nonzero")
     D = cfg.dim
     b, q = metric.b, background.q
     grid = grid_for_band_limit(2 * cfg.l_max + 8)
     nd = _node_data(cfg, None, grid)
     s = nd["s"]
-    N = D + 2
-    shape = nd["shape"]
     g_st = metric.spacetime
     det_st = float(np.linalg.det(g_st))
     if det_st >= 0.0:
         raise ValueError("the spacetime block must carry one negative direction")
 
-    G = np.zeros(shape + (N, N))
+    G = np.zeros(s.shape + (D + 2, D + 2))
     G[..., :D, :D] = g_st
     G[..., D, D] = b**2
     G[..., D + 1, D + 1] = b**2 * s**2
 
-    F = np.moveaxis(_full_field_matrix(nd, D, q), (0, 1), (-2, -1))
+    F = _full_field_matrix(nd, D, q)
     F_vac = np.zeros_like(F)
     F_vac[..., D, D + 1] = s / q
     F_vac[..., D + 1, D] = -s / q
 
     w_coord = (grid.w / grid.sin_theta)[:, None] * (2.0 * math.pi / grid.n_phi)
-
-    def bi_integral(Fm):
-        d0 = -np.linalg.det(G)
-        d1 = -np.linalg.det(G + alpha * Fm)
-        if np.any(d0 <= 0.0) or np.any(d1 <= 0.0):
-            raise ValueError("determinant left the root domain")
-        dens = (C / alpha**2) * (np.sqrt(d1) - np.sqrt(d0))
-        return float(np.sum(w_coord * dens))
-
-    lhs_full = bi_integral(F)
-    lhs_vac = bi_integral(F_vac)
+    lhs_full = float(np.sum(w_coord * born_infeld_density(F, G, alpha, C)))
+    lhs_vac = float(np.sum(w_coord * born_infeld_density(F_vac, G, alpha, C)))
     lhs = lhs_full - lhs_vac
 
     charged = replace(cfg, coupling=q)
-    ft_nodes = np.zeros(shape + (D, D))
+    ft_nodes = np.zeros(nd["shape"] + (D, D))
     for mu in range(D):
         for nu in range(mu + 1, D):
             vals = field_strength(charged, mu, nu).values(grid)
             ft_nodes[..., mu, nu] = vals
             ft_nodes[..., nu, mu] = -vals
 
-    w_sphere = grid.w2d
-
     def rhs_integral(Fst):
-        d0 = -np.linalg.det(g_st)
-        d1 = -np.linalg.det(g_st + alpha * Fst)
-        if d0 <= 0.0 or np.any(d1 <= 0.0):
-            raise ValueError("determinant left the root domain")
-        dens = (C / alpha**2) * (abs(alpha) / abs(q)) * (np.sqrt(d1) - math.sqrt(d0))
-        return float(np.sum(w_sphere * dens))
+        dens = born_infeld_density(Fst, G[..., :D, :D], alpha, C) * (abs(alpha) / abs(q))
+        return _integrate(grid, dens)
 
     rhs = rhs_integral(ft_nodes)
     rhs_plain = rhs_integral(F[..., :D, :D])

@@ -8,19 +8,29 @@ measure the ratio between the routes; nothing here assumes the identities
 hold.
 
 Index conventions: antisymmetric F carries two lower indices, v carries one
-lower index, and metric g is the covariant metric. Raising always goes
-through explicit contractions with inv(g).
+lower index. The public functions take the covariant metric g of one node.
+
+Stack layout: the private kernels (`_delta3`, `_trace3`, `_delta4`,
+`_trace4`, `_eps`) work on a stack of nodes. F has shape (..., A, B), v has
+shape (..., A) and the inverse metric (..., A, B); the leading axes
+broadcast, and each kernel returns an array of the leading shape. The
+reduction module calls them on a whole sphere grid at once, and the public
+per-node functions call them on a single node.
+
+The kernels take the inverse metric g^{AB}, not g. The reduction's forward
+scan evaluates the reference route with the sphere block of the inverse
+metric scaled by t, down to t = 0, where that block is zero and no covariant
+metric exists (the degenerate limit); every contraction here stays defined
+there. Raising an index is one contraction with g^{AB}, and the epsilon
+density factor 1/sqrt|det g| is sqrt|det g^{-1}|.
 """
 
 from functools import lru_cache
 from itertools import permutations
-import math
 
 import numpy as np
 
 __all__ = [
-    "raise_two",
-    "raise_one",
     "delta_contract_scalar",
     "trace_form_scalar",
     "delta_contract_quartic",
@@ -47,15 +57,80 @@ def _perm_sign(p):
     return sign
 
 
-def raise_two(F, g):
+def _raise(F, ginv):
     """F^{AB} = g^{AP} g^{BQ} F_{PQ}."""
-    ginv = np.linalg.inv(g)
-    return ginv @ F @ ginv.T
+    return ginv @ F @ ginv.swapaxes(-1, -2)
 
 
-def raise_one(v, g):
+def _raise_vector(v, ginv):
     """v^A = g^{AB} v_B."""
-    return np.linalg.inv(g) @ v
+    return np.einsum("...ab,...b->...a", ginv, v)
+
+
+def _signed_permutation_sum(low, up, k):
+    """sum over permutations p of sign(p) low_{i1..ik} up_{ip(1)..ip(k)},
+    contracting the last k axes: the rank-k generalized delta between the
+    lowered and the raised factors."""
+    idx = "abcd"[:k]
+    total = 0.0
+    for p in permutations(range(k)):
+        sub = "".join(idx[i] for i in p)
+        total = total + _perm_sign(p) * np.einsum(f"...{idx},...{sub}->...", low, up)
+    return total
+
+
+def _delta3(F, v, ginv):
+    low = np.einsum("...ab,...c->...abc", F, v)
+    up = np.einsum("...ab,...c->...abc", _raise(F, ginv), _raise_vector(v, ginv))
+    return _signed_permutation_sum(low, up, 3)
+
+
+def _delta4(F, ginv):
+    Fup = _raise(F, ginv)
+    low = np.einsum("...ab,...cd->...abcd", F, F)
+    up = np.einsum("...ab,...cd->...abcd", Fup, Fup)
+    return _signed_permutation_sum(low, up, 4)
+
+
+def _trace3_pieces(F, v, ginv):
+    """(F_{AB} F^{AB} v_C v^C, F^{AC} F_{AB} v^B v_C)."""
+    Fup = _raise(F, ginv)
+    vup = _raise_vector(v, ginv)
+    s1 = np.einsum("...ab,...ab->...", F, Fup)
+    s2 = np.einsum("...a,...a->...", v, vup)
+    t2 = np.einsum("...ac,...ab,...b,...c->...", Fup, F, vup, v)
+    return s1 * s2, t2
+
+
+def _trace3(F, v, ginv):
+    s12, t2 = _trace3_pieces(F, v, ginv)
+    return 2.0 * (s12 - 2.0 * t2)
+
+
+def _trace4_pieces(F, ginv):
+    """(F_{AB} F^{AB}, tr((g^{-1} F)^4))."""
+    s1 = np.einsum("...ab,...ab->...", F, _raise(F, ginv))
+    M = ginv @ F
+    M2 = M @ M
+    return s1, np.einsum("...ab,...ba->...", M2, M2)
+
+
+def _trace4(F, ginv):
+    s1, t4 = _trace4_pieces(F, ginv)
+    return s1 * s1 - 2.0 * t4
+
+
+def _eps(F, w, ginv):
+    """eps~^{A...} F_{AB} w_{C...} with the density factor sqrt|det g^{-1}|,
+    in n = 3 (w is a vector v) or n = 4 (w is a second F) dimensions."""
+    idx = "abcd"[: F.shape[-1]]
+    raw = np.einsum(f"{idx},...ab,...{idx[2:]}->...", epsilon_symbol(len(idx)), F, w)
+    return raw * np.sqrt(np.abs(np.linalg.det(ginv)))
+
+
+def _at_node(kernel, g, *tensors):
+    """One node of a stack kernel, from the covariant metric g."""
+    return float(kernel(*(np.asarray(t, dtype=float) for t in tensors), np.linalg.inv(g)))
 
 
 def delta_contract_scalar(F, v, g):
@@ -64,29 +139,12 @@ def delta_contract_scalar(F, v, g):
     delta^{ABC}_{DEF} F_{AB} v_C F^{DE} v^F, evaluated as the literal sum of
     six signed permutation terms.
     """
-    F = np.asarray(F, dtype=float)
-    v = np.asarray(v, dtype=float)
-    Fup = raise_two(F, g)
-    vup = raise_one(v, g)
-    low = np.einsum("ab,c->abc", F, v)
-    up = np.einsum("ab,c->abc", Fup, vup)
-    total = 0.0
-    for p in permutations(range(3)):
-        sub = "".join("abc"[i] for i in p)
-        total += _perm_sign(p) * np.einsum(f"abc,{sub}->", low, up)
-    return float(total)
+    return _at_node(_delta3, g, F, v)
 
 
 def trace_form_scalar(F, v, g):
     """Grouped form 2 (F_{AB} F^{AB} v_C v^C - 2 F^{AC} F_{AB} v^B v_C)."""
-    F = np.asarray(F, dtype=float)
-    v = np.asarray(v, dtype=float)
-    Fup = raise_two(F, g)
-    vup = raise_one(v, g)
-    s1 = np.einsum("ab,ab->", F, Fup)
-    s2 = float(v @ vup)
-    t2 = np.einsum("ac,ab,b,c->", Fup, F, vup, v)
-    return float(2.0 * (s1 * s2 - 2.0 * t2))
+    return _at_node(_trace3, g, F, v)
 
 
 def delta_contract_quartic(F, g):
@@ -95,25 +153,12 @@ def delta_contract_quartic(F, g):
     delta^{ABCD}_{EFGH} F_{AB} F_{CD} F^{EF} F^{GH} as the literal sum of
     twenty-four signed permutation terms.
     """
-    F = np.asarray(F, dtype=float)
-    Fup = raise_two(F, g)
-    low = np.einsum("ab,cd->abcd", F, F)
-    up = np.einsum("ab,cd->abcd", Fup, Fup)
-    total = 0.0
-    for p in permutations(range(4)):
-        sub = "".join("abcd"[i] for i in p)
-        total += _perm_sign(p) * np.einsum(f"abcd,{sub}->", low, up)
-    return float(total)
+    return _at_node(_delta4, g, F)
 
 
 def trace_form_quartic(F, g):
     """Grouped form (F_{AB} F^{AB})^2 - 2 tr((g^{-1} F)^4)."""
-    F = np.asarray(F, dtype=float)
-    Fup = raise_two(F, g)
-    s1 = np.einsum("ab,ab->", F, Fup)
-    M = np.linalg.inv(g) @ F
-    M2 = M @ M
-    return float(s1 * s1 - 2.0 * np.trace(M2 @ M2))
+    return _at_node(_trace4, g, F)
 
 
 @lru_cache(maxsize=None)
@@ -130,18 +175,13 @@ def epsilon_symbol(n):
 def eps_contract_fv(F, v, g):
     """epsilon-tensor contraction eps~^{ABC} F_{AB} v_C with the explicit
     1/sqrt(|det g|) density factor."""
-    eps = epsilon_symbol(3)
-    raw = np.einsum("abc,ab,c->", eps, np.asarray(F, dtype=float), np.asarray(v, dtype=float))
-    return float(raw / math.sqrt(abs(np.linalg.det(g))))
+    return _at_node(_eps, g, F, v)
 
 
 def eps_contract_ff(F, g):
     """epsilon-tensor contraction eps~^{ABCD} F_{AB} F_{CD} with the explicit
     1/sqrt(|det g|) density factor."""
-    eps = epsilon_symbol(4)
-    F = np.asarray(F, dtype=float)
-    raw = np.einsum("abcd,ab,cd->", eps, F, F)
-    return float(raw / math.sqrt(abs(np.linalg.det(g))))
+    return _at_node(_eps, g, F, F)
 
 
 def eps_square_3d(F, v, g):
@@ -158,10 +198,11 @@ def eps_square_4d(F, g):
 
 
 def born_infeld_density(F, g, alpha, C=1.0):
-    """(C / alpha^2) (sqrt(-det(g + alpha F)) - sqrt(-det g)).
+    """(C / alpha^2) (sqrt(-det(g + alpha F)) - sqrt(-det g)) on a stack of
+    nodes: F and the covariant metric g broadcast over their leading axes.
 
     Raises ValueError when either determinant argument leaves the root
-    domain, rather than continuing with a complex branch.
+    domain at any node, rather than continuing with a complex branch.
     """
     F = np.asarray(F, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -169,9 +210,9 @@ def born_infeld_density(F, g, alpha, C=1.0):
         raise ValueError("alpha must be nonzero; take the limit externally")
     d0 = -np.linalg.det(g)
     d1 = -np.linalg.det(g + alpha * F)
-    if d0 <= 0.0 or d1 <= 0.0:
+    if np.any(d0 <= 0.0) or np.any(d1 <= 0.0):
         raise ValueError("determinant left the root domain")
-    return float(C / alpha**2 * (math.sqrt(d1) - math.sqrt(d0)))
+    return C / alpha**2 * (np.sqrt(d1) - np.sqrt(d0))
 
 
 def identity_suite(dims=(3, 4, 6), trials=500, rng=None, signature="euclidean"):
@@ -194,16 +235,15 @@ def identity_suite(dims=(3, 4, 6), trials=500, rng=None, signature="euclidean"):
     # ratio: (dimensions, numerator route, denominator route); the rank-3
     # routes contract F with a vector v, the rank-4 routes F with itself
     plans = {
-        "delta3_vs_trace3": (list(dims), delta_contract_scalar, trace_form_scalar),
-        "delta4_vs_trace4": ([d for d in dims if d >= 4], delta_contract_quartic,
-                             trace_form_quartic),
-        "eps3_vs_delta3": ([3], eps_square_3d, delta_contract_scalar),
-        "eps4_vs_trace4": ([4], eps_square_4d, trace_form_quartic),
+        "delta3_vs_trace3": (list(dims), _delta3, _trace3),
+        "delta4_vs_trace4": ([d for d in dims if d >= 4], _delta4, _trace4),
+        "eps3_vs_delta3": ([3], lambda F, v, ginv: _eps(F, v, ginv) ** 2, _delta3),
+        "eps4_vs_trace4": ([4], lambda F, ginv: _eps(F, F, ginv) ** 2, _trace4),
     }
     floor = 1e-3
     out = {}
     for name, (ds, num_route, den_route) in plans.items():
-        rank3 = den_route in (trace_form_scalar, delta_contract_scalar)
+        rank3 = den_route in (_trace3, _delta3)
         per = -(-trials // len(ds))
         vals = []
         redraws = 0
@@ -218,19 +258,14 @@ def identity_suite(dims=(3, 4, 6), trials=500, rng=None, signature="euclidean"):
                 F = random_antisymmetric(d, rng)
                 v = rng.standard_normal(d)
                 ginv = np.linalg.inv(g)
-                Fup = ginv @ F @ ginv.T
-                s1 = float(np.einsum("ab,ab->", F, Fup))
                 if rank3:
-                    vup = ginv @ v
-                    s2 = float(v @ vup)
-                    t2 = float(np.einsum("ac,ab,b,c->", Fup, F, vup, v))
-                    scale = 2.0 * abs(s1 * s2) + 4.0 * abs(t2)
-                    route_args = (F, v, g)
+                    s12, t2 = _trace3_pieces(F, v, ginv)
+                    scale = 2.0 * abs(s12) + 4.0 * abs(t2)
+                    route_args = (F, v, ginv)
                 else:
-                    M = ginv @ F
-                    M2 = M @ M
-                    scale = s1 * s1 + 2.0 * abs(float(np.trace(M2 @ M2)))
-                    route_args = (F, g)
+                    s1, t4 = _trace4_pieces(F, ginv)
+                    scale = s1 * s1 + 2.0 * abs(t4)
+                    route_args = (F, ginv)
                 den = den_route(*route_args)
                 if scale == 0.0 or abs(den) <= floor * scale:
                     redraws += 1

@@ -393,6 +393,23 @@ def test_broken_perturbation_response_is_reported(capsys):
         (["monopole", "solve"], "xi_max", "nan", "--xi-max"),
         (["monopole", "energy"], "xi_max", "-1", "--xi-max"),
         (["monopole", "perturb"], "xi_max", "inf", "--xi-max"),
+        (["monopole", "energy"], "b", "0", "--b"),
+        (["monopole", "scan-evb"], "b", "0", "--b"),
+        (["reduce", "scalar"], "b", "0", "--b"),
+        (["reduce", "scalar"], "b", "nan", "--b"),
+        (["reduce", "born-infeld"], "alpha", "0", "--alpha"),
+        (["reduce", "born-infeld"], "alpha", "nan", "--alpha"),
+        (["algebra", "su2"], "tol", "abc", "--tol"),
+        (["algebra", "su2"], "tol", "nan", "--tol"),
+        (["reduce", "ym"], "tol", "-1", "--tol"),
+        (["monopole", "solve"], "n", "8", "--n"),
+        (["algebra", "structure-constants"], "lmax", "-1", "--lmax"),
+        (["reduce", "scalar"], "amplitude", "nan", "--amplitude"),
+        (["monopole", "energy"], "v", "nan", "--v"),
+        (["monopole", "scan-evb"], "beta", "nan", "--beta"),
+        (["monopole", "energy"], "evb", "nan", "--evb"),
+        (["reduce", "born-infeld"], "C", "nan", "--C"),
+        (["monopole", "solve"], "xi_max", "abc", "--xi-max"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_flag(tmp_path, capsys, argv, key, value, flag):

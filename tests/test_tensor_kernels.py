@@ -1,10 +1,15 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from uinf import tensor_kernels
 from uinf.tensor_kernels import (
     born_infeld_density,
     delta_contract_quartic,
     delta_contract_scalar,
+    eps_contract_ff,
+    eps_contract_fv,
     epsilon_symbol,
     eps_square_3d,
     eps_square_4d,
@@ -150,3 +155,35 @@ def test_identity_suite_rejects_missing_base_dims():
         identity_suite(dims=(4, 5), trials=10)
     with pytest.raises(ValueError):
         identity_suite(dims=(2, 3, 4), trials=10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       signature=st.sampled_from(["euclidean", "lorentzian"]))
+def test_stacked_kernels_match_the_node_functions(seed, signature):
+    """Every kernel on a (2, 3) stack of draws, each with its own metric,
+    equals the public per-node function at every node."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n, signature, scale=1.0):
+        g = np.array([[random_metric(n, rng, signature) for _ in range(3)] for _ in range(2)])
+        F = np.array([[random_antisymmetric(n, rng, scale) for _ in range(3)] for _ in range(2)])
+        return g, F, rng.standard_normal((2, 3, n))
+
+    g3, F3, v3 = draw(3, signature)
+    g4, F4, _ = draw(4, signature)
+    gl, Fl, _ = draw(4, "lorentzian", scale=0.1)
+    tk = tensor_kernels
+    rows = [
+        (tk._delta3(F3, v3, np.linalg.inv(g3)), lambda i: delta_contract_scalar(F3[i], v3[i], g3[i])),
+        (tk._trace3(F3, v3, np.linalg.inv(g3)), lambda i: trace_form_scalar(F3[i], v3[i], g3[i])),
+        (tk._eps(F3, v3, np.linalg.inv(g3)), lambda i: eps_contract_fv(F3[i], v3[i], g3[i])),
+        (tk._delta4(F4, np.linalg.inv(g4)), lambda i: delta_contract_quartic(F4[i], g4[i])),
+        (tk._trace4(F4, np.linalg.inv(g4)), lambda i: trace_form_quartic(F4[i], g4[i])),
+        (tk._eps(F4, F4, np.linalg.inv(g4)), lambda i: eps_contract_ff(F4[i], g4[i])),
+        (born_infeld_density(Fl, gl, 0.7, C=1.3), lambda i: born_infeld_density(Fl[i], gl[i], 0.7, C=1.3)),
+    ]
+    for stacked, node in rows:
+        assert stacked.shape == (2, 3)
+        for i in np.ndindex(2, 3):
+            assert stacked[i] == pytest.approx(node(i), rel=1e-12)
