@@ -12,6 +12,7 @@ byte for byte: all randomness flows from --seed, nothing timestamps itself.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,30 +25,6 @@ from .sphere_algebra import HarmonicField
 from .tensor_kernels import minkowski_metric
 
 
-def _require(ok, flag, rule, value):
-    if not ok:
-        raise ValueError("%s must be %s, got %r" % (flag, rule, value))
-
-
-def _finite(text, flag):
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    _require(np.isfinite(value), flag, "a finite number", text)
-    return value
-
-
-def _parse_floats(text, flag):
-    items = [_finite(t, flag) for t in text.split(",") if t.strip()]
-    _require(items, flag, "a nonempty list", text)
-    return items
-
-
-def _parse_ints(text):
-    return [int(t) for t in text.split(",") if t.strip()]
-
-
 def _meta(args, **extra):
     meta = {"version": __version__, "command": args.command_path, "seed": args.seed}
     meta.update(extra)
@@ -58,109 +35,81 @@ def _tol(args, default):
     return default if args.tol is None else args.tol
 
 
-def _parse_coeffs(pairs):
-    table = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        _require(sep, "--coeff", "NAME=VALUE", pair)
-        table[name.strip()] = _finite(value, "--coeff")
-    return table
+# ---------------------------------------------------------------------------
+# flag rules: each flag's argparse type converts its text and holds the value
+# to the range the numerics need, so a bad value, from the command line or
+# from --config, exits 2 with "argument --flag: must be ..."
 
 
-# range rules of float flags beyond finiteness, by destination
-_FLOAT_RULES = {
-    "e": (lambda x: x != 0.0, "finite and nonzero"),
-    "alpha": (lambda x: x != 0.0, "finite and nonzero"),
-    "b": (lambda x: x > 0.0, "finite and positive"),
-    "xi_max": (lambda x: x > 0.0, "finite and positive"),
-    "tol": (lambda x: x >= 0.0, "finite and nonnegative"),
-}
+def _rule(rule, convert, ok=lambda value: True):
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("must be %s, got %r" % (rule, text))
+    return parse
 
 
-def _flag(dest):
-    return "--" + dest.replace("_", "-")
+def _at_least(low):
+    return _rule("an integer >= %d" % low, int, lambda n: n >= low)
 
 
-def _check_inputs(args):
-    """Hold the flags that reach the numerics, whether given on the command
-    line or by --config, to the range they need; a bad value is a usage
-    error naming the flag. --tol and the list flags are parsed here, once."""
-    given = vars(args)
-    if given.get("tol") is not None:
-        args.tol = _finite(args.tol, "--tol")
-    for dest, value in given.items():
-        if isinstance(value, float):
-            ok, rule = _FLOAT_RULES.get(dest, (lambda x: True, "finite"))
-            _require(np.isfinite(value) and ok(value), _flag(dest), rule, value)
-    if "b_list" in given:
-        text = args.b_list
-        args.b_list = _parse_floats(text, "--b-list")
-        _require(len(set(args.b_list)) == len(args.b_list) >= 2 and min(args.b_list) > 0,
-                 "--b-list", "a list of at least two distinct positive radii", text)
-    if "evb_list" in given:
-        args.evb_list = _parse_floats(args.evb_list, "--evb-list")
-    if "coeff" in given:
-        args.coeff = _parse_coeffs(args.coeff)
-    if "trials" in given:
-        _require(args.trials >= 1, "--trials", "at least 1", args.trials)
-    if "n" in given:
-        _require(args.n >= 16, "--n", "at least 16", args.n)
-    if "lmax" in given:
-        _require(args.lmax >= 0, "--lmax", "at least 0", args.lmax)
+def _floats(text):
+    return [float(t) for t in text.split(",") if t.strip()]
+
+
+def _coeff(text):
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise ValueError(text)
+    return name.strip(), float(value)
+
+
+_FINITE = _rule("finite", float, math.isfinite)
+_NONZERO = _rule("finite and nonzero", float, lambda x: math.isfinite(x) and x != 0.0)
+_POSITIVE = _rule("finite and positive", float, lambda x: 0.0 < x < math.inf)
+_NONNEGATIVE = _rule("finite and nonnegative", float, lambda x: 0.0 <= x < math.inf)
+_COEFF = _rule("NAME=VALUE with a finite VALUE", _coeff, lambda pair: math.isfinite(pair[1]))
+_EVB_LIST = _rule("a nonempty comma list of finite numbers", _floats,
+                  lambda xs: xs and all(map(math.isfinite, xs)))
+_B_LIST = _rule("a comma list of at least two distinct finite positive radii", _floats,
+                lambda xs: len(set(xs)) == len(xs) >= 2 and all(0.0 < x < math.inf for x in xs))
+_DIMS = _rule("a comma list of dimensions >= 3 including 3 and 4",
+              lambda text: tensor_kernels._suite_dims(t for t in text.split(",") if t.strip()))
 
 
 # ---------------------------------------------------------------------------
-# config files: plain "key = value" lines, merged under explicit flags
+# config files: plain "key = value" lines, re-parsed as flags beneath the
+# explicit ones
 
 
-def _read_config(path):
-    values = {}
-    with open(path) as fh:
+def _config_tokens(args, rest):
+    """The --config lines as one --flag=value token per value (per pair for
+    coeff, whose lines drop out when --coeff is given in rest)."""
+    known = set(vars(args)) - {"handler", "command_path", "command", "subcommand", "config"}
+    tokens = []
+    with open(args.config) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
+            key = key.strip().replace("-", "_")
             if not sep:
                 raise ValueError("config line without '=': %r" % raw.strip())
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _flag_given(argv, dest):
-    flag = _flag(dest)
-    return any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-
-
-def _convert_like(current, text):
-    if isinstance(current, int):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
-    if isinstance(current, list):
-        return [t.strip() for t in text.split(",") if t.strip()]
-    if current is None:
-        for cast in (int, float):
-            try:
-                return cast(text)
-            except ValueError:
-                pass
-    return text
-
-
-def _apply_config(args, argv):
-    values = _read_config(args.config)
-    for key, text in values.items():
-        if key in ("handler", "command_path", "config") or not hasattr(args, key):
-            raise ValueError("unknown config key: %s" % key)
-        if _flag_given(argv, key):
-            continue
-        current = getattr(args, key)
-        try:
-            setattr(args, key, _convert_like(current, text))
-        except ValueError:
-            raise ValueError("%s must be of type %s, got %r"
-                             % (_flag(key), type(current).__name__, text)) from None
+            if key not in known:
+                raise ValueError("unknown config key: %s" % key)
+            flag = "--" + key.replace("_", "-")
+            values = [value.strip()]
+            if key == "coeff":
+                if any(t == flag or t.startswith(flag + "=") for t in rest):
+                    continue
+                values = [v.strip() for v in value.split(",") if v.strip()]
+            tokens += [flag + "=" + v for v in values]
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +117,13 @@ def _apply_config(args, argv):
 
 
 def cmd_identities(args):
-    dims = tuple(_parse_ints(args.dims))
     rng = np.random.default_rng(args.seed)
     suite = tensor_kernels.identity_suite(
-        dims=dims, trials=args.trials, rng=rng, signature=args.signature
+        dims=args.dims, trials=args.trials, rng=rng, signature=args.signature
     )
     tol = _tol(args, 1e-10)
     payload = {
-        "meta": _meta(args, dims=list(dims), trials=args.trials,
+        "meta": _meta(args, dims=list(args.dims), trials=args.trials,
                       signature=args.signature, spread_tolerance=tol),
         "ratios": suite,
     }
@@ -267,7 +215,7 @@ def cmd_monopole_energy(args):
     profile = monopole.bps_profile(grid)
     breakdown = monopole.energy_breakdown(profile)
     physical = monopole.physical_energy(
-        profile, args.evb, v=args.v, beta=args.beta, e=args.e, b=args.b, coeffs=args.coeff,
+        profile, args.evb, v=args.v, beta=args.beta, e=args.e, b=args.b, coeffs=dict(args.coeff),
     )
     payload = {
         "meta": _meta(args, xi_max=args.xi_max, n=args.n),
@@ -281,7 +229,7 @@ def cmd_monopole_energy(args):
 def cmd_monopole_perturb(args):
     grid = monopole.RadialGrid(args.xi_max, args.n)
     profile = monopole.bps_profile(grid)
-    pert = monopole.solve_perturbation(profile, coeffs=args.coeff)
+    pert = monopole.solve_perturbation(profile, coeffs=dict(args.coeff))
     rep = monopole.perturbation_report(profile, pert=pert)
     meta = _meta(args, **rep)
     for name in sorted(pert.coeffs):
@@ -293,7 +241,7 @@ def cmd_monopole_perturb(args):
 def cmd_monopole_scan_evb(args):
     rows_data = monopole.energy_scan(
         args.evb_list, xi_max=args.xi_max, n=args.n, v=args.v, beta=args.beta,
-        e=args.e, b=args.b, coeffs=args.coeff,
+        e=args.e, b=args.b, coeffs=dict(args.coeff),
     )
     columns = ["evb", "epsilon", "E0_integral", "correction_integral", "dE_over_E0", "cutoff"]
     rows = [[row[c] for c in columns] for row in rows_data]
@@ -347,12 +295,15 @@ def cmd_algebra_bracket(args):
 
 
 def build_parser():
+    """The flag table: every flag that takes a value converts and checks it
+    with its type, except the paths (--config, --out, --f, --g) and
+    --signature, whose choices argparse checks."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random generator seed")
+    common.add_argument("--seed", type=_at_least(0), default=0, help="random generator seed")
     common.add_argument("--config", default=None,
                         help="file of key = value lines merged under explicit flags")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--tol", default=None,
+    common.add_argument("--tol", type=_NONNEGATIVE, default=None,
                         help="override the command's pass/fail tolerance")
 
     parser = argparse.ArgumentParser(prog="uinf", description=__doc__,
@@ -362,68 +313,68 @@ def build_parser():
 
     p = top.add_parser("identities", parents=[common],
                        help="contraction identity ratio suite over random draws")
-    p.add_argument("--dims", default="3,4,6", help="comma list of dimensions")
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--dims", type=_DIMS, default="3,4,6", help="comma list of dimensions")
+    p.add_argument("--trials", type=_at_least(1), default=500)
     p.add_argument("--signature", choices=["euclidean", "lorentzian"], default="euclidean")
     p.set_defaults(handler=cmd_identities, command_path="identities")
 
     reduce_p = top.add_parser("reduce", help="sphere-to-spacetime splits")
     reduce_sub = reduce_p.add_subparsers(dest="subcommand", required=True)
 
-    def add_reduce(name, handler, **defaults):
+    def add_reduce(name, handler, min_D=1, b_flag=True, lmax=3, amplitude=0.4):
         sp = reduce_sub.add_parser(name, parents=[common])
-        sp.add_argument("--e", type=float, default=2.0, help="background coupling")
-        sp.add_argument("--lmax", type=int, default=defaults.get("lmax", 3))
-        sp.add_argument("--amplitude", type=float, default=defaults.get("amplitude", 0.4))
-        if defaults.get("dim_flag", True):
-            sp.add_argument("--D", type=int, default=4, help="spacetime dimension")
-        if defaults.get("b_flag", True):
-            sp.add_argument("--b", type=float, default=1.0, help="sphere radius")
+        sp.add_argument("--e", type=_NONZERO, default=2.0, help="background coupling")
+        sp.add_argument("--lmax", type=_at_least(0), default=lmax)
+        sp.add_argument("--amplitude", type=_FINITE, default=amplitude)
+        if min_D:
+            sp.add_argument("--D", type=_at_least(min_D), default=4, help="spacetime dimension")
+        if b_flag:
+            sp.add_argument("--b", type=_POSITIVE, default=1.0, help="sphere radius")
+        else:
+            sp.add_argument("--b-list", type=_B_LIST, default="0.4,0.2,0.1,0.05")
         sp.set_defaults(handler=handler, command_path="reduce %s" % name)
         return sp
 
     add_reduce("scalar", cmd_reduce_scalar)
     add_reduce("ym", cmd_reduce_ym)
-    add_reduce("two-dim", cmd_reduce_two_dim, dim_flag=False)
-    sp = add_reduce("scan-b", cmd_reduce_scan_b, b_flag=False)
-    sp.add_argument("--b-list", default="0.4,0.2,0.1,0.05")
-    sp = add_reduce("born-infeld", cmd_reduce_born_infeld, b_flag=False,
+    add_reduce("two-dim", cmd_reduce_two_dim, min_D=None)
+    add_reduce("scan-b", cmd_reduce_scan_b, b_flag=False)
+    sp = add_reduce("born-infeld", cmd_reduce_born_infeld, min_D=2, b_flag=False,
                     lmax=2, amplitude=0.25)
-    sp.add_argument("--b-list", default="0.4,0.2,0.1,0.05")
-    sp.add_argument("--alpha", type=float, default=0.5)
-    sp.add_argument("--C", type=float, default=1.0)
+    sp.add_argument("--alpha", type=_NONZERO, default=0.5)
+    sp.add_argument("--C", type=_NONZERO, default=1.0)
 
     mono_p = top.add_parser("monopole", help="radial profile workbench")
     mono_sub = mono_p.add_subparsers(dest="subcommand", required=True)
 
     def add_mono(name, handler, coeff=False, physical=False):
         sp = mono_sub.add_parser(name, parents=[common])
-        sp.add_argument("--xi-max", type=float, default=25.0)
-        sp.add_argument("--n", type=int, default=4000)
+        sp.add_argument("--xi-max", type=_POSITIVE, default=25.0)
+        sp.add_argument("--n", type=_at_least(16), default=4000)
         if coeff:
-            sp.add_argument("--coeff", action="append", default=[],
+            sp.add_argument("--coeff", type=_COEFF, action="append", default=[],
                             metavar="NAME=VALUE",
                             help="override a correction coefficient (repeatable)")
         if physical:
-            sp.add_argument("--v", type=float, default=1.0)
-            sp.add_argument("--beta", type=float, default=1.0)
-            sp.add_argument("--e", type=float, default=2.0)
-            sp.add_argument("--b", type=float, default=1.0)
+            sp.add_argument("--v", type=_FINITE, default=1.0)
+            sp.add_argument("--beta", type=_FINITE, default=1.0)
+            sp.add_argument("--e", type=_NONZERO, default=2.0)
+            sp.add_argument("--b", type=_POSITIVE, default=1.0)
         sp.set_defaults(handler=handler, command_path="monopole %s" % name)
         return sp
 
     add_mono("solve", cmd_monopole_solve)
     sp = add_mono("energy", cmd_monopole_energy, coeff=True, physical=True)
-    sp.add_argument("--evb", type=float, default=0.1)
+    sp.add_argument("--evb", type=_FINITE, default=0.1)
     add_mono("perturb", cmd_monopole_perturb, coeff=True)
     sp = add_mono("scan-evb", cmd_monopole_scan_evb, coeff=True, physical=True)
-    sp.add_argument("--evb-list", default="0.1,0.2,0.3")
+    sp.add_argument("--evb-list", type=_EVB_LIST, default="0.1,0.2,0.3")
 
     alg_p = top.add_parser("algebra", help="harmonic field utilities")
     alg_sub = alg_p.add_subparsers(dest="subcommand", required=True)
 
     sp = alg_sub.add_parser("structure-constants", parents=[common])
-    sp.add_argument("--lmax", type=int, default=3)
+    sp.add_argument("--lmax", type=_at_least(0), default=3)
     sp.set_defaults(handler=cmd_algebra_structure_constants,
                     command_path="algebra structure-constants")
 
@@ -438,20 +389,26 @@ def build_parser():
     return parser
 
 
+def _parse(argv):
+    """Parse argv; with --config, parse again with the config lines as flags
+    between the command path and the rest of argv, so the last value wins and
+    config values meet the same rules."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    path = args.command_path.split()
+    rest = argv[len(path):]
+    return parser.parse_args(path + _config_tokens(args, rest) + rest)
+
+
 def main(argv=None):
     """Run one subcommand. Its handler returns (document, checks); this is
     the one place that adds the finite check, writes the output and turns
     the checks into the exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        if args.config:
-            _apply_config(args, argv)
-        _check_inputs(args)
+        args = _parse(argv)
         document, checks = args.handler(args)
         document, bad = reports.scrub(document)
         if bad:
@@ -463,6 +420,8 @@ def main(argv=None):
             reports.atomic_write_text(args.out, text)
         else:
             sys.stdout.write(text)
+    except SystemExit as exc:  # argparse: --help, --version or a usage error
+        return 0 if exc.code in (0, None) else 2
     except np.linalg.LinAlgError as exc:
         print("error: linear solve failed: %s" % exc, file=sys.stderr)
         return 1

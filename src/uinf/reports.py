@@ -14,12 +14,17 @@ def fmt(x):
 
 
 def atomic_write_text(path, text):
-    """Write text to path via a temp file in the same directory + rename."""
+    """Write text to path via a temp file in the same directory + rename.
+    The file gets the mode a plain open() would give it (0o666 under the
+    umask), not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_report_")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

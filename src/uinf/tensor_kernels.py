@@ -215,6 +215,17 @@ def born_infeld_density(F, g, alpha, C=1.0):
     return C / alpha**2 * (np.sqrt(d1) - np.sqrt(d0))
 
 
+def _suite_dims(dims):
+    """The sorted distinct dimensions of an identity suite: each at least 3,
+    and 3 and 4 among them for the epsilon rows."""
+    dims = tuple(sorted(set(int(d) for d in dims)))
+    if any(d < 3 for d in dims):
+        raise ValueError("dims must all be >= 3")
+    if 3 not in dims or 4 not in dims:
+        raise ValueError("dims must include 3 and 4 for the epsilon rows")
+    return dims
+
+
 def identity_suite(dims=(3, 4, 6), trials=500, rng=None, signature="euclidean"):
     """Measure the four route ratios over random draws.
 
@@ -227,11 +238,7 @@ def identity_suite(dims=(3, 4, 6), trials=500, rng=None, signature="euclidean"):
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    dims = tuple(sorted(set(int(d) for d in dims)))
-    if any(d < 3 for d in dims):
-        raise ValueError("dims must all be >= 3")
-    if 3 not in dims or 4 not in dims:
-        raise ValueError("dims must include 3 and 4 for the epsilon rows")
+    dims = _suite_dims(dims)
     # ratio: (dimensions, numerator route, denominator route); the rank-3
     # routes contract F with a vector v, the rank-4 routes F with itself
     plans = {

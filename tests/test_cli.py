@@ -1,11 +1,13 @@
+import argparse
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from uinf import monopole
-from uinf.cli import main
+from uinf.cli import build_parser, main
 from uinf.sphere_algebra import HarmonicField, random_real_field
 
 
@@ -410,6 +412,15 @@ def test_broken_perturbation_response_is_reported(capsys):
         (["monopole", "energy"], "evb", "nan", "--evb"),
         (["reduce", "born-infeld"], "C", "nan", "--C"),
         (["monopole", "solve"], "xi_max", "abc", "--xi-max"),
+        (["reduce", "born-infeld"], "C", "0", "--C"),
+        (["reduce", "born-infeld"], "D", "1", "--D"),
+        (["reduce", "scalar"], "D", "0", "--D"),
+        (["reduce", "ym"], "D", "0", "--D"),
+        (["reduce", "scan-b"], "D", "0", "--D"),
+        (["reduce", "born-infeld"], "D", "0", "--D"),
+        (["identities"], "seed", "-1", "--seed"),
+        (["identities"], "dims", "abc", "--dims"),
+        (["identities"], "dims", "2,3,4", "--dims"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_flag(tmp_path, capsys, argv, key, value, flag):
@@ -421,3 +432,74 @@ def test_bad_input_is_usage_error_naming_the_flag(tmp_path, capsys, argv, key, v
     rc, out, err = run(capsys, argv + ["--config", str(cfg)])
     assert rc == 2 and out == ""
     assert flag in err
+
+
+def test_identities_reports_the_dims_it_ran(capsys):
+    rc, out, _ = run(capsys, ["identities", "--dims", "4,3,4,3", "--trials", "20"])
+    assert rc == 0
+    assert json.loads(out)["meta"]["dims"] == [3, 4]
+
+
+def test_config_coeff_line_matches_the_flags(tmp_path, capsys):
+    base = ["monopole", "perturb", "--xi-max", "10", "--n", "800"]
+    flags = run(capsys, base + ["--coeff", "h2_kprime2=0", "--coeff", "xi2_1mk4=0"])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coeff = h2_kprime2=0, xi2_1mk4=0\n")
+    assert run(capsys, base + ["--config", str(cfg)]) == flags
+    assert flags[0] == 0 and "coeff_xi2_1mk4 = 0\n" in flags[1]
+
+
+@pytest.mark.parametrize("explicit", [["--coeff", "xi2_1mk4=0"], ["--coeff=xi2_1mk4=0"]])
+def test_explicit_coeff_replaces_the_config_pairs(tmp_path, capsys, explicit):
+    base = ["monopole", "perturb", "--xi-max", "10", "--n", "800"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coeff = h2_kprime2=0\n")
+    alone = run(capsys, base + explicit)
+    assert run(capsys, base + ["--config", str(cfg)] + explicit) == alone
+    assert run(capsys, base + ["--config", str(cfg)]) != alone
+
+
+def test_config_out_is_a_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("out = 5\n")
+    rc, out, err = run(capsys, ["algebra", "su2", "--config", "run.cfg"])
+    assert (rc, out, err) == (0, "", "")
+    assert json.loads((tmp_path / "5").read_text())["meta"]["command"] == "algebra su2"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_out_file_mode_follows_the_umask(tmp_path, capsys, umask):
+    path = tmp_path / "su2.json"
+    old = os.umask(umask)
+    try:
+        rc = main(["algebra", "su2", "--out", str(path)])
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert rc == 0
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def _options(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _options(sub)
+        elif action.option_strings and action.nargs != 0:
+            yield parser.prog, action
+
+
+def test_every_value_flag_has_a_rule():
+    """Each flag that takes a value converts and checks it with a type of
+    the flag table (not bare int or float, which let nan, inf and
+    out-of-range values through); paths and choices are the exceptions."""
+    exempt = {"--config", "--out", "--f", "--g"}
+    progs = set()
+    for prog, action in _options(build_parser()):
+        progs.add(prog)
+        flag = action.option_strings[0]
+        if flag == "--signature":
+            assert action.choices, prog
+        elif flag not in exempt:
+            assert callable(action.type) and action.type not in (int, float, str), (prog, flag)
+    assert len(progs) == 13
