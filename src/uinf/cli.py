@@ -100,9 +100,10 @@ def _config_tokens(args, rest):
             key = key.strip().replace("-", "_")
             if not sep:
                 raise ValueError("config line without '=': %r" % raw.strip())
-            if key not in known:
-                raise ValueError("unknown config key: %s" % key)
             flag = "--" + key.replace("_", "-")
+            if key not in known:
+                raise ValueError("unknown config key: %s (%s takes no %s)"
+                                 % (key, args.command_path, flag))
             values = [value.strip()]
             if key == "coeff":
                 if any(t == flag or t.startswith(flag + "=") for t in rest):
@@ -235,7 +236,8 @@ def cmd_monopole_perturb(args):
     for name in sorted(pert.coeffs):
         meta["coeff_%s" % name] = pert.coeffs[name]
     rows = zip(grid.xi, profile.K, profile.H, pert.K1, pert.H1)
-    return (["xi", "K", "H", "K1", "H1"], rows, meta), []
+    return (["xi", "K", "H", "K1", "H1"], rows, meta), [
+        check("residual_rel", rep["residual_rel"], _tol(args, 1e-8))]
 
 
 def cmd_monopole_scan_evb(args):
@@ -282,6 +284,9 @@ def cmd_algebra_su2(args):
 
 
 def cmd_algebra_bracket(args):
+    missing = [flag for flag, path in (("--f", args.f), ("--g", args.g)) if path is None]
+    if missing:  # checked here, not by argparse, so that config lines can give them
+        raise ValueError("algebra bracket needs %s, as a flag or a config line" % " and ".join(missing))
     with open(args.f) as fh:
         f = HarmonicField.from_dict(json.load(fh))
     with open(args.g) as fh:
@@ -297,21 +302,23 @@ def cmd_algebra_bracket(args):
 def build_parser():
     """The flag table: every flag that takes a value converts and checks it
     with its type, except the paths (--config, --out, --f, --g) and
-    --signature, whose choices argparse checks."""
+    --signature, whose choices argparse checks. Only the subcommands with a
+    check that a tolerance bounds take --tol."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_at_least(0), default=0, help="random generator seed")
     common.add_argument("--config", default=None,
                         help="file of key = value lines merged under explicit flags")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--tol", type=_NONNEGATIVE, default=None,
-                        help="override the command's pass/fail tolerance")
+    checked = argparse.ArgumentParser(add_help=False, parents=[common])
+    checked.add_argument("--tol", type=_NONNEGATIVE, default=None,
+                         help="override the command's pass/fail tolerance")
 
     parser = argparse.ArgumentParser(prog="uinf", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="command", required=True)
 
-    p = top.add_parser("identities", parents=[common],
+    p = top.add_parser("identities", parents=[checked],
                        help="contraction identity ratio suite over random draws")
     p.add_argument("--dims", type=_DIMS, default="3,4,6", help="comma list of dimensions")
     p.add_argument("--trials", type=_at_least(1), default=500)
@@ -321,8 +328,8 @@ def build_parser():
     reduce_p = top.add_parser("reduce", help="sphere-to-spacetime splits")
     reduce_sub = reduce_p.add_subparsers(dest="subcommand", required=True)
 
-    def add_reduce(name, handler, min_D=1, b_flag=True, lmax=3, amplitude=0.4):
-        sp = reduce_sub.add_parser(name, parents=[common])
+    def add_reduce(name, handler, min_D=1, b_flag=True, lmax=3, amplitude=0.4, tol=True):
+        sp = reduce_sub.add_parser(name, parents=[checked if tol else common])
         sp.add_argument("--e", type=_NONZERO, default=2.0, help="background coupling")
         sp.add_argument("--lmax", type=_at_least(0), default=lmax)
         sp.add_argument("--amplitude", type=_FINITE, default=amplitude)
@@ -338,17 +345,17 @@ def build_parser():
     add_reduce("scalar", cmd_reduce_scalar)
     add_reduce("ym", cmd_reduce_ym)
     add_reduce("two-dim", cmd_reduce_two_dim, min_D=None)
-    add_reduce("scan-b", cmd_reduce_scan_b, b_flag=False)
+    add_reduce("scan-b", cmd_reduce_scan_b, b_flag=False, tol=False)
     sp = add_reduce("born-infeld", cmd_reduce_born_infeld, min_D=2, b_flag=False,
-                    lmax=2, amplitude=0.25)
+                    lmax=2, amplitude=0.25, tol=False)
     sp.add_argument("--alpha", type=_NONZERO, default=0.5)
     sp.add_argument("--C", type=_NONZERO, default=1.0)
 
     mono_p = top.add_parser("monopole", help="radial profile workbench")
     mono_sub = mono_p.add_subparsers(dest="subcommand", required=True)
 
-    def add_mono(name, handler, coeff=False, physical=False):
-        sp = mono_sub.add_parser(name, parents=[common])
+    def add_mono(name, handler, coeff=False, physical=False, tol=True):
+        sp = mono_sub.add_parser(name, parents=[checked if tol else common])
         sp.add_argument("--xi-max", type=_POSITIVE, default=25.0)
         sp.add_argument("--n", type=_at_least(16), default=4000)
         if coeff:
@@ -367,7 +374,7 @@ def build_parser():
     sp = add_mono("energy", cmd_monopole_energy, coeff=True, physical=True)
     sp.add_argument("--evb", type=_FINITE, default=0.1)
     add_mono("perturb", cmd_monopole_perturb, coeff=True)
-    sp = add_mono("scan-evb", cmd_monopole_scan_evb, coeff=True, physical=True)
+    sp = add_mono("scan-evb", cmd_monopole_scan_evb, coeff=True, physical=True, tol=False)
     sp.add_argument("--evb-list", type=_EVB_LIST, default="0.1,0.2,0.3")
 
     alg_p = top.add_parser("algebra", help="harmonic field utilities")
@@ -378,12 +385,12 @@ def build_parser():
     sp.set_defaults(handler=cmd_algebra_structure_constants,
                     command_path="algebra structure-constants")
 
-    sp = alg_sub.add_parser("su2", parents=[common])
+    sp = alg_sub.add_parser("su2", parents=[checked])
     sp.set_defaults(handler=cmd_algebra_su2, command_path="algebra su2")
 
     sp = alg_sub.add_parser("bracket", parents=[common])
-    sp.add_argument("--f", required=True, help="JSON file with the first field")
-    sp.add_argument("--g", required=True, help="JSON file with the second field")
+    sp.add_argument("--f", help="JSON file with the first field")
+    sp.add_argument("--g", help="JSON file with the second field")
     sp.set_defaults(handler=cmd_algebra_bracket, command_path="algebra bracket")
 
     return parser

@@ -15,11 +15,11 @@ finite differences for derivatives, and Simpson quadrature for integrals.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.sparse import lil_matrix
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
 __all__ = [
@@ -130,6 +130,7 @@ class Perturbation:
     coeffs: dict
     min_singular_value: float
     diagnostic_n: int
+    residual_rel: float
 
 
 @dataclass
@@ -470,53 +471,49 @@ def _linear_operator(profile):
     xi y' - 2 y = 0 for both functions (the bounded branch grows like xi**2
     there); the last node carries K1' + K1 = 0 and H1' = 0.
     """
-    grid = profile.grid
-    n = grid.n
-    h = grid.h
-    xi = grid.xi
+    n, h, xi = profile.grid.n, profile.grid.h, profile.grid.xi
     K, H = profile.K, profile.H
     cK = (2.0 * (3.0 * K ** 2 - 1.0) + 2.0 * H ** 2) / xi ** 2
     cH = 2.0 * K ** 2 / xi ** 2
     cX = 4.0 * K * H / xi ** 2
-    A = lil_matrix((2 * n, 2 * n))
     inv_h2 = 1.0 / (h * h)
-    for i in range(1, n - 1):
-        rK = 2 * i
-        A[rK, 2 * (i - 1)] = -2.0 * inv_h2
-        A[rK, 2 * i] = 4.0 * inv_h2 + cK[i]
-        A[rK, 2 * (i + 1)] = -2.0 * inv_h2
-        A[rK, 2 * i + 1] = cX[i]
-        rH = 2 * i + 1
-        A[rH, 2 * (i - 1) + 1] = -inv_h2
-        A[rH, 2 * i + 1] = 2.0 * inv_h2 + cH[i]
-        A[rH, 2 * (i + 1) + 1] = -inv_h2
-        A[rH, 2 * i] = cX[i]
+    i = np.arange(1, n - 1)
+    k, m = 2 * i, 2 * i + 1  # the K1 and H1 rows of interior node i
+    rows = [k, k, k, k, m, m, m, m]
+    cols = [k - 2, k, k + 2, m, m - 2, m, m + 2, k]
+    off = np.full(n - 2, -inv_h2)
+    vals = [2.0 * off, 4.0 * inv_h2 + cK[1:-1], 2.0 * off, cX[1:-1],
+            off, 2.0 * inv_h2 + cH[1:-1], off, cX[1:-1]]
     two_h = 2.0 * h
     # regularity rows at the first node: xi y' - 2 y = 0, forward 3-point y'
-    A[0, 0] = xi[0] * (-3.0 / two_h) - 2.0
-    A[0, 2] = xi[0] * (4.0 / two_h)
-    A[0, 4] = xi[0] * (-1.0 / two_h)
-    A[1, 1] = xi[0] * (-3.0 / two_h) - 2.0
-    A[1, 3] = xi[0] * (4.0 / two_h)
-    A[1, 5] = xi[0] * (-1.0 / two_h)
+    reg = [xi[0] * (-3.0 / two_h) - 2.0, xi[0] * (4.0 / two_h), xi[0] * (-1.0 / two_h)]
     # cutoff rows: K1' + K1 = 0 and H1' = 0, backward 3-point y'
-    last_K = 2 * (n - 1)
-    A[last_K, last_K] = 3.0 / two_h + 1.0
-    A[last_K, 2 * (n - 2)] = -4.0 / two_h
-    A[last_K, 2 * (n - 3)] = 1.0 / two_h
-    last_H = 2 * (n - 1) + 1
-    A[last_H, last_H] = 3.0 / two_h
-    A[last_H, 2 * (n - 2) + 1] = -4.0 / two_h
-    A[last_H, 2 * (n - 3) + 1] = 1.0 / two_h
-    return A.tocsr()
+    back = [3.0 / two_h, -4.0 / two_h, 1.0 / two_h]
+    last_K, last_H = 2 * (n - 1), 2 * (n - 1) + 1
+    rows.append([0, 0, 0, 1, 1, 1] + [last_K] * 3 + [last_H] * 3)
+    cols.append([0, 2, 4, 1, 3, 5, last_K, last_K - 2, last_K - 4, last_H, last_H - 2, last_H - 4])
+    vals.append(reg + reg + [back[0] + 1.0] + back[1:] + back)
+    A = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(2 * n, 2 * n)).tocsr()
+    A.eliminate_zeros()  # couplings that underflow far out (K = 0) are not stored
+    return A
+
+
+@lru_cache(maxsize=16)
+def _min_singular_value(xi_max, diagnostic_n):
+    """Smallest singular value of the operator around the closed-form profile
+    on a coarse grid; it depends on nothing else, so each pair is computed once."""
+    coarse = bps_profile(RadialGrid(xi_max, diagnostic_n))
+    return float(np.linalg.svd(_linear_operator(coarse).toarray(), compute_uv=False)[-1])
 
 
 def solve_perturbation(profile, coeffs=None, diagnostic_n=400):
     """First-order profile response to switching on the correction density.
 
     Solves the linearized system with right-hand side minus the correction
-    forcings.  A dense singular value decomposition of the same operator on
-    a coarse companion grid reports the distance from singularity; the
+    forcings and reports the relative residual ||A y - b||/||b|| of the
+    solve.  A dense singular value decomposition of the same operator on a
+    coarse companion grid reports the distance from singularity; the
     translation-like direction (K', H') of the base profile satisfies the
     cutoff rows but not the regularity rows, so the operator is invertible.
     """
@@ -528,8 +525,7 @@ def solve_perturbation(profile, coeffs=None, diagnostic_n=400):
     rhs[2:-2:2] = -phi_K[1:-1]
     rhs[3:-2:2] = -phi_H[1:-1]
     y = spsolve(A, rhs)
-    coarse = RadialGrid(profile.grid.xi_max, diagnostic_n)
-    min_sv = float(np.linalg.svd(_linear_operator(bps_profile(coarse)).toarray(), compute_uv=False)[-1])
+    residual, scale = float(np.linalg.norm(A @ y - rhs)), float(np.linalg.norm(rhs))
     return Perturbation(
         grid=profile.grid,
         K1=y[0::2],
@@ -537,8 +533,9 @@ def solve_perturbation(profile, coeffs=None, diagnostic_n=400):
         forcing_K=phi_K,
         forcing_H=phi_H,
         coeffs=c,
-        min_singular_value=min_sv,
+        min_singular_value=_min_singular_value(profile.grid.xi_max, diagnostic_n),
         diagnostic_n=diagnostic_n,
+        residual_rel=residual / scale if scale else residual,
     )
 
 
@@ -571,8 +568,9 @@ def perturbation_report(profile, pert=None, coeffs=None, epsilons=None):
     """Solve for the response and summarize its behavior.
 
     Reports the origin exponents and tail slopes of both response functions,
-    the linearity of the corrected energy in the deformation parameter, and
-    the coarse-grid singularity diagnostic.
+    the linearity of the corrected energy in the deformation parameter, the
+    relative residual of the solve, and the coarse-grid singularity
+    diagnostic.
     """
     if pert is None:
         pert = solve_perturbation(profile, coeffs=coeffs)
@@ -609,6 +607,7 @@ def perturbation_report(profile, pert=None, coeffs=None, epsilons=None):
         "epsilon_max": float(eps_arr.max()),
         "max_response": float(response),
         "base_energy": base.completed,
+        "residual_rel": pert.residual_rel,
         "min_singular_value": pert.min_singular_value,
         "diagnostic_n": pert.diagnostic_n,
         "cutoff": grid.xi_max,

@@ -228,6 +228,50 @@ def test_algebra_bracket_roundtrip(tmp_path, capsys):
     np.testing.assert_allclose(back.coeffs, expect.coeffs, atol=1e-15)
 
 
+def _field_files(tmp_path):
+    rng = np.random.default_rng(0)
+    paths = []
+    for name in ("f", "g"):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(random_real_field(2, rng).to_dict()))
+        paths.append(str(path))
+    return paths
+
+
+def test_algebra_bracket_fields_from_config(tmp_path, capsys):
+    fp, gp = _field_files(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("f = %s\ng = %s\n" % (fp, gp))
+    flags = run(capsys, ["algebra", "bracket", "--f", fp, "--g", gp])
+    assert flags[0] == 0
+    assert run(capsys, ["algebra", "bracket", "--config", str(cfg)]) == flags
+
+
+@pytest.mark.parametrize("given, missing", [("f", "--g"), ("g", "--f")])
+def test_algebra_bracket_field_missing_from_flags_and_config(tmp_path, capsys, given, missing):
+    path = dict(zip("fg", _field_files(tmp_path)))[given]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s = %s\n" % (given, path))
+    for argv in (["--config", str(cfg)], ["--" + given, path]):
+        rc, out, err = run(capsys, ["algebra", "bracket"] + argv)
+        assert rc == 2 and out == ""
+        assert missing in err and "--" + given not in err
+
+
+def test_monopole_perturb_checks_the_solver_residual(capsys):
+    base = ["monopole", "perturb", "--xi-max", "10", "--n", "800"]
+    rc, out, _ = run(capsys, base)
+    assert rc == 0
+    (_, _, meta), checks = parse_report(out)
+    residual = [c for c in checks if c["name"] == "residual_rel"]
+    assert len(residual) == 1 and residual[0]["bound"] == 1e-8
+    assert 0.0 < residual[0]["value"] < 1e-10
+    assert float(dict(line.split(" = ") for line in meta)["residual_rel"]) == residual[0]["value"]
+    rc, out, _ = run(capsys, base + ["--tol", "1e-20"])
+    assert rc == 1
+    assert [c["name"] for c in parse_report(out)[1] if not c["ok"]] == ["residual_rel"]
+
+
 def test_missing_input_file_is_io_error(tmp_path, capsys):
     rc, _, err = run(
         capsys,
@@ -421,6 +465,11 @@ def test_broken_perturbation_response_is_reported(capsys):
         (["identities"], "seed", "-1", "--seed"),
         (["identities"], "dims", "abc", "--dims"),
         (["identities"], "dims", "2,3,4", "--dims"),
+        (["reduce", "scan-b"], "tol", "5", "--tol"),
+        (["reduce", "born-infeld"], "tol", "5", "--tol"),
+        (["monopole", "scan-evb"], "tol", "5", "--tol"),
+        (["algebra", "structure-constants"], "tol", "5", "--tol"),
+        (["algebra", "bracket", "--f", "f.json", "--g", "g.json"], "tol", "5", "--tol"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_flag(tmp_path, capsys, argv, key, value, flag):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uinf import monopole
 from uinf.monopole import (
     SECOND_LINE_COEFFS,
     MonopoleProfile,
@@ -124,6 +125,63 @@ def test_perturbation_solver_frozen(reference_profile):
     assert np.all(np.isfinite(pert.H1))
     assert pert.min_singular_value == pytest.approx(FROZEN_MIN_SV, rel=1e-6)
     assert pert.diagnostic_n == 400
+
+
+def _dense_operator(profile):
+    """The stencil of the linearized system, entry by entry: interior rows of
+    both functions, regularity rows xi y' - 2 y = 0 at the first node and
+    cutoff rows K1' + K1 = 0, H1' = 0 at the last, with 3-point one-sided y'."""
+    n, h, xi = profile.grid.n, profile.grid.h, profile.grid.xi
+    A = np.zeros((2 * n, 2 * n))
+    inv_h2 = 1.0 / (h * h)
+    for i in range(1, n - 1):
+        K, H, x2 = profile.K[i], profile.H[i], xi[i] ** 2
+        A[2 * i, 2 * i - 2] = A[2 * i, 2 * i + 2] = -2.0 * inv_h2
+        A[2 * i, 2 * i] = 4.0 * inv_h2 + (2.0 * (3.0 * K ** 2 - 1.0) + 2.0 * H ** 2) / x2
+        A[2 * i, 2 * i + 1] = A[2 * i + 1, 2 * i] = 4.0 * K * H / x2
+        A[2 * i + 1, 2 * i - 1] = A[2 * i + 1, 2 * i + 3] = -inv_h2
+        A[2 * i + 1, 2 * i + 1] = 2.0 * inv_h2 + 2.0 * K ** 2 / x2
+    for f in (0, 1):
+        A[f, f] = xi[0] * (-3.0 / (2.0 * h)) - 2.0
+        A[f, f + 2] = xi[0] * (4.0 / (2.0 * h))
+        A[f, f + 4] = xi[0] * (-1.0 / (2.0 * h))
+        last = 2 * (n - 1) + f
+        A[last, last] = 3.0 / (2.0 * h) + (1.0 if f == 0 else 0.0)
+        A[last, last - 2] = -4.0 / (2.0 * h)
+        A[last, last - 4] = 1.0 / (2.0 * h)
+    return A
+
+
+@pytest.mark.parametrize("n", [16, 17, 40])
+def test_linear_operator_matches_the_documented_stencil(n):
+    profile = bps_profile(RadialGrid(25.0, n))
+    bumped = perturb_profile(profile, np.random.default_rng(n))
+    for prof in (profile, bumped):
+        assert np.array_equal(monopole._linear_operator(prof).toarray(), _dense_operator(prof))
+
+
+def test_singularity_diagnostic_is_cached_per_grid(reference_profile):
+    first = solve_perturbation(reference_profile)
+    hits = monopole._min_singular_value.cache_info().hits
+    again = solve_perturbation(reference_profile)
+    assert monopole._min_singular_value.cache_info().hits == hits + 1
+    assert again.min_singular_value == first.min_singular_value
+    assert first.min_singular_value == pytest.approx(FROZEN_MIN_SV, rel=1e-6)
+    # each (xi_max, diagnostic_n) pair has its own entry, equal to a fresh computation
+    other_cut = solve_perturbation(bps_profile(RadialGrid(10.0, 800)))
+    other_n = solve_perturbation(reference_profile, diagnostic_n=200)
+    assert other_cut.min_singular_value != first.min_singular_value
+    assert other_n.min_singular_value != first.min_singular_value
+    assert other_n.diagnostic_n == 200
+    monopole._min_singular_value.cache_clear()
+    assert solve_perturbation(reference_profile, diagnostic_n=200).min_singular_value == (
+        other_n.min_singular_value)
+
+
+def test_perturbation_residual_is_reported(reference_profile):
+    pert = solve_perturbation(reference_profile)
+    assert 0.0 < pert.residual_rel < 1e-10
+    assert perturbation_report(reference_profile, pert=pert)["residual_rel"] == pert.residual_rel
 
 
 def test_perturbation_report_structure(reference_profile):

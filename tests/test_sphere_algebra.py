@@ -198,6 +198,50 @@ def test_bracket_jacobi_identity():
         assert np.max(np.abs(total)) < 1e-13
 
 
+def _padded(*fields):
+    L = max(f.l_max for f in fields)
+    return [f.pad_to(L).coeffs for f in fields]
+
+
+_seeds = st.integers(min_value=0, max_value=2**31 - 1)
+_bands = st.tuples(*[st.integers(min_value=0, max_value=4)] * 3)
+
+
+def _draw(bands, seed):
+    rng = np.random.default_rng(seed)
+    return [random_real_field(l, rng) for l in bands]
+
+
+@settings(max_examples=25, deadline=None)
+@given(bands=_bands, seed=_seeds)
+def test_bracket_antisymmetry_property(bands, seed):
+    f, g, _ = _draw(bands, seed)
+    assert np.array_equal(bracket(f, g).coeffs, -bracket(g, f).coeffs)
+    assert not np.any(bracket(f, f).coeffs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(bands=_bands, seed=_seeds)
+def test_bracket_leibniz_property(bands, seed):
+    """{f, g h} = {f, g} h + g {f, h}, to rounding of the largest term."""
+    f, g, h = _draw(bands, seed)
+    lhs, r1, r2 = _padded(bracket(f, product(g, h)), product(bracket(f, g), h),
+                          product(g, bracket(f, h)))
+    scale = max(np.abs(lhs).max(), np.abs(r1).max(), np.abs(r2).max())
+    assert np.abs(lhs - r1 - r2).max() <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(bands=_bands, seed=_seeds)
+def test_bracket_jacobi_property(bands, seed):
+    """The cyclic sum of nested brackets vanishes to rounding of its terms."""
+    f, g, h = _draw(bands, seed)
+    j1, j2, j3 = _padded(bracket(f, bracket(g, h)), bracket(g, bracket(h, f)),
+                         bracket(h, bracket(f, g)))
+    scale = max(np.abs(j1).max(), np.abs(j2).max(), np.abs(j3).max())
+    assert np.abs(j1 + j2 + j3).max() <= 1e-12 * scale
+
+
 def test_structure_constants_match_brackets():
     C = structure_constants(3)
     rng = np.random.default_rng(2)
