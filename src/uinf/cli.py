@@ -89,7 +89,8 @@ _DIMS = _rule("a comma list of dimensions >= 3 including 3 and 4",
 def _config_tokens(args, rest):
     """The --config lines as one --flag=value token per value (per pair for
     coeff, whose lines drop out when --coeff is given in rest)."""
-    known = set(vars(args)) - {"handler", "command_path", "command", "subcommand", "config"}
+    known = set(vars(args)) - {"handler", "command_path", "command", "subcommand", "config",
+                               "required_flags"}
     tokens = []
     with open(args.config) as fh:
         for raw in fh:
@@ -237,7 +238,7 @@ def cmd_monopole_perturb(args):
         meta["coeff_%s" % name] = pert.coeffs[name]
     rows = zip(grid.xi, profile.K, profile.H, pert.K1, pert.H1)
     return (["xi", "K", "H", "K1", "H1"], rows, meta), [
-        check("residual_rel", rep["residual_rel"], _tol(args, 1e-8))]
+        check("backward_error", rep["backward_error"], _tol(args, 1e-8))]
 
 
 def cmd_monopole_scan_evb(args):
@@ -284,9 +285,6 @@ def cmd_algebra_su2(args):
 
 
 def cmd_algebra_bracket(args):
-    missing = [flag for flag, path in (("--f", args.f), ("--g", args.g)) if path is None]
-    if missing:  # checked here, not by argparse, so that config lines can give them
-        raise ValueError("algebra bracket needs %s, as a flag or a config line" % " and ".join(missing))
     with open(args.f) as fh:
         f = HarmonicField.from_dict(json.load(fh))
     with open(args.g) as fh:
@@ -303,12 +301,13 @@ def build_parser():
     """The flag table: every flag that takes a value converts and checks it
     with its type, except the paths (--config, --out, --f, --g) and
     --signature, whose choices argparse checks. Only the subcommands with a
-    check that a tolerance bounds take --tol."""
+    check that a tolerance bounds take --tol; _parse checks required_flags."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_at_least(0), default=0, help="random generator seed")
     common.add_argument("--config", default=None,
                         help="file of key = value lines merged under explicit flags")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
+    common.set_defaults(required_flags=())
     checked = argparse.ArgumentParser(add_help=False, parents=[common])
     checked.add_argument("--tol", type=_NONNEGATIVE, default=None,
                          help="override the command's pass/fail tolerance")
@@ -391,7 +390,8 @@ def build_parser():
     sp = alg_sub.add_parser("bracket", parents=[common])
     sp.add_argument("--f", help="JSON file with the first field")
     sp.add_argument("--g", help="JSON file with the second field")
-    sp.set_defaults(handler=cmd_algebra_bracket, command_path="algebra bracket")
+    sp.set_defaults(handler=cmd_algebra_bracket, command_path="algebra bracket",
+                    required_flags=("--f", "--g"))
 
     return parser
 
@@ -399,14 +399,19 @@ def build_parser():
 def _parse(argv):
     """Parse argv; with --config, parse again with the config lines as flags
     between the command path and the rest of argv, so the last value wins and
-    config values meet the same rules."""
+    config values meet the same rules. The required flags are checked after
+    the merge, so either may give them."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    path = args.command_path.split()
-    rest = argv[len(path):]
-    return parser.parse_args(path + _config_tokens(args, rest) + rest)
+    if args.config:
+        path = args.command_path.split()
+        rest = argv[len(path):]
+        args = parser.parse_args(path + _config_tokens(args, rest) + rest)
+    missing = [f for f in args.required_flags if getattr(args, f[2:].replace("-", "_")) is None]
+    if missing:
+        raise ValueError("%s needs %s, as a flag or a config line"
+                         % (args.command_path, " and ".join(missing)))
+    return args
 
 
 def main(argv=None):

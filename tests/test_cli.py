@@ -258,18 +258,18 @@ def test_algebra_bracket_field_missing_from_flags_and_config(tmp_path, capsys, g
         assert missing in err and "--" + given not in err
 
 
-def test_monopole_perturb_checks_the_solver_residual(capsys):
+def test_monopole_perturb_checks_the_solver_backward_error(capsys):
     base = ["monopole", "perturb", "--xi-max", "10", "--n", "800"]
     rc, out, _ = run(capsys, base)
     assert rc == 0
     (_, _, meta), checks = parse_report(out)
-    residual = [c for c in checks if c["name"] == "residual_rel"]
-    assert len(residual) == 1 and residual[0]["bound"] == 1e-8
-    assert 0.0 < residual[0]["value"] < 1e-10
-    assert float(dict(line.split(" = ") for line in meta)["residual_rel"]) == residual[0]["value"]
+    berr = [c for c in checks if c["name"] == "backward_error"]
+    assert len(berr) == 1 and berr[0]["bound"] == 1e-8
+    assert 0.0 < berr[0]["value"] < 1e-14
+    assert float(dict(line.split(" = ") for line in meta)["backward_error"]) == berr[0]["value"]
     rc, out, _ = run(capsys, base + ["--tol", "1e-20"])
     assert rc == 1
-    assert [c["name"] for c in parse_report(out)[1] if not c["ok"]] == ["residual_rel"]
+    assert [c["name"] for c in parse_report(out)[1] if not c["ok"]] == ["backward_error"]
 
 
 def test_missing_input_file_is_io_error(tmp_path, capsys):
