@@ -31,10 +31,6 @@ def _meta(args, **extra):
     return meta
 
 
-def _tol(args, default):
-    return default if args.tol is None else args.tol
-
-
 # ---------------------------------------------------------------------------
 # flag rules: each flag's argparse type converts its text and holds the value
 # to the range the numerics need, so a bad value, from the command line or
@@ -123,13 +119,12 @@ def cmd_identities(args):
     suite = tensor_kernels.identity_suite(
         dims=args.dims, trials=args.trials, rng=rng, signature=args.signature
     )
-    tol = _tol(args, 1e-10)
     payload = {
         "meta": _meta(args, dims=list(args.dims), trials=args.trials,
-                      signature=args.signature, spread_tolerance=tol),
+                      signature=args.signature, spread_tolerance=args.tol),
         "ratios": suite,
     }
-    return payload, [check("spread." + name, row["spread"], tol) for name, row in suite.items()]
+    return payload, [check("spread." + name, row["spread"], args.tol) for name, row in suite.items()]
 
 
 def _drawn_reduction_inputs(args, dim, want_scalar):
@@ -146,8 +141,8 @@ def _reduce_result(args, rep, groups=("vanishing_group_rel",),
     """The report and its checks: route residuals against --tol; the
     vanishing groups are exact zeros up to rounding, so their bound does not
     move with it."""
-    tol = _tol(args, 1e-10)
-    checks = [check(n, rep[n], tol) for n in residuals] + [check(n, rep[n], 1e-12) for n in groups]
+    checks = ([check(n, rep[n], args.tol) for n in residuals]
+              + [check(n, rep[n], 1e-12) for n in groups])
     return {"meta": _meta(args, amplitude=args.amplitude), "report": rep}, checks
 
 
@@ -162,10 +157,13 @@ def cmd_reduce_ym(args):
 
 
 def cmd_reduce_two_dim(args):
+    """The two-dimensional checks, then those of the nested Yang-Mills split."""
     cfg, _, metric, bg = _drawn_reduction_inputs(args, 2, False)
-    return _reduce_result(args, reduction.two_dim_report(cfg, metric, bg),
-                          groups=("group_0_rel", "group_1_rel"),
-                          residuals=("pointwise_residual_rel",))
+    rep = reduction.two_dim_report(cfg, metric, bg)
+    document, checks = _reduce_result(args, rep, groups=("group_0_rel", "group_1_rel"),
+                                      residuals=("pointwise_residual_rel",))
+    nested = _reduce_result(args, rep["report"])[1]
+    return document, checks + [dict(c, name="report." + c["name"]) for c in nested]
 
 
 def cmd_reduce_scan_b(args):
@@ -206,8 +204,7 @@ def cmd_monopole_solve(args):
                  max_residual_first=float(np.abs(r1).max()),
                  max_residual_second=float(np.abs(r2).max()),
                  completed_energy=breakdown.completed)
-    tol = _tol(args, 1e-8)
-    checks = [check(k, meta[k], tol) for k in ("max_residual_first", "max_residual_second")]
+    checks = [check(k, meta[k], args.tol) for k in ("max_residual_first", "max_residual_second")]
     checks.append(check("completed_energy_error", abs(breakdown.completed - 1.0), 1e-4))
     return (["xi", "K", "H"], zip(grid.xi, profile.K, profile.H), meta), checks
 
@@ -224,8 +221,7 @@ def cmd_monopole_energy(args):
         "breakdown": vars(breakdown),
         "physical": physical,
     }
-    return payload, [check("completed_energy_error", abs(breakdown.completed - 1.0),
-                           _tol(args, 1e-4))]
+    return payload, [check("completed_energy_error", abs(breakdown.completed - 1.0), args.tol)]
 
 
 def cmd_monopole_perturb(args):
@@ -238,7 +234,7 @@ def cmd_monopole_perturb(args):
         meta["coeff_%s" % name] = pert.coeffs[name]
     rows = zip(grid.xi, profile.K, profile.H, pert.K1, pert.H1)
     return (["xi", "K", "H", "K1", "H1"], rows, meta), [
-        check("backward_error", rep["backward_error"], _tol(args, 1e-8))]
+        check("backward_error", rep["backward_error"], args.tol)]
 
 
 def cmd_monopole_scan_evb(args):
@@ -258,14 +254,9 @@ def cmd_algebra_structure_constants(args):
     tensor = sphere_algebra.structure_constants(args.lmax)
     labels = [(l, m) for l in range(args.lmax + 1) for m in range(-l, l + 1)]
     columns = ["l1", "m1", "l2", "m2", "l3", "m3", "re", "im"]
-    rows = []
-    for i, (l1, m1) in enumerate(labels):
-        for j, (l2, m2) in enumerate(labels):
-            for k, (l3, m3) in enumerate(labels):
-                value = tensor[i, j, k]
-                if abs(value) < 1e-12:
-                    continue
-                rows.append([l1, m1, l2, m2, l3, m3, value.real, value.imag])
+    index = np.nonzero(~(np.abs(tensor) < 1e-12))  # C order: rows sorted by (i, j, k)
+    rows = [[*labels[i], *labels[j], *labels[k], value.real, value.imag]
+            for i, j, k, value in zip(*(a.tolist() for a in index), tensor[index].tolist())]
     meta = _meta(args, lmax=args.lmax, threshold=1e-12, entries=len(rows))
     return (columns, rows, meta), []
 
@@ -281,7 +272,7 @@ def cmd_algebra_su2(args):
         "substituted": gen.substituted,
         "generators": [t.to_dict() for t in gen.as_tuple()],
     }
-    return payload, [check("closure_residual", gen.closure_residual, _tol(args, 1e-10))]
+    return payload, [check("closure_residual", gen.closure_residual, args.tol)]
 
 
 def cmd_algebra_bracket(args):
@@ -301,23 +292,30 @@ def build_parser():
     """The flag table: every flag that takes a value converts and checks it
     with its type, except the paths (--config, --out, --f, --g) and
     --signature, whose choices argparse checks. Only the subcommands with a
-    check that a tolerance bounds take --tol; _parse checks required_flags."""
+    check that a tolerance bounds take --tol, with that check's default
+    bound; _parse checks required_flags."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_at_least(0), default=0, help="random generator seed")
     common.add_argument("--config", default=None,
                         help="file of key = value lines merged under explicit flags")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.set_defaults(required_flags=())
-    checked = argparse.ArgumentParser(add_help=False, parents=[common])
-    checked.add_argument("--tol", type=_NONNEGATIVE, default=None,
-                         help="override the command's pass/fail tolerance")
+
+    def checked(tol):
+        """The common flags, plus --tol with default tol when it is not None."""
+        if tol is None:
+            return common
+        parent = argparse.ArgumentParser(add_help=False, parents=[common])
+        parent.add_argument("--tol", type=_NONNEGATIVE, default=tol,
+                            help="pass/fail tolerance (default %(default)s)")
+        return parent
 
     parser = argparse.ArgumentParser(prog="uinf", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="command", required=True)
 
-    p = top.add_parser("identities", parents=[checked],
+    p = top.add_parser("identities", parents=[checked("1e-10")],
                        help="contraction identity ratio suite over random draws")
     p.add_argument("--dims", type=_DIMS, default="3,4,6", help="comma list of dimensions")
     p.add_argument("--trials", type=_at_least(1), default=500)
@@ -327,8 +325,8 @@ def build_parser():
     reduce_p = top.add_parser("reduce", help="sphere-to-spacetime splits")
     reduce_sub = reduce_p.add_subparsers(dest="subcommand", required=True)
 
-    def add_reduce(name, handler, min_D=1, b_flag=True, lmax=3, amplitude=0.4, tol=True):
-        sp = reduce_sub.add_parser(name, parents=[checked if tol else common])
+    def add_reduce(name, handler, min_D=1, b_flag=True, lmax=3, amplitude=0.4, tol="1e-10"):
+        sp = reduce_sub.add_parser(name, parents=[checked(tol)])
         sp.add_argument("--e", type=_NONZERO, default=2.0, help="background coupling")
         sp.add_argument("--lmax", type=_at_least(0), default=lmax)
         sp.add_argument("--amplitude", type=_FINITE, default=amplitude)
@@ -344,17 +342,17 @@ def build_parser():
     add_reduce("scalar", cmd_reduce_scalar)
     add_reduce("ym", cmd_reduce_ym)
     add_reduce("two-dim", cmd_reduce_two_dim, min_D=None)
-    add_reduce("scan-b", cmd_reduce_scan_b, b_flag=False, tol=False)
+    add_reduce("scan-b", cmd_reduce_scan_b, b_flag=False, tol=None)
     sp = add_reduce("born-infeld", cmd_reduce_born_infeld, min_D=2, b_flag=False,
-                    lmax=2, amplitude=0.25, tol=False)
+                    lmax=2, amplitude=0.25, tol=None)
     sp.add_argument("--alpha", type=_NONZERO, default=0.5)
     sp.add_argument("--C", type=_NONZERO, default=1.0)
 
     mono_p = top.add_parser("monopole", help="radial profile workbench")
     mono_sub = mono_p.add_subparsers(dest="subcommand", required=True)
 
-    def add_mono(name, handler, coeff=False, physical=False, tol=True):
-        sp = mono_sub.add_parser(name, parents=[checked if tol else common])
+    def add_mono(name, handler, tol, coeff=False, physical=False):
+        sp = mono_sub.add_parser(name, parents=[checked(tol)])
         sp.add_argument("--xi-max", type=_POSITIVE, default=25.0)
         sp.add_argument("--n", type=_at_least(16), default=4000)
         if coeff:
@@ -369,11 +367,11 @@ def build_parser():
         sp.set_defaults(handler=handler, command_path="monopole %s" % name)
         return sp
 
-    add_mono("solve", cmd_monopole_solve)
-    sp = add_mono("energy", cmd_monopole_energy, coeff=True, physical=True)
+    add_mono("solve", cmd_monopole_solve, "1e-8")
+    sp = add_mono("energy", cmd_monopole_energy, "1e-4", coeff=True, physical=True)
     sp.add_argument("--evb", type=_FINITE, default=0.1)
-    add_mono("perturb", cmd_monopole_perturb, coeff=True)
-    sp = add_mono("scan-evb", cmd_monopole_scan_evb, coeff=True, physical=True, tol=False)
+    add_mono("perturb", cmd_monopole_perturb, "1e-8", coeff=True)
+    sp = add_mono("scan-evb", cmd_monopole_scan_evb, None, coeff=True, physical=True)
     sp.add_argument("--evb-list", type=_EVB_LIST, default="0.1,0.2,0.3")
 
     alg_p = top.add_parser("algebra", help="harmonic field utilities")
@@ -384,7 +382,7 @@ def build_parser():
     sp.set_defaults(handler=cmd_algebra_structure_constants,
                     command_path="algebra structure-constants")
 
-    sp = alg_sub.add_parser("su2", parents=[checked])
+    sp = alg_sub.add_parser("su2", parents=[checked("1e-10")])
     sp.set_defaults(handler=cmd_algebra_su2, command_path="algebra su2")
 
     sp = alg_sub.add_parser("bracket", parents=[common])

@@ -125,8 +125,6 @@ class Perturbation:
     grid: RadialGrid
     K1: np.ndarray
     H1: np.ndarray
-    forcing_K: np.ndarray
-    forcing_H: np.ndarray
     coeffs: dict
     min_singular_value: float
     diagnostic_n: int
@@ -310,27 +308,28 @@ def _energy_of_arrays(grid, K, H):
     return float(simpson(energy_density(MonopoleProfile(grid=grid, K=K, H=H)), x=grid.xi))
 
 
-def gateaux_difference(profile, direction_K, direction_H, step=1e-4):
+def gateaux_difference(profile, direction_K, direction_H):
     """Central-difference directional derivative of the raw energy integral."""
     grid = profile.grid
+    step = 1e-5
     plus = _energy_of_arrays(grid, profile.K + step * direction_K, profile.H + step * direction_H)
     minus = _energy_of_arrays(grid, profile.K - step * direction_K, profile.H - step * direction_H)
     return (plus - minus) / (2.0 * step)
 
 
-def _random_direction(grid, rng, packets=3):
+def _random_direction(grid, rng):
     lo = 0.28 * grid.xi_max
     hi = 0.68 * grid.xi_max
     width_scale = grid.xi_max / 25.0
     d = np.zeros_like(grid.xi)
-    for _ in range(packets):
+    for _ in range(3):
         center = rng.uniform(lo, hi)
         width = rng.uniform(0.6, 1.2) * width_scale
         d += gaussian_bump(grid, center, width, rng.standard_normal())
     return d / np.abs(d).max()
 
 
-def variational_check(profile, rng=None, pairs=100, step=1e-5, amplitude=0.2, modes=8):
+def variational_check(profile, rng=None, pairs=100):
     """Compare the analytic gradient against difference quotients.
 
     Each trial deforms the base profile with random bumps (so the gradient
@@ -351,10 +350,10 @@ def variational_check(profile, rng=None, pairs=100, step=1e-5, amplitude=0.2, mo
     worst = 0.0
     total = 0.0
     for _ in range(pairs):
-        base = perturb_profile(profile, rng, amplitude=amplitude, modes=modes)
+        base = perturb_profile(profile, rng, amplitude=0.2, modes=8)
         u = _random_direction(profile.grid, rng)
         v = _random_direction(profile.grid, rng)
-        fd = gateaux_difference(base, u, v, step=step)
+        fd = gateaux_difference(base, u, v)
         gK, gH = functional_gradient(base)
         analytic = float(simpson(gK * u + gH * v, x=xi))
         rel = abs(fd - analytic) / max(abs(analytic), 1.0)
@@ -393,18 +392,18 @@ def second_line_integral(profile, coeffs=None):
     return float(simpson(second_line_density(profile, coeffs), x=profile.grid.xi))
 
 
-def cutoff_growth(profile, coeffs=None, fractions=(0.4, 0.55, 0.7, 0.85, 1.0)):
+def cutoff_growth(profile):
     """Measure how the correction integral grows with the cutoff.
 
     Integrates the density over nested prefixes [h, f*xi_max] of the grid and
-    fits the log-log slope.  On the closed-form profile with the default
+    fits the log-log slope.  On the closed-form profile with the published
     coefficients the growth is cubic: the two densities that survive at
     large xi approach (c_h2_1mk2 + c_xi2_1mk4) xi**2.
     """
     xi = profile.grid.xi
-    dens = second_line_density(profile, coeffs)
+    dens = second_line_density(profile)
     cuts, values = [], []
-    for f in fractions:
+    for f in (0.4, 0.55, 0.7, 0.85, 1.0):
         idx = int(round(f * (profile.grid.n - 1)))
         idx = max(idx, 8)
         cuts.append(xi[idx])
@@ -527,8 +526,6 @@ def solve_perturbation(profile, coeffs=None, diagnostic_n=400):
         grid=profile.grid,
         K1=y[0::2],
         H1=y[1::2],
-        forcing_K=phi_K,
-        forcing_H=phi_H,
         coeffs=c,
         min_singular_value=min_sv,
         diagnostic_n=diagnostic_n,
@@ -537,45 +534,42 @@ def solve_perturbation(profile, coeffs=None, diagnostic_n=400):
 
 
 def _log_slope(xi, y, lo, hi):
-    if not np.isfinite(y).all():  # a broken response has no slope to fit
-        return float("nan")
+    # a broken (non-finite) or an all-zero response has no slope to fit
     mask = (xi >= lo) & (xi <= hi) & (np.abs(y) > 0)
-    if mask.sum() < 4:
-        raise ValueError("fit window holds fewer than 4 usable nodes")
+    if not np.isfinite(y).all() or mask.sum() < 4:
+        return float("nan")
     return float(np.polyfit(np.log(xi[mask]), np.log(np.abs(y[mask])), 1)[0])
 
 
-def origin_exponent(grid, y, node_lo=1, node_hi=40):
+def origin_exponent(grid, y):
     """Power-law exponent of y near the first grid node.
 
     Fits log|y| against log(xi) over an index window just inside the
     boundary row.
     """
     xi = grid.xi
-    return _log_slope(xi, y, xi[node_lo], xi[min(node_hi, grid.n - 1)])
+    return _log_slope(xi, y, xi[1], xi[min(40, grid.n - 1)])
 
 
-def tail_slope(grid, y, lo_frac=0.6, hi_frac=0.92):
-    """Log-log slope of |y| over the window [lo_frac, hi_frac]*xi_max."""
-    xi = grid.xi
-    return _log_slope(xi, y, lo_frac * grid.xi_max, hi_frac * grid.xi_max)
+def tail_slope(grid, y):
+    """Log-log slope of |y| over the window [0.6, 0.92]*xi_max."""
+    return _log_slope(grid.xi, y, 0.6 * grid.xi_max, 0.92 * grid.xi_max)
 
 
-def perturbation_report(profile, pert=None, coeffs=None, epsilons=None):
+def perturbation_report(profile, pert=None):
     """Solve for the response and summarize its behavior.
 
     Reports the origin exponents and tail slopes of both response functions,
     the linearity of the corrected energy in the deformation parameter, the
     backward error of the solve, and the coarse-grid singularity
-    diagnostic.
+    diagnostic.  Without pert it solves with the published coefficients.
     """
     if pert is None:
-        pert = solve_perturbation(profile, coeffs=coeffs)
+        pert = solve_perturbation(profile)
     response = max(np.abs(pert.K1).max(), np.abs(pert.H1).max(), 1.0)
-    if epsilons is None:
-        # keep the first-order displacement below ~3e-3 in sup norm so the
-        # fit probes the linear-response window of the deformation
-        epsilons = np.linspace(0.1, 1.0, 7) * 3e-3 / response
+    # keep the first-order displacement below ~3e-3 in sup norm so the fit
+    # probes the linear-response window of the deformation
+    epsilons = np.linspace(0.1, 1.0, 7) * 3e-3 / response
     grid = profile.grid
     base = energy_breakdown(profile)
     energies = []
@@ -587,10 +581,9 @@ def perturbation_report(profile, pert=None, coeffs=None, epsilons=None):
         )
         energies.append(total)
     energies = np.array(energies)
-    eps_arr = np.asarray(epsilons, dtype=float)
     finite = np.isfinite(energies).all()  # the LAPACK fit fails on non-finite data
-    slope, intercept = np.polyfit(eps_arr, energies, 1) if finite else (np.nan, np.nan)
-    fitted = slope * eps_arr + intercept
+    slope, intercept = np.polyfit(epsilons, energies, 1) if finite else (np.nan, np.nan)
+    fitted = slope * epsilons + intercept
     ss_res = float(np.sum((energies - fitted) ** 2))
     ss_tot = float(np.sum((energies - energies.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot != 0 else 1.0  # NaN stays NaN
@@ -601,7 +594,7 @@ def perturbation_report(profile, pert=None, coeffs=None, epsilons=None):
         "tail_slope_H": tail_slope(grid, pert.H1),
         "linearity_r_squared": r_squared,
         "linear_slope": float(slope),
-        "epsilon_max": float(eps_arr.max()),
+        "epsilon_max": float(epsilons.max()),
         "max_response": float(response),
         "base_energy": base.completed,
         "backward_error": pert.backward_error,

@@ -251,16 +251,15 @@ def _reduce_common(sector, cfg, scal, metric, background):
     gk = [_integrate(grid, gden) for gden in groups]
     total = float(sum(gk))
 
-    def reference(t):
-        return _integrate(grid, density(_full_inverse_metric(grid, ginv, b, t)))
-
-    ref = reference(1.0)
+    # the reference route at sphere-block scales t = 0..4; t = 1 is the metric itself
+    refs = [_integrate(grid, density(_full_inverse_metric(grid, ginv, b, float(t)))) for t in range(5)]
+    ref = refs[1]
     scale = max(abs(gk[2]), abs(total), 1.0)
     scan_resid = 0.0
-    for t in range(5):
+    for t, ref_t in enumerate(refs):
         predicted = sum(c * float(t) ** k for k, c in enumerate(gk))
         scan_scale = max(sum(abs(c) * float(t) ** k for k, c in enumerate(gk)), 1.0)
-        scan_resid = max(scan_resid, abs(reference(float(t)) - predicted) / scan_scale)
+        scan_resid = max(scan_resid, abs(ref_t - predicted) / scan_scale)
 
     cov = {s: covariant(replace(cfg, coupling=s * q)) for s in (1.0, -1.0)}
     resid = {s: abs(gk[2] * b**4 - const * c) for s, c in cov.items()}

@@ -221,8 +221,8 @@ class HarmonicField:
 
     __rmul__ = __mul__
 
-    def is_real(self, tol=1e-12):
-        return bool(np.max(np.abs(self.coeffs - _mirror(self.coeffs, self.l_max))) <= tol)
+    def is_real(self):
+        return bool(np.max(np.abs(self.coeffs - _mirror(self.coeffs, self.l_max))) <= 1e-12)
 
     def values(self, grid):
         return synthesize(self, grid)
@@ -411,16 +411,16 @@ def structure_constants(l_max):
     N = (l_max + 1) ** 2
     out = np.zeros((N, N, N), dtype=complex)
     pairs = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+    ls, ms = np.array(pairs).T
     for ia, (la, ma) in enumerate(pairs):
         if la == 0:
             continue
         for ib in range(ia + 1, N):
             lb, mb = pairs[ib]
             br = bracket(HarmonicField.basis(la, ma), HarmonicField.basis(lb, mb))
-            for ic, (lc, mc) in enumerate(pairs):
-                val = br.get(lc, mc)
-                out[ia, ib, ic] = val
-                out[ib, ia, ic] = -val
+            br = br.pad_to(max(br.l_max, l_max))  # rows above the bracket's band are zero
+            out[ia, ib] = br.coeffs[ls, br.l_max + ms]
+            out[ib, ia] = -out[ia, ib]
     return out
 
 
@@ -483,11 +483,11 @@ def su2_generators():
                          substituted=True)
 
 
-def random_real_field(l_max, rng, amplitude=1.0, decay=0.6):
-    """Random real band-limited field with geometrically decaying spectrum."""
+def random_real_field(l_max, rng, amplitude=1.0):
+    """Random real band-limited field whose spectrum decays like 0.6**l."""
     c = np.zeros((l_max + 1, 2 * l_max + 1), dtype=complex)
     for l in range(l_max + 1):
-        scale = amplitude * decay**l
+        scale = amplitude * 0.6**l
         c[l, l_max] = scale * rng.standard_normal()
         for m in range(1, l + 1):
             z = scale * (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)

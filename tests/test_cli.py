@@ -272,6 +272,61 @@ def test_monopole_perturb_checks_the_solver_backward_error(capsys):
     assert [c["name"] for c in parse_report(out)[1] if not c["ok"]] == ["backward_error"]
 
 
+def test_monopole_perturb_with_zero_correction_exits_one(capsys):
+    """A zero response has no slopes: they are written as null, named on
+    stderr, and the finite check fails; it is not a usage error."""
+    zeros = ["--coeff=%s=0" % name for name in sorted(monopole.SECOND_LINE_COEFFS)]
+    rc, out, err = run(capsys, ["monopole", "perturb", "--n", "400"] + zeros)
+    assert rc == 1
+    keys = ["origin_exponent_K", "origin_exponent_H", "tail_slope_K", "tail_slope_H"]
+    assert all("meta." + key in err for key in keys)
+    (_, _, meta), checks = parse_report(out)
+    meta = dict(line.split(" = ") for line in meta)
+    assert all(meta[key] == "" for key in keys)
+    assert meta["backward_error"] == "0" and meta["linearity_r_squared"] == "1"
+    assert [c["name"] for c in checks if not c["ok"]] == ["finite"]
+
+
+def test_reduce_two_dim_checks_the_nested_split(capsys):
+    rc, out, _ = run(capsys, ["reduce", "two-dim", "--lmax", "2", "--tol", "1e-20"])
+    assert rc == 1
+    _, checks = parse_report(out)
+    failing = [c for c in checks if not c["ok"]]
+    assert [c["name"] for c in failing] == [
+        "pointwise_residual_rel",
+        "report.classification_residual_rel",
+        "report.covariant_identity_rel",
+        "report.forward_scan_residual_rel",
+    ]
+    assert all(c["bound"] == 1e-20 for c in failing)
+    nested = {c["name"]: c for c in checks}["report.vanishing_group_rel"]
+    assert nested["bound"] == 1e-12 and nested["ok"]
+
+
+@pytest.mark.parametrize(
+    "argv, name, default",
+    [
+        (["identities", "--trials", "20"], "spread.delta3_vs_trace3", "1e-10"),
+        (["reduce", "scalar", "--lmax", "1"], "classification_residual_rel", "1e-10"),
+        (["reduce", "ym", "--lmax", "1"], "forward_scan_residual_rel", "1e-10"),
+        (["reduce", "two-dim", "--lmax", "1"], "report.covariant_identity_rel", "1e-10"),
+        (["monopole", "solve", "--xi-max", "10", "--n", "800"], "max_residual_first", "1e-8"),
+        (["monopole", "energy", "--xi-max", "10", "--n", "800"], "completed_energy_error", "1e-4"),
+        (["monopole", "perturb", "--xi-max", "10", "--n", "800"], "backward_error", "1e-8"),
+        (["algebra", "su2"], "closure_residual", "1e-10"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_tol_default_is_the_check_bound_and_shown_in_help(capsys, argv, name, default):
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    bounds = {c["name"]: c["bound"] for c in parse_report(out)[1]}
+    assert bounds[name] == float(default)
+    rc, out, _ = run(capsys, argv + ["--help"])
+    assert rc == 0
+    assert "(default %s)" % default in out
+
+
 def test_missing_input_file_is_io_error(tmp_path, capsys):
     rc, _, err = run(
         capsys,

@@ -173,6 +173,19 @@ def test_backward_error_stays_small_on_a_fine_grid():
     assert 0.0 < pert.backward_error < 1e-14
 
 
+def test_zero_correction_has_no_slope_to_fit():
+    """All-zero coefficients give an exactly zero response: no power law to
+    fit (NaN, not an error), a zero backward error and a flat energy line."""
+    profile = bps_profile(RadialGrid(25.0, 400))
+    pert = solve_perturbation(profile, coeffs=dict.fromkeys(SECOND_LINE_COEFFS, 0.0))
+    assert not pert.K1.any() and not pert.H1.any()
+    rep = perturbation_report(profile, pert=pert)
+    for key in ("origin_exponent_K", "origin_exponent_H", "tail_slope_K", "tail_slope_H"):
+        assert np.isnan(rep[key])
+    assert rep["backward_error"] == 0.0
+    assert rep["linearity_r_squared"] == 1.0
+
+
 def test_perturbation_report_structure(reference_profile):
     rep = perturbation_report(reference_profile)
     assert rep["origin_exponent_K"] == pytest.approx(2.0, abs=0.1)
