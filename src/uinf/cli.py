@@ -5,9 +5,10 @@ ratio suite, ``reduce`` for the sphere-to-spacetime splits, ``monopole``
 for the radial profile workbench, ``algebra`` for harmonic utilities.
 
 Every report carries its checks, one of them "finite". Exit codes: 0 when
-all checks hold, 1 when one fails or a linear solve breaks down, 2 on bad
-flags, flag values, config files or input files. Output is deterministic
-byte for byte: all randomness flows from --seed, nothing timestamps itself.
+all checks hold, 1 when one fails, a linear solve breaks down or an
+arithmetic error (a zero divisor, an overflow) ends the run, 2 on bad flags,
+flag values, config files or input files. Output is deterministic byte for
+byte: all randomness flows from --seed, nothing timestamps itself.
 """
 
 import argparse
@@ -68,7 +69,9 @@ _FINITE = _rule("finite", float, math.isfinite)
 _NONZERO = _rule("finite and nonzero", float, lambda x: math.isfinite(x) and x != 0.0)
 _POSITIVE = _rule("finite and positive", float, lambda x: 0.0 < x < math.inf)
 _NONNEGATIVE = _rule("finite and nonnegative", float, lambda x: 0.0 <= x < math.inf)
-_COEFF = _rule("NAME=VALUE with a finite VALUE", _coeff, lambda pair: math.isfinite(pair[1]))
+_COEFF = _rule("NAME=VALUE with NAME one of %s and a finite VALUE"
+               % ", ".join(monopole.SECOND_LINE_COEFFS), _coeff,
+               lambda pair: pair[0] in monopole.SECOND_LINE_COEFFS and math.isfinite(pair[1]))
 _EVB_LIST = _rule("a nonempty comma list of finite numbers", _floats,
                   lambda xs: xs and all(map(math.isfinite, xs)))
 _B_LIST = _rule("a comma list of at least two distinct finite positive radii", _floats,
@@ -195,6 +198,13 @@ def cmd_reduce_born_infeld(args):
     return (columns, rows, meta), [check("drift_min_fall", fall, 0.0, ok=fall > 0.0)]
 
 
+def _coeff_table(args):
+    """The correction coefficients of a monopole run, the published table
+    under the --coeff pairs, and their coeff_<name> meta entries."""
+    table = dict(monopole.SECOND_LINE_COEFFS, **dict(args.coeff))
+    return table, {"coeff_" + name: value for name, value in table.items()}
+
+
 def cmd_monopole_solve(args):
     grid = monopole.RadialGrid(args.xi_max, args.n)
     profile = monopole.bps_profile(grid)
@@ -213,11 +223,12 @@ def cmd_monopole_energy(args):
     grid = monopole.RadialGrid(args.xi_max, args.n)
     profile = monopole.bps_profile(grid)
     breakdown = monopole.energy_breakdown(profile)
+    coeffs, recorded = _coeff_table(args)
     physical = monopole.physical_energy(
-        profile, args.evb, v=args.v, beta=args.beta, e=args.e, b=args.b, coeffs=dict(args.coeff),
+        profile, args.evb, v=args.v, beta=args.beta, e=args.e, b=args.b, coeffs=coeffs,
     )
     payload = {
-        "meta": _meta(args, xi_max=args.xi_max, n=args.n),
+        "meta": _meta(args, xi_max=args.xi_max, n=args.n, **recorded),
         "breakdown": vars(breakdown),
         "physical": physical,
     }
@@ -227,26 +238,26 @@ def cmd_monopole_energy(args):
 def cmd_monopole_perturb(args):
     grid = monopole.RadialGrid(args.xi_max, args.n)
     profile = monopole.bps_profile(grid)
-    pert = monopole.solve_perturbation(profile, coeffs=dict(args.coeff))
+    coeffs, recorded = _coeff_table(args)
+    pert = monopole.solve_perturbation(profile, coeffs=coeffs)
     rep = monopole.perturbation_report(profile, pert=pert)
-    meta = _meta(args, **rep)
-    for name in sorted(pert.coeffs):
-        meta["coeff_%s" % name] = pert.coeffs[name]
+    meta = _meta(args, **rep, **recorded)
     rows = zip(grid.xi, profile.K, profile.H, pert.K1, pert.H1)
     return (["xi", "K", "H", "K1", "H1"], rows, meta), [
         check("backward_error", rep["backward_error"], args.tol)]
 
 
 def cmd_monopole_scan_evb(args):
+    coeffs, recorded = _coeff_table(args)
     rows_data = monopole.energy_scan(
         args.evb_list, xi_max=args.xi_max, n=args.n, v=args.v, beta=args.beta,
-        e=args.e, b=args.b, coeffs=dict(args.coeff),
+        e=args.e, b=args.b, coeffs=coeffs,
     )
     columns = ["evb", "epsilon", "E0_integral", "correction_integral", "dE_over_E0", "cutoff"]
     rows = [[row[c] for c in columns] for row in rows_data]
     meta = _meta(args, xi_max=args.xi_max, n=args.n, v=args.v, beta=args.beta,
                  e=args.e, b=args.b, prefactor=rows_data[0]["prefactor"],
-                 quantization_ok=rows_data[0]["quantization_ok"])
+                 quantization_ok=rows_data[0]["quantization_ok"], **recorded)
     return (columns, rows, meta), []
 
 
@@ -378,7 +389,7 @@ def build_parser():
     alg_sub = alg_p.add_subparsers(dest="subcommand", required=True)
 
     sp = alg_sub.add_parser("structure-constants", parents=[common])
-    sp.add_argument("--lmax", type=_at_least(0), default=3)
+    sp.add_argument("--lmax", type=_at_least(1), default=3)
     sp.set_defaults(handler=cmd_algebra_structure_constants,
                     command_path="algebra structure-constants")
 
@@ -434,6 +445,9 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 2
     except np.linalg.LinAlgError as exc:
         print("error: linear solve failed: %s" % exc, file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # a zero divisor or an overflow in Python floats
+        print("error: arithmetic failed: %s" % exc, file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -15,7 +15,7 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "SphereGrid",
@@ -122,7 +122,7 @@ def grid_for_band_limit(band_limit, n_theta=None, n_phi=None):
         n_phi = 2 * band_limit + 1
     if n_theta < band_limit + 1 or n_phi < 2 * band_limit + 1:
         raise ValueError("grid too coarse for band limit")
-    x, w = roots_legendre(n_theta)
+    x, w = leggauss(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     P, dPdx = _legendre_tables(band_limit, x)
     m_phi = np.outer(np.arange(band_limit + 1), phi)
@@ -460,22 +460,17 @@ def _closure_residual(ts):
 def su2_generators():
     """l = 1 generator triple with a measured closure constant.
 
-    The first candidate basis is (Y11 + i Y1-1)/sqrt(2),
-    (Y11 - i Y1-1)/sqrt(2), Y10. Its pairwise bracket constants differ in
-    phase, so no single real constant closes it; when its residual exceeds
-    1e-10 the standard real combinations are substituted and the swap is
-    reported through the `basis`/`substituted` fields.
+    The printed basis (Y11 + i Y1-1)/sqrt(2), (Y11 - i Y1-1)/sqrt(2), Y10
+    does not close: its pairwise bracket constants differ in phase, so no
+    single real constant fits, and its residual is reported as
+    printed_residual. The standard real combinations are substituted, and
+    the `basis`/`substituted` fields say so.
     """
     y11 = HarmonicField.basis(1, 1)
     y1m1 = HarmonicField.basis(1, -1)
     y10 = HarmonicField.basis(1, 0)
     s = 1.0 / math.sqrt(2.0)
-    printed = (s * (y11 + 1j * y1m1), s * (y11 - 1j * y1m1), y10)
-    c_printed, r_printed = _closure_residual(printed)
-    if r_printed < 1e-10:
-        return Su2Generators(*printed, c=c_printed, closure_residual=r_printed,
-                             basis="as_given", printed_residual=r_printed,
-                             substituted=False)
+    _, r_printed = _closure_residual((s * (y11 + 1j * y1m1), s * (y11 - 1j * y1m1), y10))
     real_basis = (s * (y1m1 - y11), s * 1j * (y1m1 + y11), y10)
     c_real, r_real = _closure_residual(real_basis)
     return Su2Generators(*real_basis, c=c_real, closure_residual=r_real,

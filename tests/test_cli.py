@@ -525,6 +525,10 @@ def test_broken_perturbation_response_is_reported(capsys):
         (["monopole", "scan-evb"], "tol", "5", "--tol"),
         (["algebra", "structure-constants"], "tol", "5", "--tol"),
         (["algebra", "bracket", "--f", "f.json", "--g", "g.json"], "tol", "5", "--tol"),
+        (["algebra", "structure-constants"], "lmax", "0", "--lmax"),
+        (["monopole", "energy"], "coeff", "zzz=1", "--coeff"),
+        (["monopole", "perturb"], "coeff", "zzz=1", "--coeff"),
+        (["monopole", "scan-evb"], "coeff", "zzz=1", "--coeff"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_flag(tmp_path, capsys, argv, key, value, flag):
@@ -536,6 +540,45 @@ def test_bad_input_is_usage_error_naming_the_flag(tmp_path, capsys, argv, key, v
     rc, out, err = run(capsys, argv + ["--config", str(cfg)])
     assert rc == 2 and out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "scan-b", "--amplitude", "0"],
+        ["reduce", "two-dim", "--amplitude", "0"],
+        ["reduce", "born-infeld", "--amplitude", "0"],
+        ["reduce", "scan-b", "--b-list", "1e-300,1"],
+        ["reduce", "scalar", "--b", "1e-100"],
+        ["reduce", "scalar", "--e", "1e-200"],
+        ["monopole", "energy", "--b", "1e-200"],
+        ["monopole", "energy", "--e", "1e-200"],
+        ["reduce", "scalar", "--b", "1e80"],
+        ["monopole", "energy", "--evb", "1e100"],
+        ["monopole", "scan-evb", "--b", "1e200"],
+    ],
+)
+def test_arithmetic_failure_is_an_error_line_not_a_traceback(capsys, argv):
+    """Finite inputs whose arithmetic divides by zero or overflows end with
+    one error line, not an uncaught exception."""
+    if argv[0] == "monopole":
+        argv = argv + ["--xi-max", "10", "--n", "800"]
+    rc, _, err = run(capsys, argv)
+    assert rc in (1, 2)
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub", ["energy", "scan-evb"])
+def test_energy_reports_record_the_coefficients_used(capsys, sub):
+    """The full coefficient table, overrides applied, is in the report meta,
+    so runs with different --coeff values can be told apart."""
+    base = ["monopole", sub, "--xi-max", "10", "--n", "800"]
+    rc, out, _ = run(capsys, base + ["--coeff", "xi2_1mk4=3"])
+    assert rc == 0
+    doc, _ = parse_report(out)
+    meta = doc["meta"] if sub == "energy" else dict(m.split(" = ") for m in doc[2])
+    recorded = {k[len("coeff_"):]: float(v) for k, v in meta.items() if k.startswith("coeff_")}
+    assert recorded == dict(monopole.SECOND_LINE_COEFFS, xi2_1mk4=3.0)
 
 
 def test_identities_reports_the_dims_it_ran(capsys):

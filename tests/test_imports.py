@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there.
+"""Every name a package module imports is used there, and importing a
+module loads no more than it needs.
 
 A name counts as used when the module reads it or lists it in __all__. An
 import statement carrying "# noqa: F401" is exempt: it binds a name on
@@ -6,11 +7,15 @@ purpose for other code to find.
 """
 
 import ast
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "uinf").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "uinf").glob("*.py"))
 
 
 def _imported(tree, lines):
@@ -41,3 +46,22 @@ def test_module_uses_every_import(path):
     used = _used(tree)
     unused = [(name, line) for name, line in _imported(tree, text.splitlines()) if name not in used]
     assert unused == [], "%s imports names it never uses: %s" % (path.name, unused)
+
+
+def _loaded_after(statement):
+    """Names in sys.modules after running statement in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys\n%s\nprint('\\n'.join(sorted(sys.modules)))" % statement
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.split()
+
+
+def test_package_root_and_algebra_core_load_only_what_they_use():
+    """The package root loads no submodule; the algebra core (reduction and
+    the three modules it pulls in) loads numpy but no scipy, which only the
+    monopole workbench needs."""
+    assert [m for m in _loaded_after("import uinf") if m.startswith("uinf.")] == []
+    loaded = _loaded_after("import uinf.reduction")
+    assert {"uinf.sphere_algebra", "uinf.tensor_kernels", "uinf.gauge_fields"} <= set(loaded)
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []

@@ -1,3 +1,6 @@
+from functools import lru_cache
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +267,80 @@ def test_structure_constants_l0_row_is_zero():
     C = structure_constants(2)
     assert not np.any(C[lm_index(0, 0), :, :])
     assert not np.any(C[:, lm_index(0, 0), :])
+
+
+@settings(max_examples=25, deadline=None)
+@given(l=st.integers(min_value=0, max_value=4), seed=_seeds)
+def test_dipole_bracket_rotates_property(l, seed):
+    """{Y10, f} = i m sqrt(3/4pi) f_lm: the l = 1 generator acts as d/dphi."""
+    f = random_real_field(l, np.random.default_rng(seed))
+    got = bracket(HarmonicField.basis(1, 0), f)
+    m = np.arange(-f.l_max, f.l_max + 1)
+    want = HarmonicField(f.l_max, 1j * m * C_DIPOLE * f.coeffs).pad_to(got.l_max)
+    assert np.abs(got.coeffs - want.coeffs).max() <= 1e-13 * np.abs(f.coeffs).max()
+
+
+def _wigner_3j(j1, j2, j3, m1, m2, m3):
+    """Wigner 3j symbol of integer arguments by the Racah formula (Edmonds,
+    Angular Momentum in Quantum Mechanics, 1957)."""
+    if m1 + m2 + m3 or not abs(j1 - j2) <= j3 <= j1 + j2:
+        return 0.0
+    if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
+        return 0.0
+    f = math.factorial
+    triangle = f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(j2 + j3 - j1) / f(j1 + j2 + j3 + 1)
+    norm = f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3)
+    terms = range(max(0, j2 - j3 - m1, j1 - j3 + m2), min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1)
+    total = sum((-1) ** k / (f(k) * f(j3 - j2 + k + m1) * f(j3 - j1 + k - m2)
+                             * f(j1 + j2 - j3 - k) * f(j1 - k - m1) * f(j2 - k + m2))
+                for k in terms)
+    return (-1) ** (j1 - j2 - m3) * math.sqrt(triangle * norm) * total
+
+
+def _labels(l_max):
+    return [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+
+
+def _closed_form_constant(a, b, c):
+    """f_abc for labels (l, m): zero unless l_a + l_b + l_c is odd, else
+    -i (-1)^m_c sqrt(l_a(l_a+1) l_b(l_b+1) (2l_a+1)(2l_b+1)(2l_c+1) / 4pi)
+    (l_a l_b l_c; 1 -1 0) (l_a l_b l_c; m_a m_b -m_c)."""
+    (la, ma), (lb, mb), (lc, mc) = a, b, c
+    if (la + lb + lc) % 2 == 0:
+        return 0j
+    scale = math.sqrt(la * (la + 1) * lb * (lb + 1) * (2 * la + 1) * (2 * lb + 1)
+                      * (2 * lc + 1) / (4.0 * math.pi))
+    return (-1j * (-1) ** mc * scale * _wigner_3j(la, lb, lc, 1, -1, 0)
+            * _wigner_3j(la, lb, lc, ma, mb, -mc))
+
+
+@lru_cache(maxsize=None)
+def _structure_constants(l_max):
+    return structure_constants(l_max)
+
+
+@pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5])
+def test_structure_constants_match_wigner_3j_closed_form(l_max):
+    """The numerical tensor against the independent closed form."""
+    C = _structure_constants(l_max)
+    labels = _labels(l_max)
+    oracle = np.array([[[_closed_form_constant(a, b, c) for c in labels] for b in labels]
+                       for a in labels])
+    assert np.abs(C - oracle).max() <= 1e-12 * np.abs(C).max()
+
+
+@settings(max_examples=50, deadline=None)
+@given(l_max=st.integers(min_value=1, max_value=5), data=st.data())
+def test_structure_constants_selection_rules_property(l_max, data):
+    """f_abc vanishes to rounding unless m_c = m_a + m_b, l_a + l_b + l_c is
+    odd and (l_a, l_b, l_c) is a triangle."""
+    C = _structure_constants(l_max)
+    labels = _labels(l_max)
+    a, b, c = data.draw(st.tuples(*[st.integers(0, len(labels) - 1)] * 3))
+    (la, ma), (lb, mb), (lc, mc) = labels[a], labels[b], labels[c]
+    allowed = mc == ma + mb and (la + lb + lc) % 2 == 1 and abs(la - lb) <= lc <= la + lb
+    if not allowed:
+        assert abs(C[a, b, c]) <= 1e-13 * np.abs(C).max()
 
 
 def test_su2_closure():
