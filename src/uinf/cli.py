@@ -287,11 +287,14 @@ def cmd_algebra_su2(args):
 
 
 def cmd_algebra_bracket(args):
-    with open(args.f) as fh:
-        f = HarmonicField.from_dict(json.load(fh))
-    with open(args.g) as fh:
-        g = HarmonicField.from_dict(json.load(fh))
-    result = sphere_algebra.bracket(f, g)
+    fields = []
+    for flag, path in (("--f", args.f), ("--g", args.g)):
+        with open(path) as fh:
+            try:
+                fields.append(HarmonicField.from_dict(json.load(fh)))
+            except ValueError as exc:  # bad JSON or a layout that is not a field
+                raise ValueError("argument %s: %s: %s" % (flag, path, exc)) from None
+    result = sphere_algebra.bracket(*fields)
     return {"meta": _meta(args), "result": result.to_dict()}, []
 
 

@@ -237,22 +237,23 @@ def _reduce_common(sector, cfg, scal, metric, background):
     ginv = np.linalg.inv(metric.spacetime)
     b, q = metric.b, background.q
     F = _full_field_matrix(nd, cfg.dim, q)
+    # the reference route at sphere-block scales t = 0..4, built after the groups;
+    # t = 1 is the metric itself
+    scaled = (_full_inverse_metric(grid, ginv, b, float(t)) for t in range(5))
+    charged = replace(cfg, coupling=q)  # the covariant route's coupling, fixed by the flux
     if sector == "scalar":
         groups = _scalar_groups(nd, grid, ginv, b, q)
         v = _full_gradient(nd)
-        density = lambda Ginv: 0.5 * _delta3(F, v, Ginv)  # noqa: E731
-        covariant = lambda c: scalar_kinetic_integral(c, scal, metric.spacetime)  # noqa: E731
+        refs = [_integrate(grid, 0.5 * _delta3(F, v, G)) for G in scaled]
+        covariant = scalar_kinetic_integral(charged, scal, metric.spacetime)
         const = 2.0 / q**2
     else:
         groups = _ym_groups(nd, grid, ginv, b, q)
-        density = lambda Ginv: _trace4(F, Ginv)  # noqa: E731
-        covariant = lambda c: yang_mills_integral(c, metric.spacetime)  # noqa: E731
+        refs = [_integrate(grid, _trace4(F, G)) for G in scaled]
+        covariant = yang_mills_integral(charged, metric.spacetime)
         const = 4.0 / q**2
     gk = [_integrate(grid, gden) for gden in groups]
     total = float(sum(gk))
-
-    # the reference route at sphere-block scales t = 0..4; t = 1 is the metric itself
-    refs = [_integrate(grid, density(_full_inverse_metric(grid, ginv, b, float(t)))) for t in range(5)]
     ref = refs[1]
     scale = max(abs(gk[2]), abs(total), 1.0)
     scan_resid = 0.0
@@ -261,10 +262,8 @@ def _reduce_common(sector, cfg, scal, metric, background):
         scan_scale = max(sum(abs(c) * float(t) ** k for k, c in enumerate(gk)), 1.0)
         scan_resid = max(scan_resid, abs(ref_t - predicted) / scan_scale)
 
-    cov = {s: covariant(replace(cfg, coupling=s * q)) for s in (1.0, -1.0)}
-    resid = {s: abs(gk[2] * b**4 - const * c) for s, c in cov.items()}
-    sign = 1.0 if resid[1.0] <= resid[-1.0] else -1.0
-    cov_scale = max(abs(gk[2] * b**4), abs(const * cov[sign]), 1e-30)
+    cov_abs = abs(gk[2] * b**4 - const * covariant)
+    cov_scale = max(abs(gk[2] * b**4), abs(const * covariant), 1e-30)
 
     report = {
         "sector": sector,
@@ -286,12 +285,11 @@ def _reduce_common(sector, cfg, scal, metric, background):
         "classification_residual_abs": abs(total - ref),
         "classification_residual_rel": abs(total - ref) / scale,
         "forward_scan_residual_rel": scan_resid,
-        "covariant_integral": cov[sign],
+        "covariant_integral": covariant,
         "covariant_constant": const,
-        "covariant_identity_abs": resid[sign],
-        "covariant_identity_rel": resid[sign] / cov_scale,
-        "sign_s": sign,
-        "sign_residuals": {"+1": resid[1.0], "-1": resid[-1.0]},
+        "covariant_identity_abs": cov_abs,
+        "covariant_identity_rel": cov_abs / cov_scale,
+        "sign_s": 1.0,
     }
     if sector == "scalar":
         report["vanishing_group_rel"] = abs(gk[3]) / scale

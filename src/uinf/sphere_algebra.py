@@ -13,6 +13,7 @@ by the rules in grid_for_band_limit. Nodes never sit on the poles, so the
 from dataclasses import dataclass, field
 from functools import lru_cache
 import math
+import sys
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -258,14 +259,31 @@ class HarmonicField:
 
     @classmethod
     def from_dict(cls, payload):
-        l_max = int(payload["l_max"])
+        """Inverse of to_dict; a payload of another layout raises ValueError."""
+        if not (isinstance(payload, dict) and _json_number(payload.get("l_max"), int)
+                and payload["l_max"] >= 0):
+            raise ValueError("a field must be an object with an integer l_max >= 0")
+        l_max, entries = payload["l_max"], payload.get("coeffs", [])
+        if not (isinstance(entries, list) and all(
+                isinstance(e, dict) and _json_number(e.get("l"), int)
+                and _json_number(e.get("m"), int) and _json_number(e.get("re", 0.0))
+                and _json_number(e.get("im", 0.0)) for e in entries)):
+            raise ValueError("coeffs must be a list of objects with integer l and m "
+                             "and finite numbers re and im")
         f = np.zeros((l_max + 1, 2 * l_max + 1), dtype=complex)
-        for entry in payload.get("coeffs", []):
-            l, m = int(entry["l"]), int(entry["m"])
+        for entry in entries:
+            l, m = entry["l"], entry["m"]
             if abs(m) > l or l > l_max:
                 raise ValueError("coefficient entry outside the band limit")
-            f[l, l_max + m] = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
+            f[l, l_max + m] = entry.get("re", 0.0) + 1j * entry.get("im", 0.0)
         return cls(l_max, f)
+
+
+def _json_number(value, kind=(int, float)):
+    """Whether a parsed JSON value is a number of that kind (not a bool)
+    within the finite float range."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @lru_cache(maxsize=None)
@@ -348,11 +366,14 @@ def analyze(values, l_max, grid):
     """Project grid values onto harmonics up to l_max by quadrature.
 
     Real values give exactly Hermitian coefficients: m >= 0 is computed and
-    m < 0 mirrored. Complex values are analyzed as re + i im.
+    m < 0 mirrored. Complex values are analyzed as re + i im. Non-finite
+    values raise FloatingPointError.
     """
     values = np.asarray(values)
     if values.shape != (grid.n_theta, grid.n_phi):
         raise ValueError("value array does not match the grid")
+    if not np.isfinite(values).all():
+        raise FloatingPointError("grid values to analyze are not all finite (an overflow)")
     if grid.band_limit < l_max:
         raise ValueError("grid too coarse for band limit")
     L = l_max
@@ -404,7 +425,8 @@ def structure_constants(l_max):
     """f_abc = integral {Y_a, Y_b} conj(Y_c) for all triples within l_max.
 
     Returned tensor is indexed by lm_index and exactly antisymmetric in the
-    first two slots (filled from the a < b computation).
+    first two slots (filled from the a < b computation); entries with
+    m_c != m_a + m_b are exact zeros.
     """
     if l_max <= 0:
         raise ValueError("l_max must be positive")
@@ -419,7 +441,8 @@ def structure_constants(l_max):
             lb, mb = pairs[ib]
             br = bracket(HarmonicField.basis(la, ma), HarmonicField.basis(lb, mb))
             br = br.pad_to(max(br.l_max, l_max))  # rows above the bracket's band are zero
-            out[ia, ib] = br.coeffs[ls, br.l_max + ms]
+            # only order m_a + m_b is nonzero; the other orders are rounding noise
+            out[ia, ib] = np.where(ms == ma + mb, br.coeffs[ls, br.l_max + ms], 0.0)
             out[ib, ia] = -out[ia, ib]
     return out
 

@@ -202,7 +202,8 @@ def born_infeld_density(F, g, alpha, C=1.0):
     nodes: F and the covariant metric g broadcast over their leading axes.
 
     Raises ValueError when either determinant argument leaves the root
-    domain at any node, rather than continuing with a complex branch.
+    domain at any node, rather than continuing with a complex branch, and
+    FloatingPointError when a determinant is not finite.
     """
     F = np.asarray(F, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -210,6 +211,8 @@ def born_infeld_density(F, g, alpha, C=1.0):
         raise ValueError("alpha must be nonzero; take the limit externally")
     d0 = -np.linalg.det(g)
     d1 = -np.linalg.det(g + alpha * F)
+    if not (np.isfinite(d0).all() and np.isfinite(d1).all()):
+        raise FloatingPointError("determinant is not finite (an overflow)")
     if np.any(d0 <= 0.0) or np.any(d1 <= 0.0):
         raise ValueError("determinant left the root domain")
     return C / alpha**2 * (np.sqrt(d1) - np.sqrt(d0))

@@ -568,6 +568,41 @@ def test_arithmetic_failure_is_an_error_line_not_a_traceback(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sub", ["scalar", "ym", "two-dim", "scan-b", "born-infeld"])
+def test_overflow_on_finite_input_is_an_arithmetic_failure(capsys, sub):
+    """Fields that overflow to inf on the grid end the run with exit 1, like
+    the other arithmetic failures, not with a usage error."""
+    rc, out, err = run(capsys, ["reduce", sub, "--amplitude", "1e200"])
+    assert rc == 1 and out == ""
+    assert "error: arithmetic failed" in err and "Traceback" not in err
+
+
+_BAD_FIELDS = [
+    [1, 2],
+    "field",
+    {"l_max": None},
+    {"l_max": 1, "coeffs": 5},
+    {"l_max": 1, "coeffs": [7]},
+    {"l_max": 1, "coeffs": [{"l": 1, "re": 1.0, "im": 0.0}]},
+    {"l_max": -1},
+]
+
+
+@pytest.mark.parametrize("payload", _BAD_FIELDS, ids=[
+    "array", "string", "null_l_max", "number_coeffs", "number_entry", "entry_without_m",
+    "negative_l_max"])
+def test_malformed_field_file_is_usage_error_naming_the_flag(tmp_path, capsys, payload):
+    good, _ = _field_files(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    for flag, argv in (("--f", ["--f", str(bad), "--g", good]),
+                       ("--g", ["--f", good, "--g", str(bad)])):
+        rc, out, err = run(capsys, ["algebra", "bracket"] + argv)
+        assert rc == 2 and out == ""
+        assert "argument %s:" % flag in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("sub", ["energy", "scan-evb"])
 def test_energy_reports_record_the_coefficients_used(capsys, sub):
     """The full coefficient table, overrides applied, is in the report meta,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from uinf import monopole
 from uinf.monopole import (
@@ -16,6 +17,7 @@ from uinf.monopole import (
     fd2,
     functional_gradient,
     gaussian_bump,
+    linearized_forcing,
     perturb_profile,
     perturbation_report,
     physical_energy,
@@ -111,6 +113,27 @@ def test_second_line_coefficients_are_immutable_defaults(reference_profile):
     assert explicit == pytest.approx(FROZEN_SECOND_LINE, rel=1e-15)
     with pytest.raises(ValueError):
         second_line_integral(reference_profile, {"h2_kprime2": 15, "bogus": 1.0})
+
+
+@pytest.mark.parametrize("term", [None, *SECOND_LINE_COEFFS])
+def test_linearized_forcing_matches_a_central_difference(reference_profile, term):
+    """The hand-derived forcing paired with interior directions against the
+    central difference of the correction integral, for the published table
+    and for each term alone."""
+    coeffs = None if term is None else {
+        name: value if name == term else 0.0 for name, value in SECOND_LINE_COEFFS.items()}
+    grid = reference_profile.grid
+    rng = np.random.default_rng(0)
+    step = 1e-5
+    for _ in range(5):
+        base = perturb_profile(reference_profile, rng, amplitude=0.2, modes=8)
+        u = monopole._random_direction(grid, rng)
+        v = monopole._random_direction(grid, rng)
+        plus, minus = (second_line_integral(
+            MonopoleProfile(grid, base.K + s * u, base.H + s * v), coeffs) for s in (step, -step))
+        phi_K, phi_H = linearized_forcing(base, coeffs)
+        paired = float(simpson(phi_K * u + phi_H * v, x=grid.xi))
+        assert abs((plus - minus) / (2.0 * step) - paired) <= 1e-6 * abs(paired)
 
 
 def test_cutoff_growth_is_cubic(reference_profile):

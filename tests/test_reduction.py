@@ -1,7 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from uinf.gauge_fields import AdjointScalar, GaugeConfig, random_gauge_config
+from uinf import reduction
+from uinf.gauge_fields import (
+    AdjointScalar,
+    GaugeConfig,
+    random_gauge_config,
+    scalar_kinetic_integral,
+    yang_mills_integral,
+)
 from uinf.reduction import (
     Background,
     BlockMetric,
@@ -85,6 +94,61 @@ def test_covariant_constants(seed0_fields, background):
     rep_y = reduce_yang_mills(cfg, metric4(1.0), background)
     assert rep_s["covariant_constant"] == pytest.approx(2.0 / q**2, rel=1e-9)
     assert rep_y["covariant_constant"] == pytest.approx(4.0 / q**2, rel=1e-9)
+
+
+def _identity_rel(rep, covariant, b):
+    lhs = rep["group_integrals"][2] * b**4
+    rhs = rep["covariant_constant"] * covariant
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize("sector", ["scalar", "yang_mills"])
+def test_covariant_identity_holds_at_q_and_fails_at_minus_q(seed0_fields, background, sector):
+    """The covariant route is evaluated at the flux coupling q alone; with the
+    coupling -q the same identity misses by far more than rounding."""
+    cfg, scal = seed0_fields
+    q, spacetime = background.q, lorentz(4)
+    if sector == "scalar":
+        rep = reduce_scalar(cfg, scal, metric4(1.0), background)
+        flipped = scalar_kinetic_integral(replace(cfg, coupling=-q), scal, spacetime)
+    else:
+        rep = reduce_yang_mills(cfg, metric4(1.0), background)
+        flipped = yang_mills_integral(replace(cfg, coupling=-q), spacetime)
+    assert rep["sign_s"] == 1.0
+    assert _identity_rel(rep, rep["covariant_integral"], 1.0) == rep["covariant_identity_rel"]
+    assert rep["covariant_identity_rel"] < 1e-12
+    assert _identity_rel(rep, flipped, 1.0) > 1e-4
+
+
+def _count_calls(monkeypatch, calls, name):
+    real = getattr(reduction, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, name, counted)
+
+
+@pytest.mark.parametrize("report, route", [
+    ("scalar", "scalar_kinetic_integral"),
+    ("yang_mills", "yang_mills_integral"),
+    ("two_dim", "yang_mills_integral"),
+])
+def test_each_report_evaluates_the_covariant_route_once(monkeypatch, seed0_fields, background,
+                                                        report, route):
+    cfg, scal = seed0_fields
+    calls = []
+    for name in ("scalar_kinetic_integral", "yang_mills_integral"):
+        _count_calls(monkeypatch, calls, name)
+    if report == "scalar":
+        reduce_scalar(cfg, scal, metric4(1.0), background)
+    elif report == "yang_mills":
+        reduce_yang_mills(cfg, metric4(1.0), background)
+    else:
+        cfg2 = random_gauge_config(2, 3, np.random.default_rng(0), amplitude=0.4)
+        two_dim_report(cfg2, BlockMetric(lorentz(2), 1.0), background)
+    assert calls == [route]
 
 
 def test_scalar_report_carries_grid_and_flux_metadata(seed0_fields, background):

@@ -343,6 +343,16 @@ def test_structure_constants_selection_rules_property(l_max, data):
         assert abs(C[a, b, c]) <= 1e-13 * np.abs(C).max()
 
 
+@pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5])
+def test_structure_constants_off_order_entries_are_exact_zeros(l_max):
+    """{Y_a, Y_b} has the single order m_a + m_b, so every entry with
+    m_c != m_a + m_b is 0.0, not rounding noise."""
+    C = _structure_constants(l_max)
+    m = np.array([m for _, m in _labels(l_max)])
+    off_order = m[:, None, None] + m[None, :, None] != m[None, None, :]
+    assert not np.any(C[off_order])
+
+
 def test_su2_closure():
     gen = su2_generators()
     assert gen.basis == "real_combination"
