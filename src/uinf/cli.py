@@ -77,7 +77,7 @@ _EVB_LIST = _rule("a nonempty comma list of finite numbers", _floats,
 _B_LIST = _rule("a comma list of at least two distinct finite positive radii", _floats,
                 lambda xs: len(set(xs)) == len(xs) >= 2 and all(0.0 < x < math.inf for x in xs))
 _DIMS = _rule("a comma list of dimensions >= 3 including 3 and 4",
-              lambda text: tensor_kernels._suite_dims(t for t in text.split(",") if t.strip()))
+              lambda text: tensor_kernels.suite_dims(t for t in text.split(",") if t.strip()))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +239,10 @@ def cmd_monopole_perturb(args):
     grid = monopole.RadialGrid(args.xi_max, args.n)
     profile = monopole.bps_profile(grid)
     coeffs, recorded = _coeff_table(args)
-    pert = monopole.solve_perturbation(profile, coeffs=coeffs)
-    rep = monopole.perturbation_report(profile, pert=pert)
+    # an overflowing response (a huge --coeff) is reported with null cells, not raised
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pert = monopole.solve_perturbation(profile, coeffs=coeffs)
+        rep = monopole.perturbation_report(profile, pert=pert)
     meta = _meta(args, **rep, **recorded)
     rows = zip(grid.xi, profile.K, profile.H, pert.K1, pert.H1)
     return (["xi", "K", "H", "K1", "H1"], rows, meta), [
@@ -429,11 +431,14 @@ def _parse(argv):
 def main(argv=None):
     """Run one subcommand. Its handler returns (document, checks); this is
     the one place that adds the finite check, writes the output and turns
-    the checks into the exit code."""
+    the checks into the exit code. numpy raises on overflow, zero division
+    and invalid operations in the handler, so an arithmetic failure ends the
+    run where it starts; underflow stays silent (the profile tail underflows)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse(argv)
-        document, checks = args.handler(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            document, checks = args.handler(args)
         document, bad = reports.scrub(document)
         if bad:
             print("error: %d non-finite value(s) written as null: %s%s" % (
@@ -449,7 +454,7 @@ def main(argv=None):
     except np.linalg.LinAlgError as exc:
         print("error: linear solve failed: %s" % exc, file=sys.stderr)
         return 1
-    except ArithmeticError as exc:  # a zero divisor or an overflow in Python floats
+    except ArithmeticError as exc:  # a zero divisor or an overflow, in numpy or Python floats
         print("error: arithmetic failed: %s" % exc, file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:

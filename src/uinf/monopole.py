@@ -615,27 +615,33 @@ def physical_energy(profile, evb, v=1.0, beta=1.0, e=2.0, b=1.0, coeffs=None):
     parameters.  The integer check on 2/e is a reported flag, never an
     error.
     """
-    breakdown = energy_breakdown(profile)
+    return _energy_row(evb, energy_breakdown(profile).completed,
+                       second_line_integral(profile, coeffs), profile.grid.xi_max, v, beta, e, b)
+
+
+def _energy_row(evb, completed, correction, cutoff, v, beta, e, b):
     epsilon = evb ** 4 / 30.0
-    correction = second_line_integral(profile, coeffs)
     prefactor = 8.0 * np.pi ** 2 * v * beta / (e ** 3 * b ** 2)
     return {
         "evb": evb,
         "epsilon": epsilon,
-        "E0_integral": breakdown.completed,
+        "E0_integral": completed,
         "correction_integral": correction,
-        "dE_over_E0": epsilon * correction / breakdown.completed,
-        "cutoff": profile.grid.xi_max,
+        "dE_over_E0": epsilon * correction / completed,
+        "cutoff": cutoff,
         "prefactor": prefactor,
-        "total": prefactor * (breakdown.completed + epsilon * correction),
+        "total": prefactor * (completed + epsilon * correction),
         "quantization_ok": abs(2.0 / e - round(2.0 / e)) < 1e-12,
     }
 
 
 def energy_scan(evb_list, xi_max=25.0, n=4000, v=1.0, beta=1.0, e=2.0, b=1.0, coeffs=None):
-    grid = RadialGrid(xi_max, n)
-    profile = bps_profile(grid)
-    return [physical_energy(profile, evb, v=v, beta=beta, e=e, b=b, coeffs=coeffs) for evb in evb_list]
+    """physical_energy of one closed-form profile at each evb; the two
+    integrals do not depend on evb and are computed once."""
+    profile = bps_profile(RadialGrid(xi_max, n))
+    completed = energy_breakdown(profile).completed
+    correction = second_line_integral(profile, coeffs)
+    return [_energy_row(evb, completed, correction, xi_max, v, beta, e, b) for evb in evb_list]
 
 
 def convergence_check(xi_max=25.0, n=4000):

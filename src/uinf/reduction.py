@@ -28,7 +28,7 @@ import numpy as np
 from .gauge_fields import field_strength, scalar_kinetic_integral, yang_mills_integral
 # bracket stays bound here: bench/test_bench_helpers.py checks every binding site
 from .sphere_algebra import bracket, grid_for_band_limit, integral_of_product  # noqa: F401
-from .tensor_kernels import _delta3, _eps, _trace4, born_infeld_density
+from .tensor_kernels import born_infeld_density, delta3, eps, trace4
 
 __all__ = [
     "BlockMetric",
@@ -110,6 +110,11 @@ def _node_data(cfg, scal, grid):
     return out
 
 
+def _node_bracket(u, v, s):
+    """(u_phi v_theta - u_theta v_phi) / sin(theta) of (theta, phi)-first stacks."""
+    return (u[1] * v[0] - u[0] * v[1]) / s
+
+
 def _ghat_inv(grid):
     """Inverse unit-sphere metric diagonal, shape (2, n_theta, 1)."""
     s2 = (grid.sin_theta**2)[:, None]
@@ -144,7 +149,7 @@ def _scalar_groups(nd, grid, ginv, b, q):
     Z1 = -np.einsum("mnij,mij,nij->ij", fup, E, dphst) / b**2
     Z2 = np.einsum("abij,aij,bij->ij", P, vup, vup) / b**2
     Q1 = np.einsum("ab,aij,bij->ij", ginv, E, E) / b**4
-    cr = (dAex[0] * dphiex[1] - dAex[1] * dphiex[0]) / s
+    cr = _node_bracket(dphiex, dAex, s)
     Q2 = np.einsum("ab,aij,bij->ij", ginv, cr, dphst) / (q * b**4)
     # the top group's cycle piece, kept on its own arithmetic path
     fhat = np.zeros((2, 2) + nd["shape"])
@@ -171,8 +176,7 @@ def _ym_groups(nd, grid, ginv, b, q):
     t4s = np.einsum("abij,baij->ij", M2, M2)
     NN = np.einsum("ab,bcij,cd,deij,ef->afij", ginv, flow, ginv, flow, ginv)
     C1 = -np.einsum("abij,abij->ij", P, NN) / b**2
-    br = (np.einsum("aij,bij->abij", dAex[1], dAex[0])
-          - np.einsum("aij,bij->abij", dAex[0], dAex[1])) / s
+    br = _node_bracket(dAex[:, :, None], dAex[:, None], s)
     C_adj = -np.einsum("abij,abij->ij", br, fup) / (q * b**4)
     Pup = np.einsum("ac,bd,cdij->abij", ginv, ginv, P)
     C_alt = np.einsum("abij,abij->ij", P, Pup) / b**4
@@ -244,12 +248,12 @@ def _reduce_common(sector, cfg, scal, metric, background):
     if sector == "scalar":
         groups = _scalar_groups(nd, grid, ginv, b, q)
         v = _full_gradient(nd)
-        refs = [_integrate(grid, 0.5 * _delta3(F, v, G)) for G in scaled]
+        refs = [_integrate(grid, 0.5 * delta3(F, v, G)) for G in scaled]
         covariant = scalar_kinetic_integral(charged, scal, metric.spacetime)
         const = 2.0 / q**2
     else:
         groups = _ym_groups(nd, grid, ginv, b, q)
-        refs = [_integrate(grid, _trace4(F, G)) for G in scaled]
+        refs = [_integrate(grid, trace4(F, G)) for G in scaled]
         covariant = yang_mills_integral(charged, metric.spacetime)
         const = 4.0 / q**2
     gk = [_integrate(grid, gden) for gden in groups]
@@ -344,12 +348,10 @@ def two_dim_report(cfg, metric, background):
         raise ValueError("this check needs exactly two spacetime dimensions")
     rep, grid, nd, F = _reduce_common("yang_mills", cfg, None, metric, background)
     b, q = metric.b, background.q
-    eps_contract = _eps(F, F, _full_inverse_metric(grid, np.linalg.inv(metric.spacetime), b))
+    eps_contract = eps(F, F, _full_inverse_metric(grid, np.linalg.inv(metric.spacetime), b))
     det_st = float(np.linalg.det(metric.spacetime))
     # node-route bracket-extended F_01
-    dAex = nd["dAex"]
-    br01 = (dAex[1, 0] * dAex[0, 1] - dAex[0, 0] * dAex[1, 1]) / nd["s"]
-    ft01_nodes = nd["flow"][0, 1] + q * br01
+    ft01_nodes = nd["flow"][0, 1] + q * _node_bracket(nd["dAex"][:, 0], nd["dAex"][:, 1], nd["s"])
     predicted = 8.0 * ft01_nodes / (q * b**2 * math.sqrt(abs(det_st)))
     pw_scale = float(np.max(np.abs(predicted))) or 1.0
     pointwise_rel = float(np.max(np.abs(eps_contract - predicted))) / pw_scale

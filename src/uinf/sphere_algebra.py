@@ -23,7 +23,6 @@ __all__ = [
     "HarmonicField",
     "Su2Generators",
     "grid_for_band_limit",
-    "make_grid",
     "eval_harmonic",
     "synthesize",
     "analyze",
@@ -131,14 +130,6 @@ def grid_for_band_limit(band_limit, n_theta=None, n_phi=None):
     for arr in (x, w, phi, P, dPdx, trig):
         arr.setflags(write=False)
     return SphereGrid(band_limit, n_theta, n_phi, x, w, phi, P, dPdx, trig)
-
-
-def make_grid(l_max):
-    """Grid exact for integrating triple (and quadruple) products of fields
-    with band limit l_max."""
-    if l_max <= 0:
-        raise ValueError("l_max must be positive")
-    return grid_for_band_limit(2 * l_max)
 
 
 def eval_harmonic(l, m, theta, phi):

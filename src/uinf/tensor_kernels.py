@@ -8,14 +8,14 @@ measure the ratio between the routes; nothing here assumes the identities
 hold.
 
 Index conventions: antisymmetric F carries two lower indices, v carries one
-lower index. The public functions take the covariant metric g of one node.
+lower index.
 
-Stack layout: the private kernels (`_delta3`, `_trace3`, `_delta4`,
-`_trace4`, `_eps`) work on a stack of nodes. F has shape (..., A, B), v has
+Stack layout: the contraction kernels (`delta3`, `trace3`, `delta4`,
+`trace4`, `eps`) work on a stack of nodes. F has shape (..., A, B), v has
 shape (..., A) and the inverse metric (..., A, B); the leading axes
-broadcast, and each kernel returns an array of the leading shape. The
-reduction module calls them on a whole sphere grid at once, and the public
-per-node functions call them on a single node.
+broadcast, and each kernel returns an array of the leading shape (a numpy
+scalar for a single node). The reduction module calls them on a whole sphere
+grid at once; the identity suite calls them on one node per draw.
 
 The kernels take the inverse metric g^{AB}, not g. The reduction's forward
 scan evaluates the reference route with the sphere block of the inverse
@@ -31,16 +31,15 @@ from itertools import permutations
 import numpy as np
 
 __all__ = [
-    "delta_contract_scalar",
-    "trace_form_scalar",
-    "delta_contract_quartic",
-    "trace_form_quartic",
+    "delta3",
+    "trace3",
+    "delta4",
+    "trace4",
+    "eps",
     "epsilon_symbol",
-    "eps_contract_fv",
-    "eps_contract_ff",
-    "eps_square_3d",
-    "eps_square_4d",
     "born_infeld_density",
+    "suite_dims",
+    "identity_suite",
     "random_antisymmetric",
     "random_metric",
     "minkowski_metric",
@@ -79,13 +78,23 @@ def _signed_permutation_sum(low, up, k):
     return total
 
 
-def _delta3(F, v, ginv):
+def delta3(F, v, ginv):
+    """Rank-3 generalized delta contracted with (F, v) on both index groups.
+
+    delta^{ABC}_{DEF} F_{AB} v_C F^{DE} v^F, evaluated as the literal sum of
+    six signed permutation terms.
+    """
     low = np.einsum("...ab,...c->...abc", F, v)
     up = np.einsum("...ab,...c->...abc", _raise(F, ginv), _raise_vector(v, ginv))
     return _signed_permutation_sum(low, up, 3)
 
 
-def _delta4(F, ginv):
+def delta4(F, ginv):
+    """Rank-4 generalized delta contracted with four copies of F.
+
+    delta^{ABCD}_{EFGH} F_{AB} F_{CD} F^{EF} F^{GH} as the literal sum of
+    twenty-four signed permutation terms.
+    """
     Fup = _raise(F, ginv)
     low = np.einsum("...ab,...cd->...abcd", F, F)
     up = np.einsum("...ab,...cd->...abcd", Fup, Fup)
@@ -102,7 +111,8 @@ def _trace3_pieces(F, v, ginv):
     return s1 * s2, t2
 
 
-def _trace3(F, v, ginv):
+def trace3(F, v, ginv):
+    """Grouped form 2 (F_{AB} F^{AB} v_C v^C - 2 F^{AC} F_{AB} v^B v_C)."""
     s12, t2 = _trace3_pieces(F, v, ginv)
     return 2.0 * (s12 - 2.0 * t2)
 
@@ -115,86 +125,31 @@ def _trace4_pieces(F, ginv):
     return s1, np.einsum("...ab,...ba->...", M2, M2)
 
 
-def _trace4(F, ginv):
+def trace4(F, ginv):
+    """Grouped form (F_{AB} F^{AB})^2 - 2 tr((g^{-1} F)^4)."""
     s1, t4 = _trace4_pieces(F, ginv)
     return s1 * s1 - 2.0 * t4
 
 
-def _eps(F, w, ginv):
-    """eps~^{A...} F_{AB} w_{C...} with the density factor sqrt|det g^{-1}|,
-    in n = 3 (w is a vector v) or n = 4 (w is a second F) dimensions."""
+def eps(F, w, ginv):
+    """epsilon-tensor contraction with its density factor sqrt|det g^{-1}|:
+    eps~^{ABC} F_{AB} v_C in n = 3 (w is a vector v), eps~^{ABCD} F_{AB}
+    F_{CD} in n = 4 (w is a second F). Its square is a multiple of delta3
+    or trace4; the identity suite measures the factor and its sign."""
     idx = "abcd"[: F.shape[-1]]
     raw = np.einsum(f"{idx},...ab,...{idx[2:]}->...", epsilon_symbol(len(idx)), F, w)
     return raw * np.sqrt(np.abs(np.linalg.det(ginv)))
-
-
-def _at_node(kernel, g, *tensors):
-    """One node of a stack kernel, from the covariant metric g."""
-    return float(kernel(*(np.asarray(t, dtype=float) for t in tensors), np.linalg.inv(g)))
-
-
-def delta_contract_scalar(F, v, g):
-    """Rank-3 generalized delta contracted with (F, v) on both index groups.
-
-    delta^{ABC}_{DEF} F_{AB} v_C F^{DE} v^F, evaluated as the literal sum of
-    six signed permutation terms.
-    """
-    return _at_node(_delta3, g, F, v)
-
-
-def trace_form_scalar(F, v, g):
-    """Grouped form 2 (F_{AB} F^{AB} v_C v^C - 2 F^{AC} F_{AB} v^B v_C)."""
-    return _at_node(_trace3, g, F, v)
-
-
-def delta_contract_quartic(F, g):
-    """Rank-4 generalized delta contracted with four copies of F.
-
-    delta^{ABCD}_{EFGH} F_{AB} F_{CD} F^{EF} F^{GH} as the literal sum of
-    twenty-four signed permutation terms.
-    """
-    return _at_node(_delta4, g, F)
-
-
-def trace_form_quartic(F, g):
-    """Grouped form (F_{AB} F^{AB})^2 - 2 tr((g^{-1} F)^4)."""
-    return _at_node(_trace4, g, F)
 
 
 @lru_cache(maxsize=None)
 def epsilon_symbol(n):
     """Totally antisymmetric permutation symbol with n indices, entries in
     {-1, 0, +1}."""
-    eps = np.zeros((n,) * n)
+    sym = np.zeros((n,) * n)
     for p in permutations(range(n)):
-        eps[p] = _perm_sign(p)
-    eps.setflags(write=False)
-    return eps
-
-
-def eps_contract_fv(F, v, g):
-    """epsilon-tensor contraction eps~^{ABC} F_{AB} v_C with the explicit
-    1/sqrt(|det g|) density factor."""
-    return _at_node(_eps, g, F, v)
-
-
-def eps_contract_ff(F, g):
-    """epsilon-tensor contraction eps~^{ABCD} F_{AB} F_{CD} with the explicit
-    1/sqrt(|det g|) density factor."""
-    return _at_node(_eps, g, F, F)
-
-
-def eps_square_3d(F, v, g):
-    """Square of the rank-3 epsilon contraction. Equals the rank-3 delta
-    contraction up to a metric-signature sign, which the identity suite
-    measures rather than assumes."""
-    return eps_contract_fv(F, v, g) ** 2
-
-
-def eps_square_4d(F, g):
-    """Square of the rank-4 epsilon contraction; compared against the quartic
-    trace form by the identity suite."""
-    return eps_contract_ff(F, g) ** 2
+        sym[p] = _perm_sign(p)
+    sym.setflags(write=False)
+    return sym
 
 
 def born_infeld_density(F, g, alpha, C=1.0):
@@ -218,7 +173,7 @@ def born_infeld_density(F, g, alpha, C=1.0):
     return C / alpha**2 * (np.sqrt(d1) - np.sqrt(d0))
 
 
-def _suite_dims(dims):
+def suite_dims(dims):
     """The sorted distinct dimensions of an identity suite: each at least 3,
     and 3 and 4 among them for the epsilon rows."""
     dims = tuple(sorted(set(int(d) for d in dims)))
@@ -241,19 +196,19 @@ def identity_suite(dims=(3, 4, 6), trials=500, rng=None, signature="euclidean"):
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    dims = _suite_dims(dims)
+    dims = suite_dims(dims)
     # ratio: (dimensions, numerator route, denominator route); the rank-3
     # routes contract F with a vector v, the rank-4 routes F with itself
     plans = {
-        "delta3_vs_trace3": (list(dims), _delta3, _trace3),
-        "delta4_vs_trace4": ([d for d in dims if d >= 4], _delta4, _trace4),
-        "eps3_vs_delta3": ([3], lambda F, v, ginv: _eps(F, v, ginv) ** 2, _delta3),
-        "eps4_vs_trace4": ([4], lambda F, ginv: _eps(F, F, ginv) ** 2, _trace4),
+        "delta3_vs_trace3": (list(dims), delta3, trace3),
+        "delta4_vs_trace4": ([d for d in dims if d >= 4], delta4, trace4),
+        "eps3_vs_delta3": ([3], lambda F, v, ginv: eps(F, v, ginv) ** 2, delta3),
+        "eps4_vs_trace4": ([4], lambda F, ginv: eps(F, F, ginv) ** 2, trace4),
     }
     floor = 1e-3
     out = {}
     for name, (ds, num_route, den_route) in plans.items():
-        rank3 = den_route in (_trace3, _delta3)
+        rank3 = den_route in (trace3, delta3)
         per = -(-trials // len(ds))
         vals = []
         redraws = 0

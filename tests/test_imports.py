@@ -1,5 +1,6 @@
-"""Every name a package module imports is used there, and importing a
-module loads no more than it needs.
+"""Every name a package module imports is used there, it takes from its
+siblings only the names they export, and importing a module loads no more
+than it needs.
 
 A name counts as used when the module reads it or lists it in __all__. An
 import statement carrying "# noqa: F401" is exempt: it binds a name on
@@ -29,14 +30,18 @@ def _imported(tree, lines):
             yield (alias.asname or alias.name).split(".")[0], node.lineno
 
 
-def _used(tree):
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def _listed(tree):
+    """The names in the module's __all__, or None when it has none."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            names.update(ast.literal_eval(node.value))
-    return names
+            return set(ast.literal_eval(node.value))
+    return None
+
+
+def _used(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | (_listed(tree) or set())
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -65,3 +70,44 @@ def test_package_root_and_algebra_core_load_only_what_they_use():
     loaded = _loaded_after("import uinf.reduction")
     assert {"uinf.sphere_algebra", "uinf.tensor_kernels", "uinf.gauge_fields"} <= set(loaded)
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def _exported(sibling, name):
+    """Whether a sibling offers name: it is in the sibling's __all__, or the
+    sibling has none and the name is not private (a dunder such as
+    __version__ is not private)."""
+    listed = _listed(ast.parse((SRC / "uinf" / (sibling + ".py")).read_text()))
+    if listed is not None:
+        return name in listed
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def _taken(tree):
+    """(sibling, name, line) of every name the module takes from a sibling,
+    by `from .m import x` or as `m.x` after `from . import m`. The package
+    modules import each other relatively."""
+    siblings = {p.stem for p in SOURCES}
+    modules = {}  # local name -> sibling module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            origin = node.module or "__init__"
+            for alias in node.names:
+                if origin == "__init__" and alias.name in siblings:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    yield origin, alias.name, node.lineno
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            yield modules[node.value.id], node.attr, node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_takes_only_exported_names_from_siblings(path):
+    """A sibling's private helpers and unlisted names stay its own: every
+    name taken from a sibling is in that sibling's __all__ (or, without
+    one, does not start with an underscore)."""
+    bad = ["%s.%s (line %d)" % (sibling, name, line)
+           for sibling, name, line in _taken(ast.parse(path.read_text()))
+           if not _exported(sibling, name)]
+    assert bad == [], "%s takes names its siblings do not export: %s" % (path.name, bad)

@@ -240,6 +240,29 @@ def test_energy_scan_rows(reference_profile):
     assert rows[1]["dE_over_E0"] > rows[0]["dE_over_E0"]
 
 
+def test_energy_scan_computes_each_integral_once(monkeypatch):
+    """A scan integrates the energy and the correction of its profile once,
+    not once per evb, and its rows equal physical_energy's bit for bit."""
+    calls = []
+
+    def count(name):
+        real = getattr(monopole, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(monopole, name, counted)
+
+    count("energy_breakdown")
+    count("second_line_integral")
+    evbs = [0.1, 0.2, 0.3]
+    rows = energy_scan(evbs, xi_max=10.0, n=800)
+    assert sorted(calls) == ["energy_breakdown", "second_line_integral"]
+    profile = bps_profile(RadialGrid(10.0, 800))
+    assert rows == [physical_energy(profile, evb) for evb in evbs]
+
+
 def test_convergence_toward_continuum():
     out = convergence_check(xi_max=25.0, n=4000)
     assert 2.5 < out["observed_order"] < 3.5

@@ -15,7 +15,6 @@ from uinf.sphere_algebra import (
     grid_for_band_limit,
     integral_of_product,
     lm_index,
-    make_grid,
     product,
     random_real_field,
     structure_constants,
@@ -74,7 +73,7 @@ def test_basis_orthogonality():
 def test_synthesis_analysis_roundtrip():
     rng = np.random.default_rng(4)
     f = random_real_field(5, rng)
-    grid = make_grid(5)
+    grid = grid_for_band_limit(2 * 5)
     back = analyze(synthesize(f, grid), 5, grid)
     np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-13)
 
@@ -83,7 +82,7 @@ def test_real_field_synthesizes_real():
     rng = np.random.default_rng(11)
     f = random_real_field(4, rng)
     assert f.is_real()
-    grid = make_grid(4)
+    grid = grid_for_band_limit(2 * 4)
     for vals in (synthesize(f, grid), *f.grad_values(grid)):
         assert not np.iscomplexobj(vals) or np.max(np.abs(vals.imag)) == 0.0
 
@@ -110,7 +109,7 @@ def _direct_sum(f, theta, phi, weight=lambda l, m: 1.0):
 def test_complex_field_synthesis_and_gradient_match_direct_sums():
     f = _random_complex_field(4, np.random.default_rng(21))
     assert not f.is_real()
-    grid = make_grid(4)
+    grid = grid_for_band_limit(2 * 4)
     theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
     np.testing.assert_allclose(synthesize(f, grid), _direct_sum(f, theta, phi), atol=1e-13)
     dx, dphi = f.grad_values(grid)
@@ -123,7 +122,7 @@ def test_complex_field_synthesis_and_gradient_match_direct_sums():
 
 def test_complex_values_roundtrip():
     f = _random_complex_field(4, np.random.default_rng(22))
-    grid = make_grid(4)
+    grid = grid_for_band_limit(2 * 4)
     back = analyze(synthesize(f, grid), 4, grid)
     np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-13)
 
@@ -396,7 +395,7 @@ def test_grid_rejects_insufficient_sampling():
 )
 def test_roundtrip_property(l, seed):
     f = random_real_field(l, np.random.default_rng(seed))
-    grid = make_grid(max(l, 1))
+    grid = grid_for_band_limit(2 * max(l, 1))
     back = analyze(synthesize(f, grid), f.l_max, grid)
     np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-12)
 

@@ -3,22 +3,18 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from uinf import tensor_kernels
 from uinf.tensor_kernels import (
     born_infeld_density,
-    delta_contract_quartic,
-    delta_contract_scalar,
-    eps_contract_ff,
-    eps_contract_fv,
+    delta3,
+    delta4,
+    eps,
     epsilon_symbol,
-    eps_square_3d,
-    eps_square_4d,
     identity_suite,
     minkowski_metric,
     random_antisymmetric,
     random_metric,
-    trace_form_quartic,
-    trace_form_scalar,
+    trace3,
+    trace4,
 )
 
 QUARTIC_RATIO = 8.0
@@ -32,9 +28,9 @@ def test_worked_scalar_example():
     F[1, 2] = 1.0
     F[2, 1] = -1.0
     v = np.array([0.0, 0.0, 1.0])
-    g = np.eye(3)
-    assert delta_contract_scalar(F, v, g) == pytest.approx(4.0, abs=1e-14)
-    assert trace_form_scalar(F, v, g) == pytest.approx(4.0, abs=1e-14)
+    ginv = np.linalg.inv(np.eye(3))
+    assert delta3(F, v, ginv) == pytest.approx(4.0, abs=1e-14)
+    assert trace3(F, v, ginv) == pytest.approx(4.0, abs=1e-14)
 
 
 def test_block_diagonal_quartic_example():
@@ -43,11 +39,11 @@ def test_block_diagonal_quartic_example():
     F = np.zeros((4, 4))
     F[0, 1], F[1, 0] = a, -a
     F[2, 3], F[3, 2] = b, -b
-    g = np.eye(4)
-    tr = trace_form_quartic(F, g)
+    ginv = np.linalg.inv(np.eye(4))
+    tr = trace4(F, ginv)
     assert tr == pytest.approx(8.0 * a**2 * b**2, rel=1e-13)
-    assert delta_contract_quartic(F, g) == pytest.approx(QUARTIC_RATIO * tr, rel=1e-13)
-    assert eps_square_4d(F, g) == pytest.approx(64.0 * a**2 * b**2, rel=1e-13)
+    assert delta4(F, ginv) == pytest.approx(QUARTIC_RATIO * tr, rel=1e-13)
+    assert eps(F, F, ginv) ** 2 == pytest.approx(64.0 * a**2 * b**2, rel=1e-13)
 
 
 def test_epsilon_symbol_entries():
@@ -93,8 +89,9 @@ def test_eps_ratio_tracks_metric_determinant_sign():
             g = random_metric(3, rng, signature=signature)
             F = random_antisymmetric(3, rng)
             v = rng.standard_normal(3)
-            lhs = eps_square_3d(F, v, g)
-            rhs = delta_contract_scalar(F, v, g)
+            ginv = np.linalg.inv(g)
+            lhs = eps(F, v, ginv) ** 2
+            rhs = delta3(F, v, ginv)
             s = np.sign(np.linalg.det(g))
             assert lhs == pytest.approx(s * rhs, rel=1e-9, abs=1e-12)
 
@@ -162,7 +159,7 @@ def test_identity_suite_rejects_missing_base_dims():
        signature=st.sampled_from(["euclidean", "lorentzian"]))
 def test_stacked_kernels_match_the_node_functions(seed, signature):
     """Every kernel on a (2, 3) stack of draws, each with its own metric,
-    equals the public per-node function at every node."""
+    equals the same kernel on each node's slice."""
     rng = np.random.default_rng(seed)
 
     def draw(n, signature, scale=1.0):
@@ -173,14 +170,14 @@ def test_stacked_kernels_match_the_node_functions(seed, signature):
     g3, F3, v3 = draw(3, signature)
     g4, F4, _ = draw(4, signature)
     gl, Fl, _ = draw(4, "lorentzian", scale=0.1)
-    tk = tensor_kernels
+    inv = np.linalg.inv
     rows = [
-        (tk._delta3(F3, v3, np.linalg.inv(g3)), lambda i: delta_contract_scalar(F3[i], v3[i], g3[i])),
-        (tk._trace3(F3, v3, np.linalg.inv(g3)), lambda i: trace_form_scalar(F3[i], v3[i], g3[i])),
-        (tk._eps(F3, v3, np.linalg.inv(g3)), lambda i: eps_contract_fv(F3[i], v3[i], g3[i])),
-        (tk._delta4(F4, np.linalg.inv(g4)), lambda i: delta_contract_quartic(F4[i], g4[i])),
-        (tk._trace4(F4, np.linalg.inv(g4)), lambda i: trace_form_quartic(F4[i], g4[i])),
-        (tk._eps(F4, F4, np.linalg.inv(g4)), lambda i: eps_contract_ff(F4[i], g4[i])),
+        (delta3(F3, v3, inv(g3)), lambda i: delta3(F3[i], v3[i], inv(g3[i]))),
+        (trace3(F3, v3, inv(g3)), lambda i: trace3(F3[i], v3[i], inv(g3[i]))),
+        (eps(F3, v3, inv(g3)), lambda i: eps(F3[i], v3[i], inv(g3[i]))),
+        (delta4(F4, inv(g4)), lambda i: delta4(F4[i], inv(g4[i]))),
+        (trace4(F4, inv(g4)), lambda i: trace4(F4[i], inv(g4[i]))),
+        (eps(F4, F4, inv(g4)), lambda i: eps(F4[i], F4[i], inv(g4[i]))),
         (born_infeld_density(Fl, gl, 0.7, C=1.3), lambda i: born_infeld_density(Fl[i], gl[i], 0.7, C=1.3)),
     ]
     for stacked, node in rows:
