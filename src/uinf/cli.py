@@ -88,8 +88,7 @@ _DIMS = _rule("a comma list of dimensions >= 3 including 3 and 4",
 def _config_tokens(args, rest):
     """The --config lines as one --flag=value token per value (per pair for
     coeff, whose lines drop out when --coeff is given in rest)."""
-    known = set(vars(args)) - {"handler", "command_path", "command", "subcommand", "config",
-                               "required_flags"}
+    known = set(vars(args)) - {"handler", "command_path", "command", "subcommand", "config"}
     tokens = []
     with open(args.config) as fh:
         for raw in fh:
@@ -131,11 +130,11 @@ def cmd_identities(args):
 
 
 def _drawn_reduction_inputs(args, dim, want_scalar):
+    """The seeded jets, the Minkowski spacetime metric and the background."""
     rng = np.random.default_rng(args.seed)
     cfg = random_gauge_config(dim, args.lmax, rng, amplitude=args.amplitude)
     scal = random_adjoint_scalar(dim, args.lmax, rng, amplitude=args.amplitude) if want_scalar else None
-    metric = BlockMetric(minkowski_metric(dim), args.b)
-    return cfg, scal, metric, Background(args.e)
+    return cfg, scal, minkowski_metric(dim), Background(args.e)
 
 
 def _reduce_result(args, rep, groups=("vanishing_group_rel",),
@@ -150,19 +149,19 @@ def _reduce_result(args, rep, groups=("vanishing_group_rel",),
 
 
 def cmd_reduce_scalar(args):
-    cfg, scal, metric, bg = _drawn_reduction_inputs(args, args.D, True)
-    return _reduce_result(args, reduction.reduce_scalar(cfg, scal, metric, bg))
+    cfg, scal, g, bg = _drawn_reduction_inputs(args, args.D, True)
+    return _reduce_result(args, reduction.reduce_scalar(cfg, scal, BlockMetric(g, args.b), bg))
 
 
 def cmd_reduce_ym(args):
-    cfg, _, metric, bg = _drawn_reduction_inputs(args, args.D, False)
-    return _reduce_result(args, reduction.reduce_yang_mills(cfg, metric, bg))
+    cfg, _, g, bg = _drawn_reduction_inputs(args, args.D, False)
+    return _reduce_result(args, reduction.reduce_yang_mills(cfg, BlockMetric(g, args.b), bg))
 
 
 def cmd_reduce_two_dim(args):
     """The two-dimensional checks, then those of the nested Yang-Mills split."""
-    cfg, _, metric, bg = _drawn_reduction_inputs(args, 2, False)
-    rep = reduction.two_dim_report(cfg, metric, bg)
+    cfg, _, g, bg = _drawn_reduction_inputs(args, 2, False)
+    rep = reduction.two_dim_report(cfg, BlockMetric(g, args.b), bg)
     document, checks = _reduce_result(args, rep, groups=("group_0_rel", "group_1_rel"),
                                       residuals=("pointwise_residual_rel",))
     nested = _reduce_result(args, rep["report"])[1]
@@ -170,10 +169,8 @@ def cmd_reduce_two_dim(args):
 
 
 def cmd_reduce_scan_b(args):
-    rng = np.random.default_rng(args.seed)
-    cfg = random_gauge_config(args.D, args.lmax, rng, amplitude=args.amplitude)
-    scal = random_adjoint_scalar(args.D, args.lmax, rng, amplitude=args.amplitude)
-    scan = reduction.b_scan(cfg, scal, minkowski_metric(args.D), Background(args.e), args.b_list)
+    cfg, scal, g, bg = _drawn_reduction_inputs(args, args.D, True)
+    scan = reduction.b_scan(cfg, scal, g, bg, args.b_list)
     columns = ["b", "q", "covariant_group", "residual_group_1",
                "residual_group_0", "ratio", "fit_exponent"]
     rows = [[row[c] for c in columns] for row in scan["rows"]]
@@ -183,14 +180,9 @@ def cmd_reduce_scan_b(args):
 
 
 def cmd_reduce_born_infeld(args):
-    rng = np.random.default_rng(args.seed)
-    cfg = random_gauge_config(args.D, args.lmax, rng, amplitude=args.amplitude)
-    spacetime = minkowski_metric(args.D)
-    bg = Background(args.e)
-    reps = [
-        reduction.born_infeld_report(cfg, BlockMetric(spacetime, b), bg, args.alpha, C=args.C)
-        for b in args.b_list
-    ]
+    cfg, _, g, bg = _drawn_reduction_inputs(args, args.D, False)
+    reps = [reduction.born_infeld_report(cfg, BlockMetric(g, b), bg, args.alpha, C=args.C)
+            for b in args.b_list]
     columns = ["b", "alpha", "lhs", "rhs", "ratio", "drift"]
     rows = [[rep[c] for c in columns] for rep in reps]
     meta = _meta(args, D=args.D, e=args.e, lmax=args.lmax, amplitude=args.amplitude, C=args.C)
@@ -225,7 +217,8 @@ def cmd_monopole_energy(args):
     breakdown = monopole.energy_breakdown(profile)
     coeffs, recorded = _coeff_table(args)
     physical = monopole.physical_energy(
-        profile, args.evb, v=args.v, beta=args.beta, e=args.e, b=args.b, coeffs=coeffs,
+        breakdown, monopole.second_line_integral(profile, coeffs), args.evb,
+        v=args.v, beta=args.beta, e=args.e, b=args.b,
     )
     payload = {
         "meta": _meta(args, xi_max=args.xi_max, n=args.n, **recorded),
@@ -289,8 +282,13 @@ def cmd_algebra_su2(args):
 
 
 def cmd_algebra_bracket(args):
+    paths = (("--f", args.f), ("--g", args.g))
+    missing = [flag for flag, path in paths if path is None]
+    if missing:  # checked after the --config merge, so either may give them
+        raise ValueError("%s needs %s, as a flag or a config line"
+                         % (args.command_path, " and ".join(missing)))
     fields = []
-    for flag, path in (("--f", args.f), ("--g", args.g)):
+    for flag, path in paths:
         with open(path) as fh:
             try:
                 fields.append(HarmonicField.from_dict(json.load(fh)))
@@ -309,13 +307,12 @@ def build_parser():
     with its type, except the paths (--config, --out, --f, --g) and
     --signature, whose choices argparse checks. Only the subcommands with a
     check that a tolerance bounds take --tol, with that check's default
-    bound; _parse checks required_flags."""
+    bound."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_at_least(0), default=0, help="random generator seed")
     common.add_argument("--config", default=None,
                         help="file of key = value lines merged under explicit flags")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.set_defaults(required_flags=())
 
     def checked(tol):
         """The common flags, plus --tol with default tol when it is not None."""
@@ -404,8 +401,7 @@ def build_parser():
     sp = alg_sub.add_parser("bracket", parents=[common])
     sp.add_argument("--f", help="JSON file with the first field")
     sp.add_argument("--g", help="JSON file with the second field")
-    sp.set_defaults(handler=cmd_algebra_bracket, command_path="algebra bracket",
-                    required_flags=("--f", "--g"))
+    sp.set_defaults(handler=cmd_algebra_bracket, command_path="algebra bracket")
 
     return parser
 
@@ -413,18 +409,13 @@ def build_parser():
 def _parse(argv):
     """Parse argv; with --config, parse again with the config lines as flags
     between the command path and the rest of argv, so the last value wins and
-    config values meet the same rules. The required flags are checked after
-    the merge, so either may give them."""
+    config values meet the same rules."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         path = args.command_path.split()
         rest = argv[len(path):]
         args = parser.parse_args(path + _config_tokens(args, rest) + rest)
-    missing = [f for f in args.required_flags if getattr(args, f[2:].replace("-", "_")) is None]
-    if missing:
-        raise ValueError("%s needs %s, as a flag or a config line"
-                         % (args.command_path, " and ".join(missing)))
     return args
 
 

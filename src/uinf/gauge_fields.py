@@ -147,12 +147,12 @@ def scalar_kinetic_integral(cfg, scal, metric=None):
     return total
 
 
-def random_gauge_config(dim, l_max, rng, coupling=1.0, amplitude=1.0):
-    """Random real jet with independent components."""
+def random_gauge_config(dim, l_max, rng, amplitude=1.0):
+    """Random real jet with independent components at coupling 1."""
     a = tuple(random_real_field(l_max, rng, amplitude) for _ in range(dim))
     da = tuple(tuple(random_real_field(l_max, rng, amplitude) for _ in range(dim))
                for _ in range(dim))
-    return GaugeConfig(dim, coupling, a, da)
+    return GaugeConfig(dim, 1.0, a, da)
 
 
 def random_adjoint_scalar(dim, l_max, rng, amplitude=1.0):

@@ -498,7 +498,11 @@ def _linear_operator(profile):
     return A
 
 
-def solve_perturbation(profile, coeffs=None, diagnostic_n=400):
+# radial nodes of the coarse companion grid behind the singular value diagnostic
+_DIAGNOSTIC_N = 400
+
+
+def solve_perturbation(profile, coeffs=None):
     """First-order profile response to switching on the correction density.
 
     Solves the linearized system with right-hand side minus the correction
@@ -519,7 +523,7 @@ def solve_perturbation(profile, coeffs=None, diagnostic_n=400):
     rhs[2:-2:2] = -phi_K[1:-1]
     rhs[3:-2:2] = -phi_H[1:-1]
     y = spsolve(A, rhs)
-    coarse = RadialGrid(profile.grid.xi_max, diagnostic_n)
+    coarse = RadialGrid(profile.grid.xi_max, _DIAGNOSTIC_N)
     min_sv = float(np.linalg.svd(_linear_operator(bps_profile(coarse)).toarray(), compute_uv=False)[-1])
     scale = abs(A).sum(axis=1).max() * np.abs(y).max() + np.abs(rhs).max()
     return Perturbation(
@@ -528,7 +532,7 @@ def solve_perturbation(profile, coeffs=None, diagnostic_n=400):
         H1=y[1::2],
         coeffs=c,
         min_singular_value=min_sv,
-        diagnostic_n=diagnostic_n,
+        diagnostic_n=_DIAGNOSTIC_N,
         backward_error=float(np.abs(A @ y - rhs).max() / scale) if scale else 0.0,
     )
 
@@ -605,8 +609,9 @@ def perturbation_report(profile, pert=None):
     }
 
 
-def physical_energy(profile, evb, v=1.0, beta=1.0, e=2.0, b=1.0, coeffs=None):
-    """Dimensionful energy estimate at deformation strength set by evb.
+def physical_energy(breakdown, correction, evb, v=1.0, beta=1.0, e=2.0, b=1.0):
+    """Dimensionful energy estimate at deformation strength set by evb, from
+    a profile's energy breakdown and its correction integral.
 
     The deformation parameter is epsilon = (evb)**4/30, computed from the
     evb argument alone; the overall prefactor 8 pi**2 v beta/(e**3 b**2)
@@ -615,11 +620,7 @@ def physical_energy(profile, evb, v=1.0, beta=1.0, e=2.0, b=1.0, coeffs=None):
     parameters.  The integer check on 2/e is a reported flag, never an
     error.
     """
-    return _energy_row(evb, energy_breakdown(profile).completed,
-                       second_line_integral(profile, coeffs), profile.grid.xi_max, v, beta, e, b)
-
-
-def _energy_row(evb, completed, correction, cutoff, v, beta, e, b):
+    completed = breakdown.completed
     epsilon = evb ** 4 / 30.0
     prefactor = 8.0 * np.pi ** 2 * v * beta / (e ** 3 * b ** 2)
     return {
@@ -628,7 +629,7 @@ def _energy_row(evb, completed, correction, cutoff, v, beta, e, b):
         "E0_integral": completed,
         "correction_integral": correction,
         "dE_over_E0": epsilon * correction / completed,
-        "cutoff": cutoff,
+        "cutoff": breakdown.xi_max,
         "prefactor": prefactor,
         "total": prefactor * (completed + epsilon * correction),
         "quantization_ok": abs(2.0 / e - round(2.0 / e)) < 1e-12,
@@ -639,9 +640,9 @@ def energy_scan(evb_list, xi_max=25.0, n=4000, v=1.0, beta=1.0, e=2.0, b=1.0, co
     """physical_energy of one closed-form profile at each evb; the two
     integrals do not depend on evb and are computed once."""
     profile = bps_profile(RadialGrid(xi_max, n))
-    completed = energy_breakdown(profile).completed
+    breakdown = energy_breakdown(profile)
     correction = second_line_integral(profile, coeffs)
-    return [_energy_row(evb, completed, correction, xi_max, v, beta, e, b) for evb in evb_list]
+    return [physical_energy(breakdown, correction, evb, v, beta, e, b) for evb in evb_list]
 
 
 def convergence_check(xi_max=25.0, n=4000):

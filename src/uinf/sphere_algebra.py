@@ -23,7 +23,6 @@ __all__ = [
     "HarmonicField",
     "Su2Generators",
     "grid_for_band_limit",
-    "eval_harmonic",
     "synthesize",
     "analyze",
     "bracket",
@@ -79,7 +78,8 @@ class SphereGrid:
     Integration is exact for integrands of harmonic band <= 2*band_limit;
     analysis is exact for fields of band <= band_limit. trig[m] holds
     (cos(m phi), -sin(m phi)) for 0 <= m <= band_limit, so that
-    Re(a exp(i m phi)) = (Re a, Im a) . trig[m].
+    Re(a exp(i m phi)) = (Re a, Im a) . trig[m]. w2d holds the quadrature
+    weights on the (theta, phi) product grid; they sum to 4 pi.
     """
 
     band_limit: int
@@ -88,65 +88,32 @@ class SphereGrid:
     x: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
+    sin_theta: np.ndarray = field(repr=False)
+    w2d: np.ndarray = field(repr=False)
     P: np.ndarray = field(repr=False)
     dPdx: np.ndarray = field(repr=False)
     trig: np.ndarray = field(repr=False)
 
-    @property
-    def theta(self):
-        return np.arccos(self.x)
-
-    @property
-    def sin_theta(self):
-        return np.sqrt(1.0 - self.x * self.x)
-
-    @property
-    def w2d(self):
-        """Quadrature weights on the (theta, phi) product grid; sums to 4 pi."""
-        return np.outer(self.w, np.full(self.n_phi, 2.0 * math.pi / self.n_phi))
-
 
 @lru_cache(maxsize=None)
-def grid_for_band_limit(band_limit, n_theta=None, n_phi=None):
-    """Grid whose analysis is exact for fields of the given band limit.
-
-    Defaults: n_theta = band_limit + 1 (Gauss-Legendre exact to polynomial
-    degree 2*band_limit + 1), n_phi = 2*band_limit + 1 (exact Fourier
-    integration for azimuthal orders up to 2*band_limit).
-    """
+def grid_for_band_limit(band_limit):
+    """Grid whose analysis is exact for fields of the given band limit:
+    band_limit + 1 Gauss-Legendre nodes (exact to polynomial degree
+    2*band_limit + 1) by 2*band_limit + 1 phi nodes (exact Fourier
+    integration for azimuthal orders up to 2*band_limit)."""
     if band_limit < 0:
         raise ValueError("band limit must be nonnegative")
-    if n_theta is None:
-        n_theta = band_limit + 1
-    if n_phi is None:
-        n_phi = 2 * band_limit + 1
-    if n_theta < band_limit + 1 or n_phi < 2 * band_limit + 1:
-        raise ValueError("grid too coarse for band limit")
+    n_theta, n_phi = band_limit + 1, 2 * band_limit + 1
     x, w = leggauss(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    w2d = np.outer(w, np.full(n_phi, 2.0 * math.pi / n_phi))
     P, dPdx = _legendre_tables(band_limit, x)
     m_phi = np.outer(np.arange(band_limit + 1), phi)
     trig = np.stack([np.cos(m_phi), -np.sin(m_phi)], axis=1)
-    for arr in (x, w, phi, P, dPdx, trig):
+    arrays = (x, w, phi, np.sqrt(1.0 - x * x), w2d, P, dPdx, trig)
+    for arr in arrays:
         arr.setflags(write=False)
-    return SphereGrid(band_limit, n_theta, n_phi, x, w, phi, P, dPdx, trig)
-
-
-def eval_harmonic(l, m, theta, phi):
-    """Orthonormal spherical harmonic Y_lm(theta, phi), Condon-Shortley."""
-    if l < 0 or abs(m) > l:
-        raise ValueError("need 0 <= |m| <= l")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    x = np.atleast_1d(np.cos(theta)).ravel()
-    P, _ = _legendre_tables(l, x)
-    val = P[l, abs(m)].reshape(np.cos(theta).shape if theta.shape else ())
-    if m < 0:
-        val = val * (-1) ** (abs(m) % 2)
-    out = val * np.exp(1j * m * phi)
-    if out.shape == ():
-        return complex(out)
-    return out
+    return SphereGrid(band_limit, n_theta, n_phi, *arrays)
 
 
 @dataclass(frozen=True)
@@ -173,14 +140,13 @@ class HarmonicField:
         return cls(l_max, np.zeros((l_max + 1, 2 * l_max + 1), dtype=complex))
 
     @classmethod
-    def basis(cls, l, m, l_max=None):
-        if l_max is None:
-            l_max = l
-        if l > l_max or abs(m) > l:
-            raise ValueError("need |m| <= l <= l_max")
-        c = np.zeros((l_max + 1, 2 * l_max + 1), dtype=complex)
-        c[l, l_max + m] = 1.0
-        return cls(l_max, c)
+    def basis(cls, l, m):
+        """The harmonic Y_lm as a field of band limit l."""
+        if abs(m) > l:
+            raise ValueError("need |m| <= l")
+        c = np.zeros((l + 1, 2 * l + 1), dtype=complex)
+        c[l, l + m] = 1.0
+        return cls(l, c)
 
     def get(self, l, m):
         if l > self.l_max or abs(m) > l:

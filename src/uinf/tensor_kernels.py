@@ -247,10 +247,10 @@ def identity_suite(dims=(3, 4, 6), trials=500, rng=None, signature="euclidean"):
     return out
 
 
-def random_antisymmetric(n, rng, scale=1.0):
+def random_antisymmetric(n, rng):
     """Antisymmetric matrix A - A^T from iid normals; exactly antisymmetric
     in floating point."""
-    A = rng.standard_normal((n, n)) * (scale / 2.0)
+    A = rng.standard_normal((n, n)) / 2.0
     return A - A.T
 
 

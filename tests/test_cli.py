@@ -464,6 +464,22 @@ def test_non_finite_report_value_is_null_and_exits_one(monkeypatch, capsys):
     ]
 
 
+def test_monopole_energy_integrates_the_profile_energy_once(monkeypatch, capsys):
+    """The breakdown in the report and the physical estimate share one
+    energy integral."""
+    calls = []
+    real = monopole.energy_breakdown
+
+    def counted(profile):
+        calls.append(profile.grid.n)
+        return real(profile)
+
+    monkeypatch.setattr(monopole, "energy_breakdown", counted)
+    rc, _, _ = run(capsys, ["monopole", "energy", "--xi-max", "10", "--n", "800"])
+    assert rc == 0
+    assert calls == [800]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_broken_perturbation_response_is_reported(capsys):
     """A coefficient that overflows the response leaves null cells, names

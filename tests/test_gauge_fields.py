@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ def test_field_strength_antisymmetry():
 
 def test_field_strength_abelian_limit():
     rng = np.random.default_rng(1)
-    cfg = random_gauge_config(3, 2, rng, coupling=0.0)
+    cfg = replace(random_gauge_config(3, 2, rng), coupling=0.0)
     f = field_strength(cfg, 0, 2)
     lin = cfg.da[0][2] - cfg.da[2][0]
     np.testing.assert_array_equal(f.coeffs, lin.pad_to(f.l_max).coeffs)

@@ -111,3 +111,67 @@ def test_module_takes_only_exported_names_from_siblings(path):
            for sibling, name, line in _taken(ast.parse(path.read_text()))
            if not _exported(sibling, name)]
     assert bad == [], "%s takes names its siblings do not export: %s" % (path.name, bad)
+
+
+BENCH = SRC.parent / "bench"
+
+
+def _defaulted(tree):
+    """(function, parameter, position) of every defaulted parameter of a
+    public function or method. The position counts the positional arguments
+    a call passes before reaching it, self and cls not included; it is None
+    for a keyword-only parameter."""
+    def visit(body, method):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield from visit(node.body, True)
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    yield node.name, arg.arg, i - int(method)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield node.name, arg.arg, None
+    yield from visit(tree.body, False)
+
+
+def _passed(trees):
+    """Called name -> (most positional arguments at one call, keywords
+    passed at any call); a starred argument counts as every position, a
+    ** argument as every keyword (None)."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            count, keywords = passed.setdefault(name, (0, set()))
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords.update(k.arg for k in node.keywords)
+            passed[name] = (max(count, float("inf") if starred else len(node.args)), keywords)
+    return passed
+
+
+def test_every_library_default_is_set_by_a_caller():
+    """A defaulted parameter that no call in the package or the benchmark
+    sets has one value in use, which belongs in the body as a constant. A
+    public function that nothing there calls is a test harness (for example
+    variational_check) and is exempt."""
+    callers = [path for path in SOURCES + sorted(BENCH.glob("*.py"))
+               if not path.name.startswith("test_")]
+    passed = _passed(ast.parse(path.read_text()) for path in callers)
+    unset = []
+    for path in SOURCES:
+        for func, name, position in _defaulted(ast.parse(path.read_text())):
+            # cli.main is the console entry point: the installed script calls
+            # it with no argument, so argv=None (read sys.argv) is the value
+            # in use and a list is passed only by tests
+            if func not in passed or (path.stem, func) == ("cli", "main"):
+                continue
+            count, keywords = passed[func]
+            if not ({name, None} & keywords or (position is not None and count > position)):
+                unset.append("%s.%s(%s)" % (path.stem, func, name))
+    assert unset == [], "defaults that only tests set: %s" % unset

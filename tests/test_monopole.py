@@ -192,7 +192,7 @@ def test_perturbation_backward_error_is_reported(reference_profile):
 def test_backward_error_stays_small_on_a_fine_grid():
     """||A y - b||/||b|| grows like 1/h**2 (1.1e-8 here); the backward error
     does not, so its 1e-8 bound holds at any --n."""
-    pert = solve_perturbation(bps_profile(RadialGrid(10.0, 64000)), diagnostic_n=16)
+    pert = solve_perturbation(bps_profile(RadialGrid(10.0, 64000)))
     assert 0.0 < pert.backward_error < 1e-14
 
 
@@ -222,13 +222,15 @@ def test_perturbation_report_structure(reference_profile):
 
 def test_physical_energy_scaling(reference_profile):
     evb = 0.1
-    out = physical_energy(reference_profile, evb, v=1.0, beta=1.0, e=2.0, b=1.0)
+    breakdown = energy_breakdown(reference_profile)
+    correction = second_line_integral(reference_profile)
+    out = physical_energy(breakdown, correction, evb, v=1.0, beta=1.0, e=2.0, b=1.0)
     assert out["epsilon"] == pytest.approx(evb**4 / 30.0, rel=1e-15)
     assert out["prefactor"] == pytest.approx(np.pi**2, rel=1e-15)
     assert out["quantization_ok"]
     expected = out["prefactor"] * (out["E0_integral"] + out["epsilon"] * out["correction_integral"])
     assert out["total"] == pytest.approx(expected, rel=1e-12)
-    odd = physical_energy(reference_profile, evb, e=3.0)
+    odd = physical_energy(breakdown, correction, evb, e=3.0)
     assert not odd["quantization_ok"]
 
 
@@ -260,7 +262,8 @@ def test_energy_scan_computes_each_integral_once(monkeypatch):
     rows = energy_scan(evbs, xi_max=10.0, n=800)
     assert sorted(calls) == ["energy_breakdown", "second_line_integral"]
     profile = bps_profile(RadialGrid(10.0, 800))
-    assert rows == [physical_energy(profile, evb) for evb in evbs]
+    breakdown, correction = energy_breakdown(profile), second_line_integral(profile)
+    assert rows == [physical_energy(breakdown, correction, evb) for evb in evbs]
 
 
 def test_convergence_toward_continuum():

@@ -11,7 +11,6 @@ from uinf.sphere_algebra import (
     HarmonicField,
     analyze,
     bracket,
-    eval_harmonic,
     grid_for_band_limit,
     integral_of_product,
     lm_index,
@@ -25,34 +24,38 @@ from uinf.sphere_algebra import (
 C_DIPOLE = 0.4886025119029199  # sqrt(3 / 4 pi)
 
 
+def _nodes(grid):
+    """(theta, phi) of every grid node, shaped like the grid values."""
+    return np.meshgrid(np.arccos(grid.x), grid.phi, indexing="ij")
+
+
 def test_harmonic_matches_scipy_reference():
-    """Pointwise agreement with the scipy spherical harmonics."""
-    rng = np.random.default_rng(3)
+    """Every synthesized basis harmonic up to l = 11 agrees with the scipy
+    spherical harmonics at the grid nodes."""
+    grid = grid_for_band_limit(11)
+    theta, phi = _nodes(grid)
     worst = 0.0
-    for _ in range(200):
-        l = int(rng.integers(0, 12))
-        m = int(rng.integers(-l, l + 1)) if l else 0
-        th = rng.uniform(0.05, np.pi - 0.05)
-        ph = rng.uniform(0.0, 2.0 * np.pi)
-        mine = eval_harmonic(l, m, np.array([th]), np.array([ph]))[0]
-        ref = sph_harm_y(l, m, th, ph)
-        worst = max(worst, abs(mine - ref))
+    for l in range(12):
+        for m in range(-l, l + 1):
+            mine = synthesize(HarmonicField.basis(l, m), grid)
+            worst = max(worst, np.max(np.abs(mine - sph_harm_y(l, m, theta, phi))))
     assert worst < 1e-12
 
 
 def test_harmonic_equator_value():
-    val = eval_harmonic(1, 1, np.array([np.pi / 2]), np.array([0.0]))[0]
+    """Y11 at the equator node x = 0, phi = 0 of the three-node grid."""
+    grid = grid_for_band_limit(2)
+    assert abs(grid.x[1]) < 1e-15 and grid.phi[0] == 0.0
+    val = synthesize(HarmonicField.basis(1, 1), grid)[1, 0]
     assert abs(val - (-np.sqrt(3.0 / (8.0 * np.pi)))) < 1e-14
 
 
 def test_conjugation_symmetry():
-    rng = np.random.default_rng(7)
-    th = rng.uniform(0.1, np.pi - 0.1, size=5)
-    ph = rng.uniform(0.0, 2.0 * np.pi, size=5)
+    grid = grid_for_band_limit(5)
     for l in (1, 2, 5):
         for m in range(1, l + 1):
-            plus = eval_harmonic(l, m, th, ph)
-            minus = eval_harmonic(l, -m, th, ph)
+            plus = synthesize(HarmonicField.basis(l, m), grid)
+            minus = synthesize(HarmonicField.basis(l, -m), grid)
             np.testing.assert_allclose(minus, (-1.0) ** m * np.conj(plus), atol=1e-14)
 
 
@@ -65,8 +68,8 @@ def test_basis_norm_is_one(l, m):
 def test_basis_orthogonality():
     pairs = [((2, 1), (2, -1)), ((3, 0), (2, 0)), ((4, 2), (4, 3))]
     for (l1, m1), (l2, m2) in pairs:
-        a = HarmonicField.basis(l1, m1, l_max=4)
-        b = HarmonicField.basis(l2, m2, l_max=4)
+        a = HarmonicField.basis(l1, m1).pad_to(4)
+        b = HarmonicField.basis(l2, m2).pad_to(4)
         assert abs(a.inner(b)) < 1e-13
 
 
@@ -102,7 +105,7 @@ def _direct_sum(f, theta, phi, weight=lambda l, m: 1.0):
     total = np.zeros(np.broadcast(theta, phi).shape, dtype=complex)
     for l in range(f.l_max + 1):
         for m in range(-l, l + 1):
-            total += weight(l, m) * f.get(l, m) * eval_harmonic(l, m, theta, phi)
+            total += weight(l, m) * f.get(l, m) * sph_harm_y(l, m, theta, phi)
     return total
 
 
@@ -110,7 +113,7 @@ def test_complex_field_synthesis_and_gradient_match_direct_sums():
     f = _random_complex_field(4, np.random.default_rng(21))
     assert not f.is_real()
     grid = grid_for_band_limit(2 * 4)
-    theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    theta, phi = _nodes(grid)
     np.testing.assert_allclose(synthesize(f, grid), _direct_sum(f, theta, phi), atol=1e-13)
     dx, dphi = f.grad_values(grid)
     np.testing.assert_allclose(dphi, _direct_sum(f, theta, phi, lambda l, m: 1j * m), atol=1e-12)
@@ -381,11 +384,9 @@ def test_field_serialization_roundtrip():
     np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-15)
 
 
-def test_grid_rejects_insufficient_sampling():
+def test_grid_rejects_negative_band_limit():
     with pytest.raises(ValueError):
-        grid_for_band_limit(4, n_theta=3)
-    with pytest.raises(ValueError):
-        grid_for_band_limit(4, n_phi=6)
+        grid_for_band_limit(-1)
 
 
 @settings(max_examples=25, deadline=None)

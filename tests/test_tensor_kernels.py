@@ -164,7 +164,7 @@ def test_stacked_kernels_match_the_node_functions(seed, signature):
 
     def draw(n, signature, scale=1.0):
         g = np.array([[random_metric(n, rng, signature) for _ in range(3)] for _ in range(2)])
-        F = np.array([[random_antisymmetric(n, rng, scale) for _ in range(3)] for _ in range(2)])
+        F = np.array([[scale * random_antisymmetric(n, rng) for _ in range(3)] for _ in range(2)])
         return g, F, rng.standard_normal((2, 3, n))
 
     g3, F3, v3 = draw(3, signature)
