@@ -448,6 +448,9 @@ def main(argv=None):
     except ArithmeticError as exc:  # a zero divisor or an overflow, in numpy or Python floats
         print("error: arithmetic failed: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError as exc:  # an array larger than the host can hold
+        print("error: out of memory: %s" % exc, file=sys.stderr)
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -560,16 +560,14 @@ def tail_slope(grid, y):
     return _log_slope(grid.xi, y, 0.6 * grid.xi_max, 0.92 * grid.xi_max)
 
 
-def perturbation_report(profile, pert=None):
-    """Solve for the response and summarize its behavior.
+def perturbation_report(profile, pert):
+    """Summarize the solved response pert of the profile.
 
     Reports the origin exponents and tail slopes of both response functions,
     the linearity of the corrected energy in the deformation parameter, the
     backward error of the solve, and the coarse-grid singularity
-    diagnostic.  Without pert it solves with the published coefficients.
+    diagnostic.
     """
-    if pert is None:
-        pert = solve_perturbation(profile)
     response = max(np.abs(pert.K1).max(), np.abs(pert.H1).max(), 1.0)
     # keep the first-order displacement below ~3e-3 in sup norm so the fit
     # probes the linear-response window of the deformation

@@ -27,7 +27,7 @@ import numpy as np
 
 from .gauge_fields import field_strength, scalar_kinetic_integral, yang_mills_integral
 # bracket stays bound here: bench/test_bench_helpers.py checks every binding site
-from .sphere_algebra import bracket, grid_for_band_limit, integral_of_product  # noqa: F401
+from .sphere_algebra import bracket, grid_for_band_limit, integral_of_product, synthesize  # noqa: F401
 from .tensor_kernels import born_infeld_density, delta3, eps, trace4
 
 __all__ = [
@@ -94,13 +94,13 @@ def _node_data(cfg, scal, grid):
     dav = np.zeros((D, D) + shape)
     for nu in range(D):
         for mu in range(D):
-            dav[nu, mu] = cfg.da[nu][mu].values(grid)
+            dav[nu, mu] = synthesize(cfg.da[nu][mu], grid)
     flow = dav - dav.swapaxes(0, 1)
     out = {"s": s, "dAex": dAex, "flow": flow, "shape": shape}
     if scal is not None:
         dphst = np.zeros((D,) + shape)
         for mu in range(D):
-            dphst[mu] = scal.dphi[mu].values(grid)
+            dphst[mu] = synthesize(scal.dphi[mu], grid)
         px, pp = scal.phi.grad_values(grid)
         dphiex = np.zeros((2,) + shape)
         dphiex[0] = -s * px
@@ -411,7 +411,7 @@ def born_infeld_report(cfg, metric, background, alpha, C=1.0):
     ft_nodes = np.zeros(nd["shape"] + (D, D))
     for mu in range(D):
         for nu in range(mu + 1, D):
-            vals = field_strength(charged, mu, nu).values(grid)
+            vals = synthesize(field_strength(charged, mu, nu), grid)
             ft_nodes[..., mu, nu] = vals
             ft_nodes[..., nu, mu] = -vals
 

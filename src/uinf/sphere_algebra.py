@@ -182,12 +182,15 @@ class HarmonicField:
     def is_real(self):
         return bool(np.max(np.abs(self.coeffs - _mirror(self.coeffs, self.l_max))) <= 1e-12)
 
-    def values(self, grid):
-        return synthesize(self, grid)
-
     def grad_values(self, grid):
-        """Pointwise (df/dx, df/dphi) with x = cos(theta)."""
-        return _gradient_values(self, grid)
+        """Pointwise (df/dx, df/dphi) on the grid, x = cos(theta)."""
+        if grid.band_limit < self.l_max:
+            raise ValueError("grid too coarse for band limit")
+        parts = _real_parts(self)
+        amps = _sum_over_l(parts, grid.P)
+        # d/dphi turns a_m into i m a_m: (re, im) -> m (-im, re)
+        dphi = amps[..., ::-1] * (np.arange(self.l_max + 1)[:, None] * [-1.0, 1.0])
+        return _sum_over_m(_sum_over_l(parts, grid.dPdx), grid), _sum_over_m(dphi, grid)
 
     def integrate(self):
         """Integral over the sphere: sqrt(4 pi) times the constant mode."""
@@ -308,17 +311,6 @@ def synthesize(f, grid):
     return _sum_over_m(_sum_over_l(_real_parts(f), grid.P), grid)
 
 
-def _gradient_values(f, grid):
-    """Pointwise (df/dx, df/dphi) on the grid, x = cos(theta)."""
-    if grid.band_limit < f.l_max:
-        raise ValueError("grid too coarse for band limit")
-    parts = _real_parts(f)
-    amps = _sum_over_l(parts, grid.P)
-    # d/dphi turns a_m into i m a_m: (re, im) -> m (-im, re)
-    dphi = amps[..., ::-1] * (np.arange(f.l_max + 1)[:, None] * [-1.0, 1.0])
-    return _sum_over_m(_sum_over_l(parts, grid.dPdx), grid), _sum_over_m(dphi, grid)
-
-
 def analyze(values, l_max, grid):
     """Project grid values onto harmonics up to l_max by quadrature.
 
@@ -381,26 +373,27 @@ def lm_index(l, m):
 def structure_constants(l_max):
     """f_abc = integral {Y_a, Y_b} conj(Y_c) for all triples within l_max.
 
-    Returned tensor is indexed by lm_index and exactly antisymmetric in the
-    first two slots (filled from the a < b computation); entries with
-    m_c != m_a + m_b are exact zeros.
+    Each integral is one quadrature on the grid of band 2*l_max, exact up to
+    band 4*l_max while the integrand has band at most 3*l_max - 1, so every
+    basis harmonic is transformed once. Returned tensor is indexed by
+    lm_index and exactly antisymmetric in the first two slots (filled from
+    the a < b computation); entries with m_c != m_a + m_b are exact zeros.
     """
     if l_max <= 0:
         raise ValueError("l_max must be positive")
     N = (l_max + 1) ** 2
     out = np.zeros((N, N, N), dtype=complex)
-    pairs = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
-    ls, ms = np.array(pairs).T
-    for ia, (la, ma) in enumerate(pairs):
-        if la == 0:
-            continue
-        for ib in range(ia + 1, N):
-            lb, mb = pairs[ib]
-            br = bracket(HarmonicField.basis(la, ma), HarmonicField.basis(lb, mb))
-            br = br.pad_to(max(br.l_max, l_max))  # rows above the bracket's band are zero
-            # only order m_a + m_b is nonzero; the other orders are rounding noise
-            out[ia, ib] = np.where(ms == ma + mb, br.coeffs[ls, br.l_max + ms], 0.0)
-            out[ib, ia] = -out[ia, ib]
+    grid = grid_for_band_limit(2 * l_max)
+    labels = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+    basis = [HarmonicField.basis(l, m) for l, m in labels]
+    ms = np.array([m for _, m in labels])
+    gx, gp = np.array([f.grad_values(grid) for f in basis]).reshape(N, 2, -1).swapaxes(0, 1)
+    conj_w = np.array([synthesize(f, grid).conj() * grid.w2d for f in basis]).reshape(N, -1)
+    for a in range(1, N):  # pairs a < b; the l = 0 row and column stay zero
+        row = (gx[a] * gp[a + 1:] - gp[a] * gx[a + 1:]) @ conj_w.T
+        # only order m_a + m_b is nonzero; the other orders are rounding noise
+        out[a, a + 1:] = np.where(ms[a] + ms[a + 1:, None] == ms, row, 0.0)
+        out[a + 1:, a] = -out[a, a + 1:]
     return out
 
 

@@ -26,6 +26,7 @@ from uinf.monopole import (
     energy_breakdown,
     perturb_profile,
     perturbation_report,
+    solve_perturbation,
     variational_check,
 )
 from uinf.reduction import (
@@ -228,7 +229,7 @@ def test_criterion_10_energy_lower_bound(reference_profile):
 
 @pytest.fixture(scope="module")
 def correction_report(reference_profile):
-    return perturbation_report(reference_profile)
+    return perturbation_report(reference_profile, solve_perturbation(reference_profile))
 
 
 def test_criterion_11a_origin_exponents(correction_report):

@@ -597,6 +597,19 @@ def test_overflow_on_finite_input_is_an_arithmetic_failure(capsys, sub):
     assert err.startswith("error: arithmetic failed") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["algebra", "structure-constants", "--lmax", "200"],  # a 960 TiB tensor
+    ["monopole", "solve", "--n", "100000000000000"],  # a 728 TiB radial grid
+])
+def test_out_of_memory_is_an_error_line_not_a_traceback(capsys, argv):
+    """Each first array exceeds the 128 TiB x86-64 user address space, so
+    numpy refuses it at once without touching memory; the run exits 1 with
+    one error line."""
+    rc, out, err = run(capsys, argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
 _BAD_FIELDS = [
     [1, 2],
     "field",

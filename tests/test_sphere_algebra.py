@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
+from uinf import sphere_algebra
 from uinf.sphere_algebra import (
     HarmonicField,
     analyze,
@@ -265,6 +266,21 @@ def test_structure_constants_match_brackets():
             assert abs(got - C[i, j, k]) < 1e-13
 
 
+def test_structure_constants_transform_each_basis_harmonic_once(monkeypatch):
+    """One quadrature per row: no bracket per pair, and one gradient
+    transform per basis harmonic (16 within l_max = 3)."""
+    def no_bracket(f, g):
+        raise AssertionError("structure_constants called bracket")
+
+    calls = []
+    grad_values = HarmonicField.grad_values
+    monkeypatch.setattr(sphere_algebra, "bracket", no_bracket)
+    monkeypatch.setattr(HarmonicField, "grad_values",
+                        lambda f, grid: calls.append(f) or grad_values(f, grid))
+    structure_constants(3)
+    assert len(calls) == 16
+
+
 def test_structure_constants_l0_row_is_zero():
     C = structure_constants(2)
     assert not np.any(C[lm_index(0, 0), :, :])
@@ -321,7 +337,7 @@ def _structure_constants(l_max):
     return structure_constants(l_max)
 
 
-@pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5, 6, 7])
 def test_structure_constants_match_wigner_3j_closed_form(l_max):
     """The numerical tensor against the independent closed form."""
     C = _structure_constants(l_max)
