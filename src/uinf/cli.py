@@ -12,6 +12,7 @@ byte: all randomness flows from --seed, nothing timestamps itself.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -80,6 +81,19 @@ _DIMS = _rule("a comma list of dimensions >= 3 including 3 and 4",
               lambda text: tensor_kernels.suite_dims(t for t in text.split(",") if t.strip()))
 
 
+@contextlib.contextmanager
+def _path_flag(flag, path):
+    """Report a failure to read or write the file a path flag names as
+    "argument FLAG: PATH: reason", a ValueError, so the run exits 2. An
+    OSError gives its reason alone, without the errno and the file name it
+    failed on, which for --out is an internal temp file's."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError("argument %s: %s: %s" % (flag, path, reason)) from None
+
+
 # ---------------------------------------------------------------------------
 # config files: plain "key = value" lines, re-parsed as flags beneath the
 # explicit ones
@@ -90,7 +104,7 @@ def _config_tokens(args, rest):
     coeff, whose lines drop out when --coeff is given in rest)."""
     known = set(vars(args)) - {"handler", "command_path", "command", "subcommand", "config"}
     tokens = []
-    with open(args.config) as fh:
+    with _path_flag("--config", args.config), open(args.config) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -289,11 +303,9 @@ def cmd_algebra_bracket(args):
                          % (args.command_path, " and ".join(missing)))
     fields = []
     for flag, path in paths:
-        with open(path) as fh:
-            try:
-                fields.append(HarmonicField.from_dict(json.load(fh)))
-            except ValueError as exc:  # bad JSON or a layout that is not a field
-                raise ValueError("argument %s: %s: %s" % (flag, path, exc)) from None
+        # a missing file, bad JSON or a layout that is not a field
+        with _path_flag(flag, path), open(path) as fh:
+            fields.append(HarmonicField.from_dict(json.load(fh)))
     result = sphere_algebra.bracket(*fields)
     return {"meta": _meta(args), "result": result.to_dict()}, []
 
@@ -437,7 +449,8 @@ def main(argv=None):
         checks.append(check("finite", len(bad), 0))
         text = reports.render(document, checks)
         if args.out:
-            reports.atomic_write_text(args.out, text)
+            with _path_flag("--out", args.out):
+                reports.atomic_write_text(args.out, text)
         else:
             sys.stdout.write(text)
     except SystemExit as exc:  # argparse: --help, --version or a usage error

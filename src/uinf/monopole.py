@@ -18,9 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
 
 __all__ = [
     "RadialGrid",
@@ -141,6 +138,31 @@ class EnergyBreakdown:
     rearrangement_gap: float
     xi_max: float
     n: int
+
+
+def _simpson(y, x):
+    """Composite Simpson integral of y at strictly increasing nodes x, by the
+    arithmetic of scipy.integrate.simpson(y, x=x) in its order: irregular-node
+    weights over interval pairs, a trapezoid for two nodes, and for an even
+    count Cartwright's last-interval correction (J. Math. Sci. Math. Educ.
+    12(2), 2017)."""
+    n, d = len(y), np.diff(x)
+    if n == 2:
+        return 0.5 * d[-1] * (y[-1] + y[-2])
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = d[0:stop:2], d[1:stop + 1:2]
+    hsum, ratio = h0 + h1, h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                  + y[2:stop + 2:2] * (2.0 - ratio)))
+    if n % 2 == 0:
+        # 0-d arrays, as in scipy: numpy's array power can round unlike its scalar one
+        a, b = d[-2, ...], d[-1, ...]
+        alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
+        beta = (b ** 2 + 3.0 * a * b) / (6 * a)
+        eta = b ** 3 / (6 * a * (a + b))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
 
 
 def fd1(values, h):
@@ -271,8 +293,8 @@ def tail_estimate(xi_max):
 
 def energy_breakdown(profile):
     xi = profile.grid.xi
-    raw = float(simpson(energy_density(profile), x=xi))
-    squared = float(simpson(squared_form_density(profile), x=xi))
+    raw = float(_simpson(energy_density(profile), xi))
+    squared = float(_simpson(squared_form_density(profile), xi))
     bnd = float(boundary_term(profile))
     tail = tail_estimate(profile.grid.xi_max)
     return EnergyBreakdown(
@@ -305,7 +327,7 @@ def functional_gradient(profile):
 
 
 def _energy_of_arrays(grid, K, H):
-    return float(simpson(energy_density(MonopoleProfile(grid=grid, K=K, H=H)), x=grid.xi))
+    return float(_simpson(energy_density(MonopoleProfile(grid=grid, K=K, H=H)), grid.xi))
 
 
 def gateaux_difference(profile, direction_K, direction_H):
@@ -355,7 +377,7 @@ def variational_check(profile, rng=None, pairs=100):
         v = _random_direction(profile.grid, rng)
         fd = gateaux_difference(base, u, v)
         gK, gH = functional_gradient(base)
-        analytic = float(simpson(gK * u + gH * v, x=xi))
+        analytic = float(_simpson(gK * u + gH * v, xi))
         rel = abs(fd - analytic) / max(abs(analytic), 1.0)
         worst = max(worst, rel)
         total += rel
@@ -389,7 +411,7 @@ def second_line_density(profile, coeffs=None):
 
 
 def second_line_integral(profile, coeffs=None):
-    return float(simpson(second_line_density(profile, coeffs), x=profile.grid.xi))
+    return float(_simpson(second_line_density(profile, coeffs), profile.grid.xi))
 
 
 def cutoff_growth(profile):
@@ -407,7 +429,7 @@ def cutoff_growth(profile):
         idx = int(round(f * (profile.grid.n - 1)))
         idx = max(idx, 8)
         cuts.append(xi[idx])
-        values.append(float(simpson(dens[: idx + 1], x=xi[: idx + 1])))
+        values.append(float(_simpson(dens[: idx + 1], xi[: idx + 1])))
     cuts = np.array(cuts)
     values = np.array(values)
     slope = float(np.polyfit(np.log(cuts), np.log(values), 1)[0])
@@ -470,6 +492,7 @@ def _linear_operator(profile):
     xi y' - 2 y = 0 for both functions (the bounded branch grows like xi**2
     there); the last node carries K1' + K1 = 0 and H1' = 0.
     """
+    from scipy.sparse import coo_matrix
     n, h, xi = profile.grid.n, profile.grid.h, profile.grid.xi
     K, H = profile.K, profile.H
     cK = (2.0 * (3.0 * K ** 2 - 1.0) + 2.0 * H ** 2) / xi ** 2
@@ -496,6 +519,14 @@ def _linear_operator(profile):
                    shape=(2 * n, 2 * n)).tocsr()
     A.eliminate_zeros()  # couplings that underflow far out (K = 0) are not stored
     return A
+
+
+def spsolve(A, b):
+    """scipy.sparse.linalg.spsolve, imported on call: it is all the package
+    needs of scipy. A module-level name, so a caller can wrap the solve
+    (bench/tracer.py times it here)."""
+    from scipy.sparse.linalg import spsolve as solve
+    return solve(A, b)
 
 
 # radial nodes of the coarse companion grid behind the singular value diagnostic

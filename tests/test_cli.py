@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -272,6 +274,22 @@ def test_monopole_perturb_checks_the_solver_backward_error(capsys):
     assert [c["name"] for c in parse_report(out)[1] if not c["ok"]] == ["backward_error"]
 
 
+def test_monopole_perturb_in_a_fresh_interpreter(capsys):
+    """`monopole perturb` is the one subcommand that loads scipy, and it does
+    so inside main's floating point traps. The test process has scipy loaded
+    already, so only a fresh process shows that import running there: it
+    exits 0 with the report an in-process run prints."""
+    argv = ["monopole", "perturb", "--n", "400"]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "uinf.cli"] + argv,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    (header, rows, _), checks = parse_report(proc.stdout)
+    assert header == "xi,K,H,K1,H1" and len(rows) == 400
+    assert "backward_error" in [c["name"] for c in checks]
+    assert run(capsys, argv) == (0, proc.stdout, "")
+
+
 def test_monopole_perturb_with_zero_correction_exits_one(capsys):
     """A zero response has no slopes: they are written as null, named on
     stderr, and the finite check fails; it is not a usage error."""
@@ -328,11 +346,30 @@ def test_tol_default_is_the_check_bound_and_shown_in_help(capsys, argv, name, de
 
 
 def test_missing_input_file_is_io_error(tmp_path, capsys):
-    rc, _, err = run(
-        capsys,
-        ["algebra", "bracket", "--f", str(tmp_path / "no.json"), "--g", str(tmp_path / "no.json")],
-    )
+    missing = str(tmp_path / "no.json")
+    rc, _, err = run(capsys, ["algebra", "bracket", "--f", missing, "--g", missing])
     assert rc == 2
+    assert err == "error: argument --f: %s: No such file or directory\n" % missing
+
+
+def test_missing_config_file_names_the_flag(tmp_path, capsys):
+    missing = str(tmp_path / "no.cfg")
+    rc, out, err = run(capsys, ["reduce", "scalar", "--config", missing])
+    assert rc == 2 and out == ""
+    assert err == "error: argument --config: %s: No such file or directory\n" % missing
+
+
+def test_unwritable_output_names_the_flag_not_the_temp_file(tmp_path, capsys):
+    """The report is written through a temp file beside --out; a directory
+    that does not exist is reported against --out, not the temp name."""
+    target = str(tmp_path / "absent" / "x.json")
+    rc, out, err = run(capsys, ["algebra", "su2", "--out", target])
+    assert rc == 2 and out == ""
+    assert err == "error: argument --out: %s: No such file or directory\n" % target
+    rc, _, err = run(capsys, ["algebra", "su2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert err == "error: argument --out: %s: Is a directory\n" % tmp_path
+    assert os.listdir(tmp_path) == []
 
 
 def test_config_file_fills_defaults_and_flags_win(tmp_path, capsys):

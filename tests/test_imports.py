@@ -62,14 +62,28 @@ def _loaded_after(statement):
     return out.split()
 
 
+def _scipy(loaded):
+    return [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
 def test_package_root_and_algebra_core_load_only_what_they_use():
     """The package root loads no submodule; the algebra core (reduction and
     the three modules it pulls in) loads numpy but no scipy, which only the
-    monopole workbench needs."""
+    monopole response's sparse solve needs."""
     assert [m for m in _loaded_after("import uinf") if m.startswith("uinf.")] == []
     loaded = _loaded_after("import uinf.reduction")
     assert {"uinf.sphere_algebra", "uinf.tensor_kernels", "uinf.gauge_fields"} <= set(loaded)
-    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    assert _scipy(loaded) == []
+
+
+@pytest.mark.parametrize("module", ["uinf.monopole", "uinf.cli"])
+def test_monopole_and_cli_load_no_scipy(module):
+    """The monopole quadrature is numpy and its sparse solve imports scipy
+    when called, so neither the module nor the command line that imports
+    it pays for loading scipy."""
+    loaded = _loaded_after("import " + module)
+    assert module in loaded
+    assert _scipy(loaded) == []
 
 
 def _exported(sibling, name):
