@@ -195,12 +195,19 @@ def cmd_reduce_scan_b(args):
 
 def cmd_reduce_born_infeld(args):
     cfg, _, g, bg = _drawn_reduction_inputs(args, args.D, False)
-    reps = [reduction.born_infeld_report(cfg, BlockMetric(g, b), bg, args.alpha, C=args.C)
-            for b in args.b_list]
+    reps = []
+    for b in args.b_list:
+        try:
+            reps.append(reduction.born_infeld_report(cfg, BlockMetric(g, b), bg, args.alpha, C=args.C))
+        except ValueError as exc:  # a determinant outside the square root's domain
+            raise ValueError("%s at radius %r of --b-list, with this --alpha and --amplitude"
+                             % (exc, b)) from None
     columns = ["b", "alpha", "lhs", "rhs", "ratio", "drift"]
     rows = [[rep[c] for c in columns] for rep in reps]
     meta = _meta(args, D=args.D, e=args.e, lmax=args.lmax, amplitude=args.amplitude, C=args.C)
-    fall = float(np.min(-np.diff([rep["drift"] for rep in reps])))
+    # the drift falls with the radius: take it largest radius first, whatever the --b-list order
+    drifts = [rep["drift"] for rep in sorted(reps, key=lambda rep: -rep["b"])]
+    fall = float(np.min(-np.diff(drifts)))
     return (columns, rows, meta), [check("drift_min_fall", fall, 0.0, ok=fall > 0.0)]
 
 

@@ -14,8 +14,8 @@ Stack layout: the contraction kernels (`delta3`, `trace3`, `delta4`,
 `trace4`, `eps`) work on a stack of nodes. F has shape (..., A, B), v has
 shape (..., A) and the inverse metric (..., A, B); the leading axes
 broadcast, and each kernel returns an array of the leading shape (a numpy
-scalar for a single node). The reduction module calls them on a whole sphere
-grid at once; the identity suite calls them on one node per draw.
+scalar for a single node). The reduction passes a sphere grid, the identity
+suite a stack of draws.
 
 The kernels take the inverse metric g^{AB}, not g. The reduction's forward
 scan evaluates the reference route with the sphere block of the inverse
@@ -44,6 +44,9 @@ __all__ = [
     "random_metric",
     "minkowski_metric",
 ]
+
+# an identity suite stack holds at most this many rank-4 entries, d**4 per draw
+_STACK_ENTRIES = 2**16
 
 
 def _perm_sign(p):
@@ -101,34 +104,32 @@ def delta4(F, ginv):
     return _signed_permutation_sum(low, up, 4)
 
 
-def _trace3_pieces(F, v, ginv):
-    """(F_{AB} F^{AB} v_C v^C, F^{AC} F_{AB} v^B v_C)."""
+def _trace3_terms(F, v, ginv):
+    """The two terms of trace3: (2 F_{AB} F^{AB} v_C v^C, -4 F^{AC} F_{AB} v^B v_C)."""
     Fup = _raise(F, ginv)
     vup = _raise_vector(v, ginv)
     s1 = np.einsum("...ab,...ab->...", F, Fup)
     s2 = np.einsum("...a,...a->...", v, vup)
     t2 = np.einsum("...ac,...ab,...b,...c->...", Fup, F, vup, v)
-    return s1 * s2, t2
+    return 2.0 * (s1 * s2), -4.0 * t2
 
 
 def trace3(F, v, ginv):
     """Grouped form 2 (F_{AB} F^{AB} v_C v^C - 2 F^{AC} F_{AB} v^B v_C)."""
-    s12, t2 = _trace3_pieces(F, v, ginv)
-    return 2.0 * (s12 - 2.0 * t2)
+    return np.add(*_trace3_terms(F, v, ginv))
 
 
-def _trace4_pieces(F, ginv):
-    """(F_{AB} F^{AB}, tr((g^{-1} F)^4))."""
+def _trace4_terms(F, ginv):
+    """The two terms of trace4: ((F_{AB} F^{AB})^2, -2 tr((g^{-1} F)^4))."""
     s1 = np.einsum("...ab,...ab->...", F, _raise(F, ginv))
     M = ginv @ F
     M2 = M @ M
-    return s1, np.einsum("...ab,...ba->...", M2, M2)
+    return s1 * s1, -2.0 * np.einsum("...ab,...ba->...", M2, M2)
 
 
 def trace4(F, ginv):
     """Grouped form (F_{AB} F^{AB})^2 - 2 tr((g^{-1} F)^4)."""
-    s1, t4 = _trace4_pieces(F, ginv)
-    return s1 * s1 - 2.0 * t4
+    return np.add(*_trace4_terms(F, ginv))
 
 
 def eps(F, w, ginv):
@@ -188,62 +189,52 @@ def identity_suite(dims=(3, 4, 6), trials=500, rng=None, signature="euclidean"):
     """Measure the four route ratios over random draws.
 
     Each ratio is evaluated on `trials` accepted draws (split evenly over the
-    admissible dimensions) of a random antisymmetric F, random v, and a
-    random fixed-signature metric. A draw is redrawn when the denominator
-    route is smaller than 1e-3 of its natural magnitude scale; at that point
-    the quotient measures rounding noise instead of the identity. The redraw
-    count is reported alongside mean and spread so the filtering is visible.
+    admissible dimensions) of a random fixed-signature metric, antisymmetric
+    F and vector v, drawn one at a time in a fixed order; the routes run
+    once on each stack of the draws still needed, at most
+    _STACK_ENTRIES // d**4 of them. A draw is redrawn when the denominator
+    route is at most 1e-3 of the sum of the magnitudes of the trace form's
+    terms, where the quotient would measure rounding noise instead of the
+    identity. The redraw count is reported so the filtering is visible.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     dims = suite_dims(dims)
-    # ratio: (dimensions, numerator route, denominator route); the rank-3
-    # routes contract F with a vector v, the rank-4 routes F with itself
+    # ratio: (dimensions, trace-form terms, numerator route, denominator route
+    # or None for the trace form); every route takes (F, v, ginv)
     plans = {
-        "delta3_vs_trace3": (list(dims), delta3, trace3),
-        "delta4_vs_trace4": ([d for d in dims if d >= 4], delta4, trace4),
-        "eps3_vs_delta3": ([3], lambda F, v, ginv: eps(F, v, ginv) ** 2, delta3),
-        "eps4_vs_trace4": ([4], lambda F, ginv: eps(F, F, ginv) ** 2, trace4),
+        "delta3_vs_trace3": (list(dims), _trace3_terms, delta3, None),
+        "delta4_vs_trace4": ([d for d in dims if d >= 4], lambda F, v, ginv: _trace4_terms(F, ginv),
+                             lambda F, v, ginv: delta4(F, ginv), None),
+        "eps3_vs_delta3": ([3], _trace3_terms, lambda F, v, ginv: eps(F, v, ginv) ** 2, delta3),
+        "eps4_vs_trace4": ([4], lambda F, v, ginv: _trace4_terms(F, ginv),
+                           lambda F, v, ginv: eps(F, F, ginv) ** 2, None),
     }
-    floor = 1e-3
     out = {}
-    for name, (ds, num_route, den_route) in plans.items():
-        rank3 = den_route in (trace3, delta3)
+    for name, (ds, terms, num_route, den_route) in plans.items():
         per = -(-trials // len(ds))
-        vals = []
-        redraws = 0
+        vals, redraws = [], 0
         for d in ds:
-            got = 0
-            attempts = 0
-            while got < per:
-                attempts += 1
-                if attempts > 1000 * per:
+            need, budget = per, 1000 * per
+            while need:
+                size = min(need, max(1, _STACK_ENTRIES // d**4), budget)
+                if size == 0:
                     raise RuntimeError("draw filter rejected too many samples")
-                g = random_metric(d, rng, signature)
-                F = random_antisymmetric(d, rng)
-                v = rng.standard_normal(d)
+                draws = [(random_metric(d, rng, signature), random_antisymmetric(d, rng),
+                          rng.standard_normal(d)) for _ in range(size)]
+                g, F, v = (np.array(stack) for stack in zip(*draws))
                 ginv = np.linalg.inv(g)
-                if rank3:
-                    s12, t2 = _trace3_pieces(F, v, ginv)
-                    scale = 2.0 * abs(s12) + 4.0 * abs(t2)
-                    route_args = (F, v, ginv)
-                else:
-                    s1, t4 = _trace4_pieces(F, ginv)
-                    scale = s1 * s1 + 2.0 * abs(t4)
-                    route_args = (F, ginv)
-                den = den_route(*route_args)
-                if scale == 0.0 or abs(den) <= floor * scale:
-                    redraws += 1
-                    continue
-                vals.append(num_route(*route_args) / den)
-                got += 1
-        arr = np.asarray(vals)
-        out[name] = {
-            "mean": float(arr.mean()),
-            "spread": float(arr.max() - arr.min()),
-            "draws": int(arr.size),
-            "redraws": redraws,
-        }
+                a, b = terms(F, v, ginv)
+                scale = np.abs(a) + np.abs(b)
+                den = a + b if den_route is None else den_route(F, v, ginv)
+                keep = (scale != 0.0) & ~(np.abs(den) <= 1e-3 * scale)
+                vals.append(num_route(F[keep], v[keep], ginv[keep]) / den[keep])
+                budget -= size
+                need -= vals[-1].size
+                redraws += size - vals[-1].size
+        arr = np.concatenate(vals)
+        out[name] = {"mean": float(arr.mean()), "spread": float(arr.max() - arr.min()),
+                     "draws": int(arr.size), "redraws": redraws}
     return out
 
 

@@ -123,6 +123,24 @@ def test_reduce_born_infeld_drift_check(capsys):
     assert all(b < a for a, b in zip(drifts, drifts[1:]))
 
 
+@pytest.mark.parametrize("b_list", ["0.05,0.1,0.2,0.4", "0.1,0.4,0.05,0.2"])
+def test_reduce_born_infeld_drift_check_ignores_the_radius_order(capsys, b_list):
+    """The drift falls over the radii taken largest first, so reordering
+    --b-list keeps the default's check and reorders only the rows."""
+    def fall_and_radii(argv):
+        rc, out, _ = run(capsys, ["reduce", "born-infeld"] + argv)
+        assert rc == 0
+        lines = out.splitlines()
+        check_line = [ln for ln in lines if ln.startswith("# check.drift_min_fall = ")]
+        radii = [float(ln.split(",")[0]) for ln in lines if ln[0].isdigit()]
+        return check_line, radii
+
+    default_check, _ = fall_and_radii([])
+    check_line, radii = fall_and_radii(["--b-list", b_list])
+    assert check_line == default_check
+    assert radii == [float(b) for b in b_list.split(",")]
+
+
 def test_monopole_solve_coarse_grid_flags_failure(capsys):
     rc, _, _ = run(capsys, ["monopole", "solve", "--xi-max", "25", "--n", "400"])
     assert rc == 1
@@ -553,6 +571,9 @@ def test_broken_perturbation_response_is_reported(capsys):
         (["reduce", "scalar"], "b", "nan", "--b"),
         (["reduce", "born-infeld"], "alpha", "0", "--alpha"),
         (["reduce", "born-infeld"], "alpha", "nan", "--alpha"),
+        (["reduce", "born-infeld"], "alpha", "100", "--alpha"),
+        (["reduce", "born-infeld"], "amplitude", "5", "--amplitude"),
+        (["reduce", "born-infeld"], "b_list", "1e-300,1", "--b-list"),
         (["algebra", "su2"], "tol", "abc", "--tol"),
         (["algebra", "su2"], "tol", "nan", "--tol"),
         (["reduce", "ym"], "tol", "-1", "--tol"),

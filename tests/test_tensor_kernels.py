@@ -1,8 +1,11 @@
+import tracemalloc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from uinf import tensor_kernels
 from uinf.tensor_kernels import (
     born_infeld_density,
     delta3,
@@ -145,6 +148,108 @@ def test_identity_suite_reports_redraws():
     for row in suite.values():
         assert row["redraws"] >= 0
         assert row["draws"] >= 60
+
+
+def _trace3_pieces(F, v, ginv):
+    """(F_{AB} F^{AB} v_C v^C, F^{AC} F_{AB} v^B v_C), as trace3 contracts them."""
+    Fup = ginv @ F @ ginv.swapaxes(-1, -2)
+    vup = np.einsum("...ab,...b->...a", ginv, v)
+    s1 = np.einsum("...ab,...ab->...", F, Fup)
+    s2 = np.einsum("...a,...a->...", v, vup)
+    return s1 * s2, np.einsum("...ac,...ab,...b,...c->...", Fup, F, vup, v)
+
+
+def _trace4_pieces(F, ginv):
+    """(F_{AB} F^{AB}, tr((g^{-1} F)^4)), as trace4 contracts them."""
+    s1 = np.einsum("...ab,...ab->...", F, ginv @ F @ ginv.swapaxes(-1, -2))
+    M = ginv @ F
+    M2 = M @ M
+    return s1, np.einsum("...ab,...ba->...", M2, M2)
+
+
+def _per_draw_suite(dims, trials, rng, signature):
+    """The identity suite as a loop over single draws, with each ratio's
+    redraw scale written out: {ratio: (draws, redraws, mean)}."""
+    plans = {
+        "delta3_vs_trace3": (dims, True, delta3, trace3),
+        "delta4_vs_trace4": ([d for d in dims if d >= 4], False, delta4, trace4),
+        "eps3_vs_delta3": ([3], True, lambda F, v, ginv: eps(F, v, ginv) ** 2, delta3),
+        "eps4_vs_trace4": ([4], False, lambda F, ginv: eps(F, F, ginv) ** 2, trace4),
+    }
+    out = {}
+    for name, (ds, rank3, num_route, den_route) in plans.items():
+        per = -(-trials // len(ds))
+        vals, redraws = [], 0
+        for d in ds:
+            got = 0
+            while got < per:
+                g = random_metric(d, rng, signature)
+                F = random_antisymmetric(d, rng)
+                v = rng.standard_normal(d)
+                ginv = np.linalg.inv(g)
+                if rank3:
+                    s12, t2 = _trace3_pieces(F, v, ginv)
+                    scale = 2.0 * abs(s12) + 4.0 * abs(t2)
+                    args = (F, v, ginv)
+                else:
+                    s1, t4 = _trace4_pieces(F, ginv)
+                    scale = s1 * s1 + 2.0 * abs(t4)
+                    args = (F, ginv)
+                den = den_route(*args)
+                if scale == 0.0 or abs(den) <= 1e-3 * scale:
+                    redraws += 1
+                    continue
+                vals.append(num_route(*args) / den)
+                got += 1
+        out[name] = (len(vals), redraws, float(np.mean(vals)))
+    return out
+
+
+@pytest.mark.parametrize("signature", ["euclidean", "lorentzian"])
+@pytest.mark.parametrize("dims", [(3, 4), (3, 4, 6), (3, 4, 5, 8)])
+def test_stacked_identity_suite_matches_the_per_draw_loop(dims, signature):
+    """The stacks take the draws in the per-draw loop's order and filter them
+    by the same scale: equal counts, and means equal up to rounding."""
+    for seed in (0, 3, 11):
+        suite = identity_suite(dims, 40, np.random.default_rng(seed), signature)
+        reference = _per_draw_suite(dims, 40, np.random.default_rng(seed), signature)
+        for name, (draws, redraws, mean) in reference.items():
+            assert (suite[name]["draws"], suite[name]["redraws"]) == (draws, redraws)
+            assert abs(suite[name]["mean"] - mean) <= 1e-12
+
+
+@pytest.mark.parametrize("signature", ["euclidean", "lorentzian"])
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_trace_forms_are_the_grouped_formulas_bit_for_bit(d, signature):
+    rng = np.random.default_rng(d)
+    g = np.array([random_metric(d, rng, signature) for _ in range(50)])
+    F = np.array([random_antisymmetric(d, rng) for _ in range(50)])
+    v = rng.standard_normal((50, d))
+    ginv = np.linalg.inv(g)
+    s12, t2 = _trace3_pieces(F, v, ginv)
+    s1, t4 = _trace4_pieces(F, ginv)
+    np.testing.assert_array_equal(trace3(F, v, ginv), 2.0 * (s12 - 2.0 * t2))
+    np.testing.assert_array_equal(trace4(F, ginv), s1 * s1 - 2.0 * t4)
+
+
+def test_identity_suite_stacks_stay_small():
+    """A stack holds a bounded number of rank-4 entries, so memory does not
+    grow with the trials even at d = 16."""
+    tracemalloc.start()
+    try:
+        identity_suite(dims=(3, 4, 16), trials=500, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def test_identity_suite_gives_up_on_a_degenerate_draw(monkeypatch):
+    """A zero F has a zero trace form, so every draw is redrawn until the
+    filter gives up."""
+    monkeypatch.setattr(tensor_kernels, "random_antisymmetric", lambda n, rng: np.zeros((n, n)))
+    with pytest.raises(RuntimeError, match="rejected too many"):
+        identity_suite(dims=(3, 4), trials=2, rng=np.random.default_rng(0))
 
 
 def test_identity_suite_rejects_missing_base_dims():
