@@ -571,9 +571,6 @@ def test_broken_perturbation_response_is_reported(capsys):
         (["reduce", "scalar"], "b", "nan", "--b"),
         (["reduce", "born-infeld"], "alpha", "0", "--alpha"),
         (["reduce", "born-infeld"], "alpha", "nan", "--alpha"),
-        (["reduce", "born-infeld"], "alpha", "100", "--alpha"),
-        (["reduce", "born-infeld"], "amplitude", "5", "--amplitude"),
-        (["reduce", "born-infeld"], "b_list", "1e-300,1", "--b-list"),
         (["algebra", "su2"], "tol", "abc", "--tol"),
         (["algebra", "su2"], "tol", "nan", "--tol"),
         (["reduce", "ym"], "tol", "-1", "--tol"),
@@ -603,6 +600,9 @@ def test_broken_perturbation_response_is_reported(capsys):
         (["monopole", "energy"], "coeff", "zzz=1", "--coeff"),
         (["monopole", "perturb"], "coeff", "zzz=1", "--coeff"),
         (["monopole", "scan-evb"], "coeff", "zzz=1", "--coeff"),
+        (["reduce", "born-infeld"], "alpha", "100", "--alpha"),
+        (["reduce", "born-infeld"], "amplitude", "5", "--amplitude"),
+        (["reduce", "born-infeld"], "b_list", "1e-300,1", "--b-list"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_flag(tmp_path, capsys, argv, key, value, flag):
