@@ -218,6 +218,15 @@ def _coeff_table(args):
     return table, {"coeff_" + name: value for name, value in table.items()}
 
 
+def _convergence(breakdown):
+    """convergence_check's keys for the run's grid. Its other grids can
+    overflow or divide by zero where --n's does not, at a cutoff far out of
+    range (--xi-max 1e111 or 1e-160), so they run with numpy's errors
+    ignored: such a key is written as null and the report is kept."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return monopole.convergence_check(breakdown)
+
+
 def cmd_monopole_solve(args):
     grid = monopole.RadialGrid(args.xi_max, args.n)
     profile = monopole.bps_profile(grid)
@@ -226,7 +235,8 @@ def cmd_monopole_solve(args):
     meta = _meta(args, xi_max=args.xi_max, n=args.n,
                  max_residual_first=float(np.abs(r1).max()),
                  max_residual_second=float(np.abs(r2).max()),
-                 completed_energy=breakdown.completed)
+                 completed_energy=breakdown.completed,
+                 **_convergence(breakdown))
     checks = [check(k, meta[k], args.tol) for k in ("max_residual_first", "max_residual_second")]
     checks.append(check("completed_energy_error", abs(breakdown.completed - 1.0), 1e-4))
     return (["xi", "K", "H"], zip(grid.xi, profile.K, profile.H), meta), checks
@@ -243,7 +253,7 @@ def cmd_monopole_energy(args):
     )
     payload = {
         "meta": _meta(args, xi_max=args.xi_max, n=args.n, **recorded),
-        "breakdown": vars(breakdown),
+        "breakdown": dict(vars(breakdown), **_convergence(breakdown)),
         "physical": physical,
     }
     return payload, [check("completed_energy_error", abs(breakdown.completed - 1.0), args.tol)]

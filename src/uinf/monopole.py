@@ -16,6 +16,7 @@ finite differences for derivatives, and Simpson quadrature for integrals.
 
 from dataclasses import dataclass
 from functools import cached_property
+import math
 
 import numpy as np
 
@@ -26,12 +27,8 @@ __all__ = [
     "EnergyBreakdown",
     "SECOND_LINE_COEFFS",
     "fd1",
-    "fd2",
     "bps_profile",
-    "perturb_profile",
-    "sine_bump",
     "bogomolnyi_residuals",
-    "functional_gradient",
     "energy_density",
     "squared_form_density",
     "boundary_term",
@@ -39,8 +36,6 @@ __all__ = [
     "second_line_density",
     "second_line_integral",
     "cutoff_growth",
-    "gateaux_difference",
-    "variational_check",
     "linearized_forcing",
     "solve_perturbation",
     "origin_exponent",
@@ -181,19 +176,6 @@ def fd1(values, h):
     return out
 
 
-def fd2(values, h):
-    """Fourth-order second derivative, six-point one-sided rows at the ends."""
-    y = np.asarray(values, dtype=float)
-    out = np.empty_like(y)
-    hh = 12.0 * h * h
-    out[2:-2] = (-y[:-4] + 16.0 * y[1:-3] - 30.0 * y[2:-2] + 16.0 * y[3:-1] - y[4:]) / hh
-    out[0] = (45.0 * y[0] - 154.0 * y[1] + 214.0 * y[2] - 156.0 * y[3] + 61.0 * y[4] - 10.0 * y[5]) / hh
-    out[1] = (10.0 * y[0] - 15.0 * y[1] - 4.0 * y[2] + 14.0 * y[3] - 6.0 * y[4] + y[5]) / hh
-    out[-1] = (45.0 * y[-1] - 154.0 * y[-2] + 214.0 * y[-3] - 156.0 * y[-4] + 61.0 * y[-5] - 10.0 * y[-6]) / hh
-    out[-2] = (10.0 * y[-1] - 15.0 * y[-2] - 4.0 * y[-3] + 14.0 * y[-4] - 6.0 * y[-5] + y[-6]) / hh
-    return out
-
-
 def bps_profile(grid):
     """Closed-form solution K = xi/sinh(xi), H = xi*coth(xi) - 1.
 
@@ -207,38 +189,6 @@ def bps_profile(grid):
     K = 2.0 * xi * em / den
     H = xi * (2.0 + np.expm1(-2.0 * xi)) / den - 1.0
     return MonopoleProfile(grid=grid, K=K, H=H)
-
-
-def sine_bump(grid, j, amplitude):
-    """Mode amplitude*sin(j*pi*(xi - h)/(xi_max - h)); vanishes at both ends."""
-    xi = grid.xi
-    return amplitude * np.sin(j * np.pi * (xi - xi[0]) / (xi[-1] - xi[0]))
-
-
-def gaussian_bump(grid, center, width, amplitude):
-    """Localized packet amplitude*exp(-(xi-center)**2/(2 width**2)).
-
-    With the center a comfortable number of widths inside the domain the
-    packet and all its derivatives are exponentially small at both ends,
-    which is what the gradient pairing needs.
-    """
-    xi = grid.xi
-    return amplitude * np.exp(-((xi - center) ** 2) / (2.0 * width ** 2))
-
-
-def perturb_profile(profile, rng, amplitude=0.05, modes=6):
-    """Add random low-mode bumps to both profile functions.
-
-    The bumps vanish at the first and last node, so the boundary term of the
-    energy rearrangement is untouched.
-    """
-    grid = profile.grid
-    dK = np.zeros_like(profile.K)
-    dH = np.zeros_like(profile.H)
-    for j in range(1, modes + 1):
-        dK += sine_bump(grid, j, amplitude * rng.standard_normal() / j)
-        dH += sine_bump(grid, j, amplitude * rng.standard_normal() / j)
-    return MonopoleProfile(grid=grid, K=profile.K + dK, H=profile.H + dH)
 
 
 def bogomolnyi_residuals(profile):
@@ -307,81 +257,6 @@ def energy_breakdown(profile):
         xi_max=profile.grid.xi_max,
         n=profile.grid.n,
     )
-
-
-def functional_gradient(profile):
-    """Pointwise variational derivatives of the quadratic energy.
-
-    dE/dK = -2 K'' + 2 K H**2/xi**2 + 2 K (K**2 - 1)/xi**2
-    dE/dH = -H'' + 2 K**2 H/xi**2
-
-    Boundary contributions of the integration by parts are dropped; pair
-    these only against directions that vanish at both ends.
-    """
-    xi = profile.grid.xi
-    h = profile.grid.h
-    K, H = profile.K, profile.H
-    gK = -2.0 * fd2(K, h) + 2.0 * K * H ** 2 / xi ** 2 + 2.0 * K * (K ** 2 - 1.0) / xi ** 2
-    gH = -fd2(H, h) + 2.0 * K ** 2 * H / xi ** 2
-    return gK, gH
-
-
-def _energy_of_arrays(grid, K, H):
-    return float(_simpson(energy_density(MonopoleProfile(grid=grid, K=K, H=H)), grid.xi))
-
-
-def gateaux_difference(profile, direction_K, direction_H):
-    """Central-difference directional derivative of the raw energy integral."""
-    grid = profile.grid
-    step = 1e-5
-    plus = _energy_of_arrays(grid, profile.K + step * direction_K, profile.H + step * direction_H)
-    minus = _energy_of_arrays(grid, profile.K - step * direction_K, profile.H - step * direction_H)
-    return (plus - minus) / (2.0 * step)
-
-
-def _random_direction(grid, rng):
-    lo = 0.28 * grid.xi_max
-    hi = 0.68 * grid.xi_max
-    width_scale = grid.xi_max / 25.0
-    d = np.zeros_like(grid.xi)
-    for _ in range(3):
-        center = rng.uniform(lo, hi)
-        width = rng.uniform(0.6, 1.2) * width_scale
-        d += gaussian_bump(grid, center, width, rng.standard_normal())
-    return d / np.abs(d).max()
-
-
-def variational_check(profile, rng=None, pairs=100):
-    """Compare the analytic gradient against difference quotients.
-
-    Each trial deforms the base profile with random bumps (so the gradient
-    is not sitting at a critical point), draws a random direction pair, and
-    compares the central difference of the energy with the paired integral
-    of the analytic gradient.
-
-    The directions are sums of gaussian packets localized well inside the
-    domain, scaled to unit sup norm.  Exponentially small endpoint values
-    make the integration by parts behind the analytic gradient exact in
-    practice, and keeping the packets away from the origin matters: the
-    1/xi**2 factors in the density give difference stencils and quadrature
-    near the first node an O(h) bias that would otherwise dominate the
-    comparison.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    xi = profile.grid.xi
-    worst = 0.0
-    total = 0.0
-    for _ in range(pairs):
-        base = perturb_profile(profile, rng, amplitude=0.2, modes=8)
-        u = _random_direction(profile.grid, rng)
-        v = _random_direction(profile.grid, rng)
-        fd = gateaux_difference(base, u, v)
-        gK, gH = functional_gradient(base)
-        analytic = float(_simpson(gK * u + gH * v, xi))
-        rel = abs(fd - analytic) / max(abs(analytic), 1.0)
-        worst = max(worst, rel)
-        total += rel
-    return {"pairs": pairs, "max_rel_error": worst, "mean_rel_error": total / pairs}
 
 
 def _filled_coeffs(coeffs):
@@ -540,11 +415,12 @@ def solve_perturbation(profile, coeffs=None):
     forcings and reports the normwise backward error of the solve,
     ||A y - b|| / (||A|| ||y|| + ||b||) in the max norm, which stays near
     machine precision for a stable solve at any grid size (the plain
-    relative residual grows like 1/h**2).  A dense singular value
-    decomposition of the same operator on a coarse companion grid reports
-    the distance from singularity; the translation-like direction (K', H')
-    of the base profile satisfies the cutoff rows but not the regularity
-    rows, so the operator is invertible.
+    relative residual grows like 1/h**2).  min_singular_value, the
+    distance from singularity, is the smallest singular value of the dense
+    operator around the closed-form bps_profile on 400 nodes over the same
+    xi_max, not around the profile passed: it depends on xi_max alone.  The
+    translation-like direction (K', H') of the base profile satisfies the
+    cutoff rows but not the regularity rows, so the operator is invertible.
     """
     c = _filled_coeffs(coeffs)
     A = _linear_operator(profile)
@@ -674,21 +550,37 @@ def energy_scan(evb_list, xi_max=25.0, n=4000, v=1.0, beta=1.0, e=2.0, b=1.0, co
     return [physical_energy(breakdown, correction, evb, v, beta, e, b) for evb in evb_list]
 
 
-def convergence_check(xi_max=25.0, n=4000):
-    """Completed energy at n, n/2 and n/4 nodes, with the observed order.
+def convergence_check(breakdown):
+    """How much of the completed energy's error, completed - 1 (the exact
+    energy is 1), the grid explains.
 
-    The dominant error is the missing [0, h] sliver of the integral, which
-    shrinks like h**3, so the observed order sits near 3.
+    The raw integral of breakdown's profile at n nodes is compared with the
+    closed-form profile's at n/2 and n/4 nodes on the same cutoff, or at 2n
+    and 4n when n/4 is below the 16 nodes a RadialGrid needs. The two
+    differences give the observed order p, Richardson's extrapolation from
+    the finest two gives the continuum value, and discretization_estimate
+    is the signed distance of the integral at n from it. cutoff_remainder,
+    the error minus that estimate, is what the grid does not explain: the
+    tail model's share, which takes K = 0 past the cutoff.
+
+    The differences are taken between raw integrals, since the tail
+    1/xi_max is the same on every grid and at a small cutoff would round
+    them to zero. Where one still vanishes, or the two are equal, p is
+    undefined and the nominal order 3 stands in: the dominant error is the
+    missing [0, h] sliver of the integral, which shrinks like h**3.
     """
-    values = {}
-    for m in (n, n // 2, n // 4):
-        values[m] = energy_breakdown(bps_profile(RadialGrid(xi_max, m))).completed
-    e_fine = values[n]
-    e_half = values[n // 2]
-    e_quarter = values[n // 4]
-    order = float(np.log2(abs(e_quarter - e_half) / abs(e_half - e_fine)))
+    xi_max, n = breakdown.xi_max, breakdown.n
+    raw = {n: breakdown.raw_integral}
+    for m in (n // 2, n // 4) if n // 4 >= 16 else (2 * n, 4 * n):
+        raw[m] = energy_breakdown(bps_profile(RadialGrid(xi_max, m))).raw_integral
+    fine, mid, coarse = (raw[m] for m in sorted(raw, reverse=True))
+    d_fine, d_coarse = fine - mid, mid - coarse
+    order = 3.0
+    if d_fine and d_coarse and abs(d_fine) != abs(d_coarse):
+        order = math.log2(abs(d_coarse) / abs(d_fine))
+    estimate = raw[n] - (fine + d_fine / (2.0 ** order - 1.0))
     return {
-        "completed": {str(m): values[m] for m in values},
-        "difference_fine": abs(e_half - e_fine),
+        "discretization_estimate": estimate,
         "observed_order": order,
+        "cutoff_remainder": breakdown.completed - 1.0 - estimate,
     }

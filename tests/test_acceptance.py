@@ -24,10 +24,8 @@ from uinf.gauge_fields import (
 from uinf.monopole import (
     bogomolnyi_residuals,
     energy_breakdown,
-    perturb_profile,
     perturbation_report,
     solve_perturbation,
-    variational_check,
 )
 from uinf.reduction import (
     Background,
@@ -45,6 +43,7 @@ from uinf.sphere_algebra import (
 )
 from uinf.cli import main as cli_main
 from conftest import lorentz
+from monopole_checks import perturb_profile, variational_check
 
 
 def _report(label, detail):

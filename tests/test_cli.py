@@ -520,8 +520,9 @@ def test_non_finite_report_value_is_null_and_exits_one(monkeypatch, capsys):
 
 
 def test_monopole_energy_integrates_the_profile_energy_once(monkeypatch, capsys):
-    """The breakdown in the report and the physical estimate share one
-    energy integral."""
+    """The breakdown in the report, the physical estimate and the
+    convergence keys share one energy integral at --n; the convergence
+    keys add one at each of n/2 and n/4."""
     calls = []
     real = monopole.energy_breakdown
 
@@ -532,7 +533,87 @@ def test_monopole_energy_integrates_the_profile_energy_once(monkeypatch, capsys)
     monkeypatch.setattr(monopole, "energy_breakdown", counted)
     rc, _, _ = run(capsys, ["monopole", "energy", "--xi-max", "10", "--n", "800"])
     assert rc == 0
-    assert calls == [800]
+    assert calls == [800, 400, 200]
+
+
+CONVERGENCE_KEYS = ("discretization_estimate", "observed_order", "cutoff_remainder")
+
+
+def _energy_report(capsys, argv):
+    """The exit code and the breakdown of a monopole energy run."""
+    rc, out, err = run(capsys, ["monopole", "energy"] + argv)
+    doc, _ = parse_report(out)
+    return rc, doc["breakdown"], err
+
+
+def test_monopole_energy_convergence_keys_name_the_cause(capsys):
+    """The failing energy check of --n 200 is the grid's: the estimate is
+    within a factor 2 of the error. That of --xi-max 5 is the cutoff's: the
+    remainder is all but the whole error."""
+    rc, grid, _ = _energy_report(capsys, ["--n", "200"])
+    assert rc == 1
+    assert 0.5 <= grid["discretization_estimate"] / (grid["completed"] - 1.0) <= 2.0
+    rc, cutoff, _ = _energy_report(capsys, ["--xi-max", "5"])
+    assert rc == 1
+    assert abs(cutoff["cutoff_remainder"]) > 0.99 * abs(cutoff["completed"] - 1.0)
+
+
+@pytest.mark.parametrize("sub", ["solve", "energy"])
+@pytest.mark.parametrize("n", ["16", "17", "63"])
+def test_convergence_keys_are_finite_below_64_nodes(capsys, sub, n):
+    """Below 64 nodes n/4 is no grid, and the estimate comes from 2n and
+    4n: the report has no null cell, and it exits 1 as before, on the
+    failing energy check."""
+    rc, out, err = run(capsys, ["monopole", sub, "--n", n])
+    doc, checks = parse_report(out)
+    meta = doc["breakdown"] if sub == "energy" else dict(m.split(" = ") for m in doc[2])
+    assert err == "" and all(meta[key] not in (None, "") for key in CONVERGENCE_KEYS)
+    ok = {c["name"]: c["ok"] for c in checks}
+    assert rc == 1 and ok["finite"] and not ok["completed_energy_error"]
+
+
+def test_tiny_cutoff_keeps_its_report(capsys):
+    """At --xi-max 0.001 the tail 1/xi_max dwarfs the integral and rounds the
+    completed energies of the three grids to one value; the differences are
+    taken between the raw integrals, so the report stands and exits 1."""
+    rc, breakdown, err = _energy_report(capsys, ["--xi-max", "0.001"])
+    assert rc == 1 and "error:" not in err
+    assert all(math.isfinite(breakdown[key]) for key in CONVERGENCE_KEYS)
+
+
+def test_convergence_keys_beyond_the_grids_range_are_null(capsys):
+    """At --xi-max 1e111 the even grids 34 and 68 overflow Simpson's
+    last-interval weights where the odd --n 17 does not: the three keys are
+    written as null and named on stderr, and the report stays, exiting 1."""
+    rc, out, err = run(capsys, ["monopole", "solve", "--xi-max", "1e111", "--n", "17"])
+    assert rc == 1 and err.startswith("error: 3 non-finite value(s)") and err.count("\n") == 1
+    assert all("meta." + key in err for key in CONVERGENCE_KEYS)
+    meta = [ln for ln in out.splitlines() if ln.startswith("# ")]
+    assert all("# %s = " % key in meta for key in CONVERGENCE_KEYS)
+    assert "# check.completed_energy_error = " in "\n".join(meta)
+
+
+def _without_convergence_keys(text):
+    """The report text with the three keys taken out of the JSON breakdown
+    (and the rest rendered as the CLI renders it) or out of the CSV meta."""
+    if text.startswith("{"):
+        doc = json.loads(text)
+        for key in CONVERGENCE_KEYS:
+            del doc["breakdown"][key]
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return "".join(ln for ln in text.splitlines(keepends=True)
+                   if ln.split(" = ")[0][2:] not in CONVERGENCE_KEYS)
+
+
+@pytest.mark.parametrize("sub", ["solve", "energy"])
+def test_convergence_keys_are_the_only_addition(monkeypatch, capsys, sub):
+    """At default flags the report without the three keys is, byte for
+    byte, the one the handler writes when convergence_check adds none."""
+    rc, out, _ = run(capsys, ["monopole", sub])
+    assert rc == 0 and all(out.count('"%s"' % key) + out.count("# %s = " % key) == 1
+                           for key in CONVERGENCE_KEYS)
+    monkeypatch.setattr(monopole, "convergence_check", lambda breakdown: {})
+    assert run(capsys, ["monopole", sub]) == (0, _without_convergence_keys(out), "")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

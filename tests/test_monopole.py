@@ -14,17 +14,20 @@ from uinf.monopole import (
     energy_breakdown,
     energy_scan,
     fd1,
-    fd2,
-    functional_gradient,
-    gaussian_bump,
     linearized_forcing,
-    perturb_profile,
     perturbation_report,
     physical_energy,
     second_line_integral,
-    sine_bump,
     solve_perturbation,
     tail_estimate,
+)
+from monopole_checks import (
+    fd2,
+    functional_gradient,
+    gaussian_bump,
+    perturb_profile,
+    random_direction,
+    sine_bump,
     variational_check,
 )
 
@@ -127,8 +130,8 @@ def test_linearized_forcing_matches_a_central_difference(reference_profile, term
     step = 1e-5
     for _ in range(5):
         base = perturb_profile(reference_profile, rng, amplitude=0.2, modes=8)
-        u = monopole._random_direction(grid, rng)
-        v = monopole._random_direction(grid, rng)
+        u = random_direction(grid, rng)
+        v = random_direction(grid, rng)
         plus, minus = (second_line_integral(
             MonopoleProfile(grid, base.K + s * u, base.H + s * v), coeffs) for s in (step, -step))
         phi_K, phi_H = linearized_forcing(base, coeffs)
@@ -253,7 +256,7 @@ def _jacobian_errors(n):
     grid = RadialGrid(25.0, n)
     profile = bps_profile(grid)
     rng = np.random.default_rng(0)
-    u, v = monopole._random_direction(grid, rng), monopole._random_direction(grid, rng)
+    u, v = random_direction(grid, rng), random_direction(grid, rng)
     applied = monopole._linear_operator(profile) @ np.column_stack([u, v]).ravel()
     step = 1e-3
     plus, minus = (functional_gradient(MonopoleProfile(grid, profile.K + s * u, profile.H + s * v))
@@ -360,10 +363,35 @@ def test_energy_scan_computes_each_integral_once(monkeypatch):
     assert rows == [physical_energy(breakdown, correction, evb) for evb in evbs]
 
 
-def test_convergence_toward_continuum():
-    out = convergence_check(xi_max=25.0, n=4000)
+def test_convergence_toward_continuum(reference_profile):
+    """On the standard grid the error is the grid's: the order is the [0, h]
+    sliver's 3, and the estimate leaves a remainder far below the error."""
+    breakdown = energy_breakdown(reference_profile)
+    out = convergence_check(breakdown)
     assert 2.5 < out["observed_order"] < 3.5
-    assert abs(out["completed"]["4000"] - 1.0) < 1e-6
+    error = breakdown.completed - 1.0
+    assert abs(error) < 1e-6
+    assert out["cutoff_remainder"] == error - out["discretization_estimate"]
+    assert abs(out["cutoff_remainder"]) < 1e-2 * abs(error)
+
+
+@pytest.mark.parametrize("n, grids", [(16, [32, 64]), (63, [126, 252]), (64, [32, 16])])
+def test_convergence_check_grids_and_nominal_order(monkeypatch, n, grids):
+    """The other grids are n/2 and n/4, or 2n and 4n below 64 nodes; raw
+    integrals that agree on every grid leave the order undefined, and the
+    nominal 3 stands in with a zero estimate."""
+    breakdown = energy_breakdown(bps_profile(RadialGrid(25.0, n)))
+    taken = []
+
+    def same(profile):
+        taken.append(profile.grid.n)
+        return breakdown
+
+    monkeypatch.setattr(monopole, "energy_breakdown", same)
+    out = convergence_check(breakdown)
+    assert taken == grids
+    assert out == {"discretization_estimate": 0.0, "observed_order": 3.0,
+                   "cutoff_remainder": breakdown.completed - 1.0}
 
 
 def test_bump_shapes():
