@@ -292,6 +292,39 @@ def test_monopole_perturb_checks_the_solver_backward_error(capsys):
     assert [c["name"] for c in parse_report(out)[1] if not c["ok"]] == ["backward_error"]
 
 
+def test_monopole_perturb_fails_a_diagnostic_that_reaches_its_cap(monkeypatch, capsys):
+    """The singularity diagnostic's last relative change is checked against
+    its stop rule, 1e-12, whatever --tol says; at a cap of one iteration it
+    has not converged, and that check fails alone."""
+    base = ["monopole", "perturb", "--xi-max", "10", "--n", "800"]
+    rc, out, _ = run(capsys, base)
+    (_, _, meta), checks = parse_report(out)
+    meta = dict(line.split(" = ") for line in meta)
+    change = {c["name"]: c for c in checks}["diagnostic_change"]
+    assert rc == 0 and change["bound"] == 1e-12 and change["ok"]
+    assert float(meta["diagnostic_change"]) == change["value"]
+    assert 1 < int(meta["diagnostic_iterations"]) < monopole._DIAGNOSTIC_MAX_ITER
+    monkeypatch.setattr(monopole, "_DIAGNOSTIC_MAX_ITER", 1)
+    for tol, failing in ((["--tol", "1e-8"], ["diagnostic_change"]),
+                         (["--tol", "1e-20"], ["backward_error", "diagnostic_change"])):
+        rc, out, err = run(capsys, base + tol)
+        assert rc == 1 and err == ""
+        (_, _, meta), checks = parse_report(out)
+        assert dict(line.split(" = ") for line in meta)["diagnostic_iterations"] == "1"
+        assert [c["name"] for c in checks if not c["ok"]] == failing
+        change = {c["name"]: c for c in checks}["diagnostic_change"]
+        assert change["value"] > change["bound"] == 1e-12
+
+
+@pytest.mark.parametrize("xi_max", ["1e-3", "0.1", "1", "1e4"])
+def test_monopole_perturb_diagnostic_converges_across_cutoffs(capsys, xi_max):
+    """At xi_max <= 0.1 the two smallest singular values nearly coincide;
+    the block iteration still converges there and every check passes."""
+    rc, out, err = run(capsys, ["monopole", "perturb", "--n", "400", "--xi-max", xi_max])
+    assert (rc, err) == (0, "")
+    assert all(c["ok"] for c in parse_report(out)[1])
+
+
 def test_monopole_perturb_in_a_fresh_interpreter(capsys):
     """`monopole perturb` is the one subcommand that loads scipy, and it does
     so inside main's floating point traps. The test process has scipy loaded
