@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere_algebra import HarmonicField, bracket, integral_of_product, random_real_field
+from .sphere_algebra import HarmonicField, bracket, brackets, integral_of_product, random_real_field
 from .tensor_kernels import minkowski_metric
 
 __all__ = [
@@ -88,29 +88,28 @@ def gauge_transform_config(cfg, omega, domega, t):
 
     A_mu gains t (d_mu omega + coupling {A_mu, omega}); the derivative jet
     gains the corresponding first-derivative terms, without d_nu d_mu omega
-    (see the module docstring).
+    (see the module docstring). All dim (2 dim + 1) brackets come from one
+    `brackets` call, so each field is transformed once.
     """
-    g = cfg.coupling
-    a_new = [cfg.a[mu] + t * (domega[mu] + g * bracket(cfg.a[mu], omega))
-             for mu in range(cfg.dim)]
-    da_new = []
-    for nu in range(cfg.dim):
-        row = []
-        for mu in range(cfg.dim):
-            shift = g * (bracket(cfg.da[nu][mu], omega) + bracket(cfg.a[mu], domega[nu]))
-            row.append(cfg.da[nu][mu] + t * shift)
-        da_new.append(row)
-    return GaugeConfig(cfg.dim, g, tuple(a_new), tuple(tuple(r) for r in da_new))
+    g, dims = cfg.coupling, range(cfg.dim)
+    brs = iter(brackets([(a, omega) for a in cfg.a] + [
+        pair for nu in dims for mu in dims
+        for pair in ((cfg.da[nu][mu], omega), (cfg.a[mu], domega[nu]))]))
+    a_new = tuple(cfg.a[mu] + t * (domega[mu] + g * next(brs)) for mu in dims)
+    da_new = tuple(tuple(cfg.da[nu][mu] + t * (g * (next(brs) + next(brs))) for mu in dims)
+                   for nu in dims)
+    return GaugeConfig(cfg.dim, g, a_new, da_new)
 
 
 def gauge_transform_scalar(scal, omega, domega, t, coupling):
-    """Move the scalar jet by t along the gauge direction omega."""
-    g = coupling
-    phi_new = scal.phi + t * g * bracket(scal.phi, omega)
-    dphi_new = [scal.dphi[mu] + t * g * (bracket(scal.dphi[mu], omega)
-                                         + bracket(scal.phi, domega[mu]))
-                for mu in range(scal.dim)]
-    return AdjointScalar(scal.dim, phi_new, tuple(dphi_new))
+    """Move the scalar jet by t along the gauge direction omega; its
+    2 dim + 1 brackets come from one `brackets` call."""
+    g, dims = coupling, range(scal.dim)
+    brs = iter(brackets([(scal.phi, omega)] + [
+        pair for mu in dims for pair in ((scal.dphi[mu], omega), (scal.phi, domega[mu]))]))
+    phi_new = scal.phi + t * g * next(brs)
+    dphi_new = tuple(scal.dphi[mu] + t * g * (next(brs) + next(brs)) for mu in dims)
+    return AdjointScalar(scal.dim, phi_new, dphi_new)
 
 
 def yang_mills_integral(cfg, metric=None):

@@ -538,7 +538,11 @@ def perturbation_report(profile, pert):
         energies.append(total)
     energies = np.array(energies)
     finite = np.isfinite(energies).all()  # the LAPACK fit fails on non-finite data
-    slope, intercept = np.polyfit(epsilons, energies, 1) if finite else (np.nan, np.nan)
+    # fit in epsilons / unit, an exact power-of-two scaling, so that tiny
+    # epsilons do not underflow when polyfit squares them
+    unit = 2.0 ** math.frexp(epsilons.max())[1]
+    slope, intercept = np.polyfit(epsilons / unit, energies, 1) if finite else (np.nan, np.nan)
+    slope /= unit
     fitted = slope * epsilons + intercept
     ss_res = float(np.sum((energies - fitted) ** 2))
     ss_tot = float(np.sum((energies - energies.mean()) ** 2))

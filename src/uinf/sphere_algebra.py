@@ -12,6 +12,7 @@ by the rules in grid_for_band_limit. Nodes never sit on the poles, so the
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 import math
 import sys
 
@@ -26,6 +27,7 @@ __all__ = [
     "synthesize",
     "analyze",
     "bracket",
+    "brackets",
     "product",
     "integral_of_product",
     "structure_constants",
@@ -184,13 +186,8 @@ class HarmonicField:
 
     def grad_values(self, grid):
         """Pointwise (df/dx, df/dphi) on the grid, x = cos(theta)."""
-        if grid.band_limit < self.l_max:
-            raise ValueError("grid too coarse for band limit")
-        parts = _real_parts(self)
-        amps = _sum_over_l(parts, grid.P)
-        # d/dphi turns a_m into i m a_m: (re, im) -> m (-im, re)
-        dphi = amps[..., ::-1] * (np.arange(self.l_max + 1)[:, None] * [-1.0, 1.0])
-        return _sum_over_m(_sum_over_l(parts, grid.dPdx), grid), _sum_over_m(dphi, grid)
+        gx, gp, _ = _gradients([self], grid)
+        return gx[0], gp[0]
 
     def integrate(self):
         """Integral over the sphere: sqrt(4 pi) times the constant mode."""
@@ -264,27 +261,30 @@ def _column_parity(l_max):
 
 def _mirror(c, l_max):
     """c~(l, m) = (-1)^m conj c(l, -m); the field is real when c~ == c."""
-    return _column_parity(l_max) * c[:, ::-1].conj()
+    return _column_parity(l_max) * c[..., ::-1].conj()
 
 
-def _real_parts(f):
-    """Split f = h1 + i h2 into real fields; h1 = (c + c~)/2, h2 = (c - c~)/2i.
+def _real_parts(fields, grid):
+    """Split each of a list of fields of one band limit, f = h1 + i h2, into
+    real fields; h1 = (c + c~)/2, h2 = (c - c~)/2i.
 
-    Returns the m >= 0 coefficients of each part as (re, im) pairs, shaped
-    (parts, l, m, 2), with m > 0 doubled for the one-sided cos/sin sum.
-    Exactly Hermitian coefficients give h2 == 0 and a single part equal
-    to c, so real fields keep real values.
+    Returns the m >= 0 coefficients of every h1, then of every nonzero h2,
+    as (re, im) pairs shaped (parts, l, m, 2), with m > 0 doubled for the
+    one-sided cos/sin sum, and the mask of fields with a nonzero h2. Exactly
+    Hermitian coefficients give h2 == 0, so real fields keep real values.
     """
-    L = f.l_max
-    c = f.coeffs[:, L:]
-    mirror = _mirror(f.coeffs, L)[:, L:]
+    L = fields[0].l_max
+    if grid.band_limit < L:
+        raise ValueError("grid too coarse for band limit")
+    coeffs = np.array([f.coeffs for f in fields])
+    c, mirror = coeffs[..., L:], _mirror(coeffs, L)[..., L:]
     weight = np.where(np.arange(L + 1) > 0, 1.0, 0.5)
-    parts = [(c + mirror) * weight]
     h2 = (c - mirror) * weight
-    if np.any(h2):
-        parts.append(h2 / 1j)
-    parts = np.stack(parts)
-    return np.stack([parts.real, parts.imag], axis=-1)
+    cplx = h2.any(axis=(1, 2))
+    parts = (c + mirror) * weight
+    if cplx.any():
+        parts = np.concatenate([parts, h2[cplx] / 1j])
+    return np.stack([parts.real, parts.imag], axis=-1), cplx
 
 
 def _sum_over_l(parts, table):
@@ -295,20 +295,33 @@ def _sum_over_l(parts, table):
     return per_m.reshape(M, -1, k, 2).transpose(2, 1, 0, 3)
 
 
-def _sum_over_m(amps, grid):
-    """Grid values sum_m Re(a_m exp(i m phi)) of each part; h1 + i h2 when
-    there are two."""
+def _sum_over_m(amps, grid, cplx):
+    """Grid values sum_m Re(a_m exp(i m phi)) of the parts of _real_parts,
+    per field: h1, or h1 + i h2 where cplx marks it (the stack is complex)."""
     k, n, M, _ = amps.shape
     vals = amps.reshape(k, n, 2 * M) @ grid.trig[:M].reshape(2 * M, grid.n_phi)
-    return vals[0] if k == 1 else vals[0] + 1j * vals[1]
+    if not cplx.any():
+        return vals
+    out = vals[:len(cplx)].astype(complex)
+    out[cplx] += 1j * vals[len(cplx):]
+    return out
+
+
+def _gradients(fields, grid):
+    """grad_values of fields of one band limit, stacked, and their cplx mask."""
+    parts, cplx = _real_parts(fields, grid)
+    amps = _sum_over_l(parts, grid.P)
+    # d/dphi turns a_m into i m a_m: (re, im) -> m (-im, re)
+    dphi = amps[..., ::-1] * (np.arange(amps.shape[2])[:, None] * [-1.0, 1.0])
+    dx = _sum_over_m(_sum_over_l(parts, grid.dPdx), grid, cplx)
+    return dx, _sum_over_m(dphi, grid, cplx), cplx
 
 
 def synthesize(f, grid):
     """Pointwise values of the field on the grid, shape (n_theta, n_phi).
     Returns a real array when the coefficients are exactly Hermitian."""
-    if grid.band_limit < f.l_max:
-        raise ValueError("grid too coarse for band limit")
-    return _sum_over_m(_sum_over_l(_real_parts(f), grid.P), grid)
+    parts, cplx = _real_parts([f], grid)
+    return _sum_over_m(_sum_over_l(parts, grid.P), grid, cplx)[0]
 
 
 def analyze(values, l_max, grid):
@@ -318,25 +331,29 @@ def analyze(values, l_max, grid):
     m < 0 mirrored. Complex values are analyzed as re + i im. Non-finite
     values raise FloatingPointError.
     """
-    values = np.asarray(values)
-    if values.shape != (grid.n_theta, grid.n_phi):
+    return HarmonicField(l_max, _analyze(np.asarray(values)[None], l_max, grid)[0])
+
+
+def _analyze(values, L, grid):
+    """Coefficients (fields, l, 2L+1) of a stack of grid values, each as by analyze."""
+    if values.shape[1:] != (grid.n_theta, grid.n_phi):
         raise ValueError("value array does not match the grid")
     if not np.isfinite(values).all():
         raise FloatingPointError("grid values to analyze are not all finite (an overflow)")
-    if grid.band_limit < l_max:
+    if grid.band_limit < L:
         raise ValueError("grid too coarse for band limit")
-    L = l_max
-    parts = np.stack([values.real, values.imag]) if np.iscomplexobj(values) else values[None]
+    cplx = np.iscomplexobj(values)
+    parts = np.stack([values.real, values.imag], 1).reshape(-1, *grid.w2d.shape) if cplx else values
     k, M = len(parts), L + 1
     trig = grid.trig[:M].reshape(2 * M, grid.n_phi)
     F = (parts @ trig.T).reshape(k, grid.n_theta, M, 2)
     F *= (2.0 * math.pi / grid.n_phi) * grid.w[:, None, None]
-    per_m = grid.P[:M, :M].transpose(1, 0, 2) @ F.transpose(2, 1, 0, 3).reshape(M, -1, 2 * k)
+    per_m = grid.P[:M, :M].transpose(1, 0, 2) @ F.transpose(2, 1, 0, 3).reshape(M, grid.n_theta, -1)
     pairs = per_m.reshape(M, M, k, 2).transpose(2, 1, 0, 3)
     half = pairs[..., 0] + 1j * pairs[..., 1]
     neg = _column_parity(L)[:L] * half[..., :0:-1].conj()
     coeffs = np.concatenate([neg, half], axis=-1)
-    return HarmonicField(L, coeffs[0] if k == 1 else coeffs[0] + 1j * coeffs[1])
+    return coeffs[0::2] + 1j * coeffs[1::2] if cplx else coeffs
 
 
 def bracket(f, g):
@@ -347,6 +364,27 @@ def bracket(f, g):
     gx, gp = g.grad_values(grid)
     vals = fx * gp - fp * gx
     return analyze(vals, L, grid)
+
+
+def brackets(pairs):
+    """[bracket(f, g) for f, g in pairs], bitwise. Per result band limit, the
+    gradients of each distinct field (by identity) are taken once, in one
+    stacked call per field band limit, and the products are analyzed in one
+    stacked call (two when real and complex products mix)."""
+    out = [None] * len(pairs)
+    for L in {f.l_max + g.l_max for f, g in pairs}:
+        idx = [i for i, (f, g) in enumerate(pairs) if f.l_max + g.l_max == L]
+        grid = grid_for_band_limit(L)
+        fields = sorted({id(h): h for i in idx for h in pairs[i]}.values(), key=lambda h: h.l_max)
+        gx, gp, cplx = map(np.concatenate, zip(*(
+            _gradients(list(band), grid) for _, band in groupby(fields, lambda h: h.l_max))))
+        row = {id(h): r for r, h in enumerate(fields)}
+        f, g = np.array([[row[id(h)] for h in pairs[i]] for i in idx]).T
+        vals, real = gx[f] * gp[g] - gp[f] * gx[g], ~(cplx[f] | cplx[g])
+        for sel, v in ((real, vals[real].real), (~real, vals[~real])):
+            for i, c in zip(np.array(idx)[sel], _analyze(v, L, grid)):
+                out[i] = HarmonicField(L, c)
+    return out
 
 
 def product(f, g):

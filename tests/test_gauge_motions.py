@@ -1,0 +1,99 @@
+"""The gauge motions against the per-pair formula they replace.
+
+gauge_transform_config and gauge_transform_scalar take every bracket of a
+motion from one `brackets` call. The oracle below is the same motion with
+one `bracket` call per pair, in the same order of field arithmetic, so the
+two must agree bit for bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from uinf import gauge_fields
+from uinf.gauge_fields import (
+    AdjointScalar,
+    GaugeConfig,
+    gauge_transform_config,
+    gauge_transform_scalar,
+    random_adjoint_scalar,
+    random_gauge_config,
+)
+from uinf.sphere_algebra import bracket, random_real_field
+
+
+def per_pair_config(cfg, omega, domega, t):
+    g = cfg.coupling
+    a_new = [cfg.a[mu] + t * (domega[mu] + g * bracket(cfg.a[mu], omega))
+             for mu in range(cfg.dim)]
+    da_new = []
+    for nu in range(cfg.dim):
+        row = []
+        for mu in range(cfg.dim):
+            shift = g * (bracket(cfg.da[nu][mu], omega) + bracket(cfg.a[mu], domega[nu]))
+            row.append(cfg.da[nu][mu] + t * shift)
+        da_new.append(row)
+    return GaugeConfig(cfg.dim, g, tuple(a_new), tuple(tuple(r) for r in da_new))
+
+
+def per_pair_scalar(scal, omega, domega, t, coupling):
+    g = coupling
+    phi_new = scal.phi + t * g * bracket(scal.phi, omega)
+    dphi_new = [scal.dphi[mu] + t * g * (bracket(scal.dphi[mu], omega)
+                                         + bracket(scal.phi, domega[mu]))
+                for mu in range(scal.dim)]
+    return AdjointScalar(scal.dim, phi_new, tuple(dphi_new))
+
+
+def _bits(fields):
+    return [(f.l_max, f.coeffs.shape, f.coeffs.tobytes()) for f in fields]
+
+
+def _draw(dim, l_max, omega_l_max, complex_omega, seed):
+    rng = np.random.default_rng(seed)
+    cfg = replace(random_gauge_config(dim, l_max, rng, amplitude=0.5), coupling=1.3)
+    scal = random_adjoint_scalar(dim, l_max, rng, amplitude=0.5)
+    omega = random_real_field(omega_l_max, rng, amplitude=0.7)
+    if complex_omega:
+        omega = omega + 0.5j * random_real_field(omega_l_max, rng, amplitude=0.7)
+    domega = [random_real_field(l_max, rng, amplitude=0.7) for _ in range(dim)]
+    return cfg, scal, omega, domega
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("l_max,omega_l_max,complex_omega", [
+    (2, 2, False),  # criterion 04's draws: one grid, every product real
+    (1, 3, False),  # omega and domega on different grids
+    (2, 1, True),   # real and complex products on one grid
+])
+def test_gauge_motions_equal_the_per_pair_formula_bit_for_bit(dim, l_max, omega_l_max,
+                                                              complex_omega):
+    cfg, scal, omega, domega = _draw(dim, l_max, omega_l_max, complex_omega, 10 * dim + l_max)
+    for t in (-0.7, 0.3, 0.0):
+        got, want = gauge_transform_config(cfg, omega, domega, t), per_pair_config(
+            cfg, omega, domega, t)
+        assert (got.dim, got.coupling) == (want.dim, want.coupling)
+        assert _bits(got.a) == _bits(want.a)
+        assert _bits(sum(got.da, ())) == _bits(sum(want.da, ()))
+        got, want = (gauge_transform_scalar(scal, omega, domega, t, 0.9),
+                     per_pair_scalar(scal, omega, domega, t, 0.9))
+        assert _bits((got.phi,) + got.dphi) == _bits((want.phi,) + want.dphi)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_each_gauge_motion_makes_one_brackets_call_and_no_bracket_call(monkeypatch, dim):
+    calls = []
+    stacked = gauge_fields.brackets
+
+    def no_bracket(f, g):
+        raise AssertionError("a gauge motion called bracket")
+
+    monkeypatch.setattr(gauge_fields, "bracket", no_bracket)
+    monkeypatch.setattr(gauge_fields, "brackets",
+                        lambda pairs: calls.append(len(pairs)) or stacked(pairs))
+    cfg, scal, omega, domega = _draw(dim, 2, 2, False, dim)
+    gauge_transform_config(cfg, omega, domega, 0.5)
+    assert calls == [dim * (2 * dim + 1)]
+    gauge_transform_scalar(scal, omega, domega, 0.5, cfg.coupling)
+    assert calls == [dim * (2 * dim + 1), 2 * dim + 1]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
@@ -12,6 +12,7 @@ from uinf.sphere_algebra import (
     HarmonicField,
     analyze,
     bracket,
+    brackets,
     grid_for_band_limit,
     integral_of_product,
     lm_index,
@@ -246,6 +247,59 @@ def test_bracket_jacobi_property(bands, seed):
                          bracket(h, bracket(f, g)))
     scale = max(np.abs(j1).max(), np.abs(j2).max(), np.abs(j3).max())
     assert np.abs(j1 + j2 + j3).max() <= 1e-12 * scale
+
+
+_field_kinds = st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=5)
+_pair_slots = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=_field_kinds, slots=_pair_slots, seed=_seeds)
+@example(kinds=[(2, False)], slots=[], seed=0)
+@example(kinds=[(2, True)], slots=[(0, 0)], seed=1)
+@example(kinds=[(2, False), (1, True), (0, False)], slots=[(0, 1), (1, 0), (0, 0), (2, 1)], seed=2)
+def test_brackets_equal_bracket_per_pair_bit_for_bit_property(kinds, slots, seed):
+    """A stack of pairs with band limits 0-4 mixed, real and complex fields
+    (kind True), and one field object in several pairs gives, pair by pair,
+    the coefficients of bracket bit for bit, signed zeros included."""
+    rng = np.random.default_rng(seed)
+    fields = [_random_complex_field(l, rng) if cplx else random_real_field(l, rng)
+              for l, cplx in kinds]
+    pairs = [(fields[i % len(fields)], fields[j % len(fields)]) for i, j in slots]
+    got = brackets(pairs)
+    assert len(got) == len(pairs)
+    for (f, g), b in zip(pairs, got):
+        want = bracket(f, g)
+        assert b.l_max == want.l_max and np.array_equal(b.coeffs, want.coeffs)
+        assert b.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_brackets_transform_each_distinct_field_once(monkeypatch):
+    """Per result band limit, each distinct field's gradients come from one
+    stacked call per field band limit, whatever the number of pairs it is in."""
+    calls = []
+    stacked = sphere_algebra._gradients
+    monkeypatch.setattr(sphere_algebra, "_gradients", lambda fields, grid: calls.append(
+        (grid.band_limit, sorted(map(id, fields)))) or stacked(fields, grid))
+    rng = np.random.default_rng(3)
+    a, b, c = random_real_field(2, rng), random_real_field(2, rng), random_real_field(1, rng)
+    brackets([(a, b), (b, a), (a, a), (a, c), (c, b), (c, c), (a, b)])
+    ab = sorted([id(a), id(b)])
+    assert sorted(calls) == sorted([(4, ab), (3, ab), (3, [id(c)]), (2, [id(c)])])
+
+
+def test_brackets_raise_on_overflow_like_bracket():
+    """One field whose grid values overflow in a stack of finite pairs makes
+    brackets raise FloatingPointError, as bracket of that pair does."""
+    rng = np.random.default_rng(6)
+    f, g = random_real_field(2, rng), random_real_field(2, rng)
+    with np.errstate(all="ignore"):
+        huge = 1e308 * random_real_field(2, rng)
+        assert np.isfinite(huge.coeffs).all()
+        assert not np.isfinite(huge.grad_values(grid_for_band_limit(4))).all()
+        for call in (lambda: bracket(huge, g), lambda: brackets([(f, g), (huge, g), (g, f)])):
+            with pytest.raises(FloatingPointError):
+                call()
 
 
 def test_structure_constants_match_brackets():
