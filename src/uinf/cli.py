@@ -269,10 +269,12 @@ def cmd_monopole_perturb(args):
         rep = monopole.perturbation_report(profile, pert=pert)
     meta = _meta(args, **rep, **recorded)
     rows = zip(grid.xi, profile.K, profile.H, pert.K1, pert.H1)
-    # the singularity diagnostic converged: its stop rule, not --tol, is the bound
+    # fixed bounds, not --tol: the diagnostic's stop rule and a linear energy response
+    r2 = rep["linearity_r_squared"]
     return (["xi", "K", "H", "K1", "H1"], rows, meta), [
         check("backward_error", rep["backward_error"], args.tol),
-        check("diagnostic_change", rep["diagnostic_change"], 1e-12)]
+        check("diagnostic_change", rep["diagnostic_change"], 1e-12),
+        check("linearity_r_squared", r2, 0.9999, ok=r2 >= 0.9999)]
 
 
 def cmd_monopole_scan_evb(args):

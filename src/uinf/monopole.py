@@ -30,8 +30,6 @@ __all__ = [
     "bps_profile",
     "bogomolnyi_residuals",
     "energy_density",
-    "squared_form_density",
-    "boundary_term",
     "energy_breakdown",
     "second_line_density",
     "second_line_integral",
@@ -95,8 +93,10 @@ class RadialGrid:
         return np.linspace(self.h, self.xi_max, self.n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonopoleProfile:
+    """Profile pair (K, H); frozen, so its cached derivatives cannot go stale."""
+
     grid: RadialGrid
     K: np.ndarray
     H: np.ndarray
@@ -105,7 +105,9 @@ class MonopoleProfile:
         if len(self.K) != self.grid.n or len(self.H) != self.grid.n:
             raise ValueError("profile arrays must match the grid length")
 
+    @cached_property
     def derivatives(self):
+        """(K', H') by fd1, taken once per profile."""
         h = self.grid.h
         return fd1(self.K, h), fd1(self.H, h)
 
@@ -114,12 +116,10 @@ class MonopoleProfile:
 class Perturbation:
     """First-order response (K1, H1) to the quartic correction."""
 
-    grid: RadialGrid
     K1: np.ndarray
     H1: np.ndarray
     coeffs: dict
     min_singular_value: float
-    diagnostic_n: int
     diagnostic_iterations: int
     diagnostic_change: float
     backward_error: float
@@ -196,7 +196,7 @@ def bps_profile(grid):
 def bogomolnyi_residuals(profile):
     """Residual arrays of the first-order system, (xi K' + K H, xi H' - H - 1 + K**2)."""
     xi = profile.grid.xi
-    Kp, Hp = profile.derivatives()
+    Kp, Hp = profile.derivatives
     r1 = xi * Kp + profile.K * profile.H
     r2 = xi * Hp - profile.H - 1.0 + profile.K ** 2
     return r1, r2
@@ -206,32 +206,13 @@ def energy_density(profile):
     """Quadratic energy density K'**2 + K**2 H**2/xi**2 + (H' - H/xi)**2/2 + (1-K**2)**2/(2 xi**2)."""
     xi = profile.grid.xi
     K, H = profile.K, profile.H
-    Kp, Hp = profile.derivatives()
+    Kp, Hp = profile.derivatives
     return (
         Kp ** 2
         + K ** 2 * H ** 2 / xi ** 2
         + 0.5 * (Hp - H / xi) ** 2
         + (1.0 - K ** 2) ** 2 / (2.0 * xi ** 2)
     )
-
-
-def squared_form_density(profile):
-    """The same density minus the total derivative d/dxi[H (1-K**2)/xi].
-
-    Algebraically equal to (K' + K H/xi)**2 + ((H' - H/xi) - (1-K**2)/xi)**2/2,
-    which vanishes exactly on the closed-form profile.
-    """
-    xi = profile.grid.xi
-    K, H = profile.K, profile.H
-    Kp, Hp = profile.derivatives()
-    return (Kp + K * H / xi) ** 2 + 0.5 * ((Hp - H / xi) - (1.0 - K ** 2) / xi) ** 2
-
-
-def boundary_term(profile):
-    """[H (1 - K**2)/xi] evaluated between the last and the first node."""
-    xi = profile.grid.xi
-    val = profile.H * (1.0 - profile.K ** 2) / xi
-    return val[-1] - val[0]
 
 
 def tail_estimate(xi_max):
@@ -244,10 +225,19 @@ def tail_estimate(xi_max):
 
 
 def energy_breakdown(profile):
+    """Raw energy integral, its squared form and boundary term, and the tail.
+
+    The density is the Bogomolnyi residuals squared plus a total derivative,
+    (r1**2 + r2**2/2)/xi**2 + d/dxi[H (1 - K**2)/xi]: the squared form
+    vanishes on the closed-form profile, and the boundary term is the bracket
+    between the last and the first node. Both read the profile's derivatives,
+    taken once."""
     xi = profile.grid.xi
+    r1, r2 = bogomolnyi_residuals(profile)
     raw = float(_simpson(energy_density(profile), xi))
-    squared = float(_simpson(squared_form_density(profile), xi))
-    bnd = float(boundary_term(profile))
+    squared = float(_simpson((r1 ** 2 + 0.5 * r2 ** 2) / xi ** 2, xi))
+    edge = profile.H * (1.0 - profile.K ** 2) / xi
+    bnd = float(edge[-1] - edge[0])
     tail = tail_estimate(profile.grid.xi_max)
     return EnergyBreakdown(
         raw_integral=raw,
@@ -276,7 +266,7 @@ def second_line_density(profile, coeffs=None):
     c = _filled_coeffs(coeffs)
     xi = profile.grid.xi
     K, H = profile.K, profile.H
-    Kp, Hp = profile.derivatives()
+    Kp, Hp = profile.derivatives
     u = 1.0 - K
     return (
         c["h2_kprime2"] * H ** 2 * Kp ** 2
@@ -337,7 +327,7 @@ def linearized_forcing(profile, coeffs=None):
     xi = profile.grid.xi
     h = profile.grid.h
     K, H = profile.K, profile.H
-    Kp, Hp = profile.derivatives()
+    Kp, Hp = profile.derivatives
     u = 1.0 - K
     w = Hp - H / xi
     phi_K = (
@@ -479,12 +469,10 @@ def solve_perturbation(profile, coeffs=None):
     min_sv, iterations, change = _min_singular_value(_linear_operator(bps_profile(coarse)))
     scale = abs(A).sum(axis=1).max() * np.abs(y).max() + np.abs(rhs).max()
     return Perturbation(
-        grid=profile.grid,
         K1=y[0::2],
         H1=y[1::2],
         coeffs=c,
         min_singular_value=min_sv,
-        diagnostic_n=_DIAGNOSTIC_N,
         diagnostic_iterations=iterations,
         diagnostic_change=change,
         backward_error=float(np.abs(A @ y - rhs).max() / scale) if scale else 0.0,
@@ -559,7 +547,7 @@ def perturbation_report(profile, pert):
         "base_energy": base.completed,
         "backward_error": pert.backward_error,
         "min_singular_value": pert.min_singular_value,
-        "diagnostic_n": pert.diagnostic_n,
+        "diagnostic_n": _DIAGNOSTIC_N,
         "diagnostic_iterations": pert.diagnostic_iterations,
         "diagnostic_change": pert.diagnostic_change,
         "cutoff": grid.xi_max,

@@ -233,7 +233,7 @@ def _grid_for(cfg, scal):
 
 
 def _reduce_common(sector, cfg, scal, metric, background):
-    """(report, grid, node data, full field matrix) of one sector's split."""
+    """(report, grid, node data, full field matrix, residual scale) of one sector's split."""
     if metric.dim != cfg.dim:
         raise ValueError("metric dimension does not match the jet")
     grid, L = _grid_for(cfg, scal)
@@ -299,7 +299,7 @@ def _reduce_common(sector, cfg, scal, metric, background):
         report["vanishing_group_rel"] = abs(gk[3]) / scale
     else:
         report["vanishing_group_rel"] = max(abs(gk[3]), abs(gk[4])) / scale
-    return report, grid, nd, F
+    return report, grid, nd, F, scale
 
 
 def reduce_scalar(cfg, scal, metric, background):
@@ -346,7 +346,7 @@ def two_dim_report(cfg, metric, background):
     onto the bracket-extended F_01, and the two lowest groups vanish."""
     if cfg.dim != 2 or metric.dim != 2:
         raise ValueError("this check needs exactly two spacetime dimensions")
-    rep, grid, nd, F = _reduce_common("yang_mills", cfg, None, metric, background)
+    rep, grid, nd, F, scale = _reduce_common("yang_mills", cfg, None, metric, background)
     b, q = metric.b, background.q
     eps_contract = eps(F, F, _full_inverse_metric(grid, np.linalg.inv(metric.spacetime), b))
     det_st = float(np.linalg.det(metric.spacetime))
@@ -361,7 +361,6 @@ def two_dim_report(cfg, metric, background):
     ft_sq = integral_of_product(ft01, ft01).real
     measured_constant = eps_sq_integral * (q**2 * b**4 * abs(det_st)) / ft_sq
     gk = rep["group_integrals"]
-    scale = max(abs(gk[2]), abs(rep["total"]), 1.0)
     return {
         "eps_square_integral": eps_sq_integral,
         "covariant_component_integral": ft_sq,
@@ -399,8 +398,7 @@ def born_infeld_report(cfg, metric, background, alpha, C=1.0):
 
     F = _full_field_matrix(nd, D, q)
     F_vac = np.zeros_like(F)
-    F_vac[..., D, D + 1] = s / q
-    F_vac[..., D + 1, D] = -s / q
+    F_vac[..., D:, D:] = F[..., D:, D:]  # the flux background alone
 
     w_coord = (grid.w / grid.sin_theta)[:, None] * (2.0 * math.pi / grid.n_phi)
     lhs_full = float(np.sum(w_coord * born_infeld_density(F, G, alpha, C)))

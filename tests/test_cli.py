@@ -357,26 +357,27 @@ def test_monopole_perturb_with_zero_correction_exits_one(capsys):
 
 
 def _linearity_fit(monkeypatch, capsys, argv):
-    """(rc, err, meta, epsilons, energies) of a `monopole perturb` run; the
-    epsilons and energies are those of its energy-linearity fit, the first
-    polyfit the run makes, with the fit's scaling undone."""
+    """(rc, err, meta, checks, epsilons, energies) of a `monopole perturb`
+    run; the epsilons and energies are those of its energy-linearity fit,
+    the first polyfit the run makes, with the fit's scaling undone."""
     fits = []
     polyfit = np.polyfit
     monkeypatch.setattr(np, "polyfit", lambda x, y, deg: fits.append((x, y)) or polyfit(x, y, deg))
     rc, out, err = run(capsys, ["monopole", "perturb", "--n", "400"] + argv)
-    meta = dict(line.split(" = ") for line in parse_report(out)[0][2])
+    (_, _, meta), checks = parse_report(out)
+    meta = dict(line.split(" = ") for line in meta)
     x, energies = fits[0]
     assert len(x) == 7
     unit = float(meta["epsilon_max"]) / x.max()
     assert math.frexp(unit)[0] == 0.5 and x.max() <= 1.0 < 2.0 * x.max()  # a power of two
-    return rc, err, meta, x * unit, energies
+    return rc, err, meta, checks, x * unit, energies
 
 
 def test_monopole_perturb_linear_slope_is_the_unscaled_fit(monkeypatch, capsys):
     """The energy-linearity fit runs in epsilons / 2^k, an exact scaling: at
     default flags the printed slope is, bit for bit, that of the fit in the
     epsilons themselves."""
-    rc, err, meta, epsilons, energies = _linearity_fit(monkeypatch, capsys, [])
+    rc, err, meta, _, epsilons, energies = _linearity_fit(monkeypatch, capsys, [])
     assert (rc, err) == (0, "")
     assert float(meta["linear_slope"]) == float(np.polyfit(epsilons, energies, 1)[0])
 
@@ -384,12 +385,16 @@ def test_monopole_perturb_linear_slope_is_the_unscaled_fit(monkeypatch, capsys):
 def test_monopole_perturb_fits_linearity_at_tiny_epsilons(monkeypatch, capsys):
     """At --xi-max 1e60 the response is about 1.2e181, so the epsilons are
     about 2.5e-184 and their squares underflow to zero: the unscaled fit
-    fails in LAPACK. The scaled fit gives a finite slope, the report is
-    written and every check passes."""
-    rc, err, meta, epsilons, _ = _linearity_fit(monkeypatch, capsys, ["--xi-max", "1e60"])
+    fails in LAPACK. The scaled fit gives a finite slope and the report is
+    written, but at a base energy of 1.3e32 the seven corrected energies
+    differ only by rounding: their R^2 reads noise, and the fixed linearity
+    bound is the one check that fails."""
+    rc, err, meta, checks, epsilons, _ = _linearity_fit(monkeypatch, capsys, ["--xi-max", "1e60"])
     assert not np.any(epsilons ** 2)
-    assert (rc, err) == (0, "")
+    assert (rc, err) == (1, "")
     assert math.isfinite(float(meta["linear_slope"])) and float(meta["linear_slope"]) > 0
+    assert [c["name"] for c in checks if not c["ok"]] == ["linearity_r_squared"]
+    assert {c["name"]: c["bound"] for c in checks}["linearity_r_squared"] == 0.9999
 
 
 def test_reduce_two_dim_checks_the_nested_split(capsys):

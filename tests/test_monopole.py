@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -83,6 +85,43 @@ def test_energy_breakdown_frozen(reference_profile):
     assert abs(evb.rearrangement_gap) < 1e-9
     assert evb.tail == pytest.approx(tail_estimate(25.0))
     assert evb.raw_integral + evb.tail == pytest.approx(evb.completed)
+
+
+def _closed_squared_form(profile):
+    """The squared form written out: (K' + K H/xi)**2 + ((H' - H/xi) - (1 - K**2)/xi)**2/2."""
+    xi, K, H = profile.grid.xi, profile.K, profile.H
+    Kp, Hp = fd1(K, profile.grid.h), fd1(H, profile.grid.h)
+    return (Kp + K * H / xi) ** 2 + 0.5 * ((Hp - H / xi) - (1.0 - K ** 2) / xi) ** 2
+
+
+def test_squared_form_is_the_bogomolnyi_residuals_squared(reference_profile):
+    """energy_breakdown's squared form, (r1**2 + r2**2/2)/xi**2 from the
+    Bogomolnyi residuals, integrates to the closed form on four seeded smooth
+    deformations of the profile. On the closed-form profile itself both are
+    rounding noise near 1e-21, so there only an absolute bound means anything."""
+    bumped = [perturb_profile(reference_profile, np.random.default_rng(seed)) for seed in range(4)]
+    for profile in [reference_profile] + bumped:
+        oracle = float(monopole._simpson(_closed_squared_form(profile), profile.grid.xi))
+        got = energy_breakdown(profile).squared_form_integral
+        assert got == pytest.approx(oracle, rel=1e-12, abs=1e-24)
+    assert min(energy_breakdown(p).squared_form_integral for p in bumped) > 1e-6
+
+
+def test_profile_takes_its_derivatives_once(monkeypatch):
+    """The energy breakdown, the correction integral and the residuals of one
+    fresh profile share one fd1 pass over each of K and H; bps_profile takes
+    none. The profile is frozen, so the cached pair cannot go stale."""
+    calls = []
+    real = monopole.fd1
+    monkeypatch.setattr(monopole, "fd1", lambda values, h: calls.append(h) or real(values, h))
+    profile = bps_profile(RadialGrid(25.0, 400))
+    assert calls == []
+    energy_breakdown(profile)
+    second_line_integral(profile)
+    bogomolnyi_residuals(profile)
+    assert len(calls) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        profile.K = profile.H
 
 
 def test_energy_minimum_under_perturbations(reference_profile):
@@ -213,7 +252,7 @@ def test_perturbation_solver_frozen(reference_profile):
     assert np.all(np.isfinite(pert.K1))
     assert np.all(np.isfinite(pert.H1))
     assert pert.min_singular_value == pytest.approx(FROZEN_MIN_SV, rel=1e-6)
-    assert pert.diagnostic_n == 400
+    assert perturbation_report(reference_profile, pert)["diagnostic_n"] == 400
 
 
 def test_solve_perturbation_takes_no_dense_svd(monkeypatch, reference_profile):
