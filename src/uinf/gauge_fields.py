@@ -78,9 +78,11 @@ def field_strength(cfg, mu, nu):
     return lin + cfg.coupling * bracket(cfg.a[mu], cfg.a[nu])
 
 
-def covariant_derivative(cfg, scal, mu):
-    """D_mu phi = d_mu phi + coupling {A_mu, phi}."""
-    return scal.dphi[mu] + cfg.coupling * bracket(cfg.a[mu], scal.phi)
+def covariant_derivative(cfg, scal):
+    """(D_mu phi for mu in range(dim)), D_mu phi = d_mu phi + coupling
+    {A_mu, phi}; the dim brackets come from one `brackets` call."""
+    brs = brackets([(a, scal.phi) for a in cfg.a])
+    return tuple(dphi + cfg.coupling * br for dphi, br in zip(scal.dphi, brs))
 
 
 def gauge_transform_config(cfg, omega, domega, t):
@@ -131,12 +133,10 @@ def yang_mills_integral(cfg, metric=None):
     return total
 
 
-def scalar_kinetic_integral(cfg, scal, metric=None):
+def scalar_kinetic_integral(cfg, scal, metric):
     """integral D_mu phi D^mu phi dOmega with a constant spacetime metric."""
-    if metric is None:
-        metric = minkowski_metric(cfg.dim)
     ginv = np.linalg.inv(metric)
-    d = [covariant_derivative(cfg, scal, mu) for mu in range(cfg.dim)]
+    d = covariant_derivative(cfg, scal)
     total = 0.0
     for mu in range(cfg.dim):
         for nu in range(cfg.dim):
@@ -154,7 +154,7 @@ def random_gauge_config(dim, l_max, rng, amplitude=1.0):
     return GaugeConfig(dim, 1.0, a, da)
 
 
-def random_adjoint_scalar(dim, l_max, rng, amplitude=1.0):
+def random_adjoint_scalar(dim, l_max, rng, amplitude):
     phi = random_real_field(l_max, rng, amplitude)
     dphi = tuple(random_real_field(l_max, rng, amplitude) for _ in range(dim))
     return AdjointScalar(dim, phi, dphi)

@@ -277,7 +277,7 @@ def second_line_density(profile, coeffs=None):
     )
 
 
-def second_line_integral(profile, coeffs=None):
+def second_line_integral(profile, coeffs):
     return float(_simpson(second_line_density(profile, coeffs), profile.grid.xi))
 
 
@@ -308,7 +308,7 @@ def cutoff_growth(profile):
     }
 
 
-def linearized_forcing(profile, coeffs=None):
+def linearized_forcing(profile, coeffs):
     """Variational derivatives of the correction integral at the base profile.
 
     With u = 1 - K and the five-term density above,
@@ -508,7 +508,11 @@ def perturbation_report(profile, pert):
     Reports the origin exponents and tail slopes of both response functions,
     the linearity of the corrected energy in the deformation parameter, the
     backward error of the solve, and the coarse-grid singularity
-    diagnostic.
+    diagnostic. When the corrected energies all round to one value, the fit
+    is exact (r^2 = 1) only if no corrected profile differs from the base
+    one, as for an identically zero response: the energy is then
+    E0 + eps * (correction integral), a line. If some profile moved, the
+    fit resolved nothing, and its r^2 and slope are NaN.
     """
     response = max(np.abs(pert.K1).max(), np.abs(pert.H1).max(), 1.0)
     # keep the first-order displacement below ~3e-3 in sup norm so the fit
@@ -516,9 +520,11 @@ def perturbation_report(profile, pert):
     epsilons = np.linspace(0.1, 1.0, 7) * 3e-3 / response
     grid = profile.grid
     base = energy_breakdown(profile)
-    energies = []
+    energies, moved = [], False
     for eps in epsilons:
-        corrected = MonopoleProfile(grid=grid, K=profile.K + eps * pert.K1, H=profile.H + eps * pert.H1)
+        K, H = profile.K + eps * pert.K1, profile.H + eps * pert.H1
+        moved = moved or (K != profile.K).any() or (H != profile.H).any()
+        corrected = MonopoleProfile(grid=grid, K=K, H=H)
         total = (
             energy_breakdown(corrected).completed
             + eps * second_line_integral(corrected, pert.coeffs)
@@ -534,7 +540,12 @@ def perturbation_report(profile, pert):
     fitted = slope * epsilons + intercept
     ss_res = float(np.sum((energies - fitted) ** 2))
     ss_tot = float(np.sum((energies - energies.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot != 0 else 1.0  # NaN stays NaN
+    if ss_tot != 0:
+        r_squared = 1.0 - ss_res / ss_tot  # NaN stays NaN
+    elif moved:
+        r_squared = slope = np.nan  # the profile moved, the energy did not resolve it
+    else:
+        r_squared = 1.0  # no profile moved: the energy is exactly a line in eps
     return {
         "origin_exponent_K": origin_exponent(grid, pert.K1),
         "origin_exponent_H": origin_exponent(grid, pert.H1),
@@ -555,7 +566,7 @@ def perturbation_report(profile, pert):
     }
 
 
-def physical_energy(breakdown, correction, evb, v=1.0, beta=1.0, e=2.0, b=1.0):
+def physical_energy(breakdown, correction, evb, v, beta, e, b):
     """Dimensionful energy estimate at deformation strength set by evb, from
     a profile's energy breakdown and its correction integral.
 
@@ -582,7 +593,7 @@ def physical_energy(breakdown, correction, evb, v=1.0, beta=1.0, e=2.0, b=1.0):
     }
 
 
-def energy_scan(evb_list, xi_max=25.0, n=4000, v=1.0, beta=1.0, e=2.0, b=1.0, coeffs=None):
+def energy_scan(evb_list, xi_max, n, v=1.0, beta=1.0, e=2.0, b=1.0, coeffs=None):
     """physical_energy of one closed-form profile at each evb; the two
     integrals do not depend on evb and are computed once."""
     profile = bps_profile(RadialGrid(xi_max, n))

@@ -372,7 +372,7 @@ def two_dim_report(cfg, metric, background):
     }
 
 
-def born_infeld_report(cfg, metric, background, alpha, C=1.0):
+def born_infeld_report(cfg, metric, background, alpha, C):
     """Determinant-root action of the full-space data against its reduced
     spacetime counterpart built from the bracket-extended field strength.
 

@@ -455,7 +455,7 @@ class Su2Generators:
 def _closure_residual(ts):
     """Best single real constant and the worst-pair residual for the triple."""
     cycles = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-    brs = [bracket(ts[a], ts[b]) for a, b, _ in cycles]
+    brs = brackets([(ts[a], ts[b]) for a, b, _ in cycles])
     projections = []
     for (a, b, c), br in zip(cycles, brs):
         tc = ts[c]

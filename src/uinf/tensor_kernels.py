@@ -153,7 +153,7 @@ def epsilon_symbol(n):
     return sym
 
 
-def born_infeld_density(F, g, alpha, C=1.0):
+def born_infeld_density(F, g, alpha, C):
     """(C / alpha^2) (sqrt(-det(g + alpha F)) - sqrt(-det g)) on a stack of
     nodes: F and the covariant metric g broadcast over their leading axes.
 
@@ -185,7 +185,7 @@ def suite_dims(dims):
     return dims
 
 
-def identity_suite(dims=(3, 4, 6), trials=500, rng=None, signature="euclidean"):
+def identity_suite(dims=(3, 4, 6), *, trials, rng, signature="euclidean"):
     """Measure the four route ratios over random draws.
 
     Each ratio is evaluated on `trials` accepted draws (split evenly over the
@@ -197,8 +197,6 @@ def identity_suite(dims=(3, 4, 6), trials=500, rng=None, signature="euclidean"):
     terms, where the quotient would measure rounding noise instead of the
     identity. The redraw count is reported so the filtering is visible.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     dims = suite_dims(dims)
     # ratio: (dimensions, trace-form terms, numerator route, denominator route
     # or None for the trace form); every route takes (F, v, ginv)
@@ -245,7 +243,7 @@ def random_antisymmetric(n, rng):
     return A - A.T
 
 
-def random_metric(n, rng, signature="euclidean"):
+def random_metric(n, rng, signature):
     """Well-conditioned random metric with fixed signature.
 
     euclidean: all eigenvalues in [0.5, 2.5]. lorentzian: same spectrum with

@@ -397,6 +397,24 @@ def test_monopole_perturb_fits_linearity_at_tiny_epsilons(monkeypatch, capsys):
     assert {c["name"]: c["bound"] for c in checks}["linearity_r_squared"] == 0.9999
 
 
+def test_monopole_perturb_nulls_an_unresolved_linearity_fit(tmp_path, capsys):
+    """At --xi-max 1e60 and the default --n 4000 the deformation moves the
+    profile, but the seven corrected energies (base 9.9e33) round to one
+    value, so the fit resolved nothing: its R^2 and slope are written as
+    null and named on stderr, the report is still written, and the run
+    exits 1."""
+    path = tmp_path / "perturb.csv"
+    rc, out, err = run(capsys, ["monopole", "perturb", "--xi-max", "1e60", "--out", str(path)])
+    assert (rc, out) == (1, "")
+    assert err == ("error: 2 non-finite value(s) written as null: "
+                   "meta.linearity_r_squared, meta.linear_slope\n")
+    meta = dict(line[2:].split(" = ") for line in path.read_text().splitlines()
+                if line.startswith("# "))
+    assert meta["linearity_r_squared"] == meta["linear_slope"] == ""
+    assert meta["check.linearity_r_squared"] == "value= bound=0.99990000000000001 ok=False"
+    assert meta["check.finite"] == "value=2 bound=0 ok=False"
+
+
 def test_reduce_two_dim_checks_the_nested_split(capsys):
     rc, out, _ = run(capsys, ["reduce", "two-dim", "--lmax", "2", "--tol", "1e-20"])
     assert rc == 1

@@ -111,8 +111,8 @@ def test_covariant_derivative_transforms_by_bracket():
     cfg_t = gauge_transform_config(cfg, omega, domega, t)
     scal_t = gauge_transform_scalar(scal, omega, domega, t, g)
     for mu in range(3):
-        lhs = covariant_derivative(cfg_t, scal_t, mu)
-        d0 = covariant_derivative(cfg, scal, mu)
+        lhs = covariant_derivative(cfg_t, scal_t)[mu]
+        d0 = covariant_derivative(cfg, scal)[mu]
         shift = domega[mu] + g * bracket(cfg.a[mu], omega)
         rhs = (
             d0
@@ -176,7 +176,7 @@ def test_scalar_kinetic_integral_against_brute_force():
     metric = lorentz(dim)
     ginv = np.linalg.inv(metric)
     grid = grid_for_band_limit(8)
-    dvals = [synthesize(covariant_derivative(cfg, scal, mu), grid) for mu in range(dim)]
+    dvals = [synthesize(covariant_derivative(cfg, scal)[mu], grid) for mu in range(dim)]
     brute = 0.0
     for mu in range(dim):
         for nu in range(dim):

@@ -1,9 +1,10 @@
-"""The gauge motions against the per-pair formula they replace.
+"""The gauge motions and the covariant derivative against the per-pair
+formulas they replace.
 
-gauge_transform_config and gauge_transform_scalar take every bracket of a
-motion from one `brackets` call. The oracle below is the same motion with
-one `bracket` call per pair, in the same order of field arithmetic, so the
-two must agree bit for bit.
+gauge_transform_config, gauge_transform_scalar and covariant_derivative take
+every bracket they need from one `brackets` call. The oracles below make one
+`bracket` call per pair, in the same order of field arithmetic, so the two
+must agree bit for bit.
 """
 
 from dataclasses import replace
@@ -15,6 +16,7 @@ from uinf import gauge_fields
 from uinf.gauge_fields import (
     AdjointScalar,
     GaugeConfig,
+    covariant_derivative,
     gauge_transform_config,
     gauge_transform_scalar,
     random_adjoint_scalar,
@@ -44,6 +46,10 @@ def per_pair_scalar(scal, omega, domega, t, coupling):
                                          + bracket(scal.phi, domega[mu]))
                 for mu in range(scal.dim)]
     return AdjointScalar(scal.dim, phi_new, tuple(dphi_new))
+
+
+def per_pair_covariant_derivative(cfg, scal):
+    return [scal.dphi[mu] + cfg.coupling * bracket(cfg.a[mu], scal.phi) for mu in range(cfg.dim)]
 
 
 def _bits(fields):
@@ -97,3 +103,32 @@ def test_each_gauge_motion_makes_one_brackets_call_and_no_bracket_call(monkeypat
     assert calls == [dim * (2 * dim + 1)]
     gauge_transform_scalar(scal, omega, domega, 0.5, cfg.coupling)
     assert calls == [dim * (2 * dim + 1), 2 * dim + 1]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("phi_l_max,complex_phi", [
+    (2, False),  # every bracket on the potentials' grid, every product real
+    (3, False),  # phi on a finer band than the potentials
+    (1, True),   # complex products
+])
+def test_covariant_derivative_is_one_brackets_call_equal_to_the_per_pair_formula(
+        monkeypatch, dim, phi_l_max, complex_phi):
+    cfg, scal, _, _ = _draw(dim, 2, 2, False, 10 * dim + phi_l_max)
+    rng = np.random.default_rng(dim)
+    phi = random_real_field(phi_l_max, rng, amplitude=0.7)
+    if complex_phi:
+        phi = phi + 0.5j * random_real_field(phi_l_max, rng, amplitude=0.7)
+    scal = replace(scal, phi=phi)
+    want = per_pair_covariant_derivative(cfg, scal)
+    calls = []
+    stacked = gauge_fields.brackets
+
+    def no_bracket(f, g):
+        raise AssertionError("covariant_derivative called bracket")
+
+    monkeypatch.setattr(gauge_fields, "bracket", no_bracket)
+    monkeypatch.setattr(gauge_fields, "brackets",
+                        lambda pairs: calls.append(len(pairs)) or stacked(pairs))
+    got = covariant_derivative(cfg, scal)
+    assert calls == [dim]
+    assert isinstance(got, tuple) and _bits(got) == _bits(want)

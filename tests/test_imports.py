@@ -1,7 +1,8 @@
 """Every name a package module imports is used there, it takes from its
 siblings only the names they export, importing a module loads no more than
-it needs, and every name it exports has a caller in the package or the
-benchmark.
+it needs, every name it exports has a caller in the package or the
+benchmark, and each library default is both set and left unset by those
+callers.
 
 A name counts as used when the module reads it or lists it in __all__. An
 import statement carrying "# noqa: F401" is exempt: it binds a name on
@@ -191,37 +192,72 @@ def _defaulted(tree):
     yield from visit(tree.body, False)
 
 
-def _passed(trees):
-    """Called name -> (most positional arguments at one call, keywords
-    passed at any call); a starred argument counts as every position, a
-    ** argument as every keyword (None)."""
-    passed = {}
-    for tree in trees:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            count, keywords = passed.setdefault(name, (0, set()))
-            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
-            keywords.update(k.arg for k in node.keywords)
-            passed[name] = (max(count, float("inf") if starred else len(node.args)), keywords)
-    return passed
+def _calls(paths):
+    """Called name -> (positional arguments, keywords) of each call in paths;
+    a starred argument counts as every position, a ** argument as every
+    keyword (None)."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                calls.setdefault(name, []).append(
+                    (float("inf") if starred else len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def _sets(call, name, position):
+    """Whether the call passes the parameter, by keyword or by position."""
+    count, keywords = call
+    return bool({name, None} & keywords) or (position is not None and count > position)
+
+
+def _library_defaults():
+    """(module, function, parameter, position) of every defaulted parameter
+    of the package's public functions and methods."""
+    for path in SOURCES:
+        for func, name, position in _defaulted(ast.parse(path.read_text())):
+            yield path.stem, func, name, position
 
 
 def test_every_library_default_is_set_by_a_caller():
     """A defaulted parameter that no call in the package or the benchmark
     sets has one value in use, which belongs in the body as a constant."""
-    passed = _passed(ast.parse(path.read_text()) for path in CALLERS)
+    calls = _calls(CALLERS)
     unset = []
-    for path in SOURCES:
-        for func, name, position in _defaulted(ast.parse(path.read_text())):
-            # cli.main is the console entry point: the installed script calls
-            # it with no argument, so argv=None (read sys.argv) is the value
-            # in use and a list is passed only by tests
-            if (path.stem, func) == ("cli", "main"):
-                continue
-            count, keywords = passed.get(func, (0, set()))
-            if not ({name, None} & keywords or (position is not None and count > position)):
-                unset.append("%s.%s(%s)" % (path.stem, func, name))
+    for module, func, name, position in _library_defaults():
+        # cli.main is the console entry point: the installed script calls
+        # it with no argument, so argv=None (read sys.argv) is the value
+        # in use and a list is passed only by tests
+        if (module, func) == ("cli", "main"):
+            continue
+        if not any(_sets(call, name, position) for call in calls.get(func, ())):
+            unset.append("%s.%s(%s)" % (module, func, name))
     assert unset == [], "defaults that only tests set: %s" % unset
+
+
+# defaults that every call in CALLERS sets, each with the caller that relies
+# on it from outside CALLERS
+UNRELIED = {
+    "gauge_fields.yang_mills_integral(metric)":
+        "bench/test_bench_helpers.py's tracer test calls it without a metric",
+    "gauge_fields.random_gauge_config(amplitude)":
+        "bench/test_bench_helpers.py's tracer test calls it without an amplitude",
+}
+
+
+def test_every_library_default_is_relied_on():
+    """A defaulted parameter that some call in the package or the benchmark
+    sets and none leaves unset is a second copy of a value its callers own,
+    and should be required. UNRELIED lists the defaults kept for a caller
+    outside CALLERS, and each of them must still be set by every call."""
+    calls = _calls(CALLERS)
+    unrelied = set()
+    for module, func, name, position in _library_defaults():
+        sets = [_sets(call, name, position) for call in calls.get(func, ())]
+        if sets and all(sets):
+            unrelied.add("%s.%s(%s)" % (module, func, name))
+    missing, stale = sorted(unrelied - set(UNRELIED)), sorted(set(UNRELIED) - unrelied)
+    assert missing == [], "defaults that every caller sets: %s" % missing
+    assert stale == [], "exempt defaults that a caller relies on: %s" % stale

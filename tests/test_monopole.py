@@ -117,7 +117,7 @@ def test_profile_takes_its_derivatives_once(monkeypatch):
     profile = bps_profile(RadialGrid(25.0, 400))
     assert calls == []
     energy_breakdown(profile)
-    second_line_integral(profile)
+    second_line_integral(profile, None)
     bogomolnyi_residuals(profile)
     assert len(calls) == 2
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -144,7 +144,7 @@ def test_variational_identity(reference_profile):
 
 
 def test_second_line_integral_frozen(reference_profile):
-    assert second_line_integral(reference_profile) == pytest.approx(
+    assert second_line_integral(reference_profile, None) == pytest.approx(
         FROZEN_SECOND_LINE, rel=1e-12
     )
 
@@ -388,14 +388,14 @@ def test_perturbation_report_structure(reference_profile):
 def test_physical_energy_scaling(reference_profile):
     evb = 0.1
     breakdown = energy_breakdown(reference_profile)
-    correction = second_line_integral(reference_profile)
+    correction = second_line_integral(reference_profile, None)
     out = physical_energy(breakdown, correction, evb, v=1.0, beta=1.0, e=2.0, b=1.0)
     assert out["epsilon"] == pytest.approx(evb**4 / 30.0, rel=1e-15)
     assert out["prefactor"] == pytest.approx(np.pi**2, rel=1e-15)
     assert out["quantization_ok"]
     expected = out["prefactor"] * (out["E0_integral"] + out["epsilon"] * out["correction_integral"])
     assert out["total"] == pytest.approx(expected, rel=1e-12)
-    odd = physical_energy(breakdown, correction, evb, e=3.0)
+    odd = physical_energy(breakdown, correction, evb, v=1.0, beta=1.0, e=3.0, b=1.0)
     assert not odd["quantization_ok"]
 
 
@@ -427,8 +427,8 @@ def test_energy_scan_computes_each_integral_once(monkeypatch):
     rows = energy_scan(evbs, xi_max=10.0, n=800)
     assert sorted(calls) == ["energy_breakdown", "second_line_integral"]
     profile = bps_profile(RadialGrid(10.0, 800))
-    breakdown, correction = energy_breakdown(profile), second_line_integral(profile)
-    assert rows == [physical_energy(breakdown, correction, evb) for evb in evbs]
+    breakdown, correction = energy_breakdown(profile), second_line_integral(profile, None)
+    assert rows == [physical_energy(breakdown, correction, evb, 1.0, 1.0, 2.0, 1.0) for evb in evbs]
 
 
 def test_convergence_toward_continuum(reference_profile):

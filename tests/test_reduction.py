@@ -222,7 +222,7 @@ def test_born_infeld_drift_shrinks_with_radius(background):
     drifts = []
     rhs_vals = []
     for b in (0.4, 0.2, 0.1, 0.05):
-        rep = born_infeld_report(cfg, BlockMetric(lorentz(4), b), background, alpha=0.5)
+        rep = born_infeld_report(cfg, BlockMetric(lorentz(4), b), background, alpha=0.5, C=1.0)
         drifts.append(rep["drift"])
         rhs_vals.append(rep["rhs"])
     assert drifts == pytest.approx(
@@ -239,7 +239,7 @@ def test_born_infeld_expansion_suppression(background):
     cfg = random_gauge_config(4, 2, rng, amplitude=0.25)
     metric = BlockMetric(lorentz(4), 0.1)
     ratios = [
-        born_infeld_report(cfg, metric, background, alpha=alpha)["suppression_ratio"]
+        born_infeld_report(cfg, metric, background, alpha=alpha, C=1.0)["suppression_ratio"]
         for alpha in (0.8, 0.4, 0.2, 0.1, 0.05)
     ]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -252,7 +252,7 @@ def test_born_infeld_quadratic_remainder(background):
     cfg = random_gauge_config(4, 2, rng, amplitude=0.25)
     metric = BlockMetric(lorentz(4), 0.5)
     resid = [
-        born_infeld_report(cfg, metric, background, alpha=alpha)["kk_residual"]
+        born_infeld_report(cfg, metric, background, alpha=alpha, C=1.0)["kk_residual"]
         for alpha in (0.2, 0.1, 0.05, 0.025)
     ]
     for a, b in zip(resid, resid[1:]):

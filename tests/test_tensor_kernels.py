@@ -101,7 +101,7 @@ def test_eps_ratio_tracks_metric_determinant_sign():
 
 def test_random_metric_signatures():
     rng = np.random.default_rng(5)
-    ge = random_metric(4, rng)
+    ge = random_metric(4, rng, "euclidean")
     ev = np.linalg.eigvalsh(ge)
     assert np.all(ev > 0)
     gl = random_metric(4, rng, signature="lorentzian")
@@ -127,7 +127,7 @@ def test_born_infeld_density_weak_field_limit():
     g = minkowski_metric(4)
     F = 1e-3 * random_antisymmetric(4, rng)
     alpha = 0.3
-    dens = born_infeld_density(F, g, alpha)
+    dens = born_infeld_density(F, g, alpha, C=1.0)
     ginv = np.linalg.inv(g)
     quad = 0.25 * np.einsum("ab,cd,ac,bd->", F, F, ginv, ginv)
     assert dens == pytest.approx(quad, rel=1e-5)
@@ -137,10 +137,10 @@ def test_born_infeld_density_rejects_bad_inputs():
     g = minkowski_metric(4)
     F = np.zeros((4, 4))
     with pytest.raises(ValueError):
-        born_infeld_density(F, g, 0.0)
+        born_infeld_density(F, g, 0.0, C=1.0)
     strong = random_antisymmetric(4, np.random.default_rng(0)) * 100.0
     with pytest.raises(ValueError):
-        born_infeld_density(strong, g, 50.0)
+        born_infeld_density(strong, g, 50.0, C=1.0)
 
 
 def test_identity_suite_reports_redraws():
@@ -211,7 +211,7 @@ def test_stacked_identity_suite_matches_the_per_draw_loop(dims, signature):
     """The stacks take the draws in the per-draw loop's order and filter them
     by the same scale: equal counts, and means equal up to rounding."""
     for seed in (0, 3, 11):
-        suite = identity_suite(dims, 40, np.random.default_rng(seed), signature)
+        suite = identity_suite(dims, trials=40, rng=np.random.default_rng(seed), signature=signature)
         reference = _per_draw_suite(dims, 40, np.random.default_rng(seed), signature)
         for name, (draws, redraws, mean) in reference.items():
             assert (suite[name]["draws"], suite[name]["redraws"]) == (draws, redraws)
@@ -254,9 +254,9 @@ def test_identity_suite_gives_up_on_a_degenerate_draw(monkeypatch):
 
 def test_identity_suite_rejects_missing_base_dims():
     with pytest.raises(ValueError):
-        identity_suite(dims=(4, 5), trials=10)
+        identity_suite(dims=(4, 5), trials=10, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        identity_suite(dims=(2, 3, 4), trials=10)
+        identity_suite(dims=(2, 3, 4), trials=10, rng=np.random.default_rng(0))
 
 
 @settings(max_examples=25, deadline=None)
