@@ -17,6 +17,7 @@ finite differences for derivatives, and Simpson quadrature for integrals.
 from dataclasses import dataclass
 from functools import cached_property
 import math
+import warnings
 
 import numpy as np
 
@@ -391,9 +392,15 @@ def _linear_operator(profile):
 def spsolve(A, b):
     """scipy.sparse.linalg.spsolve, imported on call: it is all the package
     needs of scipy. A module-level name, so a caller can wrap the solve
-    (bench/tracer.py times it here)."""
-    from scipy.sparse.linalg import spsolve as solve
-    return solve(A, b)
+    (bench/tracer.py times it here). An exactly singular A raises
+    np.linalg.LinAlgError instead of scipy's MatrixRankWarning."""
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve as solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        try:
+            return solve(A, b)
+        except MatrixRankWarning as exc:
+            raise np.linalg.LinAlgError(str(exc)) from None
 
 
 # radial nodes of the coarse companion grid behind the singular value diagnostic
@@ -506,46 +513,34 @@ def perturbation_report(profile, pert):
     """Summarize the solved response pert of the profile.
 
     Reports the origin exponents and tail slopes of both response functions,
-    the linearity of the corrected energy in the deformation parameter, the
-    backward error of the solve, and the coarse-grid singularity
-    diagnostic. When the corrected energies all round to one value, the fit
-    is exact (r^2 = 1) only if no corrected profile differs from the base
-    one, as for an identically zero response: the energy is then
-    E0 + eps * (correction integral), a line. If some profile moved, the
-    fit resolved nothing, and its r^2 and slope are NaN.
+    the linearity in epsilon of the energy change dE = Simpson(e_eps - e_0)
+    + eps * (correction integral of the corrected profile), the backward
+    error of the solve, and the coarse-grid singularity diagnostic. The
+    density difference is taken node by node before the sum and the tail
+    1/xi_max cancels, so the fit never subtracts whole energies.
     """
     response = max(np.abs(pert.K1).max(), np.abs(pert.H1).max(), 1.0)
     # keep the first-order displacement below ~3e-3 in sup norm so the fit
     # probes the linear-response window of the deformation
     epsilons = np.linspace(0.1, 1.0, 7) * 3e-3 / response
     grid = profile.grid
-    base = energy_breakdown(profile)
-    energies, moved = [], False
+    base = energy_density(profile)
+    changes = []
     for eps in epsilons:
-        K, H = profile.K + eps * pert.K1, profile.H + eps * pert.H1
-        moved = moved or (K != profile.K).any() or (H != profile.H).any()
-        corrected = MonopoleProfile(grid=grid, K=K, H=H)
-        total = (
-            energy_breakdown(corrected).completed
-            + eps * second_line_integral(corrected, pert.coeffs)
-        )
-        energies.append(total)
-    energies = np.array(energies)
-    finite = np.isfinite(energies).all()  # the LAPACK fit fails on non-finite data
+        corrected = MonopoleProfile(grid=grid, K=profile.K + eps * pert.K1,
+                                    H=profile.H + eps * pert.H1)
+        changes.append(float(_simpson(energy_density(corrected) - base, grid.xi))
+                       + eps * second_line_integral(corrected, pert.coeffs))
+    changes = np.array(changes)
+    finite = np.isfinite(changes).all()  # the LAPACK fit fails on non-finite data
     # fit in epsilons / unit, an exact power-of-two scaling, so that tiny
     # epsilons do not underflow when polyfit squares them
     unit = 2.0 ** math.frexp(epsilons.max())[1]
-    slope, intercept = np.polyfit(epsilons / unit, energies, 1) if finite else (np.nan, np.nan)
+    slope, intercept = np.polyfit(epsilons / unit, changes, 1) if finite else (np.nan, np.nan)
     slope /= unit
-    fitted = slope * epsilons + intercept
-    ss_res = float(np.sum((energies - fitted) ** 2))
-    ss_tot = float(np.sum((energies - energies.mean()) ** 2))
-    if ss_tot != 0:
-        r_squared = 1.0 - ss_res / ss_tot  # NaN stays NaN
-    elif moved:
-        r_squared = slope = np.nan  # the profile moved, the energy did not resolve it
-    else:
-        r_squared = 1.0  # no profile moved: the energy is exactly a line in eps
+    ss_res = float(np.sum((changes - (slope * epsilons + intercept)) ** 2))
+    ss_tot = float(np.sum((changes - changes.mean()) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot else 1.0  # equal changes are all zero: a line
     return {
         "origin_exponent_K": origin_exponent(grid, pert.K1),
         "origin_exponent_H": origin_exponent(grid, pert.H1),
@@ -555,7 +550,7 @@ def perturbation_report(profile, pert):
         "linear_slope": float(slope),
         "epsilon_max": float(epsilons.max()),
         "max_response": float(response),
-        "base_energy": base.completed,
+        "base_energy": energy_breakdown(profile).completed,
         "backward_error": pert.backward_error,
         "min_singular_value": pert.min_singular_value,
         "diagnostic_n": _DIAGNOSTIC_N,

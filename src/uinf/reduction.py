@@ -294,11 +294,8 @@ def _reduce_common(sector, cfg, scal, metric, background):
         "covariant_identity_abs": cov_abs,
         "covariant_identity_rel": cov_abs / cov_scale,
         "sign_s": 1.0,
+        "vanishing_group_rel": max(abs(g) for g in gk[3:]) / scale,
     }
-    if sector == "scalar":
-        report["vanishing_group_rel"] = abs(gk[3]) / scale
-    else:
-        report["vanishing_group_rel"] = max(abs(gk[3]), abs(gk[4])) / scale
     return report, grid, nd, F, scale
 
 

@@ -227,6 +227,8 @@ class HarmonicField:
                 and _json_number(e.get("im", 0.0)) for e in entries)):
             raise ValueError("coeffs must be a list of objects with integer l and m "
                              "and finite numbers re and im")
+        if len({(e["l"], e["m"]) for e in entries}) < len(entries):
+            raise ValueError("coeffs must not repeat an (l, m) entry")
         f = np.zeros((l_max + 1, 2 * l_max + 1), dtype=complex)
         for entry in entries:
             l, m = entry["l"], entry["m"]

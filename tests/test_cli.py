@@ -385,34 +385,56 @@ def test_monopole_perturb_linear_slope_is_the_unscaled_fit(monkeypatch, capsys):
 def test_monopole_perturb_fits_linearity_at_tiny_epsilons(monkeypatch, capsys):
     """At --xi-max 1e60 the response is about 1.2e181, so the epsilons are
     about 2.5e-184 and their squares underflow to zero: the unscaled fit
-    fails in LAPACK. The scaled fit gives a finite slope and the report is
-    written, but at a base energy of 1.3e32 the seven corrected energies
-    differ only by rounding: their R^2 reads noise, and the fixed linearity
-    bound is the one check that fails."""
+    fails in LAPACK. The scaled fit of the energy change, in which the base
+    energy (1.3e32) never enters, is a line whose slope continues the
+    1e30-1e50 scaling, S grows like xi_max**3: 2.7333e91 * 1e90."""
     rc, err, meta, checks, epsilons, _ = _linearity_fit(monkeypatch, capsys, ["--xi-max", "1e60"])
     assert not np.any(epsilons ** 2)
-    assert (rc, err) == (1, "")
-    assert math.isfinite(float(meta["linear_slope"])) and float(meta["linear_slope"]) > 0
-    assert [c["name"] for c in checks if not c["ok"]] == ["linearity_r_squared"]
-    assert {c["name"]: c["bound"] for c in checks}["linearity_r_squared"] == 0.9999
+    assert (rc, err) == (0, "") and all(c["ok"] for c in checks)
+    assert float(meta["linearity_r_squared"]) >= 0.9999
+    assert float(meta["linear_slope"]) == pytest.approx(2.7333e181, rel=1e-3)
 
 
-def test_monopole_perturb_nulls_an_unresolved_linearity_fit(tmp_path, capsys):
-    """At --xi-max 1e60 and the default --n 4000 the deformation moves the
-    profile, but the seven corrected energies (base 9.9e33) round to one
-    value, so the fit resolved nothing: its R^2 and slope are written as
-    null and named on stderr, the report is still written, and the run
-    exits 1."""
+def test_monopole_perturb_resolves_the_linearity_fit_at_4000_nodes(tmp_path, capsys):
+    """At --xi-max 1e60 and the default --n 4000 the seven whole corrected
+    energies (base 9.9e33) round to one value, but their changes from the
+    base do not: the report is written with a linear fit and the run exits
+    0."""
     path = tmp_path / "perturb.csv"
     rc, out, err = run(capsys, ["monopole", "perturb", "--xi-max", "1e60", "--out", str(path)])
-    assert (rc, out) == (1, "")
-    assert err == ("error: 2 non-finite value(s) written as null: "
-                   "meta.linearity_r_squared, meta.linear_slope\n")
-    meta = dict(line[2:].split(" = ") for line in path.read_text().splitlines()
-                if line.startswith("# "))
-    assert meta["linearity_r_squared"] == meta["linear_slope"] == ""
-    assert meta["check.linearity_r_squared"] == "value= bound=0.99990000000000001 ok=False"
-    assert meta["check.finite"] == "value=2 bound=0 ok=False"
+    assert (rc, out, err) == (0, "", "")
+    (_, _, meta), checks = parse_report(path.read_text())
+    meta = dict(line.split(" = ") for line in meta)
+    assert all(c["ok"] for c in checks)
+    assert float(meta["linearity_r_squared"]) >= 0.9999
+    assert float(meta["linear_slope"]) == pytest.approx(2.7333e181, rel=1e-3)
+    assert float(meta["epsilon_max"]) ** 2 == 0.0
+
+
+@pytest.mark.parametrize("xi_max", [
+    "1e-3", "3e-3",
+    pytest.param("0.01", marks=pytest.mark.xfail(strict=True, reason=(
+        "the node-by-node density change rounds in K + eps*K1 (r^2 0.805)"))),
+    "0.03", "0.1", "1", "5", "25", "1e3", "1e30", "1e40", "1e50", "1e60"])
+def test_monopole_perturb_energy_change_is_linear_over_the_cutoff_sweep(capsys, xi_max):
+    rc, out, err = run(capsys, ["monopole", "perturb", "--n", "400", "--xi-max", xi_max])
+    (_, _, meta), checks = parse_report(out)
+    meta = dict(line.split(" = ") for line in meta)
+    assert float(meta["linearity_r_squared"]) >= 0.9999
+    assert (rc, err) == (0, "") and all(c["ok"] for c in checks)
+
+
+@pytest.mark.parametrize("xi_max", ["1e155", "1e300"])
+def test_singular_response_operator_is_one_error_line(xi_max):
+    """Far out the response operator is exactly singular; scipy's
+    MatrixRankWarning would print before the error line. A fresh process,
+    since pytest records warnings instead of printing them."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "uinf.cli", "monopole", "perturb", "--n", "400", "--xi-max", xi_max],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: linear solve failed: Matrix is exactly singular\n"
 
 
 def test_reduce_two_dim_checks_the_nested_split(capsys):
@@ -849,12 +871,13 @@ _BAD_FIELDS = [
     {"l_max": 1, "coeffs": [7]},
     {"l_max": 1, "coeffs": [{"l": 1, "re": 1.0, "im": 0.0}]},
     {"l_max": -1},
+    {"l_max": 1, "coeffs": [{"l": 1, "m": 0, "re": 1.0}, {"l": 1, "m": 0, "re": 5.0}]},
 ]
 
 
 @pytest.mark.parametrize("payload", _BAD_FIELDS, ids=[
     "array", "string", "null_l_max", "number_coeffs", "number_entry", "entry_without_m",
-    "negative_l_max"])
+    "negative_l_max", "duplicate_entry"])
 def test_malformed_field_file_is_usage_error_naming_the_flag(tmp_path, capsys, payload):
     good, _ = _field_files(tmp_path)
     bad = tmp_path / "bad.json"

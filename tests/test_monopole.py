@@ -374,6 +374,43 @@ def test_zero_correction_has_no_slope_to_fit():
     assert rep["linearity_r_squared"] == 1.0
 
 
+@pytest.mark.parametrize("xi_max", [0.1, 1.0, 10.0, 25.0])
+def test_energy_changes_match_the_whole_energy_differences(monkeypatch, xi_max):
+    """Where the whole energies resolve the deformation, the fitted changes
+    are their differences: completed + eps * S of the corrected profile
+    minus the base energy. The changes are those passed to the linearity
+    fit, the first polyfit the report makes."""
+    profile = bps_profile(RadialGrid(xi_max, 400))
+    pert = solve_perturbation(profile, coeffs=SECOND_LINE_COEFFS)
+    fits, polyfit = [], np.polyfit
+    monkeypatch.setattr(np, "polyfit", lambda x, y, deg: fits.append((x, y)) or polyfit(x, y, deg))
+    rep = perturbation_report(profile, pert=pert)
+    x, changes = fits[0]
+    epsilons = x * (rep["epsilon_max"] / x.max())  # the fit's power-of-two scaling undone
+    e0 = energy_breakdown(profile).completed
+    oracle = []
+    for eps in epsilons:
+        corrected = MonopoleProfile(profile.grid, profile.K + eps * pert.K1, profile.H + eps * pert.H1)
+        oracle.append(energy_breakdown(corrected).completed
+                      + eps * second_line_integral(corrected, pert.coeffs) - e0)
+    assert rep["base_energy"] == e0
+    assert np.abs(changes - np.array(oracle)).max() <= 1e-14 * abs(e0)
+
+
+def test_unmoved_profile_has_the_correction_integral_as_slope():
+    """At xi_max 1e-3 no corrected profile differs from the base one, so the
+    energy change is exactly eps * S: the slope is S, not rounding noise."""
+    profile = bps_profile(RadialGrid(1e-3, 400))
+    pert = solve_perturbation(profile, coeffs=SECOND_LINE_COEFFS)
+    rep = perturbation_report(profile, pert=pert)
+    eps = rep["epsilon_max"]
+    assert (profile.K + eps * pert.K1 == profile.K).all() and (profile.H + eps * pert.H1 == profile.H).all()
+    S = second_line_integral(profile, SECOND_LINE_COEFFS)
+    assert S == pytest.approx(3.7037e-23, rel=1e-4)
+    assert rep["linear_slope"] == pytest.approx(S, rel=1e-12)
+    assert rep["linearity_r_squared"] == 1.0
+
+
 def test_perturbation_report_structure(reference_profile):
     rep = perturbation_report(reference_profile, solve_perturbation(reference_profile))
     assert rep["origin_exponent_K"] == pytest.approx(2.0, abs=0.1)
