@@ -151,15 +151,19 @@ def _drawn_reduction_inputs(args, dim, want_scalar):
     return cfg, scal, minkowski_metric(dim), Background(args.e)
 
 
-def _reduce_result(args, rep, groups=("vanishing_group_rel",),
-                   residuals=("classification_residual_rel", "covariant_identity_rel",
-                              "forward_scan_residual_rel")):
-    """The report and its checks: route residuals against --tol; the
-    vanishing groups are exact zeros up to rounding, so their bound does not
-    move with it."""
-    checks = ([check(n, rep[n], args.tol) for n in residuals]
-              + [check(n, rep[n], 1e-12) for n in groups])
-    return {"meta": _meta(args, amplitude=args.amplitude), "report": rep}, checks
+_ROUTES = ("classification_residual_rel", "covariant_identity_rel", "forward_scan_residual_rel")
+
+
+def _route_checks(rep, tol, groups=("vanishing_group_rel",), residuals=_ROUTES):
+    """Route residuals against tol; the vanishing groups are exact zeros up
+    to rounding, so their bound does not move with it."""
+    return [check(n, rep[n], tol) for n in residuals] + [check(n, rep[n], 1e-12) for n in groups]
+
+
+def _reduce_result(args, rep, **names):
+    """The report and its checks, the route residuals against --tol."""
+    document = {"meta": _meta(args, amplitude=args.amplitude), "report": rep}
+    return document, _route_checks(rep, args.tol, **names)
 
 
 def cmd_reduce_scalar(args):
@@ -190,7 +194,9 @@ def cmd_reduce_scan_b(args):
     rows = [[row[c] for c in columns] for row in scan["rows"]]
     meta = _meta(args, D=args.D, e=args.e, lmax=args.lmax, amplitude=args.amplitude,
                  fit_exponent=scan["fit_exponent"])
-    return (columns, rows, meta), []
+    # each route at its worst radius, against fixed bounds: scan-b takes no --tol
+    worst = {n: max(row[n] for row in scan["rows"]) for n in _ROUTES + ("vanishing_group_rel",)}
+    return (columns, rows, meta), _route_checks(worst, 1e-10)
 
 
 def cmd_reduce_born_infeld(args):

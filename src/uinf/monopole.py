@@ -615,6 +615,10 @@ def convergence_check(breakdown):
     them to zero. Where one still vanishes, or the two are equal, p is
     undefined and the nominal order 3 stands in: the dominant error is the
     missing [0, h] sliver of the integral, which shrinks like h**3.
+
+    An order outside [2, 4] says the grids are not in their asymptotic
+    range: the estimate and the remainder are then NaN, unless the estimate
+    is lost in the rounding of the error, where it cannot move the blame.
     """
     xi_max, n = breakdown.xi_max, breakdown.n
     raw = {n: breakdown.raw_integral}
@@ -626,8 +630,8 @@ def convergence_check(breakdown):
     if d_fine and d_coarse and abs(d_fine) != abs(d_coarse):
         order = math.log2(abs(d_coarse) / abs(d_fine))
     estimate = raw[n] - (fine + d_fine / (2.0 ** order - 1.0))
-    return {
-        "discretization_estimate": estimate,
-        "observed_order": order,
-        "cutoff_remainder": breakdown.completed - 1.0 - estimate,
-    }
+    remainder = breakdown.completed - 1.0 - estimate
+    if not 2.0 <= order <= 4.0 and remainder != breakdown.completed - 1.0:
+        estimate = remainder = math.nan
+    return {"discretization_estimate": estimate, "observed_order": order,
+            "cutoff_remainder": remainder}

@@ -134,8 +134,8 @@ def _block_invariants(nd, grid, ginv, b):
 
 
 def _scalar_groups(nd, grid, ginv, b, q):
-    """Node densities of the four scalar-sector groups, ordered by the
-    inverse sphere-block power."""
+    """Node densities of the terms of the four scalar-sector groups, one
+    list per group, ordered by the inverse sphere-block power."""
     gh, fup, S, P, X = _block_invariants(nd, grid, ginv, b)
     s = nd["s"]
     dAex, flow = nd["dAex"], nd["flow"]
@@ -158,15 +158,14 @@ def _scalar_groups(nd, grid, ginv, b, q):
     fhat_upup = np.einsum("mij,nij,mnij->mnij", gh, gh, fhat) / b**4
     vex_up = gh * dphiex / b**2
     t2bg = np.einsum("mpij,mnij,nij,pij->ij", fhat_upup, fhat, vex_up, dphiex)
-    g0 = S * p_st - 2.0 * W
-    g1 = 2.0 * X * p_st + S * p_ex - 4.0 * Z1 - 2.0 * Z2
-    g2 = Bc * p_st + 2.0 * X * p_ex - 2.0 * Q1 - 4.0 * Q2
-    g3 = Bc * p_ex - 2.0 * t2bg
-    return [g0, g1, g2, g3]
+    return [[S * p_st, -2.0 * W],
+            [2.0 * X * p_st, S * p_ex, -4.0 * Z1, -2.0 * Z2],
+            [Bc * p_st, 2.0 * X * p_ex, -2.0 * Q1, -4.0 * Q2],
+            [Bc * p_ex, -2.0 * t2bg]]
 
 
 def _ym_groups(nd, grid, ginv, b, q):
-    """Node densities of the five quartic-sector groups."""
+    """Node densities of the terms of the five quartic-sector groups."""
     gh, fup, S, P, X = _block_invariants(nd, grid, ginv, b)
     s = nd["s"]
     dAex, flow = nd["dAex"], nd["flow"]
@@ -188,12 +187,11 @@ def _ym_groups(nd, grid, ginv, b, q):
     C3 = np.einsum("mnij,naij,apij,pmij->ij", ehat, V, Wm, ehat)
     e2 = np.einsum("mnij,npij->mpij", ehat, ehat)
     t4e = np.einsum("mnij,nmij->ij", e2, e2)
-    g0 = S * S - 2.0 * t4s
-    g1 = 4.0 * S * X - 8.0 * C1
-    g2 = 4.0 * X * X + 2.0 * S * Bc - 8.0 * C_adj - 4.0 * C_alt
-    g3 = 4.0 * X * Bc - 8.0 * C3
-    g4 = Bc * Bc - 2.0 * t4e
-    return [g0, g1, g2, g3, g4]
+    return [[S * S, -2.0 * t4s],
+            [4.0 * S * X, -8.0 * C1],
+            [4.0 * X * X, 2.0 * S * Bc, -8.0 * C_adj, -4.0 * C_alt],
+            [4.0 * X * Bc, -8.0 * C3],
+            [Bc * Bc, -2.0 * t4e]]
 
 
 def _full_field_matrix(nd, D, q):
@@ -205,10 +203,6 @@ def _full_field_matrix(nd, D, q):
     F[..., D, D + 1] = nd["s"] / q
     F[..., D + 1, D] = -nd["s"] / q
     return F
-
-
-def _full_gradient(nd):
-    return np.concatenate([nd["dphst"], nd["dphiex"]]).transpose(1, 2, 0)
 
 
 def _full_inverse_metric(grid, ginv, b, t=1.0):
@@ -232,8 +226,13 @@ def _grid_for(cfg, scal):
     return grid_for_band_limit(2 * L), L
 
 
+def _relative(residual, magnitude):
+    """residual / magnitude; a zero residual reads 0, also where every term vanishes."""
+    return np.divide(residual, magnitude, out=np.zeros(np.shape(residual)), where=residual != 0)
+
+
 def _reduce_common(sector, cfg, scal, metric, background):
-    """(report, grid, node data, full field matrix, residual scale) of one sector's split."""
+    """(report, grid, node data, full field matrix) of one sector's split."""
     if metric.dim != cfg.dim:
         raise ValueError("metric dimension does not match the jet")
     grid, L = _grid_for(cfg, scal)
@@ -247,7 +246,7 @@ def _reduce_common(sector, cfg, scal, metric, background):
     charged = replace(cfg, coupling=q)  # the covariant route's coupling, fixed by the flux
     if sector == "scalar":
         groups = _scalar_groups(nd, grid, ginv, b, q)
-        v = _full_gradient(nd)
+        v = np.concatenate([nd["dphst"], nd["dphiex"]]).transpose(1, 2, 0)  # full-space gradient
         refs = [_integrate(grid, 0.5 * delta3(F, v, G)) for G in scaled]
         covariant = scalar_kinetic_integral(charged, scal, metric.spacetime)
         const = 2.0 / q**2
@@ -256,15 +255,12 @@ def _reduce_common(sector, cfg, scal, metric, background):
         refs = [_integrate(grid, trace4(F, G)) for G in scaled]
         covariant = yang_mills_integral(charged, metric.spacetime)
         const = 4.0 / q**2
-    gk = [_integrate(grid, gden) for gden in groups]
-    total = float(sum(gk))
-    ref = refs[1]
-    scale = max(abs(gk[2]), abs(total), 1.0)
-    scan_resid = 0.0
-    for t, ref_t in enumerate(refs):
-        predicted = sum(c * float(t) ** k for k, c in enumerate(gk))
-        scan_scale = max(sum(abs(c) * float(t) ** k for k, c in enumerate(gk)), 1.0)
-        scan_resid = max(scan_resid, abs(ref_t - predicted) / scan_scale)
+    gk = [_integrate(grid, sum(terms[1:], terms[0])) for terms in groups]  # the written order
+    mag = [_integrate(grid, sum(np.abs(term) for term in terms)) for terms in groups]
+    total, ref = float(sum(gk)), refs[1]
+    t = np.arange(5.0)  # the scale of each reference; at t = 1 the sums are total and sum(mag)
+    predicted, scan_mag = (sum(c * t**k for k, c in enumerate(cs)) for cs in (gk, mag))
+    scan = _relative(np.abs(np.array(refs) - predicted), scan_mag)
 
     cov_abs = abs(gk[2] * b**4 - const * covariant)
     cov_scale = max(abs(gk[2] * b**4), abs(const * covariant), 1e-30)
@@ -282,21 +278,23 @@ def _reduce_common(sector, cfg, scal, metric, background):
         "n_phi": grid.n_phi,
         "normalization": "half_delta3" if sector == "scalar" else "trace_form",
         "group_integrals": gk,
+        "group_magnitudes": mag,
         "total": total,
+        "retained_fraction": float(_relative(np.abs(total), sum(mag))),
         "total_4pi": total / (4.0 * np.pi),
         "reference_total": ref,
         "reference_total_4pi": ref / (4.0 * np.pi),
         "classification_residual_abs": abs(total - ref),
-        "classification_residual_rel": abs(total - ref) / scale,
-        "forward_scan_residual_rel": scan_resid,
+        "classification_residual_rel": float(scan[1]),
+        "forward_scan_residual_rel": float(scan.max()),
         "covariant_integral": covariant,
         "covariant_constant": const,
         "covariant_identity_abs": cov_abs,
         "covariant_identity_rel": cov_abs / cov_scale,
         "sign_s": 1.0,
-        "vanishing_group_rel": max(abs(g) for g in gk[3:]) / scale,
+        "vanishing_group_rel": float(_relative(np.abs(gk[3:]), mag[3:]).max()),
     }
-    return report, grid, nd, F, scale
+    return report, grid, nd, F
 
 
 def reduce_scalar(cfg, scal, metric, background):
@@ -312,8 +310,8 @@ def reduce_yang_mills(cfg, metric, background):
 
 
 def b_scan(cfg, scal, spacetime_metric, background, b_list):
-    """Scalar-sector groups across sphere radii, with the shrink exponent of
-    the residual-to-covariant ratio fitted over the scan."""
+    """Scalar-sector groups and route residuals across sphere radii, with the
+    shrink exponent of the residual-to-covariant ratio fitted over the scan."""
     b_list = [float(b) for b in b_list]
     if len(b_list) < 2:
         raise ValueError("need at least two radii to fit an exponent")
@@ -329,6 +327,8 @@ def b_scan(cfg, scal, spacetime_metric, background, b_list):
             "residual_group_1": gk[1],
             "residual_group_0": gk[0],
             "ratio": ratio,
+            **{name: rep[name] for name in ("classification_residual_rel", "covariant_identity_rel",
+                                            "forward_scan_residual_rel", "vanishing_group_rel")},
         })
     logs_b = np.log([r["b"] for r in rows])
     logs_r = np.log([r["ratio"] for r in rows])
@@ -343,7 +343,7 @@ def two_dim_report(cfg, metric, background):
     onto the bracket-extended F_01, and the two lowest groups vanish."""
     if cfg.dim != 2 or metric.dim != 2:
         raise ValueError("this check needs exactly two spacetime dimensions")
-    rep, grid, nd, F, scale = _reduce_common("yang_mills", cfg, None, metric, background)
+    rep, grid, nd, F = _reduce_common("yang_mills", cfg, None, metric, background)
     b, q = metric.b, background.q
     eps_contract = eps(F, F, _full_inverse_metric(grid, np.linalg.inv(metric.spacetime), b))
     det_st = float(np.linalg.det(metric.spacetime))
@@ -357,14 +357,14 @@ def two_dim_report(cfg, metric, background):
     ft01 = field_strength(replace(cfg, coupling=q), 0, 1)
     ft_sq = integral_of_product(ft01, ft01).real
     measured_constant = eps_sq_integral * (q**2 * b**4 * abs(det_st)) / ft_sq
-    gk = rep["group_integrals"]
+    group_rel = _relative(np.abs(rep["group_integrals"][:2]), rep["group_magnitudes"][:2])
     return {
         "eps_square_integral": eps_sq_integral,
         "covariant_component_integral": ft_sq,
         "measured_constant": measured_constant,
         "pointwise_residual_rel": pointwise_rel,
-        "group_0_rel": abs(gk[0]) / scale,
-        "group_1_rel": abs(gk[1]) / scale,
+        "group_0_rel": float(group_rel[0]),
+        "group_1_rel": float(group_rel[1]),
         "report": rep,
     }
 

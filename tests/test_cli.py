@@ -114,6 +114,45 @@ def test_reduce_scan_b_is_csv(capsys):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["reduce", "ym", "--b", "0.2"],
+    ["reduce", "ym", "--b", "0.05"],
+    ["reduce", "two-dim", "--b", "0.05"],
+    ["reduce", "scalar", "--b", "0.05"],
+])
+def test_reduce_checks_do_not_depend_on_the_radius_unit(capsys, argv):
+    """The route residuals are divided by the magnitudes of the terms they
+    sum, so a small sphere passes like the unit one."""
+    rc, out, _ = run(capsys, argv)
+    doc, checks = parse_report(out)
+    assert rc == 0 and all(c["ok"] for c in checks)
+    assert [c for c in checks if c["name"].endswith("forward_scan_residual_rel")]
+
+
+@pytest.mark.parametrize("sub", ["scalar", "ym"])
+def test_reduce_of_zero_jets_passes(capsys, sub):
+    """At --amplitude 0 every term of the lower groups vanishes: their zero
+    magnitudes read as zero residuals, and the run exits 0."""
+    rc, out, err = run(capsys, ["reduce", sub, "--amplitude", "0"])
+    doc, checks = parse_report(out)
+    assert rc == 0 and err == ""
+    assert doc["report"]["group_magnitudes"][0] == 0.0
+    assert doc["report"]["retained_fraction"] == 0.0
+
+
+def test_reduce_scan_b_checks_each_route_at_its_worst_radius(capsys):
+    """scan-b lists the route checks of its scalar splits, each on its
+    largest value over the radii, at the fixed bounds of the reduce
+    defaults."""
+    rc, out, _ = run(capsys, ["reduce", "scan-b"])
+    _, checks = parse_report(out)
+    bounds = {c["name"]: c["bound"] for c in checks}
+    assert rc == 0 and bounds == {
+        "classification_residual_rel": 1e-10, "covariant_identity_rel": 1e-10,
+        "forward_scan_residual_rel": 1e-10, "vanishing_group_rel": 1e-12, "finite": 0.0}
+    assert all(c["ok"] for c in checks)
+
+
 def test_reduce_born_infeld_drift_check(capsys):
     rc, out, _ = run(capsys, ["reduce", "born-infeld"])
     assert rc == 0
@@ -705,6 +744,21 @@ def test_convergence_keys_beyond_the_grids_range_are_null(capsys):
     meta = [ln for ln in out.splitlines() if ln.startswith("# ")]
     assert all("# %s = " % key in meta for key in CONVERGENCE_KEYS)
     assert "# check.completed_energy_error = " in "\n".join(meta)
+
+
+@pytest.mark.parametrize("sub", ["solve", "energy"])
+def test_unresolved_grid_is_not_blamed_on_the_cutoff(capsys, sub):
+    """At --xi-max 1e6 the grids never resolve the core and the order is
+    -1: the estimate and the remainder are written as null and named on
+    stderr, the order stays, and the run exits 1 on its energy check."""
+    rc, out, err = run(capsys, ["monopole", sub, "--xi-max", "1e6"])
+    doc, checks = parse_report(out)
+    meta = doc["breakdown"] if sub == "energy" else dict(m.split(" = ") for m in doc[2])
+    assert rc == 1 and err.startswith("error: 2 non-finite value(s)")
+    assert "discretization_estimate" in err and "cutoff_remainder" in err
+    assert meta["discretization_estimate"] in (None, "") and meta["cutoff_remainder"] in (None, "")
+    assert float(meta["observed_order"]) == pytest.approx(-1.0, abs=1e-6)
+    assert not {c["name"]: c["ok"] for c in checks}["completed_energy_error"]
 
 
 def _without_convergence_keys(text):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -478,6 +479,28 @@ def test_convergence_toward_continuum(reference_profile):
     assert abs(error) < 1e-6
     assert out["cutoff_remainder"] == error - out["discretization_estimate"]
     assert abs(out["cutoff_remainder"]) < 1e-2 * abs(error)
+
+
+@pytest.mark.parametrize("xi_max, n", [(1e6, 400), (2150.0, 4000), (46.4, 16)])
+def test_convergence_outside_the_asymptotic_range_is_nan(xi_max, n):
+    """An order outside [2, 4] leaves no estimate and no remainder: the
+    grids do not resolve the core, and the energy check fails."""
+    breakdown = energy_breakdown(bps_profile(RadialGrid(xi_max, n)))
+    out = convergence_check(breakdown)
+    assert not 2.0 <= out["observed_order"] <= 4.0
+    assert math.isnan(out["discretization_estimate"]) and math.isnan(out["cutoff_remainder"])
+    assert abs(breakdown.completed - 1.0) > 1e-4
+
+
+def test_convergence_estimate_below_the_error_rounding_stands():
+    """At a tiny cutoff the rounded differences give an order of 1.3, but
+    the estimate is lost in the rounding of the error and the remainder is
+    the whole error, the cutoff's: both stay."""
+    breakdown = energy_breakdown(bps_profile(RadialGrid(1e-3, 4000)))
+    out = convergence_check(breakdown)
+    assert not 2.0 <= out["observed_order"] <= 4.0
+    assert abs(out["discretization_estimate"]) < 1e-18
+    assert out["cutoff_remainder"] == breakdown.completed - 1.0
 
 
 @pytest.mark.parametrize("n, grids", [(16, [32, 64]), (63, [126, 252]), (64, [32, 16])])

@@ -2,11 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uinf import reduction
 from uinf.gauge_fields import (
     AdjointScalar,
     GaugeConfig,
+    random_adjoint_scalar,
     random_gauge_config,
     scalar_kinetic_integral,
     yang_mills_integral,
@@ -36,6 +39,19 @@ YM_GROUPS_B1 = (
     -0.05050907243435269,
 )
 B_SCAN_EXPONENT = 2.5876502650226536
+# every group integral of the seed 0 draw, bit for bit
+SCALAR_GROUPS_EXACT = {
+    1.0: [-0.5813614633039716, -0.035780100747604786, 0.4198914129912112,
+          1.477525844598393e-17],
+    0.05: [-0.5813614633039716, -14.31204029904191, 67182.62607859375,
+           -4.0871586496010704e-10],
+}
+YM_GROUPS_EXACT = {
+    1.0: [-2.4390898406725743, -3.525661582219012, -0.05050907243435319,
+          -7.017898359635546e-17, 0.0],
+    0.05: [-2.4390898406725743, -1410.2646328876046, -8081.451589496634,
+           5.119238071703531e-08, 3.9056228628930146e-05],
+}
 TWO_DIM_CONSTANT = 64.0
 
 
@@ -266,3 +282,129 @@ def test_block_metric_validation():
         BlockMetric(np.ones((3, 2)), 1.0)
     m = BlockMetric(lorentz(3), 2.0)
     assert m.dim == 3
+
+
+ROUTE_RESIDUALS = ("classification_residual_rel", "covariant_identity_rel",
+                   "forward_scan_residual_rel")
+
+
+def _routes_hold(rep):
+    """The route checks of the reduce subcommands at their default bounds."""
+    return (all(rep[name] <= 1e-10 for name in ROUTE_RESIDUALS)
+            and rep["vanishing_group_rel"] <= 1e-12)
+
+
+def _reduce(sector, cfg, scal, metric, background):
+    if sector == "scalar":
+        return reduce_scalar(cfg, scal, metric, background)
+    return reduce_yang_mills(cfg, metric, background)
+
+
+@pytest.mark.parametrize("b", [1.0, 0.05])
+def test_group_integrals_are_the_frozen_bits(seed0_fields, background, b):
+    """Summing each group's terms left to right is the arithmetic of the
+    summed group densities, so every group integral keeps its bits."""
+    cfg, scal = seed0_fields
+    scalar = reduce_scalar(cfg, scal, metric4(b), background)
+    assert scalar["group_integrals"] == SCALAR_GROUPS_EXACT[b]
+    assert reduce_yang_mills(cfg, metric4(b), background)["group_integrals"] == YM_GROUPS_EXACT[b]
+
+
+@pytest.mark.parametrize("sector", ["scalar", "yang_mills"])
+@pytest.mark.parametrize("b", [1.0, 0.2, 0.05])
+def test_residuals_are_measured_against_the_terms_they_sum(seed0_fields, background, sector, b):
+    """Each residual is divided by the integrated magnitude of the terms it
+    sums, so shrinking the sphere leaves every route check at rounding."""
+    cfg, scal = seed0_fields
+    rep = _reduce(sector, cfg, scal, metric4(b), background)
+    mags = rep["group_magnitudes"]
+    assert len(mags) == len(rep["group_integrals"]) and min(mags) > 0.0
+    assert all(abs(g) <= m for g, m in zip(rep["group_integrals"], mags))
+    assert rep["classification_residual_rel"] == rep["classification_residual_abs"] / sum(mags)
+    assert rep["retained_fraction"] == abs(rep["total"]) / sum(mags)
+    for name in ("classification_residual_rel", "forward_scan_residual_rel", "vanishing_group_rel"):
+        assert rep[name] < 1e-15
+    assert _routes_hold(rep)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    dim=st.integers(min_value=2, max_value=6),
+    l_max=st.integers(min_value=1, max_value=4),
+    amplitude=st.floats(min_value=0.01, max_value=3.0),
+    log_b=st.floats(min_value=np.log(0.03), max_value=np.log(10.0)),
+    q=st.sampled_from([2.0, -2.0, 0.5, 1.0, 2.0 / 3.0, 3.7]),
+    lorentzian=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_route_checks_hold_over_draws(dim, l_max, amplitude, log_b, q, lorentzian, seed):
+    """Every route check holds in both sectors over dimension, band limit,
+    amplitude, radius, flux and signature."""
+    rng = np.random.default_rng(seed)
+    cfg = random_gauge_config(dim, l_max, rng, amplitude=amplitude)
+    scal = random_adjoint_scalar(dim, l_max, rng, amplitude=amplitude)
+    metric = BlockMetric(lorentz(dim) if lorentzian else np.eye(dim), float(np.exp(log_b)))
+    for sector in ("scalar", "yang_mills"):
+        rep = _reduce(sector, cfg, scal, metric, Background(q))
+        assert _routes_hold(rep), {name: rep[name] for name in ROUTE_RESIDUALS}
+
+
+# Single terms whose 1e-6 change no route check sees at b = 0.05, keyed by
+# (sector, group, term), with the share of the total magnitude that the
+# term's own magnitude takes on the seed 0 draw: the change moves the
+# classification and forward-scan residuals by at most 1e-6 times that share.
+MISSED_AT_B005 = {
+    ("scalar", 1, 0): 3.29e-6,
+    ("scalar", 1, 1): 3.48e-6,
+    ("scalar", 1, 2): 3.06e-6,
+    ("scalar", 1, 3): 3.46e-6,
+    ("yang_mills", 1, 0): 1.24e-8,
+    ("yang_mills", 1, 1): 1.44e-8,
+}
+
+
+@pytest.mark.parametrize("sector", ["scalar", "yang_mills"])
+@pytest.mark.parametrize("b", [1.0, 0.05])
+def test_one_term_off_by_a_millionth_fails_a_route(monkeypatch, seed0_fields, background,
+                                                   sector, b):
+    """Scaling any single group term by 1 + 1e-6 fails some route check, at
+    b = 1 for every term and at b = 0.05 for all but the listed ones."""
+    cfg, scal = seed0_fields
+    name = "_scalar_groups" if sector == "scalar" else "_ym_groups"
+    real = getattr(reduction, name)
+    counts = []
+
+    def counted(*args):
+        groups = real(*args)
+        counts.extend(len(terms) for terms in groups)
+        return groups
+
+    monkeypatch.setattr(reduction, name, counted)
+    total_mag = sum(_reduce(sector, cfg, scal, metric4(b), background)["group_magnitudes"])
+    for k, count in enumerate(counts):
+        for j in range(count):
+            shares = []
+
+            def mutated(nd, grid, *rest, k=k, j=j):
+                groups = real(nd, grid, *rest)
+                shares.append(float(np.sum(grid.w2d * np.abs(groups[k][j]))) / total_mag)
+                groups[k][j] = groups[k][j] * (1.0 + 1e-6)
+                return groups
+
+            monkeypatch.setattr(reduction, name, mutated)
+            rep = _reduce(sector, cfg, scal, metric4(b), background)
+            missed = MISSED_AT_B005.get((sector, k, j)) if b == 0.05 else None
+            if missed is None:
+                assert not _routes_hold(rep), (k, j)
+            else:
+                assert shares[0] == pytest.approx(missed, rel=0.01)
+
+
+def test_b_scan_rows_carry_the_route_residuals(seed0_fields, background):
+    cfg, scal = seed0_fields
+    radii = [0.4, 0.05]
+    scan = b_scan(cfg, scal, lorentz(4), background, radii)
+    for row, b in zip(scan["rows"], radii):
+        rep = reduce_scalar(cfg, scal, metric4(b), background)
+        for name in ROUTE_RESIDUALS + ("vanishing_group_rel",):
+            assert row[name] == rep[name]
