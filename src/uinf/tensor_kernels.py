@@ -15,7 +15,8 @@ Stack layout: the contraction kernels (`delta3`, `trace3`, `delta4`,
 shape (..., A) and the inverse metric (..., A, B); the leading axes
 broadcast, and each kernel returns an array of the leading shape (a numpy
 scalar for a single node). The reduction passes a sphere grid, the identity
-suite a stack of draws.
+suite a stack of draws. The suite takes each draw's raw normals one at a
+time in a fixed order and builds a stack's metrics with one stacked QR.
 
 The kernels take the inverse metric g^{AB}, not g. The reduction's forward
 scan evaluates the reference route with the sphere block of the inverse
@@ -41,7 +42,6 @@ __all__ = [
     "suite_dims",
     "identity_suite",
     "random_antisymmetric",
-    "random_metric",
     "minkowski_metric",
 ]
 
@@ -190,14 +190,18 @@ def identity_suite(dims=(3, 4, 6), *, trials, rng, signature="euclidean"):
 
     Each ratio is evaluated on `trials` accepted draws (split evenly over the
     admissible dimensions) of a random fixed-signature metric, antisymmetric
-    F and vector v, drawn one at a time in a fixed order; the routes run
-    once on each stack of the draws still needed, at most
-    _STACK_ENTRIES // d**4 of them. A draw is redrawn when the denominator
-    route is at most 1e-3 of the sum of the magnitudes of the trace form's
-    terms, where the quotient would measure rounding noise instead of the
-    identity. The redraw count is reported so the filtering is visible.
+    F and vector v. The raw draws are taken one at a time in a fixed order
+    (the metric's normal matrix and spectrum, F, v); the metrics of each
+    stack of the draws still needed, at most _STACK_ENTRIES // d**4 of them,
+    come from one stacked QR, and the routes run once on the stack. A draw
+    is redrawn when the denominator route is at most 1e-3 of the sum of the
+    magnitudes of the trace form's terms, where the quotient would measure
+    rounding noise instead of the identity. The redraw count is reported so
+    the filtering is visible.
     """
     dims = suite_dims(dims)
+    if signature not in ("euclidean", "lorentzian"):
+        raise ValueError("signature must be 'euclidean' or 'lorentzian'")
     # ratio: (dimensions, trace-form terms, numerator route, denominator route
     # or None for the trace form); every route takes (F, v, ginv)
     plans = {
@@ -218,10 +222,10 @@ def identity_suite(dims=(3, 4, 6), *, trials, rng, signature="euclidean"):
                 size = min(need, max(1, _STACK_ENTRIES // d**4), budget)
                 if size == 0:
                     raise RuntimeError("draw filter rejected too many samples")
-                draws = [(random_metric(d, rng, signature), random_antisymmetric(d, rng),
-                          rng.standard_normal(d)) for _ in range(size)]
-                g, F, v = (np.array(stack) for stack in zip(*draws))
-                ginv = np.linalg.inv(g)
+                draws = [(rng.standard_normal((d, d)), rng.uniform(0.5, 2.5, size=d),
+                          random_antisymmetric(d, rng), rng.standard_normal(d)) for _ in range(size)]
+                A, spectrum, F, v = (np.array(stack) for stack in zip(*draws))
+                ginv = np.linalg.inv(_metrics(A, spectrum, signature))
                 a, b = terms(F, v, ginv)
                 scale = np.abs(a) + np.abs(b)
                 den = a + b if den_route is None else den_route(F, v, ginv)
@@ -243,20 +247,15 @@ def random_antisymmetric(n, rng):
     return A - A.T
 
 
-def random_metric(n, rng, signature):
-    """Well-conditioned random metric with fixed signature.
-
-    euclidean: all eigenvalues in [0.5, 2.5]. lorentzian: same spectrum with
-    the first eigenvalue negated, so det < 0 for any n.
-    """
-    A = rng.standard_normal((n, n))
+def _metrics(A, spectrum, signature):
+    """Well-conditioned random metrics with fixed signature, Q diag(spectrum)
+    Q^T with Q from the QR of each normal matrix in A (..., n, n) and the
+    spectrum (..., n) in [0.5, 2.5]. lorentzian negates the first eigenvalue,
+    so det < 0 for any n."""
     Q, _ = np.linalg.qr(A)
-    d = rng.uniform(0.5, 2.5, size=n)
     if signature == "lorentzian":
-        d[0] = -d[0]
-    elif signature != "euclidean":
-        raise ValueError("signature must be 'euclidean' or 'lorentzian'")
-    return (Q * d) @ Q.T
+        spectrum = np.concatenate((-spectrum[..., :1], spectrum[..., 1:]), axis=-1)
+    return (Q * spectrum[..., None, :]) @ Q.swapaxes(-1, -2)
 
 
 def minkowski_metric(n):

@@ -15,12 +15,27 @@ from uinf.tensor_kernels import (
     identity_suite,
     minkowski_metric,
     random_antisymmetric,
-    random_metric,
     trace3,
     trace4,
 )
 
 QUARTIC_RATIO = 8.0
+
+
+def random_metric(n, rng, signature):
+    """Well-conditioned random metric with fixed signature.
+
+    euclidean: all eigenvalues in [0.5, 2.5]. lorentzian: same spectrum with
+    the first eigenvalue negated, so det < 0 for any n.
+    """
+    A = rng.standard_normal((n, n))
+    Q, _ = np.linalg.qr(A)
+    d = rng.uniform(0.5, 2.5, size=n)
+    if signature == "lorentzian":
+        d[0] = -d[0]
+    elif signature != "euclidean":
+        raise ValueError("signature must be 'euclidean' or 'lorentzian'")
+    return (Q * d) @ Q.T
 
 
 def test_worked_scalar_example():
@@ -107,6 +122,51 @@ def test_random_metric_signatures():
     gl = random_metric(4, rng, signature="lorentzian")
     ev = np.sort(np.linalg.eigvalsh(gl))
     assert ev[0] < 0 and np.all(ev[1:] > 0)
+
+
+def _raw_metric_draws(d, size, rng):
+    """The normal matrices and spectra of `size` metric draws, taken in the
+    per-draw metric's order."""
+    A, spectrum = zip(*[(rng.standard_normal((d, d)), rng.uniform(0.5, 2.5, size=d))
+                        for _ in range(size)])
+    return np.array(A), np.array(spectrum)
+
+
+@pytest.mark.parametrize("signature", ["euclidean", "lorentzian"])
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_stacked_metrics_equal_the_per_draw_metric(d, signature):
+    """One stacked QR gives the per-draw metrics bit for bit, at the stack
+    sizes the identity suite uses (809, 256 and 50)."""
+    size = tensor_kernels._STACK_ENTRIES // d**4
+    rng = np.random.default_rng(d)
+    expected = np.array([random_metric(d, rng, signature) for _ in range(size)])
+    A, spectrum = _raw_metric_draws(d, size, np.random.default_rng(d))
+    assert np.array_equal(tensor_kernels._metrics(A, spectrum, signature), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), d=st.integers(min_value=3, max_value=8),
+       size=st.integers(min_value=1, max_value=64),
+       signature=st.sampled_from(["euclidean", "lorentzian"]))
+def test_stacked_metrics_have_the_drawn_spectrum_and_signature(seed, d, size, signature):
+    A, spectrum = _raw_metric_draws(d, size, np.random.default_rng(seed))
+    g = tensor_kernels._metrics(A, spectrum, signature)
+    assert g.shape == (size, d, d)
+    scale = np.abs(g).max(axis=(-1, -2), keepdims=True)
+    assert np.all(np.abs(g - g.swapaxes(-1, -2)) <= 1e-14 * scale)
+    ev = np.linalg.eigvalsh(g)
+    assert np.all((np.abs(ev) >= 0.5 - 1e-12) & (np.abs(ev) <= 2.5 + 1e-12))
+    np.testing.assert_allclose(np.sort(np.abs(ev)), np.sort(spectrum), rtol=0, atol=1e-12)
+    negative = (ev < 0).sum(axis=-1)
+    assert np.all(negative == (1 if signature == "lorentzian" else 0))
+
+
+def test_identity_suite_checks_the_signature_before_any_draw():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="signature must be 'euclidean' or 'lorentzian'"):
+        identity_suite(dims=(3, 4), trials=10, rng=rng, signature="minkowski")
+    assert rng.bit_generator.state == state
 
 
 def test_random_antisymmetric_shape():
