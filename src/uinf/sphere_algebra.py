@@ -25,6 +25,7 @@ __all__ = [
     "Su2Generators",
     "grid_for_band_limit",
     "synthesize",
+    "gradients",
     "analyze",
     "bracket",
     "brackets",
@@ -138,10 +139,6 @@ class HarmonicField:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def zero(cls, l_max):
-        return cls(l_max, np.zeros((l_max + 1, 2 * l_max + 1), dtype=complex))
-
-    @classmethod
     def basis(cls, l, m):
         """The harmonic Y_lm as a field of band limit l."""
         if abs(m) > l:
@@ -149,11 +146,6 @@ class HarmonicField:
         c = np.zeros((l + 1, 2 * l + 1), dtype=complex)
         c[l, l + m] = 1.0
         return cls(l, c)
-
-    def get(self, l, m):
-        if l > self.l_max or abs(m) > l:
-            return 0j
-        return complex(self.coeffs[l, self.l_max + m])
 
     def pad_to(self, l_max):
         if l_max < self.l_max:
@@ -319,11 +311,32 @@ def _gradients(fields, grid):
     return dx, _sum_over_m(dphi, grid, cplx), cplx
 
 
-def synthesize(f, grid):
-    """Pointwise values of the field on the grid, shape (n_theta, n_phi).
-    Returns a real array when the coefficients are exactly Hermitian."""
-    parts, cplx = _real_parts([f], grid)
-    return _sum_over_m(_sum_over_l(parts, grid.P), grid, cplx)[0]
+def _values(fields, grid):
+    """Grid values of fields of one band limit, stacked, and their cplx mask."""
+    parts, cplx = _real_parts(fields, grid)
+    return _sum_over_m(_sum_over_l(parts, grid.P), grid, cplx), cplx
+
+
+def _by_band(kernel, fields, grid):
+    """A one-band-limit kernel's stacks for fields of any band limits, in input order: one
+    call per band limit, never padding a field (that moves its transform in the last bit)."""
+    bands = [f.l_max for f in fields]
+    if len(set(bands)) == 1:  # the common case: the kernel's output as is
+        return kernel(fields, grid)
+    order = np.argsort(bands, kind="stable")
+    runs = [kernel([fields[i] for i in run], grid) for _, run in groupby(order, lambda i: bands[i])]
+    return tuple(np.concatenate(stacks)[np.argsort(order)] for stacks in zip(*runs))
+
+
+def synthesize(fields, grid):
+    """Values of a sequence of fields on the grid, stacked (fields, n_theta,
+    n_phi); real when every field's coefficients are exactly Hermitian."""
+    return _by_band(_values, fields, grid)[0]
+
+
+def gradients(fields, grid):
+    """(df/dx, df/dphi) of a sequence of fields, x = cos(theta), stacked as by synthesize."""
+    return _by_band(_gradients, fields, grid)[:2]
 
 
 def analyze(values, l_max, grid):
@@ -377,9 +390,8 @@ def brackets(pairs):
     for L in {f.l_max + g.l_max for f, g in pairs}:
         idx = [i for i, (f, g) in enumerate(pairs) if f.l_max + g.l_max == L]
         grid = grid_for_band_limit(L)
-        fields = sorted({id(h): h for i in idx for h in pairs[i]}.values(), key=lambda h: h.l_max)
-        gx, gp, cplx = map(np.concatenate, zip(*(
-            _gradients(list(band), grid) for _, band in groupby(fields, lambda h: h.l_max))))
+        fields = list({id(h): h for i in idx for h in pairs[i]}.values())
+        gx, gp, cplx = _by_band(_gradients, fields, grid)
         row = {id(h): r for r, h in enumerate(fields)}
         f, g = np.array([[row[id(h)] for h in pairs[i]] for i in idx]).T
         vals, real = gx[f] * gp[g] - gp[f] * gx[g], ~(cplx[f] | cplx[g])
@@ -393,7 +405,8 @@ def product(f, g):
     """Pointwise product re-analyzed at the combined band limit."""
     L = f.l_max + g.l_max
     grid = grid_for_band_limit(L)
-    vals = synthesize(f, grid) * synthesize(g, grid)
+    # one synthesis per operand: a stack of the two is slower on large grids
+    vals = synthesize([f], grid)[0] * synthesize([g], grid)[0]
     return analyze(vals, L, grid)
 
 
@@ -427,8 +440,8 @@ def structure_constants(l_max):
     labels = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
     basis = [HarmonicField.basis(l, m) for l, m in labels]
     ms = np.array([m for _, m in labels])
-    gx, gp = np.array([f.grad_values(grid) for f in basis]).reshape(N, 2, -1).swapaxes(0, 1)
-    conj_w = np.array([synthesize(f, grid).conj() * grid.w2d for f in basis]).reshape(N, -1)
+    gx, gp = (g.reshape(N, -1) for g in gradients(basis, grid))
+    conj_w = (synthesize(basis, grid).conj() * grid.w2d).reshape(N, -1)
     for a in range(1, N):  # pairs a < b; the l = 0 row and column stay zero
         row = (gx[a] * gp[a + 1:] - gp[a] * gx[a + 1:]) @ conj_w.T
         # only order m_a + m_b is nonzero; the other orders are rounding noise

@@ -4,12 +4,25 @@ import pytest
 from uinf.gauge_fields import random_adjoint_scalar, random_gauge_config
 from uinf.monopole import RadialGrid, bps_profile
 from uinf.reduction import Background
+from uinf.sphere_algebra import HarmonicField
 
 
 def lorentz(dim):
     d = np.ones(dim)
     d[0] = -1.0
     return np.diag(d)
+
+
+def zero_field(l_max):
+    """The zero field of band limit l_max."""
+    return HarmonicField(l_max, np.zeros((l_max + 1, 2 * l_max + 1), dtype=complex))
+
+
+def coefficient(f, l, m):
+    """Coefficient of Y_lm in f; 0j outside its band."""
+    if l > f.l_max or abs(m) > l:
+        return 0j
+    return complex(f.coeffs[l, f.l_max + m])
 
 
 @pytest.fixture(scope="session")

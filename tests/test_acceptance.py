@@ -42,7 +42,7 @@ from uinf.sphere_algebra import (
     structure_constants,
 )
 from uinf.cli import main as cli_main
-from conftest import lorentz
+from conftest import lorentz, zero_field
 from monopole_checks import perturb_profile, variational_check
 
 
@@ -187,7 +187,7 @@ def test_criterion_07_radius_scan_exponent(seed0_fields, background):
 def test_criterion_08_pure_scalar_masslessness(background):
     L = 3
     dim = 4
-    zero = HarmonicField.zero(L)
+    zero = zero_field(L)
     cfg = GaugeConfig(dim, background.q, (zero,) * dim, ((zero,) * dim,) * dim)
     phi = random_real_field(L, np.random.default_rng(0), amplitude=0.4)
     scal = AdjointScalar(dim, phi, (zero,) * dim)

@@ -16,13 +16,12 @@ from uinf.gauge_fields import (
     yang_mills_integral,
 )
 from uinf.sphere_algebra import (
-    HarmonicField,
     bracket,
     grid_for_band_limit,
     random_real_field,
     synthesize,
 )
-from conftest import lorentz
+from conftest import lorentz, zero_field
 
 
 def exact_first_derivative(vals, h):
@@ -40,7 +39,7 @@ def draw_everything(dim, l_max, rng, amplitude=0.5):
 
 
 def test_config_validation():
-    zero = HarmonicField.zero(2)
+    zero = zero_field(2)
     with pytest.raises(ValueError):
         GaugeConfig(3, 1.0, (zero,), ((zero,) * 3,) * 3)
     with pytest.raises(ValueError):
@@ -155,7 +154,7 @@ def test_yang_mills_integral_against_brute_force():
     vals = {}
     for mu in range(dim):
         for nu in range(dim):
-            vals[mu, nu] = synthesize(field_strength(cfg, mu, nu), grid)
+            vals[mu, nu] = synthesize([field_strength(cfg, mu, nu)], grid)[0]
     brute = 0.0
     for mu in range(dim):
         for nu in range(dim):
@@ -176,7 +175,7 @@ def test_scalar_kinetic_integral_against_brute_force():
     metric = lorentz(dim)
     ginv = np.linalg.inv(metric)
     grid = grid_for_band_limit(8)
-    dvals = [synthesize(covariant_derivative(cfg, scal)[mu], grid) for mu in range(dim)]
+    dvals = [synthesize([covariant_derivative(cfg, scal)[mu]], grid)[0] for mu in range(dim)]
     brute = 0.0
     for mu in range(dim):
         for nu in range(dim):
@@ -195,6 +194,6 @@ def test_default_metric_is_minkowski():
 
 
 def test_adjoint_scalar_validation():
-    zero = HarmonicField.zero(2)
+    zero = zero_field(2)
     with pytest.raises(ValueError):
         AdjointScalar(3, zero, (zero, zero))

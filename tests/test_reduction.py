@@ -23,8 +23,8 @@ from uinf.reduction import (
     reduce_yang_mills,
     two_dim_report,
 )
-from uinf.sphere_algebra import HarmonicField, random_real_field
-from conftest import lorentz
+from uinf.sphere_algebra import random_real_field, synthesize
+from conftest import lorentz, zero_field
 
 # frozen outputs for the seed 0 draw (dim 4, l_max 3, amplitude 0.4, e = 2)
 SCALAR_GROUPS_B1 = (
@@ -206,7 +206,7 @@ def test_pure_scalar_background_has_no_mass_terms(background):
     vanishes identically, not just numerically."""
     L = 3
     dim = 4
-    zero = HarmonicField.zero(L)
+    zero = zero_field(L)
     cfg = GaugeConfig(dim, background.q, (zero,) * dim, ((zero,) * dim,) * dim)
     phi = random_real_field(L, np.random.default_rng(0), amplitude=0.4)
     scal = AdjointScalar(dim, phi, (zero,) * dim)
@@ -408,3 +408,85 @@ def test_b_scan_rows_carry_the_route_residuals(seed0_fields, background):
         rep = reduce_scalar(cfg, scal, metric4(b), background)
         for name in ROUTE_RESIDUALS + ("vanishing_group_rel",):
             assert row[name] == rep[name]
+
+
+def test_covariant_identity_scale_is_not_floored(monkeypatch, background):
+    """At amplitude 1e-20 both sides of the covariant identity sit far below
+    any fixed floor: the residual is still relative to the larger side, so a
+    covariant route off by 10% fails the 1e-10 bound."""
+    cfg = random_gauge_config(4, 3, np.random.default_rng(0), amplitude=1e-20)
+    rep = reduce_yang_mills(cfg, metric4(1.0), background)
+    assert _identity_rel(rep, rep["covariant_integral"], 1.0) == rep["covariant_identity_rel"]
+    assert rep["covariant_identity_rel"] < 1e-10
+    real = reduction.yang_mills_integral
+    monkeypatch.setattr(reduction, "yang_mills_integral", lambda *args: 1.1 * real(*args))
+    rep = reduce_yang_mills(cfg, metric4(1.0), background)
+    assert rep["covariant_identity_rel"] == pytest.approx(0.1 / 1.1, rel=1e-6)
+    assert not _routes_hold(rep)
+
+
+@pytest.mark.parametrize("report", ["scalar", "born_infeld"])
+def test_reports_transform_in_one_stacked_call_each(monkeypatch, seed0_fields, background, report):
+    """The node data come from one gradients call and one synthesize call,
+    and the Born-Infeld field strengths from one more synthesize call, not
+    one call per field."""
+    cfg, scal = seed0_fields
+    calls = []
+    for name in ("gradients", "synthesize"):
+        _count_calls(monkeypatch, calls, name)
+    if report == "scalar":
+        reduce_scalar(cfg, scal, metric4(1.0), background)
+        assert sorted(calls) == ["gradients", "synthesize"]
+    else:
+        born_infeld_report(cfg, metric4(1.0), background, 0.5, 1.0)
+        assert sorted(calls) == ["gradients", "synthesize", "synthesize"]
+
+
+def _node_data_per_field(cfg, scal, grid):
+    """The node arrays built one field at a time: the oracle of _node_data."""
+    D = cfg.dim
+    shape = (grid.n_theta, grid.n_phi)
+    s = grid.sin_theta[:, None]
+    dAex = np.zeros((2, D) + shape)
+    for mu in range(D):
+        dx, dp = cfg.a[mu].grad_values(grid)
+        dAex[0, mu] = -s * dx
+        dAex[1, mu] = dp
+    dav = np.zeros((D, D) + shape)
+    for nu in range(D):
+        for mu in range(D):
+            dav[nu, mu] = synthesize([cfg.da[nu][mu]], grid)[0]
+    flow = dav - dav.swapaxes(0, 1)
+    out = {"s": s, "dAex": dAex, "flow": flow, "shape": shape}
+    if scal is not None:
+        dphst = np.zeros((D,) + shape)
+        for mu in range(D):
+            dphst[mu] = synthesize([scal.dphi[mu]], grid)[0]
+        px, pp = scal.phi.grad_values(grid)
+        dphiex = np.zeros((2,) + shape)
+        dphiex[0] = -s * px
+        dphiex[1] = pp
+        out["dphst"] = dphst
+        out["dphiex"] = dphiex
+    return out
+
+
+@pytest.mark.parametrize("with_scalar", [False, True])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_node_data_equal_the_per_field_transforms(dim, with_scalar):
+    """The stacked node data equal the per-field transforms bit for bit,
+    dtype included, on a jet whose fields have band limits 0-4 mixed."""
+    rng = np.random.default_rng(dim)
+
+    def draw():
+        return random_real_field(int(rng.integers(0, 5)), rng)
+
+    cfg = GaugeConfig(dim, 1.0, [draw() for _ in range(dim)],
+                      [[draw() for _ in range(dim)] for _ in range(dim)])
+    scal = AdjointScalar(dim, draw(), [draw() for _ in range(dim)]) if with_scalar else None
+    grid = reduction._grid_for(cfg, scal)[0]
+    got, want = reduction._node_data(cfg, scal, grid), _node_data_per_field(cfg, scal, grid)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert np.array_equal(got[key], value), key
+        assert np.asarray(got[key]).dtype == np.asarray(value).dtype, key

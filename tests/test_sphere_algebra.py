@@ -13,6 +13,7 @@ from uinf.sphere_algebra import (
     analyze,
     bracket,
     brackets,
+    gradients,
     grid_for_band_limit,
     integral_of_product,
     lm_index,
@@ -22,6 +23,7 @@ from uinf.sphere_algebra import (
     su2_generators,
     synthesize,
 )
+from conftest import coefficient
 
 C_DIPOLE = 0.4886025119029199  # sqrt(3 / 4 pi)
 
@@ -39,7 +41,7 @@ def test_harmonic_matches_scipy_reference():
     worst = 0.0
     for l in range(12):
         for m in range(-l, l + 1):
-            mine = synthesize(HarmonicField.basis(l, m), grid)
+            mine = synthesize([HarmonicField.basis(l, m)], grid)[0]
             worst = max(worst, np.max(np.abs(mine - sph_harm_y(l, m, theta, phi))))
     assert worst < 1e-12
 
@@ -48,7 +50,7 @@ def test_harmonic_equator_value():
     """Y11 at the equator node x = 0, phi = 0 of the three-node grid."""
     grid = grid_for_band_limit(2)
     assert abs(grid.x[1]) < 1e-15 and grid.phi[0] == 0.0
-    val = synthesize(HarmonicField.basis(1, 1), grid)[1, 0]
+    val = synthesize([HarmonicField.basis(1, 1)], grid)[0, 1, 0]
     assert abs(val - (-np.sqrt(3.0 / (8.0 * np.pi)))) < 1e-14
 
 
@@ -56,8 +58,8 @@ def test_conjugation_symmetry():
     grid = grid_for_band_limit(5)
     for l in (1, 2, 5):
         for m in range(1, l + 1):
-            plus = synthesize(HarmonicField.basis(l, m), grid)
-            minus = synthesize(HarmonicField.basis(l, -m), grid)
+            plus = synthesize([HarmonicField.basis(l, m)], grid)[0]
+            minus = synthesize([HarmonicField.basis(l, -m)], grid)[0]
             np.testing.assert_allclose(minus, (-1.0) ** m * np.conj(plus), atol=1e-14)
 
 
@@ -79,7 +81,7 @@ def test_synthesis_analysis_roundtrip():
     rng = np.random.default_rng(4)
     f = random_real_field(5, rng)
     grid = grid_for_band_limit(2 * 5)
-    back = analyze(synthesize(f, grid), 5, grid)
+    back = analyze(synthesize([f], grid)[0], 5, grid)
     np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-13)
 
 
@@ -88,7 +90,7 @@ def test_real_field_synthesizes_real():
     f = random_real_field(4, rng)
     assert f.is_real()
     grid = grid_for_band_limit(2 * 4)
-    for vals in (synthesize(f, grid), *f.grad_values(grid)):
+    for vals in (synthesize([f], grid)[0], *f.grad_values(grid)):
         assert not np.iscomplexobj(vals) or np.max(np.abs(vals.imag)) == 0.0
 
 
@@ -107,7 +109,7 @@ def _direct_sum(f, theta, phi, weight=lambda l, m: 1.0):
     total = np.zeros(np.broadcast(theta, phi).shape, dtype=complex)
     for l in range(f.l_max + 1):
         for m in range(-l, l + 1):
-            total += weight(l, m) * f.get(l, m) * sph_harm_y(l, m, theta, phi)
+            total += weight(l, m) * coefficient(f, l, m) * sph_harm_y(l, m, theta, phi)
     return total
 
 
@@ -116,7 +118,7 @@ def test_complex_field_synthesis_and_gradient_match_direct_sums():
     assert not f.is_real()
     grid = grid_for_band_limit(2 * 4)
     theta, phi = _nodes(grid)
-    np.testing.assert_allclose(synthesize(f, grid), _direct_sum(f, theta, phi), atol=1e-13)
+    np.testing.assert_allclose(synthesize([f], grid)[0], _direct_sum(f, theta, phi), atol=1e-13)
     dx, dphi = f.grad_values(grid)
     np.testing.assert_allclose(dphi, _direct_sum(f, theta, phi, lambda l, m: 1j * m), atol=1e-12)
     # d/dx = -(d/dtheta) / sin(theta), by a central difference in theta
@@ -128,7 +130,7 @@ def test_complex_field_synthesis_and_gradient_match_direct_sums():
 def test_complex_values_roundtrip():
     f = _random_complex_field(4, np.random.default_rng(22))
     grid = grid_for_band_limit(2 * 4)
-    back = analyze(synthesize(f, grid), 4, grid)
+    back = analyze(synthesize([f], grid)[0], 4, grid)
     np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-13)
 
 
@@ -148,17 +150,17 @@ def test_grid_exactness_plateau():
     g = random_real_field(4, rng)
     base = integral_of_product(f, g)
     fine_grid = grid_for_band_limit(30)
-    fine = np.sum(synthesize(f, fine_grid) * synthesize(g, fine_grid) * fine_grid.w2d)
+    fine = np.sum(synthesize([f], fine_grid)[0] * synthesize([g], fine_grid)[0] * fine_grid.w2d)
     assert abs(base - fine) < 1e-13 * max(1.0, abs(base))
 
 
 def test_bracket_dipole_oracle():
     br = bracket(HarmonicField.basis(1, 0), HarmonicField.basis(1, 1))
-    assert abs(br.get(1, 1) - 1j * C_DIPOLE) < 1e-14
+    assert abs(coefficient(br, 1, 1) - 1j * C_DIPOLE) < 1e-14
     for l in range(br.l_max + 1):
         for m in range(-l, l + 1):
             if (l, m) != (1, 1):
-                assert abs(br.get(l, m)) < 1e-14
+                assert abs(coefficient(br, l, m)) < 1e-14
 
 
 def test_bracket_antisymmetry_is_bitwise():
@@ -302,6 +304,32 @@ def test_brackets_raise_on_overflow_like_bracket():
                 call()
 
 
+_stack_kinds = st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=_stack_kinds, extra=st.integers(0, 3), seed=_seeds)
+@example(kinds=[(3, False)], extra=0, seed=0)
+@example(kinds=[(2, False), (0, True), (2, True), (4, False)], extra=1, seed=1)
+def test_stacked_transforms_equal_one_field_calls_property(kinds, extra, seed):
+    """Each row of synthesize and gradients over a stack with band limits
+    0-4 mixed, real and complex fields (kind True), equals the one-field
+    call exactly; the stack is real exactly when every field is Hermitian."""
+    rng = np.random.default_rng(seed)
+    fields = [_random_complex_field(l, rng) if cplx else random_real_field(l, rng)
+              for l, cplx in kinds]
+    grid = grid_for_band_limit(max(l for l, _ in kinds) + extra)
+    stacks = (synthesize(fields, grid), *gradients(fields, grid))
+    hermitian = all(f.is_real() for f in fields)
+    for stack, one in zip(stacks, (lambda f: synthesize([f], grid)[0],
+                                   lambda f: gradients([f], grid)[0][0],
+                                   lambda f: gradients([f], grid)[1][0])):
+        assert stack.shape == (len(fields), grid.n_theta, grid.n_phi)
+        assert np.iscomplexobj(stack) != hermitian
+        for row, f in zip(stack, fields):
+            assert np.array_equal(row, one(f))
+
+
 def test_structure_constants_match_brackets():
     C = structure_constants(3)
     rng = np.random.default_rng(2)
@@ -316,23 +344,27 @@ def test_structure_constants_match_brackets():
         for k in range(n):
             lk = int(np.floor(np.sqrt(k)))
             mk = k - lk * lk - lk
-            got = br.get(lk, mk) if lk <= br.l_max else 0.0
+            got = coefficient(br, lk, mk) if lk <= br.l_max else 0.0
             assert abs(got - C[i, j, k]) < 1e-13
 
 
 def test_structure_constants_transform_each_basis_harmonic_once(monkeypatch):
-    """One quadrature per row: no bracket per pair, and one gradient
-    transform per basis harmonic (16 within l_max = 3)."""
+    """One quadrature per row: no bracket per pair, and across the per-band
+    gradient calls every basis harmonic (16 within l_max = 3) once."""
     def no_bracket(f, g):
         raise AssertionError("structure_constants called bracket")
 
     calls = []
-    grad_values = HarmonicField.grad_values
+    stacked = sphere_algebra._gradients
     monkeypatch.setattr(sphere_algebra, "bracket", no_bracket)
-    monkeypatch.setattr(HarmonicField, "grad_values",
-                        lambda f, grid: calls.append(f) or grad_values(f, grid))
+    monkeypatch.setattr(sphere_algebra, "_gradients",
+                        lambda fields, grid: calls.append(fields) or stacked(fields, grid))
     structure_constants(3)
-    assert len(calls) == 16
+    # Y_lm is the field of band limit l whose one nonzero coefficient is (l, m)
+    labels = [(f.l_max, int(np.flatnonzero(f.coeffs[-1])[0]) - f.l_max)
+              for fields in calls for f in fields]
+    assert sorted(labels) == [(l, m) for l in range(4) for m in range(-l, l + 1)]
+    assert sorted(({f.l_max for f in fields} for fields in calls), key=min) == [{0}, {1}, {2}, {3}]
 
 
 def test_structure_constants_l0_row_is_zero():
@@ -467,7 +499,7 @@ def test_grid_rejects_negative_band_limit():
 def test_roundtrip_property(l, seed):
     f = random_real_field(l, np.random.default_rng(seed))
     grid = grid_for_band_limit(2 * max(l, 1))
-    back = analyze(synthesize(f, grid), f.l_max, grid)
+    back = analyze(synthesize([f], grid)[0], f.l_max, grid)
     np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-12)
 
 
