@@ -17,7 +17,6 @@ finite differences for derivatives, and Simpson quadrature for integrals.
 from dataclasses import dataclass
 from functools import cached_property
 import math
-import warnings
 
 import numpy as np
 
@@ -348,7 +347,8 @@ def linearized_forcing(profile, coeffs):
 
 
 def _linear_operator(profile):
-    """Sparse second-order discretization of the linearized critical-point system.
+    """Second-order discretization of the linearized critical-point system,
+    as a _BlockOperator.
 
     Unknowns are interleaved, y[2i] = K1(xi_i), y[2i+1] = H1(xi_i).  Interior
     rows discretize
@@ -360,47 +360,170 @@ def _linear_operator(profile):
     xi y' - 2 y = 0 for both functions (the bounded branch grows like xi**2
     there); the last node carries K1' + K1 = 0 and H1' = 0.
     """
-    from scipy.sparse import coo_matrix
     n, h, xi = profile.grid.n, profile.grid.h, profile.grid.xi
     K, H = profile.K, profile.H
     cK = (2.0 * (3.0 * K ** 2 - 1.0) + 2.0 * H ** 2) / xi ** 2
     cH = 2.0 * K ** 2 / xi ** 2
     cX = 4.0 * K * H / xi ** 2
     inv_h2 = 1.0 / (h * h)
-    i = np.arange(1, n - 1)
-    k, m = 2 * i, 2 * i + 1  # the K1 and H1 rows of interior node i
-    rows = [k, k, k, k, m, m, m, m]
-    cols = [k - 2, k, k + 2, m, m - 2, m, m + 2, k]
-    off = np.full(n - 2, -inv_h2)
-    vals = [2.0 * off, 4.0 * inv_h2 + cK[1:-1], 2.0 * off, cX[1:-1],
-            off, 2.0 * inv_h2 + cH[1:-1], off, cX[1:-1]]
-    two_h = 2.0 * h
+    lower, diag, upper = (np.zeros((2, 2, n)) for _ in range(3))
+    lower[0, 0, 1:-1] = upper[0, 0, 1:-1] = -2.0 * inv_h2
+    lower[1, 1, 1:-1] = upper[1, 1, 1:-1] = -inv_h2
+    diag[..., 1:-1] = [[4.0 * inv_h2 + cK[1:-1], cX[1:-1]], [cX[1:-1], 2.0 * inv_h2 + cH[1:-1]]]
+    two_h, both = 2.0 * h, [0, 1]
     # regularity rows at the first node: xi y' - 2 y = 0, forward 3-point y'
-    reg = [xi[0] * (-3.0 / two_h) - 2.0, xi[0] * (4.0 / two_h), xi[0] * (-1.0 / two_h)]
+    diag[both, both, 0] = xi[0] * (-3.0 / two_h) - 2.0
+    upper[both, both, 0] = xi[0] * (4.0 / two_h)
     # cutoff rows: K1' + K1 = 0 and H1' = 0, backward 3-point y'
-    back = [3.0 / two_h, -4.0 / two_h, 1.0 / two_h]
-    last_K, last_H = 2 * (n - 1), 2 * (n - 1) + 1
-    rows.append([0, 0, 0, 1, 1, 1] + [last_K] * 3 + [last_H] * 3)
-    cols.append([0, 2, 4, 1, 3, 5, last_K, last_K - 2, last_K - 4, last_H, last_H - 2, last_H - 4])
-    vals.append(reg + reg + [back[0] + 1.0] + back[1:] + back)
-    A = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(2 * n, 2 * n)).tocsr()
-    A.eliminate_zeros()  # couplings that underflow far out (K = 0) are not stored
-    return A
+    diag[both, both, -1] = [3.0 / two_h + 1.0, 3.0 / two_h]
+    lower[both, both, -1] = -4.0 / two_h
+    # the third stencil points, outside the band
+    reach = [(0, 2, xi[0] * (-1.0 / two_h)), (n - 1, n - 3, 1.0 / two_h)]
+    return _BlockOperator(lower, diag, upper, reach)
+
+
+# block nodes left to a dense solve when the cyclic reduction stops
+_CORE_NODES = 32
+
+
+def _mul(a, b):
+    """a_i b_i for a (2, 2, k) stack of 2x2 blocks, stored component-major,
+    and blocks (2, 2, k) or node vectors (2, m, k)."""
+    return np.einsum("abk,b...k->a...k", a, b)
+
+
+def _inverse(d):
+    """Inverse of a 2x2 block or (2, 2, k) block stack; a zero or non-finite
+    determinant raises LinAlgError before anything divides by it."""
+    det = d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]
+    if not (np.isfinite(det).all() and np.all(det != 0.0)):
+        raise np.linalg.LinAlgError("Matrix is exactly singular")
+    return np.array([[d[1, 1], -d[0, 1]], [-d[1, 0], d[0, 0]]]) / det
+
+
+def _nodes(y):
+    """Interleaved unknowns, (2n,) or (2n, m), as a contiguous copy of node
+    vectors (2, m, n); _interleaved turns them back."""
+    return y.reshape(len(y) // 2, 2, -1).transpose(1, 2, 0).copy()
+
+
+def _interleaved(v, shape):
+    return v.transpose(2, 0, 1).reshape(shape)
+
+
+class _BlockOperator:
+    """A matrix in 2x2 node blocks of interleaved unknowns: (2, 2, n) stacks
+    lower, diag and upper (lower[..., 0] and upper[..., -1] zero), and reach,
+    the entries off the band as (row node, column node, coefficient of the
+    identity block)."""
+
+    def __init__(self, lower, diag, upper, reach):
+        self.lower, self.diag, self.upper, self.reach = lower, diag, upper, reach
+        self.shape = (2 * diag.shape[-1],) * 2
+
+    @property
+    def T(self):
+        lower, upper = np.zeros_like(self.lower), np.zeros_like(self.upper)
+        lower[..., 1:], upper[..., :-1] = self.upper[..., :-1], self.lower[..., 1:]
+        return _BlockOperator(*(b.swapaxes(0, 1) for b in (lower, self.diag, upper)),
+                              [(j, i, c) for i, j, c in self.reach])
+
+    def __matmul__(self, y):
+        v = _nodes(y)
+        out = _mul(self.diag, v)
+        out[..., 1:] += _mul(self.lower[..., 1:], v[..., :-1])
+        out[..., :-1] += _mul(self.upper[..., :-1], v[..., 1:])
+        for i, j, c in self.reach:
+            out[..., i] += c * v[..., j]
+        return _interleaved(out, y.shape)
+
+    def norm(self):
+        """The max norm, the largest absolute row sum."""
+        sums = sum(np.abs(b).sum(axis=1) for b in (self.lower, self.diag, self.upper))
+        for i, _, c in self.reach:
+            sums[:, i] += abs(c)
+        return sums.max()
+
+    def toarray(self):
+        return self @ np.eye(self.shape[0])
+
+
+class _Factorization:
+    """A factored _BlockOperator whose reach touches only its end nodes.
+
+    The two end nodes go first, each by its own pivot block, which leaves
+    the interior block tridiagonal. Block cyclic reduction takes that Schur
+    complement without pivoting: each level eliminates the odd nodes by the
+    inverses of their diagonal blocks, until at most _CORE_NODES are left to
+    a pivoted dense solve."""
+
+    def __init__(self, A):
+        n = A.diag.shape[-1]
+        links = [(1, 0, A.lower[..., 1]), (0, 1, A.upper[..., 0]),
+                 (n - 2, n - 1, A.upper[..., -2]), (n - 1, n - 2, A.lower[..., -1])]
+        links += [(i, j, c * np.eye(2)) for i, j, c in A.reach]
+        self.pivots = {e: _inverse(A.diag[..., e]) for e in (0, n - 1)}
+        # (row, end, block) of the interior rows' couplings to an end node,
+        # and (end, column, block) of the end rows' couplings
+        self.into = [link for link in links if link[1] in self.pivots]
+        self.out = [link for link in links if link[0] in self.pivots]
+        lower, diag, upper = bands = [b[..., 1:-1].copy() for b in (A.lower, A.diag, A.upper)]
+        lower[..., 0] = upper[..., -1] = 0.0
+        for i, j, b in self.into:
+            for e, k, c in self.out:
+                if e == j:
+                    bands[k - i + 1][..., i - 1] -= b @ self.pivots[j] @ c
+        self.levels = []
+        while diag.shape[-1] > _CORE_NODES:
+            inv, lo, up = _inverse(diag[..., 1::2]), lower[..., 1::2], upper[..., 1::2]
+            odd, even = inv.shape[-1], diag.shape[-1] - inv.shape[-1]
+            # even node q couples to odd nodes q - 1 (alpha) and q (gamma)
+            alpha = -_mul(lower[..., 2::2], inv[..., :even - 1])
+            gamma = -_mul(upper[..., :2 * odd:2], inv)
+            diag = diag[..., 0::2].copy()
+            diag[..., 1:] += _mul(alpha, up[..., :even - 1])
+            diag[..., :odd] += _mul(gamma, lo)
+            lower, upper = np.zeros_like(diag), np.zeros_like(diag)
+            lower[..., 1:], upper[..., :odd] = _mul(alpha, lo[..., :even - 1]), _mul(gamma, up)
+            self.levels.append((inv, lo, up, alpha, gamma))
+        self.core = _BlockOperator(lower, diag, upper, ()).toarray()
+
+    def solve(self, b):
+        """x with A x = b, for b of shape (2n,) or (2n, m). b is scaled by a
+        power of two first, so the reduction has room below overflow, and x
+        back after."""
+        unit = 2.0 ** math.frexp(np.abs(b).max())[1]
+        x = _nodes(b)
+        x /= unit
+        ends = {e: p @ x[..., e] for e, p in self.pivots.items()}
+        for i, j, block in self.into:
+            x[..., i] -= block @ ends[j]
+        rhs, f = [], x[..., 1:-1]
+        for inv, lo, up, alpha, gamma in self.levels:
+            rhs.append(f)
+            odd, f = f[..., 1::2], f[..., 0::2].copy()
+            f[..., 1:] += _mul(alpha, odd[..., :f.shape[-1] - 1])
+            f[..., :inv.shape[-1]] += _mul(gamma, odd)
+        y = _nodes(np.linalg.solve(self.core, _interleaved(f, (len(self.core), -1))))
+        for (inv, lo, up, alpha, gamma), f in zip(reversed(self.levels), reversed(rhs)):
+            odd, even = inv.shape[-1], y.shape[-1]
+            r = f[..., 1::2] - _mul(lo, y[..., :odd])
+            r[..., :even - 1] -= _mul(up[..., :even - 1], y[..., 1:])
+            y, f = np.empty_like(f), y
+            y[..., 0::2], y[..., 1::2] = f, _mul(inv, r)
+        x[..., 1:-1] = y
+        for e, j, block in self.out:
+            x[..., e] -= block @ x[..., j]
+        for e, p in self.pivots.items():
+            x[..., e] = p @ x[..., e]
+        return _interleaved(x * unit, b.shape)
 
 
 def spsolve(A, b):
-    """scipy.sparse.linalg.spsolve, imported on call: it is all the package
-    needs of scipy. A module-level name, so a caller can wrap the solve
-    (bench/tracer.py times it here). An exactly singular A raises
-    np.linalg.LinAlgError instead of scipy's MatrixRankWarning."""
-    from scipy.sparse.linalg import MatrixRankWarning, spsolve as solve
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            return solve(A, b)
-        except MatrixRankWarning as exc:
-            raise np.linalg.LinAlgError(str(exc)) from None
+    """The response solve, A x = b, through one _Factorization of the block
+    operator A. A module-level name, so a caller can wrap the solve
+    (bench/tracer.py times it here)."""
+    return _Factorization(A).solve(b)
 
 
 # radial nodes of the coarse companion grid behind the singular value diagnostic
@@ -421,22 +544,18 @@ def _inverse_largest_sv(Z):
 
 
 def _min_singular_value(A):
-    """(sigma_min, iterations, last relative change) of the sparse matrix A by
-    block inverse iteration on one sparse LU: Q <- qr(A^-T (A^-1 Q)) from a
-    fixed seeded block, with sigma_min estimated as 1 / (the largest singular
-    value of A^-1 Q). It stops once an iteration moves the estimate by at most
-    _DIAGNOSTIC_RTOL relative, or after _DIAGNOSTIC_MAX_ITER iterations; a
-    non-finite estimate stops it at once and is returned as NaN."""
-    from scipy.sparse.linalg import splu
-    try:
-        lu = splu(A.tocsc())
-    except RuntimeError as exc:  # SuperLU's report of a singular or non-finite matrix
-        raise np.linalg.LinAlgError(str(exc)) from None
+    """(sigma_min, iterations, last relative change) of the response operator
+    A by block inverse iteration on one factorization: Q <- qr(A^-T (A^-1 Q))
+    from a fixed seeded block, with sigma_min estimated as 1 / (the largest
+    singular value of A^-1 Q). It stops once an iteration moves the estimate
+    by at most _DIAGNOSTIC_RTOL relative, or after _DIAGNOSTIC_MAX_ITER
+    iterations; a non-finite estimate stops it at once and is returned as NaN."""
+    lu, lu_t = _Factorization(A), _Factorization(A.T)
     block = np.random.default_rng(0).standard_normal((A.shape[0], _DIAGNOSTIC_BLOCK))
     Z = lu.solve(np.linalg.qr(block)[0])
     sigma, iterations, change = _inverse_largest_sv(Z), 0, math.inf
     while iterations < _DIAGNOSTIC_MAX_ITER and change > _DIAGNOSTIC_RTOL:
-        Z = lu.solve(np.linalg.qr(lu.solve(Z, trans="T"))[0])
+        Z = lu.solve(np.linalg.qr(lu_t.solve(Z))[0])
         estimate = _inverse_largest_sv(Z)
         iterations, change, sigma = iterations + 1, abs(estimate - sigma) / estimate, estimate
     return sigma, iterations, change
@@ -456,8 +575,8 @@ def solve_perturbation(profile, coeffs=None):
     translation-like direction (K', H') of the base profile satisfies the
     cutoff rows but not the regularity rows, so the operator is invertible.
 
-    The diagnostic comes from block inverse iteration on one sparse LU of
-    that operator, with a block of 4 columns: at small xi_max the two
+    The diagnostic comes from block inverse iteration on one factorization
+    of that operator and one of its transpose, with a block of 4 columns: at small xi_max the two
     regularity rows share one stencil and the two smallest singular values
     nearly coincide, which stalls a single vector.  It stops when an
     iteration moves the estimate by at most 1e-12 relative, or at a cap of
@@ -474,7 +593,7 @@ def solve_perturbation(profile, coeffs=None):
     y = spsolve(A, rhs)
     coarse = RadialGrid(profile.grid.xi_max, _DIAGNOSTIC_N)
     min_sv, iterations, change = _min_singular_value(_linear_operator(bps_profile(coarse)))
-    scale = abs(A).sum(axis=1).max() * np.abs(y).max() + np.abs(rhs).max()
+    scale = A.norm() * np.abs(y).max() + np.abs(rhs).max()
     return Perturbation(
         K1=y[0::2],
         H1=y[1::2],

@@ -367,6 +367,8 @@ def born_infeld_report(cfg, metric, background, alpha, C):
     without the bracket term.
     """
     D = cfg.dim
+    if D < 2:
+        raise ValueError("spacetime dimension %d: field strengths need at least 2" % D)
     b, q = metric.b, background.q
     grid = grid_for_band_limit(2 * cfg.l_max + 8)
     nd = _node_data(cfg, None, grid)

@@ -53,24 +53,22 @@ def _legendre_tables(l_max, x):
     P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
     for m in range(1, l_max + 1):
         P[m, m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_theta * P[m - 1, m - 1]
-    for m in range(0, l_max):
-        P[m + 1, m] = math.sqrt(2.0 * m + 3.0) * x * P[m, m]
-    for m in range(0, l_max + 1):
-        for l in range(m + 2, l_max + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            P[l, m] = a * (x * P[l - 1, m] - b * P[l - 2, m])
+    m = np.arange(l_max)
+    P[m + 1, m] = np.sqrt(2.0 * m + 3.0)[:, None] * x * P[m, m]
     dPdx = np.zeros_like(P)
     denom = x * x - 1.0
-    for m in range(0, l_max + 1):
-        for l in range(m, l_max + 1):
-            if l == 0:
-                continue
-            c = math.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
-            upper = l * x * P[l, m]
-            if l - 1 >= m:
-                upper = upper - c * P[l - 1, m]
-            dPdx[l, m] = upper / denom
+    # one pass per degree over all its orders: the recurrence fills m <= l - 2
+    # from the two degrees below, then dPdx takes the whole row m <= l
+    for l in range(1, l_max + 1):
+        m = np.arange(l - 1)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
+        P[l, :l - 1] = a * (x * P[l - 1, :l - 1] - b * P[l - 2, :l - 1])
+        m = np.arange(l)
+        c = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))[:, None]
+        upper = l * x * P[l, :l + 1]
+        upper[:l] -= c * P[l - 1, :l]
+        dPdx[l, :l + 1] = upper / denom
     return P, dPdx
 
 

@@ -365,15 +365,19 @@ def test_monopole_perturb_diagnostic_converges_across_cutoffs(capsys, xi_max):
 
 
 def test_monopole_perturb_in_a_fresh_interpreter(capsys):
-    """`monopole perturb` is the one subcommand that loads scipy, and it does
-    so inside main's floating point traps. The test process has scipy loaded
-    already, so only a fresh process shows that import running there: it
-    exits 0 with the report an in-process run prints."""
+    """`monopole perturb` solves its response in numpy, inside main's
+    floating point traps. The test process has scipy loaded already (the
+    tests use it as an oracle), so only a fresh process shows that the
+    command loads none: it exits 0 with the report an in-process run
+    prints, and no scipy module is loaded after it."""
     argv = ["monopole", "perturb", "--n", "400"]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-m", "uinf.cli"] + argv,
+    code = ("import sys\nfrom uinf.cli import main\nrc = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+            "sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", code] + argv,
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "[]\n")
     (header, rows, _), checks = parse_report(proc.stdout)
     assert header == "xi,K,H,K1,H1" and len(rows) == 400
     assert "backward_error" in [c["name"] for c in checks]

@@ -70,8 +70,7 @@ def _scipy(loaded):
 
 def test_package_root_and_algebra_core_load_only_what_they_use():
     """The package root loads no submodule; the algebra core (reduction and
-    the three modules it pulls in) loads numpy but no scipy, which only the
-    monopole response's sparse solve needs."""
+    the three modules it pulls in) loads numpy but no scipy."""
     assert [m for m in _loaded_after("import uinf") if m.startswith("uinf.")] == []
     loaded = _loaded_after("import uinf.reduction")
     assert {"uinf.sphere_algebra", "uinf.tensor_kernels", "uinf.gauge_fields"} <= set(loaded)
@@ -80,12 +79,24 @@ def test_package_root_and_algebra_core_load_only_what_they_use():
 
 @pytest.mark.parametrize("module", ["uinf.monopole", "uinf.cli"])
 def test_monopole_and_cli_load_no_scipy(module):
-    """The monopole quadrature is numpy and its sparse solve imports scipy
-    when called, so neither the module nor the command line that imports
-    it pays for loading scipy."""
+    """The monopole quadrature and response solve are numpy, so neither the
+    module nor the command line that imports it loads scipy."""
     loaded = _loaded_after("import " + module)
     assert module in loaded
     assert _scipy(loaded) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    """scipy is a test dependency only: no package module imports it, at
+    module level or inside a function."""
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append((node.module, node.lineno))
+    assert [(name, line) for name, line in imported if name.split(".")[0] == "scipy"] == []
 
 
 def _exported(sibling, name):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.sparse import csr_matrix
 
 from uinf import monopole
 from uinf.monopole import (
@@ -347,6 +348,104 @@ def test_linear_operator_is_the_jacobian_of_the_gradient():
     for coarse, fine in ((e1000, e2000), (e2000, e4000)):
         order = np.log2(coarse / fine)
         assert np.all((1.8 <= order) & (order <= 2.2)), order
+
+
+def _csr(A):
+    """The block operator A as a scipy CSR matrix, built from its blocks and
+    reaches: the oracle's products with A and A^T."""
+    n = A.diag.shape[-1]
+    rows, cols, vals = [], [], []
+    for shift, blocks in ((-1, A.lower), (0, A.diag), (1, A.upper)):
+        i = np.arange(max(0, -shift), n - max(0, shift))
+        for a in (0, 1):
+            for b in (0, 1):
+                rows.append(2 * i + a)
+                cols.append(2 * (i + shift) + b)
+                vals.append(blocks[a, b, i])
+    for i, j, c in A.reach:
+        rows.append([2 * i, 2 * i + 1])
+        cols.append([2 * j, 2 * j + 1])
+        vals.append([c, c])
+    return csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=A.shape)
+
+
+def _normwise_backward_error(M, x, b):
+    """Largest ||M x - b|| / (||M|| ||x|| + ||b||) over the columns, in max norms."""
+    norm = abs(M).sum(axis=1).max()
+    residual = np.abs(M @ x - b).max(axis=0)
+    return (residual / (norm * np.abs(x).max(axis=0) + np.abs(b).max(axis=0))).max()
+
+
+def test_csr_oracle_is_the_operator():
+    profile = bps_profile(RadialGrid(25.0, 40))
+    A = monopole._linear_operator(profile)
+    x = np.random.default_rng(0).standard_normal(A.shape[0])
+    M = _csr(A)
+    assert np.array_equal(M.toarray(), A.toarray())
+    # the two products sum each row's five terms in different orders
+    assert np.all(np.abs(A @ x - M @ x) <= 4 * np.finfo(float).eps * (abs(M) @ np.abs(x)))
+
+
+@pytest.mark.parametrize("n", [16, 17, 18, 19, 32, 33, 400, 401, 4000, 4001])
+def test_block_solves_are_backward_stable(n):
+    """Cyclic reduction does not pivot; its stability here rests on this
+    sweep. Solves with A and with A^T have a normwise backward error of at
+    most 1e-14 at every cutoff from 1e-3 to 1e60."""
+    rhs = np.random.default_rng(n).standard_normal((2 * n, 3))
+    for xi_max in (1e-3, 0.1, 1.0, 25.0, 1e3, 1e6, 1e30, 1e60):
+        A = monopole._linear_operator(bps_profile(RadialGrid(xi_max, n)))
+        M = _csr(A)
+        for lu, matrix in ((monopole._Factorization(A), M), (monopole._Factorization(A.T), M.T)):
+            assert _normwise_backward_error(matrix, lu.solve(rhs), rhs) <= 1e-14, xi_max
+
+
+def test_several_right_hand_sides_solve_as_single_columns(reference_profile):
+    """Columns of different sizes solve together as they solve alone, up to
+    the rounding of the dense core solve, which LAPACK blocks by the column
+    count (7e-16 relative here)."""
+    A = monopole._linear_operator(reference_profile)
+    rhs = np.random.default_rng(1).standard_normal((A.shape[0], 4)) * [1.0, 1e-3, 1e5, 1.0]
+    for lu in (monopole._Factorization(A), monopole._Factorization(A.T)):
+        together = lu.solve(rhs)
+        single = np.column_stack([lu.solve(rhs[:, k]) for k in range(4)])
+        assert np.all(np.abs(together - single).max(axis=0) <= 1e-14 * np.abs(single).max(axis=0))
+    b = rhs[:, 0]
+    assert np.array_equal(monopole.spsolve(A, b), monopole._Factorization(A).solve(b))
+
+
+@pytest.mark.parametrize("node", [0, 2, 200, 399])
+def test_a_zero_pivot_block_is_exactly_singular(node):
+    """A zero diagonal block with its couplings at a boundary node, or at an
+    interior node that the reduction pivots on, raises LinAlgError before
+    anything divides by it."""
+    A = monopole._linear_operator(bps_profile(RadialGrid(25.0, 400)))
+    for blocks in (A.lower, A.diag, A.upper):
+        blocks[..., node] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="exactly singular"):
+        monopole._Factorization(A)
+
+
+def test_solve_commutes_with_powers_of_two():
+    """The right-hand side is scaled by a power of two before the reduction,
+    and the solution back after, so scaling b by 2**1020 scales x by 2**1020
+    bit for bit, to a solution of 3.4e307, where the reduction's intermediate
+    sums on the unscaled b overflow."""
+    A = monopole._linear_operator(bps_profile(RadialGrid(25.0, 400)))
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    x = np.ldexp(monopole.spsolve(A, b), 1020)
+    assert np.isfinite(x).all() and np.array_equal(monopole.spsolve(A, np.ldexp(b, 1020)), x)
+
+
+@pytest.mark.parametrize("xi_max", [1e80, 1e100])
+def test_huge_cutoffs_keep_a_finite_response(xi_max):
+    """At cutoffs of 1e80 and 1e100 the response stays finite and the solve
+    backward stable; the diagnostic there overflows and reads NaN."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pert = solve_perturbation(bps_profile(RadialGrid(xi_max, 400)))
+    assert np.isfinite(pert.K1).all() and np.isfinite(pert.H1).all()
+    assert pert.backward_error < 1e-14
+    assert math.isnan(pert.min_singular_value)
 
 
 def test_perturbation_backward_error_is_reported(reference_profile):

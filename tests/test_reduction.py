@@ -442,6 +442,15 @@ def test_reports_transform_in_one_stacked_call_each(monkeypatch, seed0_fields, b
         assert sorted(calls) == ["gradients", "synthesize", "synthesize"]
 
 
+def test_born_infeld_report_rejects_a_one_dimensional_spacetime(background):
+    """One spacetime direction carries no field strength, so the report has
+    no rhs to compare: a ValueError naming the dimension, not a traceback
+    from an empty synthesis."""
+    cfg = random_gauge_config(1, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="dimension 1"):
+        born_infeld_report(cfg, BlockMetric(-np.eye(1), 1.0), background, 0.5, 1.0)
+
+
 def _node_data_per_field(cfg, scal, grid):
     """The node arrays built one field at a time: the oracle of _node_data."""
     D = cfg.dim
