@@ -338,8 +338,7 @@ def two_dim_report(cfg, metric, background):
     # node-route bracket-extended F_01
     ft01_nodes = nd["flow"][0, 1] + q * _node_bracket(nd["dAex"][:, 0], nd["dAex"][:, 1], nd["s"])
     predicted = 8.0 * ft01_nodes / (q * b**2 * math.sqrt(abs(det_st)))
-    pw_scale = float(np.max(np.abs(predicted))) or 1.0
-    pointwise_rel = float(np.max(np.abs(eps_contract - predicted))) / pw_scale
+    pointwise_rel = float(_relative(np.max(np.abs(eps_contract - predicted)), np.max(np.abs(predicted))))
     eps_sq_integral = _integrate(grid, eps_contract**2)
     # coefficient-route integral of the bracket-extended component
     ft01 = field_strength(replace(cfg, coupling=q), 0, 1)
@@ -419,8 +418,8 @@ def born_infeld_report(cfg, metric, background, alpha, C):
         "ratio": ratio,
         "drift": abs(ratio - 1.0),
         "kk_reference": kk_reference,
-        "kk_residual": abs(lhs - kk_reference) / max(abs(kk_reference), 1e-30),
-        "suppression_ratio": abs(lhs - rhs) / max(abs(lhs - rhs_plain), 1e-300),
+        "kk_residual": float(_relative(abs(lhs - kk_reference), abs(kk_reference))),
+        "suppression_ratio": float(_relative(abs(lhs - rhs), abs(lhs - rhs_plain))),
         "lhs_full": lhs_full,
         "lhs_vacuum": lhs_vac,
     }

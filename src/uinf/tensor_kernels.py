@@ -15,8 +15,8 @@ Stack layout: the contraction kernels (`delta3`, `trace3`, `delta4`,
 shape (..., A) and the inverse metric (..., A, B); the leading axes
 broadcast, and each kernel returns an array of the leading shape (a numpy
 scalar for a single node). The reduction passes a sphere grid, the identity
-suite a stack of draws. The suite takes each draw's raw normals one at a
-time in a fixed order and builds a stack's metrics with one stacked QR.
+suite a stack of draws. The suite draws each stack's raw normals in four
+bulk calls and builds the stack's metrics with one stacked QR.
 
 The kernels take the inverse metric g^{AB}, not g. The reduction's forward
 scan evaluates the reference route with the sphere block of the inverse
@@ -41,7 +41,6 @@ __all__ = [
     "born_infeld_density",
     "suite_dims",
     "identity_suite",
-    "random_antisymmetric",
     "minkowski_metric",
 ]
 
@@ -77,7 +76,7 @@ def _signed_permutation_sum(low, up, k):
     total = 0.0
     for p in permutations(range(k)):
         sub = "".join(idx[i] for i in p)
-        total = total + _perm_sign(p) * np.einsum(f"...{idx},...{sub}->...", low, up)
+        total = total + epsilon_symbol(k)[p] * np.einsum(f"...{idx},...{sub}->...", low, up)
     return total
 
 
@@ -190,14 +189,14 @@ def identity_suite(dims=(3, 4, 6), *, trials, rng, signature="euclidean"):
 
     Each ratio is evaluated on `trials` accepted draws (split evenly over the
     admissible dimensions) of a random fixed-signature metric, antisymmetric
-    F and vector v. The raw draws are taken one at a time in a fixed order
-    (the metric's normal matrix and spectrum, F, v); the metrics of each
-    stack of the draws still needed, at most _STACK_ENTRIES // d**4 of them,
-    come from one stacked QR, and the routes run once on the stack. A draw
-    is redrawn when the denominator route is at most 1e-3 of the sum of the
-    magnitudes of the trace form's terms, where the quotient would measure
-    rounding noise instead of the identity. The redraw count is reported so
-    the filtering is visible.
+    F and vector v. Each stack of the draws still needed, at most
+    _STACK_ENTRIES // d**4 of them, takes four bulk draws (the metrics'
+    normal matrices and spectra, F, v), one stacked QR for its metrics and
+    one run of each route. A draw is redrawn when the denominator route is
+    at most 1e-3 of the trace form on |F|, |v| and |g^{-1}|, the summed
+    magnitude of its elementary products before any of them cancel; below
+    that the quotient would measure rounding instead of the identity. The
+    redraw count is reported so the filtering is visible.
     """
     dims = suite_dims(dims)
     if signature not in ("euclidean", "lorentzian"):
@@ -222,12 +221,12 @@ def identity_suite(dims=(3, 4, 6), *, trials, rng, signature="euclidean"):
                 size = min(need, max(1, _STACK_ENTRIES // d**4), budget)
                 if size == 0:
                     raise RuntimeError("draw filter rejected too many samples")
-                draws = [(rng.standard_normal((d, d)), rng.uniform(0.5, 2.5, size=d),
-                          random_antisymmetric(d, rng), rng.standard_normal(d)) for _ in range(size)]
-                A, spectrum, F, v = (np.array(stack) for stack in zip(*draws))
+                A, spectrum = rng.standard_normal((size, d, d)), rng.uniform(0.5, 2.5, (size, d))
+                F = rng.standard_normal((size, d, d)) / 2.0
+                F, v = F - F.swapaxes(-1, -2), rng.standard_normal((size, d))
                 ginv = np.linalg.inv(_metrics(A, spectrum, signature))
                 a, b = terms(F, v, ginv)
-                scale = np.abs(a) + np.abs(b)
+                scale = sum(np.abs(t) for t in terms(np.abs(F), np.abs(v), np.abs(ginv)))
                 den = a + b if den_route is None else den_route(F, v, ginv)
                 keep = (scale != 0.0) & ~(np.abs(den) <= 1e-3 * scale)
                 vals.append(num_route(F[keep], v[keep], ginv[keep]) / den[keep])
@@ -238,13 +237,6 @@ def identity_suite(dims=(3, 4, 6), *, trials, rng, signature="euclidean"):
         out[name] = {"mean": float(arr.mean()), "spread": float(arr.max() - arr.min()),
                      "draws": int(arr.size), "redraws": redraws}
     return out
-
-
-def random_antisymmetric(n, rng):
-    """Antisymmetric matrix A - A^T from iid normals; exactly antisymmetric
-    in floating point."""
-    A = rng.standard_normal((n, n)) / 2.0
-    return A - A.T
 
 
 def _metrics(A, spectrum, signature):

@@ -73,6 +73,18 @@ def test_identities_impossible_tolerance_fails(capsys):
     assert all(c["bound"] == 1e-20 and c["value"] > 1e-20 for c in failing)
 
 
+@pytest.mark.parametrize("seed", [44, 580, 622, 701, 767])
+def test_identities_lorentzian_seeds_pass_the_default_tolerance(capsys, seed):
+    """At these seeds a redraw scale taken from the trace form's two terms,
+    after F_AB F^AB has cancelled inside itself, keeps draws whose ratio is
+    mostly rounding, and a quartic spread reads 1.1e-10 to 2.8e-10. The scale
+    from the magnitudes of every elementary product redraws them."""
+    rc, out, _ = run(capsys, ["identities", "--signature", "lorentzian", "--seed", str(seed),
+                              "--trials", "200"])
+    assert rc == 0
+    assert all(row["spread"] < 1e-10 for row in json.loads(out)["ratios"].values())
+
+
 def test_unknown_flag_is_usage_error(capsys):
     rc, _, _ = run(capsys, ["identities", "--bogus"])
     assert rc == 2

@@ -1,3 +1,4 @@
+from itertools import permutations
 import tracemalloc
 
 from hypothesis import given, settings
@@ -14,28 +15,44 @@ from uinf.tensor_kernels import (
     epsilon_symbol,
     identity_suite,
     minkowski_metric,
-    random_antisymmetric,
     trace3,
     trace4,
 )
 
 QUARTIC_RATIO = 8.0
+ROUTE_CONSTANTS = {
+    "euclidean": {"delta3_vs_trace3": 1.0, "delta4_vs_trace4": 8.0,
+                  "eps3_vs_delta3": 1.0, "eps4_vs_trace4": 8.0},
+    "lorentzian": {"delta3_vs_trace3": 1.0, "delta4_vs_trace4": 8.0,
+                   "eps3_vs_delta3": -1.0, "eps4_vs_trace4": -8.0},
+}
 
 
-def random_metric(n, rng, signature):
-    """Well-conditioned random metric with fixed signature.
-
-    euclidean: all eigenvalues in [0.5, 2.5]. lorentzian: same spectrum with
-    the first eigenvalue negated, so det < 0 for any n.
-    """
-    A = rng.standard_normal((n, n))
+def metric_from(A, d, signature):
+    """Q diag(d) Q^T with Q from the QR of the normal matrix A; lorentzian
+    negates the first eigenvalue, so det < 0 for any n."""
     Q, _ = np.linalg.qr(A)
-    d = rng.uniform(0.5, 2.5, size=n)
+    d = np.array(d)
     if signature == "lorentzian":
         d[0] = -d[0]
     elif signature != "euclidean":
         raise ValueError("signature must be 'euclidean' or 'lorentzian'")
     return (Q * d) @ Q.T
+
+
+def random_metric(n, rng, signature):
+    """Well-conditioned random metric with fixed signature: euclidean has
+    all eigenvalues in [0.5, 2.5], lorentzian the same spectrum with the
+    first eigenvalue negated."""
+    A = rng.standard_normal((n, n))
+    return metric_from(A, rng.uniform(0.5, 2.5, size=n), signature)
+
+
+def random_antisymmetric(n, rng):
+    """Antisymmetric matrix A - A^T from iid normals; exactly antisymmetric
+    in floating point."""
+    A = rng.standard_normal((n, n)) / 2.0
+    return A - A.T
 
 
 def test_worked_scalar_example():
@@ -73,6 +90,41 @@ def test_epsilon_symbol_entries():
     assert e4[0, 1, 2, 3] == 1.0
     assert e4[1, 0, 2, 3] == -1.0
     assert not e3.flags.writeable
+
+
+def _inversion_sign(p):
+    """(-1) to the number of inverted pairs of the permutation p."""
+    return (-1) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+
+
+def _signed_sum_oracle(low, up, k):
+    """The rank-k generalized delta between low and up, each permutation's
+    sign counted from its inversions."""
+    idx = "abcd"[:k]
+    total = 0.0
+    for p in permutations(range(k)):
+        sub = "".join(idx[i] for i in p)
+        total = total + _inversion_sign(p) * np.einsum(f"...{idx},...{sub}->...", low, up)
+    return total
+
+
+@pytest.mark.parametrize("signature", ["euclidean", "lorentzian"])
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_generalized_deltas_equal_an_inversion_count_oracle(d, signature):
+    """The deltas read their signs from the epsilon table; they equal the
+    same sums with the signs counted from inversions, bit for bit."""
+    rng = np.random.default_rng(d)
+    ginv = np.linalg.inv([random_metric(d, rng, signature) for _ in range(20)])
+    F = np.array([random_antisymmetric(d, rng) for _ in range(20)])
+    v = rng.standard_normal((20, d))
+    Fup = ginv @ F @ ginv.swapaxes(-1, -2)
+    vup = np.einsum("...ab,...b->...a", ginv, v)
+    low3 = np.einsum("...ab,...c->...abc", F, v)
+    up3 = np.einsum("...ab,...c->...abc", Fup, vup)
+    assert np.array_equal(delta3(F, v, ginv), _signed_sum_oracle(low3, up3, 3))
+    low4 = np.einsum("...ab,...cd->...abcd", F, F)
+    up4 = np.einsum("...ab,...cd->...abcd", Fup, Fup)
+    assert np.array_equal(delta4(F, ginv), _signed_sum_oracle(low4, up4, 4))
 
 
 def test_identity_suite_euclidean_seed0():
@@ -227,9 +279,23 @@ def _trace4_pieces(F, ginv):
     return s1, np.einsum("...ab,...ba->...", M2, M2)
 
 
+def _magnitude_scale(F, v, ginv, rank3):
+    """The trace form's terms summed in magnitude, each elementary product
+    written out on |F|, |v| and |g^{-1}|."""
+    aF, av, ag = np.abs(F), np.abs(v), np.abs(ginv)
+    s1 = np.einsum("ab,ap,bq,pq->", aF, ag, ag, aF)
+    if rank3:
+        s2 = np.einsum("a,ab,b->", av, ag, av)
+        t2 = np.einsum("ap,pq,cq,ab,br,r,c->", ag, aF, ag, aF, ag, av, av)
+        return 2.0 * s1 * s2 + 4.0 * t2
+    M = ag @ aF
+    return s1 * s1 + 2.0 * np.einsum("ab,bc,cd,da->", M, M, M, M)
+
+
 def _per_draw_suite(dims, trials, rng, signature):
-    """The identity suite as a loop over single draws, with each ratio's
-    redraw scale written out: {ratio: (draws, redraws, mean)}."""
+    """The identity suite as a loop over single draws: the suite's four bulk
+    calls at its stack sizes, then each draw's metric, routes and redraw
+    scale on its own: {ratio: (draws, redraws, mean)}."""
     plans = {
         "delta3_vs_trace3": (dims, True, delta3, trace3),
         "delta4_vs_trace4": ([d for d in dims if d >= 4], False, delta4, trace4),
@@ -241,26 +307,23 @@ def _per_draw_suite(dims, trials, rng, signature):
         per = -(-trials // len(ds))
         vals, redraws = [], 0
         for d in ds:
-            got = 0
-            while got < per:
-                g = random_metric(d, rng, signature)
-                F = random_antisymmetric(d, rng)
-                v = rng.standard_normal(d)
-                ginv = np.linalg.inv(g)
-                if rank3:
-                    s12, t2 = _trace3_pieces(F, v, ginv)
-                    scale = 2.0 * abs(s12) + 4.0 * abs(t2)
-                    args = (F, v, ginv)
-                else:
-                    s1, t4 = _trace4_pieces(F, ginv)
-                    scale = s1 * s1 + 2.0 * abs(t4)
-                    args = (F, ginv)
-                den = den_route(*args)
-                if scale == 0.0 or abs(den) <= 1e-3 * scale:
-                    redraws += 1
-                    continue
-                vals.append(num_route(*args) / den)
-                got += 1
+            need = per
+            while need:
+                size = min(need, tensor_kernels._STACK_ENTRIES // d**4)
+                A, spectrum = rng.standard_normal((size, d, d)), rng.uniform(0.5, 2.5, (size, d))
+                B = rng.standard_normal((size, d, d)) / 2.0
+                V = rng.standard_normal((size, d))
+                for i in range(size):
+                    F, v = B[i] - B[i].T, V[i]
+                    ginv = np.linalg.inv(metric_from(A[i], spectrum[i], signature))
+                    args = (F, v, ginv) if rank3 else (F, ginv)
+                    den = den_route(*args)
+                    scale = _magnitude_scale(F, v, ginv, rank3)
+                    if scale == 0.0 or abs(den) <= 1e-3 * scale:
+                        redraws += 1
+                        continue
+                    vals.append(num_route(*args) / den)
+                    need -= 1
         out[name] = (len(vals), redraws, float(np.mean(vals)))
     return out
 
@@ -268,8 +331,8 @@ def _per_draw_suite(dims, trials, rng, signature):
 @pytest.mark.parametrize("signature", ["euclidean", "lorentzian"])
 @pytest.mark.parametrize("dims", [(3, 4), (3, 4, 6), (3, 4, 5, 8)])
 def test_stacked_identity_suite_matches_the_per_draw_loop(dims, signature):
-    """The stacks take the draws in the per-draw loop's order and filter them
-    by the same scale: equal counts, and means equal up to rounding."""
+    """The stacks take the per-draw loop's draws and filter them by the same
+    magnitude scale: equal counts, and means equal up to rounding."""
     for seed in (0, 3, 11):
         suite = identity_suite(dims, trials=40, rng=np.random.default_rng(seed), signature=signature)
         reference = _per_draw_suite(dims, 40, np.random.default_rng(seed), signature)
@@ -304,12 +367,40 @@ def test_identity_suite_stacks_stay_small():
     assert peak <= 4 * 2**20
 
 
-def test_identity_suite_gives_up_on_a_degenerate_draw(monkeypatch):
-    """A zero F has a zero trace form, so every draw is redrawn until the
-    filter gives up."""
-    monkeypatch.setattr(tensor_kernels, "random_antisymmetric", lambda n, rng: np.zeros((n, n)))
+class _ZeroNormals:
+    """A generator whose normals are all zero; its spectra are real draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+    def uniform(self, low, high, size):
+        return self._rng.uniform(low, high, size)
+
+
+def test_identity_suite_gives_up_on_a_degenerate_draw():
+    """Zero normals give a zero F, whose trace form has zero magnitude, so
+    every draw is redrawn until the filter gives up."""
     with pytest.raises(RuntimeError, match="rejected too many"):
-        identity_suite(dims=(3, 4), trials=2, rng=np.random.default_rng(0))
+        identity_suite(dims=(3, 4), trials=2, rng=_ZeroNormals(0))
+
+
+# max_examples bounds the time: 25 examples take about 1 s
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       signature=st.sampled_from(["euclidean", "lorentzian"]),
+       extra=st.sets(st.integers(min_value=5, max_value=8), max_size=2),
+       trials=st.integers(min_value=1, max_value=24))
+def test_identity_suite_spreads_and_means_property(seed, signature, extra, trials):
+    """Every ratio sits at its route constant with a spread below 1e-10, for
+    any seed, signature and admissible dims."""
+    suite = identity_suite((3, 4, *extra), trials=trials, rng=np.random.default_rng(seed),
+                           signature=signature)
+    for name, target in ROUTE_CONSTANTS[signature].items():
+        assert suite[name]["spread"] < 1e-10
+        assert abs(suite[name]["mean"] - target) < 1e-10
 
 
 def test_identity_suite_rejects_missing_base_dims():
