@@ -294,7 +294,8 @@ def cmd_monopole_scan_evb(args):
     meta = _meta(args, xi_max=args.xi_max, n=args.n, v=args.v, beta=args.beta,
                  e=args.e, b=args.b, prefactor=rows_data[0]["prefactor"],
                  quantization_ok=rows_data[0]["quantization_ok"], **recorded)
-    return (columns, rows, meta), []
+    error = abs(rows_data[0]["E0_integral"] - 1.0)  # against monopole solve's fixed bound
+    return (columns, rows, meta), [check("completed_energy_error", error, 1e-4)]
 
 
 def cmd_algebra_structure_constants(args):

@@ -202,17 +202,58 @@ def bogomolnyi_residuals(profile):
     return r1, r2
 
 
-def energy_density(profile):
-    """Quadratic energy density K'**2 + K**2 H**2/xi**2 + (H' - H/xi)**2/2 + (1-K**2)**2/(2 xi**2)."""
-    xi = profile.grid.xi
-    K, H = profile.K, profile.H
-    Kp, Hp = profile.derivatives
+class _Jet:
+    """A polynomial sum_k eps**k rows[k] whose coefficient rows are arrays
+    or numbers, with products that drop the powers above degree: Taylor
+    arithmetic (Griewank and Walther, Evaluating Derivatives, 2nd ed., SIAM
+    2008, ch. 13). Arrays and numbers are constants. Row 0 of a result is the
+    plain operation on the rows 0, so it rounds as the plain arithmetic does."""
+
+    __array_ufunc__ = None  # an ndarray on the left defers to the reflected operator
+
+    def __init__(self, rows, degree):
+        self.rows, self.degree = list(rows), degree
+
+    def __add__(self, other):
+        a, b = self.rows, other.rows if isinstance(other, _Jet) else [other]
+        return _Jet([x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):], self.degree)
+
+    def __mul__(self, other):
+        a, b = self.rows, other.rows if isinstance(other, _Jet) else [other]
+        rows = []
+        for k in range(min(len(a) + len(b) - 2, self.degree) + 1):
+            lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+            rows.append(a[lo] * b[k - lo])
+            for i in range(lo + 1, hi + 1):
+                rows[k] += a[i] * b[k - i]
+        return _Jet(rows, self.degree)
+
+    def __pow__(self, p):  # p >= 1; numpy's power need not round as a product does
+        out = self
+        for _ in range(p - 1):
+            out = out * self
+        return _Jet([self.rows[0] ** p] + out.rows[1:], self.degree)
+
+    def __truediv__(self, other):
+        return _Jet([r / other for r in self.rows], self.degree)
+
+    __radd__, __rmul__ = __add__, __mul__
+    __sub__ = lambda self, other: self + other * -1.0  # x - y rounds as x + (-1.0 * y)
+    __rsub__ = lambda self, other: self * -1.0 + other
+
+
+def _energy_density_at(xi, K, H, Kp, Hp):
     return (
         Kp ** 2
         + K ** 2 * H ** 2 / xi ** 2
         + 0.5 * (Hp - H / xi) ** 2
         + (1.0 - K ** 2) ** 2 / (2.0 * xi ** 2)
     )
+
+
+def energy_density(profile):
+    """Quadratic energy density K'**2 + K**2 H**2/xi**2 + (H' - H/xi)**2/2 + (1-K**2)**2/(2 xi**2)."""
+    return _energy_density_at(profile.grid.xi, profile.K, profile.H, *profile.derivatives)
 
 
 def tail_estimate(xi_max):
@@ -263,10 +304,11 @@ def _filled_coeffs(coeffs):
 
 def second_line_density(profile, coeffs=None):
     """Quartic correction density; every term is a square times a coefficient."""
-    c = _filled_coeffs(coeffs)
-    xi = profile.grid.xi
-    K, H = profile.K, profile.H
-    Kp, Hp = profile.derivatives
+    return _second_line_density_at(profile.grid.xi, profile.K, profile.H, *profile.derivatives,
+                                   _filled_coeffs(coeffs))
+
+
+def _second_line_density_at(xi, K, H, Kp, Hp, c):
     u = 1.0 - K
     return (
         c["h2_kprime2"] * H ** 2 * Kp ** 2
@@ -309,41 +351,17 @@ def cutoff_growth(profile):
 
 
 def linearized_forcing(profile, coeffs):
-    """Variational derivatives of the correction integral at the base profile.
-
-    With u = 1 - K and the five-term density above,
-
-      Phi_K = -d/dxi[2 a H**2 K' + 2 d K' u**2] - 2 b (H'-H/xi)**2 u
-              - 2 c H**2 u - 2 d K'**2 u - 4 e xi**2 u**3
-      Phi_H = -d/dxi[2 b (H'-H/xi) u**2] - (2 b/xi)(H'-H/xi) u**2
-              + 2 a H K'**2 + 2 c H u**2
-
-    where (a, b, c, d, e) are the table entries in the order documented at
-    SECOND_LINE_COEFFS.  The outer d/dxi is taken numerically.
-    """
+    """Variational derivatives of the correction integral at the base
+    profile, Phi_q = ds/dq - d/dxi[ds/dq'] for q = K, H and the density s.
+    Each partial of s is row 1 of s on first-order jets that seed one of K,
+    H, K', H' with a unit tangent; the outer d/dxi is fd1."""
     c = _filled_coeffs(coeffs)
-    a, b = c["h2_kprime2"], c["dh2_1mk2"]
-    cc, d, e = c["h2_1mk2"], c["kprime2_1mk2"], c["xi2_1mk4"]
     xi = profile.grid.xi
-    h = profile.grid.h
-    K, H = profile.K, profile.H
-    Kp, Hp = profile.derivatives
-    u = 1.0 - K
-    w = Hp - H / xi
-    phi_K = (
-        -fd1(2.0 * a * H ** 2 * Kp + 2.0 * d * Kp * u ** 2, h)
-        - 2.0 * b * w ** 2 * u
-        - 2.0 * cc * H ** 2 * u
-        - 2.0 * d * Kp ** 2 * u
-        - 4.0 * e * xi ** 2 * u ** 3
-    )
-    phi_H = (
-        -fd1(2.0 * b * w * u ** 2, h)
-        - (2.0 * b / xi) * w * u ** 2
-        + 2.0 * a * H * Kp ** 2
-        + 2.0 * cc * H * u ** 2
-    )
-    return phi_K, phi_H
+    args = (profile.K, profile.H) + profile.derivatives
+    dK, dH, dKp, dHp = (
+        _second_line_density_at(xi, *args[:i], _Jet([q, 1.0], 1), *args[i + 1:], c).rows[1]
+        for i, q in enumerate(args))
+    return dK - fd1(dKp, profile.grid.h), dH - fd1(dHp, profile.grid.h)
 
 
 def _linear_operator(profile):
@@ -632,29 +650,30 @@ def perturbation_report(profile, pert):
     """Summarize the solved response pert of the profile.
 
     Reports the origin exponents and tail slopes of both response functions,
-    the linearity in epsilon of the energy change dE = Simpson(e_eps - e_0)
-    + eps * (correction integral of the corrected profile), the backward
-    error of the solve, and the coarse-grid singularity diagnostic. The
-    density difference is taken node by node before the sum and the tail
-    1/xi_max cancels, so the fit never subtracts whole energies.
+    the linearity in epsilon of the energy change dE = E(eps) - E(0) + eps *
+    (correction integral of the corrected profile), the backward error of
+    the solve, and the coarse-grid singularity diagnostic. The densities are
+    quartic, so their rows on jets of K + eps K1, H + eps H1 and the
+    derivatives integrate to dE exactly, as a polynomial in eps.
     """
     response = max(np.abs(pert.K1).max(), np.abs(pert.H1).max(), 1.0)
     # keep the first-order displacement below ~3e-3 in sup norm so the fit
     # probes the linear-response window of the deformation
     epsilons = np.linspace(0.1, 1.0, 7) * 3e-3 / response
-    grid = profile.grid
-    base = energy_density(profile)
-    changes = []
-    for eps in epsilons:
-        corrected = MonopoleProfile(grid=grid, K=profile.K + eps * pert.K1,
-                                    H=profile.H + eps * pert.H1)
-        changes.append(float(_simpson(energy_density(corrected) - base, grid.xi))
-                       + eps * second_line_integral(corrected, pert.coeffs))
-    changes = np.array(changes)
-    finite = np.isfinite(changes).all()  # the LAPACK fit fails on non-finite data
     # fit in epsilons / unit, an exact power-of-two scaling, so that tiny
-    # epsilons do not underflow when polyfit squares them
+    # epsilons do not underflow when polyfit squares them; the jets' variable
+    # is eps / unit too, which keeps their rows in range
     unit = 2.0 ** math.frexp(epsilons.max())[1]
+    grid, xi = profile.grid, profile.grid.xi
+    tangents = (pert.K1, pert.H1, fd1(pert.K1, grid.h), fd1(pert.H1, grid.h))
+    jets = [_Jet([q, unit * t], 4) for q, t in zip((profile.K, profile.H) + profile.derivatives, tangents)]
+    energy = [float(_simpson(row, xi)) for row in _energy_density_at(xi, *jets).rows]
+    correction = _second_line_density_at(xi, *jets, _filled_coeffs(pert.coeffs)).rows
+    # dE = sum_{k>=1} x**k energy[k] + unit x sum_k x**k (integrated correction[k]), x = eps / unit
+    poly = unit * np.array([0.0] + [float(_simpson(row, xi)) for row in correction])
+    poly[1:len(energy)] += energy[1:]
+    changes = np.polynomial.polynomial.polyval(epsilons / unit, poly)
+    finite = np.isfinite(changes).all()  # the LAPACK fit fails on non-finite data
     slope, intercept = np.polyfit(epsilons / unit, changes, 1) if finite else (np.nan, np.nan)
     slope /= unit
     ss_res = float(np.sum((changes - (slope * epsilons + intercept)) ** 2))
@@ -669,7 +688,7 @@ def perturbation_report(profile, pert):
         "linear_slope": float(slope),
         "epsilon_max": float(epsilons.max()),
         "max_response": float(response),
-        "base_energy": energy_breakdown(profile).completed,
+        "base_energy": energy[0] + tail_estimate(grid.xi_max),
         "backward_error": pert.backward_error,
         "min_singular_value": pert.min_singular_value,
         "diagnostic_n": _DIAGNOSTIC_N,

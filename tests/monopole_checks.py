@@ -1,16 +1,18 @@
 """The variational harness of the monopole energy: the analytic gradient of
 the quadratic energy, random deformations of a profile and a comparison of
-the two against difference quotients.
+the two against difference quotients, and the hand-derived forcing of the
+correction density.
 
 No package code calls these; they exist to check `uinf.monopole` from the
 outside, so they live with the tests that use them (criterion 12, the
-variational identity, the Jacobian of the response operator).
+variational identity, the Jacobian of the response operator, the forcing
+that the package derives on jets).
 """
 
 import numpy as np
 
 from uinf import monopole
-from uinf.monopole import MonopoleProfile, energy_density
+from uinf.monopole import MonopoleProfile, energy_density, fd1
 
 
 def fd2(values, h):
@@ -133,3 +135,41 @@ def variational_check(profile, rng=None, pairs=100):
         worst = max(worst, rel)
         total += rel
     return {"pairs": pairs, "max_rel_error": worst, "mean_rel_error": total / pairs}
+
+
+def hand_forcing(profile, coeffs):
+    """Variational derivatives of the correction integral at the base profile.
+
+    With u = 1 - K and the five-term density of second_line_density,
+
+      Phi_K = -d/dxi[2 a H**2 K' + 2 d K' u**2] - 2 b (H'-H/xi)**2 u
+              - 2 c H**2 u - 2 d K'**2 u - 4 e xi**2 u**3
+      Phi_H = -d/dxi[2 b (H'-H/xi) u**2] - (2 b/xi)(H'-H/xi) u**2
+              + 2 a H K'**2 + 2 c H u**2
+
+    where (a, b, c, d, e) are the table entries in the order documented at
+    SECOND_LINE_COEFFS.  The outer d/dxi is taken numerically.
+    """
+    c = monopole._filled_coeffs(coeffs)
+    a, b = c["h2_kprime2"], c["dh2_1mk2"]
+    cc, d, e = c["h2_1mk2"], c["kprime2_1mk2"], c["xi2_1mk4"]
+    xi = profile.grid.xi
+    h = profile.grid.h
+    K, H = profile.K, profile.H
+    Kp, Hp = profile.derivatives
+    u = 1.0 - K
+    w = Hp - H / xi
+    phi_K = (
+        -fd1(2.0 * a * H ** 2 * Kp + 2.0 * d * Kp * u ** 2, h)
+        - 2.0 * b * w ** 2 * u
+        - 2.0 * cc * H ** 2 * u
+        - 2.0 * d * Kp ** 2 * u
+        - 4.0 * e * xi ** 2 * u ** 3
+    )
+    phi_H = (
+        -fd1(2.0 * b * w * u ** 2, h)
+        - (2.0 * b / xi) * w * u ** 2
+        + 2.0 * a * H * Kp ** 2
+        + 2.0 * cc * H * u ** 2
+    )
+    return phi_K, phi_H

@@ -255,8 +255,8 @@ def test_monopole_scan_evb(capsys):
     header = lines[0].split(",")
     eps_col = header.index("epsilon")
     eps = [float(ln.split(",")[eps_col]) for ln in lines[1:]]
-    assert eps[0] == pytest.approx(0.1**4 / 30.0, rel=1e-12)
-    assert eps[1] == pytest.approx(0.2**4 / 30.0, rel=1e-12)
+    assert eps[0] == pytest.approx(0.1**4 / 30.0, rel=1e-12, abs=0)
+    assert eps[1] == pytest.approx(0.2**4 / 30.0, rel=1e-12, abs=0)
 
 
 def test_algebra_su2(capsys):
@@ -467,16 +467,30 @@ def test_monopole_perturb_resolves_the_linearity_fit_at_4000_nodes(tmp_path, cap
 
 
 @pytest.mark.parametrize("xi_max", [
-    "1e-3", "3e-3",
-    pytest.param("0.01", marks=pytest.mark.xfail(strict=True, reason=(
-        "the node-by-node density change rounds in K + eps*K1 (r^2 0.805)"))),
-    "0.03", "0.1", "1", "5", "25", "1e3", "1e30", "1e40", "1e50", "1e60"])
+    "1e-3", "3e-3", "0.01", "0.03", "0.1", "1", "5", "25", "1e3", "1e30", "1e40", "1e50", "1e60"])
 def test_monopole_perturb_energy_change_is_linear_over_the_cutoff_sweep(capsys, xi_max):
-    rc, out, err = run(capsys, ["monopole", "perturb", "--n", "400", "--xi-max", xi_max])
+    _assert_linear_energy_change(capsys, ["--n", "400", "--xi-max", xi_max])
+
+
+def _assert_linear_energy_change(capsys, argv):
+    rc, out, err = run(capsys, ["monopole", "perturb"] + argv)
     (_, _, meta), checks = parse_report(out)
     meta = dict(line.split(" = ") for line in meta)
     assert float(meta["linearity_r_squared"]) >= 0.9999
     assert (rc, err) == (0, "") and all(c["ok"] for c in checks)
+
+
+# Every 0.002 from 0.004 to 0.04: the band in which a change taken from
+# whole corrected profiles rounded away (r^2 down to 0.63 at n 4000). Only
+# n 400 and the default 4000, and no finer step, so that the sweep adds
+# about 2 s to the suite: the bound is for time.
+@pytest.mark.parametrize("argv", [
+    *(["--n", n, "--xi-max", "%.3f" % (0.002 * k)] for n in ("400", "4000") for k in range(2, 21)),
+    # a correction at the rounding unit of the profile: r^2 read 0.0106
+    ["--n", "400", "--xi-max", "1e-3", "--coeff", "dh2_1mk2=1e-300"],
+], ids=" ".join)
+def test_monopole_perturb_energy_change_is_linear_at_small_cutoffs(capsys, argv):
+    _assert_linear_energy_change(capsys, argv)
 
 
 @pytest.mark.parametrize("xi_max", ["1e155", "1e300"])
@@ -669,6 +683,22 @@ def test_monopole_solve_checks_completed_energy(capsys, argv, rc, failing):
     energy = [c for c in checks if c["name"] == "completed_energy_error"]
     assert len(energy) == 1 and energy[0]["bound"] == 1e-4
     assert sorted(c["name"] for c in checks if not c["ok"]) == failing
+
+
+@pytest.mark.parametrize("argv, rc", [
+    ([], 0),
+    (["--xi-max", "10", "--n", "800"], 0),
+    (["--xi-max", "5", "--n", "400"], 1),  # E0 0.99646
+])
+def test_monopole_scan_evb_checks_completed_energy(capsys, argv, rc):
+    """scan-evb checks |E0_integral - 1| against the fixed bound of monopole
+    solve's check."""
+    got, out, _ = run(capsys, ["monopole", "scan-evb"] + argv)
+    assert got == rc
+    _, checks = parse_report(out)
+    energy = [c for c in checks if c["name"] == "completed_energy_error"]
+    assert len(energy) == 1 and energy[0]["bound"] == 1e-4
+    assert [c["name"] for c in checks if not c["ok"]] == ([] if rc == 0 else ["completed_energy_error"])
 
 
 def test_non_finite_report_value_is_null_and_exits_one(monkeypatch, capsys):

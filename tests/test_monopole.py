@@ -1,7 +1,10 @@
 import dataclasses
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
+from numpy.polynomial import polynomial as P
 import pytest
 from scipy.integrate import simpson
 from scipy.sparse import csr_matrix
@@ -29,6 +32,7 @@ from monopole_checks import (
     fd2,
     functional_gradient,
     gaussian_bump,
+    hand_forcing,
     perturb_profile,
     random_direction,
     sine_bump,
@@ -159,13 +163,18 @@ def test_second_line_coefficients_are_immutable_defaults(reference_profile):
         second_line_integral(reference_profile, {"h2_kprime2": 15, "bogus": 1.0})
 
 
+def _one_term(term):
+    """The published coefficient table (term None) or its one term alone."""
+    return None if term is None else {
+        name: value if name == term else 0.0 for name, value in SECOND_LINE_COEFFS.items()}
+
+
 @pytest.mark.parametrize("term", [None, *SECOND_LINE_COEFFS])
 def test_linearized_forcing_matches_a_central_difference(reference_profile, term):
-    """The hand-derived forcing paired with interior directions against the
-    central difference of the correction integral, for the published table
-    and for each term alone."""
-    coeffs = None if term is None else {
-        name: value if name == term else 0.0 for name, value in SECOND_LINE_COEFFS.items()}
+    """The forcing paired with interior directions against the central
+    difference of the correction integral, for the published table and for
+    each term alone."""
+    coeffs = _one_term(term)
     grid = reference_profile.grid
     rng = np.random.default_rng(0)
     step = 1e-5
@@ -178,6 +187,70 @@ def test_linearized_forcing_matches_a_central_difference(reference_profile, term
         phi_K, phi_H = linearized_forcing(base, coeffs)
         paired = float(simpson(phi_K * u + phi_H * v, x=grid.xi))
         assert abs((plus - minus) / (2.0 * step) - paired) <= 1e-6 * abs(paired)
+
+
+@pytest.mark.parametrize("term", [None, *SECOND_LINE_COEFFS])
+def test_linearized_forcing_is_the_hand_derived_one(reference_profile, term):
+    """The forcing read off jets of the correction density equals the
+    hand-derived Phi_K, Phi_H to 1e-14 of their largest entry, on the
+    closed-form profile and a bumped one, for the published table and for
+    each term alone."""
+    coeffs = _one_term(term)
+    bumped = perturb_profile(reference_profile, np.random.default_rng(0), amplitude=0.2, modes=8)
+    for profile in (reference_profile, bumped):
+        for got, want in zip(linearized_forcing(profile, coeffs), hand_forcing(profile, coeffs)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+_jet_rows = st.tuples(st.integers(0, 5), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+
+
+def _rows(rng, length, degree):
+    return rng.standard_normal((min(length, degree + 1), 9)) * 10.0 ** rng.integers(-3, 4, size=(1, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_jet_rows, power=st.integers(1, 5))
+def test_jet_products_and_powers_are_truncated_polynomial_products(drawn, power):
+    """At each node, the rows of a jet product are the product of the
+    factors' polynomials, numpy's polymul, truncated at the degree, and so
+    are the rows of a power; row 0 of a power is numpy's power itself. The
+    rounding is bounded by the same products of absolute values."""
+    degree, la, lb, seed = drawn
+    rng = np.random.default_rng(seed)
+    a, b = _rows(rng, la, degree), _rows(rng, lb, degree)
+
+    def expected(op, *factors):
+        want = np.array([op(*(f[:, j] for f in factors))[:degree + 1] for j in range(9)]).T
+        scale = np.array([op(*(np.abs(f[:, j]) for f in factors))[:degree + 1] for j in range(9)]).T
+        return want, scale
+
+    cases = [(monopole._Jet(a, degree) * monopole._Jet(b, degree), *expected(P.polymul, a, b)),
+             (monopole._Jet(a, degree) ** power, *expected(lambda c: P.polypow(c, power), a))]
+    for jet, want, scale in cases:
+        got = np.array(jet.rows)
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-14 * scale).all()
+    assert np.array_equal(cases[1][0].rows[0], a[0] ** power)
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=_jet_rows)
+def test_densities_on_jets_have_the_plain_density_as_row_zero(drawn):
+    """Row 0 of either density evaluated on jets of (K, H, K', H') is the
+    plain density of the profile, bit for bit, whatever the other rows and
+    the degree; the coefficient table is drawn too."""
+    degree, la, _, seed = drawn
+    rng = np.random.default_rng(seed)
+    profile = perturb_profile(bps_profile(RadialGrid(5.0, 64)), rng, amplitude=0.2)
+    xi, base = profile.grid.xi, (profile.K, profile.H) + profile.derivatives
+    jets = [monopole._Jet([q, *rng.standard_normal((min(la, degree + 1) - 1, len(q)))], degree)
+            for q in base]
+    coeffs = dict(zip(SECOND_LINE_COEFFS, rng.standard_normal(len(SECOND_LINE_COEFFS))))
+    energy = monopole._energy_density_at(xi, *jets)
+    correction = monopole._second_line_density_at(xi, *jets, coeffs)
+    assert np.array_equal(energy.rows[0], monopole.energy_density(profile))
+    assert np.array_equal(correction.rows[0], monopole.second_line_density(profile, coeffs))
 
 
 def test_cutoff_growth_is_cubic(reference_profile):
@@ -497,18 +570,27 @@ def test_energy_changes_match_the_whole_energy_differences(monkeypatch, xi_max):
     assert np.abs(changes - np.array(oracle)).max() <= 1e-14 * abs(e0)
 
 
-def test_unmoved_profile_has_the_correction_integral_as_slope():
-    """At xi_max 1e-3 no corrected profile differs from the base one, so the
-    energy change is exactly eps * S: the slope is S, not rounding noise."""
+def test_unmoved_profile_has_the_energy_change_derivative_as_slope():
+    """At xi_max 1e-3 no corrected profile differs from the base one, yet the
+    slope is d(E + eps S)/d eps, 4.8 times S: a central difference of whole
+    energies at a displacement eps max|K1| of 1e-10 resolves it to 5 digits.
+    Every check has abs=0, since pytest's default abs of 1e-12 would pass
+    any of these numbers."""
     profile = bps_profile(RadialGrid(1e-3, 400))
     pert = solve_perturbation(profile, coeffs=SECOND_LINE_COEFFS)
     rep = perturbation_report(profile, pert=pert)
     eps = rep["epsilon_max"]
     assert (profile.K + eps * pert.K1 == profile.K).all() and (profile.H + eps * pert.H1 == profile.H).all()
-    S = second_line_integral(profile, SECOND_LINE_COEFFS)
-    assert S == pytest.approx(3.7037e-23, rel=1e-4)
-    assert rep["linear_slope"] == pytest.approx(S, rel=1e-12)
-    assert rep["linearity_r_squared"] == 1.0
+
+    def total(eps):
+        corrected = MonopoleProfile(profile.grid, profile.K + eps * pert.K1, profile.H + eps * pert.H1)
+        return energy_breakdown(corrected).raw_integral + eps * second_line_integral(corrected, None)
+
+    step = 1e-10 / np.abs(pert.K1).max()
+    assert rep["linear_slope"] == pytest.approx((total(step) - total(-step)) / (2.0 * step), rel=1e-5, abs=0)
+    assert rep["linear_slope"] == pytest.approx(1.7893e-22, rel=1e-4, abs=0)
+    assert second_line_integral(profile, None) == pytest.approx(3.7037e-23, rel=1e-4, abs=0)
+    assert rep["linearity_r_squared"] >= 0.9999
 
 
 def test_perturbation_report_structure(reference_profile):
@@ -527,7 +609,7 @@ def test_physical_energy_scaling(reference_profile):
     breakdown = energy_breakdown(reference_profile)
     correction = second_line_integral(reference_profile, None)
     out = physical_energy(breakdown, correction, evb, v=1.0, beta=1.0, e=2.0, b=1.0)
-    assert out["epsilon"] == pytest.approx(evb**4 / 30.0, rel=1e-15)
+    assert out["epsilon"] == pytest.approx(evb**4 / 30.0, rel=1e-15, abs=0)
     assert out["prefactor"] == pytest.approx(np.pi**2, rel=1e-15)
     assert out["quantization_ok"]
     expected = out["prefactor"] * (out["E0_integral"] + out["epsilon"] * out["correction_integral"])
@@ -539,8 +621,8 @@ def test_physical_energy_scaling(reference_profile):
 def test_energy_scan_rows(reference_profile):
     rows = energy_scan([0.1, 0.2], xi_max=25.0, n=4000)
     assert len(rows) == 2
-    assert rows[0]["epsilon"] == pytest.approx(1e-4 / 30.0, rel=1e-12)
-    assert rows[1]["epsilon"] == pytest.approx(16e-4 / 30.0, rel=1e-12)
+    assert rows[0]["epsilon"] == pytest.approx(1e-4 / 30.0, rel=1e-12, abs=0)
+    assert rows[1]["epsilon"] == pytest.approx(16e-4 / 30.0, rel=1e-12, abs=0)
     assert rows[1]["dE_over_E0"] > rows[0]["dE_over_E0"]
 
 
