@@ -302,11 +302,17 @@ def cmd_algebra_structure_constants(args):
     tensor = sphere_algebra.structure_constants(args.lmax)
     labels = [(l, m) for l in range(args.lmax + 1) for m in range(-l, l + 1)]
     columns = ["l1", "m1", "l2", "m2", "l3", "m3", "re", "im"]
-    index = np.nonzero(~(np.abs(tensor) < 1e-12))  # C order: rows sorted by (i, j, k)
+    mag = np.abs(tensor)
+    index = np.nonzero(~(mag < 1e-12))  # C order: rows sorted by (i, j, k)
     rows = [[*labels[i], *labels[j], *labels[k], value.real, value.imag]
             for i, j, k, value in zip(*(a.tolist() for a in index), tensor[index].tolist())]
     meta = _meta(args, lmax=args.lmax, threshold=1e-12, entries=len(rows))
-    return (columns, rows, meta), []
+    # fixed bounds, not --tol, relative to the largest entry: both read exactly 0
+    ms = np.array([m for _, m in labels])
+    off_order = ms[:, None, None] + ms[:, None] != ms  # m3 != m1 + m2
+    return (columns, rows, meta), [
+        check("antisymmetry", np.abs(tensor + tensor.transpose(1, 0, 2)).max() / mag.max(), 1e-12),
+        check("off_order_entries", mag[off_order].max() / mag.max(), 1e-12)]
 
 
 def cmd_algebra_su2(args):
@@ -334,8 +340,13 @@ def cmd_algebra_bracket(args):
         # a missing file, bad JSON or a layout that is not a field
         with _path_flag(flag, path), open(path) as fh:
             fields.append(HarmonicField.from_dict(json.load(fh)))
-    result = sphere_algebra.bracket(*fields)
-    return {"meta": _meta(args), "result": result.to_dict()}, []
+    f, g = fields
+    # one bracket per order: a stacked `brackets` analyzes both products in one
+    # call, which moves the printed coefficients in the last bit from band 16 up
+    fg, gf = sphere_algebra.bracket(f, g), sphere_algebra.bracket(g, f)
+    # a fixed bound, not --tol: the residual reads exactly 0 for the computed bracket
+    residual = (fg + gf).norm() / (fg.norm() or 1.0)  # absolute for a zero bracket
+    return {"meta": _meta(args), "result": fg.to_dict()}, [check("antisymmetry", residual, 1e-12)]
 
 
 # ---------------------------------------------------------------------------

@@ -78,11 +78,40 @@ def field_strength(cfg, mu, nu):
     return lin + cfg.coupling * bracket(cfg.a[mu], cfg.a[nu])
 
 
+def _stack(fields, L, scale=None):
+    """The fields' coefficients, each padded with zeros to band L, as one
+    (fields, L + 1, 2L + 1) stack. A scale multiplies each field on its own
+    band before the padding, as `scale * field` does, so that padded slots
+    hold +0.0 whatever the scale."""
+    out = np.zeros((len(fields), L + 1, 2 * L + 1), dtype=complex)
+    for row, f in zip(out, fields):
+        b = f.l_max
+        row[:b + 1, L - b:L + b + 1] = f.coeffs if scale is None else f.coeffs * scale
+    return out
+
+
+def _unstack(stack, *operands):
+    """One HarmonicField per stack row, cut back to the largest band limit
+    among that row's operands: the band that per-field arithmetic gives."""
+    L = stack.shape[1] - 1
+    bands = [max(f.l_max for f in row) for row in zip(*operands)]
+    return [HarmonicField(b, c[:b + 1, L - b:L + b + 1]) for c, b in zip(stack, bands)]
+
+
+# The motions and the covariant derivative take their brackets from one
+# `brackets` call and evaluate the per-field formulas on coefficient stacks,
+# in the same order of operations, so each output equals the per-field
+# arithmetic bit for bit: zero padding changes no sum, and each scalar
+# product acts on its operand's own band or on slots its output drops.
+
+
 def covariant_derivative(cfg, scal):
     """(D_mu phi for mu in range(dim)), D_mu phi = d_mu phi + coupling
-    {A_mu, phi}; the dim brackets come from one `brackets` call."""
+    {A_mu, phi}."""
     brs = brackets([(a, scal.phi) for a in cfg.a])
-    return tuple(dphi + cfg.coupling * br for dphi, br in zip(scal.dphi, brs))
+    L = max(f.l_max for f in scal.dphi + tuple(brs))
+    d = _stack(scal.dphi, L) + _stack(brs, L, cfg.coupling)
+    return tuple(_unstack(d, scal.dphi, brs))
 
 
 def gauge_transform_config(cfg, omega, domega, t):
@@ -90,28 +119,32 @@ def gauge_transform_config(cfg, omega, domega, t):
 
     A_mu gains t (d_mu omega + coupling {A_mu, omega}); the derivative jet
     gains the corresponding first-derivative terms, without d_nu d_mu omega
-    (see the module docstring). All dim (2 dim + 1) brackets come from one
-    `brackets` call, so each field is transformed once.
+    (see the module docstring).
     """
-    g, dims = cfg.coupling, range(cfg.dim)
-    brs = iter(brackets([(a, omega) for a in cfg.a] + [
-        pair for nu in dims for mu in dims
-        for pair in ((cfg.da[nu][mu], omega), (cfg.a[mu], domega[nu]))]))
-    a_new = tuple(cfg.a[mu] + t * (domega[mu] + g * next(brs)) for mu in dims)
-    da_new = tuple(tuple(cfg.da[nu][mu] + t * (g * (next(brs) + next(brs))) for mu in dims)
-                   for nu in dims)
-    return GaugeConfig(cfg.dim, g, a_new, da_new)
+    g, n = cfg.coupling, cfg.dim
+    da = [f for row in cfg.da for f in row]  # da[nu][mu] at nu * n + mu
+    brs = brackets([(a, omega) for a in cfg.a] + [(f, omega) for f in da]
+                   + [(a, w) for w in domega for a in cfg.a])
+    br_a, br_da, br_dw = brs[:n], brs[n:n + n * n], brs[n + n * n:]
+    L = max(f.l_max for f in list(domega) + brs)  # no potential exceeds its brackets
+    a_new = _stack(cfg.a, L) + t * (_stack(domega, L) + _stack(br_a, L, g))
+    da_new = _stack(da, L) + t * (g * (_stack(br_da, L) + _stack(br_dw, L)))
+    da_new = _unstack(da_new, da, br_da, br_dw)
+    return GaugeConfig(n, g, _unstack(a_new, cfg.a, domega, br_a),
+                       [da_new[nu * n:(nu + 1) * n] for nu in range(n)])
 
 
 def gauge_transform_scalar(scal, omega, domega, t, coupling):
-    """Move the scalar jet by t along the gauge direction omega; its
-    2 dim + 1 brackets come from one `brackets` call."""
-    g, dims = coupling, range(scal.dim)
-    brs = iter(brackets([(scal.phi, omega)] + [
-        pair for mu in dims for pair in ((scal.dphi[mu], omega), (scal.phi, domega[mu]))]))
-    phi_new = scal.phi + t * g * next(brs)
-    dphi_new = tuple(scal.dphi[mu] + t * g * (next(brs) + next(brs)) for mu in dims)
-    return AdjointScalar(scal.dim, phi_new, dphi_new)
+    """Move the scalar jet by t along the gauge direction omega."""
+    tg, dphi = t * coupling, scal.dphi
+    brs = brackets([(scal.phi, omega)] + [(f, omega) for f in dphi]
+                   + [(scal.phi, w) for w in domega])
+    br_phi, br_dphi, br_dw = brs[:1], brs[1:len(dphi) + 1], brs[len(dphi) + 1:]
+    L = max(f.l_max for f in brs)  # no operand exceeds its bracket
+    phi_new = _stack([scal.phi], L) + tg * _stack(br_phi, L)
+    dphi_new = _stack(dphi, L) + tg * (_stack(br_dphi, L) + _stack(br_dw, L))
+    return AdjointScalar(scal.dim, _unstack(phi_new, [scal.phi], br_phi)[0],
+                         _unstack(dphi_new, dphi, br_dphi, br_dw))
 
 
 def yang_mills_integral(cfg, metric=None):

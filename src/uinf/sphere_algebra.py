@@ -132,7 +132,9 @@ class HarmonicField:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.shape != (self.l_max + 1, 2 * self.l_max + 1):
             raise ValueError("coefficient array shape does not match l_max")
-        if np.any(c[_outside_band(self.l_max)]):
+        outside = c[_outside_band(self.l_max)]
+        # count_nonzero is the cheaper test on the few slots of a small band, any on many
+        if np.count_nonzero(outside) if outside.size < 512 else outside.any():
             raise ValueError("nonzero coefficient with |m| > l")
         object.__setattr__(self, "coeffs", c)
 
@@ -380,10 +382,11 @@ def bracket(f, g):
 
 
 def brackets(pairs):
-    """[bracket(f, g) for f, g in pairs], bitwise. Per result band limit, the
-    gradients of each distinct field (by identity) are taken once, in one
-    stacked call per field band limit, and the products are analyzed in one
-    stacked call (two when real and complex products mix)."""
+    """[bracket(f, g) for f, g in pairs], bitwise up to result band 15 (from
+    band 16 up the stacked analysis can move the last bit). Per result band
+    limit, the gradients of each distinct field (by identity) are taken once,
+    in one stacked call per field band limit, and the products are analyzed
+    in one stacked call (two when real and complex products mix)."""
     out = [None] * len(pairs)
     for L in {f.l_max + g.l_max for f, g in pairs}:
         idx = [i for i, (f, g) in enumerate(pairs) if f.l_max + g.l_max == L]

@@ -318,6 +318,53 @@ def test_algebra_bracket_fields_from_config(tmp_path, capsys):
     assert run(capsys, ["algebra", "bracket", "--config", str(cfg)]) == flags
 
 
+def _l8_field_files(tmp_path):
+    """Two L = 8 field files, the band of the benchmark's cli-cold run."""
+    rng = np.random.default_rng(1)
+    fields, paths = [], []
+    for name in ("f", "g"):
+        fields.append(random_real_field(8, rng))
+        paths.append(tmp_path / (name + ".json"))
+        paths[-1].write_text(json.dumps(fields[-1].to_dict()))
+    return fields, [str(p) for p in paths]
+
+
+def test_algebra_bracket_checks_antisymmetry_and_prints_the_bracket_bit_for_bit(
+        tmp_path, capsys):
+    from uinf.sphere_algebra import bracket
+
+    (f, g), (fp, gp) = _l8_field_files(tmp_path)
+    rc, out, _ = run(capsys, ["algebra", "bracket", "--f", fp, "--g", gp])
+    assert rc == 0
+    doc = json.loads(out)
+    assert json.loads(json.dumps(bracket(f, g).to_dict())) == doc["result"]
+    assert {"name": "antisymmetry", "value": 0.0, "bound": 1e-12, "ok": True} in doc["checks"]
+
+
+def test_algebra_bracket_with_a_symmetric_part_exits_1(tmp_path, capsys, monkeypatch):
+    """A bracket plus the pointwise product is no longer antisymmetric; the
+    check catches it. A pure rescaling of the bracket would pass: only the
+    bracket constant of `algebra su2` pins the scale."""
+    from uinf import sphere_algebra
+
+    _, (fp, gp) = _l8_field_files(tmp_path)
+    bracket, product = sphere_algebra.bracket, sphere_algebra.product
+    monkeypatch.setattr(sphere_algebra, "bracket", lambda f, g: bracket(f, g) + product(f, g))
+    rc, out, _ = run(capsys, ["algebra", "bracket", "--f", fp, "--g", gp])
+    _, checks = parse_report(out)
+    check = next(c for c in checks if c["name"] == "antisymmetry")
+    assert rc == 1 and not check["ok"] and check["value"] > 0.1
+
+
+@pytest.mark.parametrize("lmax", ["1", "3", "6"])
+def test_algebra_structure_constants_checks_antisymmetry_and_the_order_rule(capsys, lmax):
+    rc, out, _ = run(capsys, ["algebra", "structure-constants", "--lmax", lmax])
+    _, checks = parse_report(out)
+    assert rc == 0
+    assert [(c["name"], c["value"], c["bound"]) for c in checks[:2]] == [
+        ("antisymmetry", 0.0, 1e-12), ("off_order_entries", 0.0, 1e-12)]
+
+
 @pytest.mark.parametrize("given, missing", [("f", "--g"), ("g", "--f")])
 def test_algebra_bracket_field_missing_from_flags_and_config(tmp_path, capsys, given, missing):
     path = dict(zip("fg", _field_files(tmp_path)))[given]

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uinf.gauge_fields import (
     AdjointScalar,
@@ -142,6 +144,31 @@ def test_action_first_variation_vanishes():
             kin_vals.append(scalar_kinetic_integral(cfg_t, scal_t, metric))
         assert abs(exact_first_derivative(ym_vals, h)) < 1e-11 * max(abs(i_ym), 1.0)
         assert abs(exact_first_derivative(kin_vals, h)) < 1e-11 * max(abs(i_kin), 1.0)
+
+
+# max_examples bounds run time: an example takes about 10 ms at dim 4, l_max 3
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 4), l_max=st.integers(1, 3),
+       amplitude=st.floats(0.05, 1.0), coupling=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_action_first_variation_vanishes_property(dim, l_max, amplitude, coupling, seed):
+    """Criterion 04's four-point difference over drawn shapes, amplitudes and
+    couplings: a gauge motion leaves both actions unchanged to first order."""
+    h = 0.5
+    rng = np.random.default_rng(seed)
+    cfg, scal, omega, domega = draw_everything(dim, l_max, rng, amplitude)
+    cfg = replace(cfg, coupling=coupling)
+    metric = lorentz(dim)
+    ym_vals, kin_vals = [], []
+    for t in (-2 * h, -h, h, 2 * h):
+        cfg_t = gauge_transform_config(cfg, omega, domega, t)
+        scal_t = gauge_transform_scalar(scal, omega, domega, t, coupling)
+        ym_vals.append(yang_mills_integral(cfg_t, metric))
+        kin_vals.append(scalar_kinetic_integral(cfg_t, scal_t, metric))
+    scale_ym = max(abs(yang_mills_integral(cfg, metric)), 1.0)
+    scale_kin = max(abs(scalar_kinetic_integral(cfg, scal, metric)), 1.0)
+    assert abs(exact_first_derivative(ym_vals, h)) / scale_ym < 1e-10
+    assert abs(exact_first_derivative(kin_vals, h)) / scale_kin < 1e-10
 
 
 def test_yang_mills_integral_against_brute_force():

@@ -22,7 +22,7 @@ from uinf.gauge_fields import (
     random_adjoint_scalar,
     random_gauge_config,
 )
-from uinf.sphere_algebra import bracket, random_real_field
+from uinf.sphere_algebra import HarmonicField, bracket, random_real_field
 
 
 def per_pair_config(cfg, omega, domega, t):
@@ -87,6 +87,58 @@ def test_gauge_motions_equal_the_per_pair_formula_bit_for_bit(dim, l_max, omega_
         assert _bits((got.phi,) + got.dphi) == _bits((want.phi,) + want.dphi)
 
 
+def _signed_zeros_outside(f, band):
+    """f with -0.0 in every zero coefficient slot beyond l = band. Added to a
+    padded bracket they give +0.0, but -0.0 if a negative scale multiplied
+    the bracket after its padding."""
+    c = f.coeffs.copy()
+    c[band + 1:] = np.where(c[band + 1:] == 0, complex(-0.0, -0.0), c[band + 1:])
+    return HarmonicField(f.l_max, c)
+
+
+@pytest.mark.parametrize("coupling", [1.3, -1.3])
+def test_motions_of_mixed_band_components_keep_the_per_pair_band_and_bytes(coupling):
+    """Components of several band limits, and gauge-parameter derivatives
+    finer than some brackets: each output keeps the per-pair band limit and
+    bytes."""
+    rng = np.random.default_rng(7)
+    dim = 3
+    a = [random_real_field(l, rng, amplitude=0.5) for l in (0, 1, 2)]
+    da = [[random_real_field(l, rng, amplitude=0.5) for l in row]
+          for row in ((1, 0, 2), (2, 2, 1), (0, 1, 1))]
+    cfg = GaugeConfig(dim, coupling, a, da)
+    omega = random_real_field(1, rng, amplitude=0.7)
+    # {A_0, omega} has band 1, so d_0 omega at band 4 pads it
+    domega = [_signed_zeros_outside(random_real_field(l, rng, amplitude=0.7), 1)
+              for l in (4, 1, 2)]
+    dphi = [_signed_zeros_outside(random_real_field(l, rng, amplitude=0.5), 2)
+            for l in (0, 5, 2)]
+    scal = AdjointScalar(dim, random_real_field(1, rng, amplitude=0.5), dphi)
+    for t in (-0.7, 0.3):
+        got, want = gauge_transform_config(cfg, omega, domega, t), per_pair_config(
+            cfg, omega, domega, t)
+        assert [f.l_max for f in got.a] == [4, 2, 3]
+        assert _bits(got.a) == _bits(want.a)
+        assert _bits(sum(got.da, ())) == _bits(sum(want.da, ()))
+        got, want = (gauge_transform_scalar(scal, omega, domega, t, coupling),
+                     per_pair_scalar(scal, omega, domega, t, coupling))
+        assert _bits((got.phi,) + got.dphi) == _bits((want.phi,) + want.dphi)
+    # {A_mu, phi} has band 1 to 3, so the band-5 d_1 phi pads D_1 phi's bracket
+    got = covariant_derivative(cfg, scal)
+    assert [f.l_max for f in got] == [1, 5, 3]
+    assert _bits(got) == _bits(per_pair_covariant_derivative(cfg, scal))
+
+
+def _no_field_arithmetic(monkeypatch):
+    """Make HarmonicField's operators raise: the motions and the covariant
+    derivative do their arithmetic on coefficient stacks."""
+    def raising(*args):
+        raise AssertionError("field arithmetic called")
+
+    for name in ("__add__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(HarmonicField, name, raising)
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 def test_each_gauge_motion_makes_one_brackets_call_and_no_bracket_call(monkeypatch, dim):
     calls = []
@@ -99,6 +151,7 @@ def test_each_gauge_motion_makes_one_brackets_call_and_no_bracket_call(monkeypat
     monkeypatch.setattr(gauge_fields, "brackets",
                         lambda pairs: calls.append(len(pairs)) or stacked(pairs))
     cfg, scal, omega, domega = _draw(dim, 2, 2, False, dim)
+    _no_field_arithmetic(monkeypatch)
     gauge_transform_config(cfg, omega, domega, 0.5)
     assert calls == [dim * (2 * dim + 1)]
     gauge_transform_scalar(scal, omega, domega, 0.5, cfg.coupling)
@@ -129,6 +182,7 @@ def test_covariant_derivative_is_one_brackets_call_equal_to_the_per_pair_formula
     monkeypatch.setattr(gauge_fields, "bracket", no_bracket)
     monkeypatch.setattr(gauge_fields, "brackets",
                         lambda pairs: calls.append(len(pairs)) or stacked(pairs))
+    _no_field_arithmetic(monkeypatch)
     got = covariant_derivative(cfg, scal)
     assert calls == [dim]
     assert isinstance(got, tuple) and _bits(got) == _bits(want)

@@ -182,6 +182,25 @@ def test_field_rejects_coefficient_outside_band(l, j):
         HarmonicField(3, c)
 
 
+@pytest.mark.parametrize("l_max", [2, 128])  # the few slots of a small band, the many of a large
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e-300, complex(0.0, np.nan),
+                                   complex(-0.0, 5e-324)])
+def test_band_check_rejects_any_nonzero_outside_the_band(l_max, value):
+    for slot in ((0, 0), (l_max - 1, 2 * l_max)):  # m = -l_max at l = 0; m = l_max at l_max - 1
+        c = np.zeros((l_max + 1, 2 * l_max + 1), dtype=complex)
+        c[slot] = value
+        with pytest.raises(ValueError, match=r"\|m\| > l"):
+            HarmonicField(l_max, c)
+
+
+@pytest.mark.parametrize("l_max", [2, 128])
+def test_band_check_accepts_signed_zeros_outside_the_band(l_max):
+    c = np.zeros((l_max + 1, 2 * l_max + 1), dtype=complex)
+    c[sphere_algebra._outside_band(l_max)] = complex(-0.0, -0.0)
+    f = HarmonicField(l_max, c)
+    assert f.coeffs.tobytes() == c.tobytes()
+
+
 def test_grid_exactness_plateau():
     """Integrals computed on the sized grid do not move when the grid is refined."""
     rng = np.random.default_rng(5)
