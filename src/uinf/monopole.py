@@ -439,13 +439,6 @@ class _BlockOperator:
         self.lower, self.diag, self.upper, self.reach = lower, diag, upper, reach
         self.shape = (2 * diag.shape[-1],) * 2
 
-    @property
-    def T(self):
-        lower, upper = np.zeros_like(self.lower), np.zeros_like(self.upper)
-        lower[..., 1:], upper[..., :-1] = self.upper[..., :-1], self.lower[..., 1:]
-        return _BlockOperator(*(b.swapaxes(0, 1) for b in (lower, self.diag, upper)),
-                              [(j, i, c) for i, j, c in self.reach])
-
     def __matmul__(self, y):
         v = _nodes(y)
         out = _mul(self.diag, v)
@@ -473,7 +466,8 @@ class _Factorization:
     the interior block tridiagonal. Block cyclic reduction takes that Schur
     complement without pivoting: each level eliminates the odd nodes by the
     inverses of their diagonal blocks, until at most _CORE_NODES are left to
-    a pivoted dense solve."""
+    a pivoted dense solve. T is the factorization of A^T, read off this one:
+    every Schur complement of A^T is A's, transposed."""
 
     def __init__(self, A):
         n = A.diag.shape[-1]
@@ -496,15 +490,29 @@ class _Factorization:
             inv, lo, up = _inverse(diag[..., 1::2]), lower[..., 1::2], upper[..., 1::2]
             odd, even = inv.shape[-1], diag.shape[-1] - inv.shape[-1]
             # even node q couples to odd nodes q - 1 (alpha) and q (gamma)
-            alpha = -_mul(lower[..., 2::2], inv[..., :even - 1])
-            gamma = -_mul(upper[..., :2 * odd:2], inv)
+            lo_even, up_even = lower[..., 2::2], upper[..., :2 * odd:2]
+            alpha = -_mul(lo_even, inv[..., :even - 1])
+            gamma = -_mul(up_even, inv)
             diag = diag[..., 0::2].copy()
             diag[..., 1:] += _mul(alpha, up[..., :even - 1])
             diag[..., :odd] += _mul(gamma, lo)
             lower, upper = np.zeros_like(diag), np.zeros_like(diag)
             lower[..., 1:], upper[..., :odd] = _mul(alpha, lo[..., :even - 1]), _mul(gamma, up)
-            self.levels.append((inv, lo, up, alpha, gamma))
+            self.levels.append((inv, lo, up, alpha, gamma, lo_even, up_even))
         self.core = _BlockOperator(lower, diag, upper, ()).toarray()
+
+    @cached_property
+    def T(self):
+        t = object.__new__(_Factorization)
+        t.pivots = {e: p.T for e, p in self.pivots.items()}
+        t.into, t.out = ([(j, i, b.T) for i, j, b in links] for links in (self.out, self.into))
+        t.levels = []
+        for inv, lo, up, _, _, lo_even, up_even in self.levels:
+            k = lo_even.shape[-1]  # the odd nodes with an even node to their right
+            level = inv, up_even, lo_even, -_mul(inv, up)[..., :k], -_mul(inv, lo), up[..., :k], lo
+            t.levels.append(tuple(b.swapaxes(0, 1) for b in level))
+        t.core = self.core.T
+        return t
 
     def solve(self, b):
         """x with A x = b, for b of shape (2n,) or (2n, m). b is scaled by a
@@ -517,13 +525,13 @@ class _Factorization:
         for i, j, block in self.into:
             x[..., i] -= block @ ends[j]
         rhs, f = [], x[..., 1:-1]
-        for inv, lo, up, alpha, gamma in self.levels:
+        for inv, lo, up, alpha, gamma, *_ in self.levels:
             rhs.append(f)
             odd, f = f[..., 1::2], f[..., 0::2].copy()
             f[..., 1:] += _mul(alpha, odd[..., :f.shape[-1] - 1])
             f[..., :inv.shape[-1]] += _mul(gamma, odd)
         y = _nodes(np.linalg.solve(self.core, _interleaved(f, (len(self.core), -1))))
-        for (inv, lo, up, alpha, gamma), f in zip(reversed(self.levels), reversed(rhs)):
+        for (inv, lo, up, alpha, gamma, *_), f in zip(reversed(self.levels), reversed(rhs)):
             odd, even = inv.shape[-1], y.shape[-1]
             r = f[..., 1::2] - _mul(lo, y[..., :odd])
             r[..., :even - 1] -= _mul(up[..., :even - 1], y[..., 1:])
@@ -563,17 +571,18 @@ def _inverse_largest_sv(Z):
 
 def _min_singular_value(A):
     """(sigma_min, iterations, last relative change) of the response operator
-    A by block inverse iteration on one factorization: Q <- qr(A^-T (A^-1 Q))
-    from a fixed seeded block, with sigma_min estimated as 1 / (the largest
-    singular value of A^-1 Q). It stops once an iteration moves the estimate
-    by at most _DIAGNOSTIC_RTOL relative, or after _DIAGNOSTIC_MAX_ITER
-    iterations; a non-finite estimate stops it at once and is returned as NaN."""
-    lu, lu_t = _Factorization(A), _Factorization(A.T)
+    A by block inverse iteration on one factorization of A and its transposed
+    view: Q <- qr(A^-T (A^-1 Q)) from a fixed seeded block, with sigma_min
+    estimated as 1 / (the largest singular value of A^-1 Q). It stops once an
+    iteration moves the estimate by at most _DIAGNOSTIC_RTOL relative, or
+    after _DIAGNOSTIC_MAX_ITER iterations; a non-finite estimate stops it at
+    once and is returned as NaN."""
+    lu = _Factorization(A)
     block = np.random.default_rng(0).standard_normal((A.shape[0], _DIAGNOSTIC_BLOCK))
     Z = lu.solve(np.linalg.qr(block)[0])
     sigma, iterations, change = _inverse_largest_sv(Z), 0, math.inf
     while iterations < _DIAGNOSTIC_MAX_ITER and change > _DIAGNOSTIC_RTOL:
-        Z = lu.solve(np.linalg.qr(lu_t.solve(Z))[0])
+        Z = lu.solve(np.linalg.qr(lu.T.solve(Z))[0])
         estimate = _inverse_largest_sv(Z)
         iterations, change, sigma = iterations + 1, abs(estimate - sigma) / estimate, estimate
     return sigma, iterations, change
@@ -593,13 +602,13 @@ def solve_perturbation(profile, coeffs=None):
     translation-like direction (K', H') of the base profile satisfies the
     cutoff rows but not the regularity rows, so the operator is invertible.
 
-    The diagnostic comes from block inverse iteration on one factorization
-    of that operator and one of its transpose, with a block of 4 columns: at small xi_max the two
-    regularity rows share one stencil and the two smallest singular values
-    nearly coincide, which stalls a single vector.  It stops when an
-    iteration moves the estimate by at most 1e-12 relative, or at a cap of
-    50 iterations; the count and the last relative change are reported, so
-    a capped run shows a change above 1e-12.
+    The diagnostic comes from block inverse iteration, with a block of 4
+    columns, on one factorization of that operator and its transposed view:
+    at small xi_max the two regularity rows share one stencil and the two
+    smallest singular values nearly coincide, which stalls a single vector.
+    It stops when an iteration moves the estimate by at most 1e-12
+    relative, or at a cap of 50 iterations; the count and the last relative
+    change are reported, so a capped run shows a change above 1e-12.
     """
     c = _filled_coeffs(coeffs)
     A = _linear_operator(profile)

@@ -1,10 +1,15 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -1118,3 +1123,109 @@ def test_every_value_flag_has_a_rule():
         elif flag not in exempt:
             assert callable(action.type) and action.type not in (int, float, str), (prog, flag)
     assert len(progs) == 13
+
+
+# Values at the edges of each flag's rule: signed zeros, subnormals, 1e+-300,
+# inf, nan, non-numbers, an empty value and a plain valid one.
+_FLOAT_EDGES = ["0", "-0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e300", "-1e300",
+                "inf", "-inf", "nan", "abc", "", "1", "0.25"]
+# Paths that name no file: a missing config or field file, an unwritable --out.
+_NO_FILE = ["no-such-dir/file.json"]
+_EDGES = {
+    "--seed": ["0", "-0", "7", "-1", "1e300", "nan", "abc", "", "18446744073709551616"],
+    "--tol": _FLOAT_EDGES,
+    "--config": _NO_FILE,
+    "--out": _NO_FILE,
+    "--f": _NO_FILE,
+    "--g": _NO_FILE,
+    "--signature": ["euclidean", "lorentzian", "abc", ""],
+    # the monopole cutoffs of past failures found by hand: the 1e60 underflow,
+    # the 1e111 overflow whose message the parity of --n decided, the 1e155
+    # singular warning and the 1e-160 zero divisor; and 1e-50, where perturb
+    # writes null cells that only the finite check fails
+    "--xi-max": _FLOAT_EDGES + ["1e-160", "1e-50", "1e-3", "25", "1e60", "1e111", "1e155"],
+    "--coeff": ["h2_kprime2=1e308", "xi2_1mk4=0", "h2_1mk2=-1e300", "kprime2_1mk2=5e-324",
+                "dh2_1mk2=nan", "zzz=1", "abc", ""],
+    "--evb-list": ["0.1,0.2", "-0", "1e300,0", "5e-324", "nan", "abc", ""],
+    "--b-list": ["0.4,0.2", "0.1,0.4,0.05", "1e-300,1", "1e300,1", "1,1", "0.1", "0.1,0",
+                 "inf,1", "abc", ""],
+    # the flags whose size sets the run time: drawn only from small values
+    # (and invalid ones), so that the property adds at most 2 s to tier-1
+    "--n": ["16", "17", "64", "401", "15", "-0", "1e300", "nan", "16.5", ""],
+    "--lmax": ["0", "1", "2", "3", "-1", "1e300", "nan", ""],
+    "--trials": ["1", "3", "0", "-1", "1e300", "nan", ""],
+    "--dims": ["3,4", "4,3,5", "3,4,4", "2,3,4", "3", "3,4,nan", "abc", ""],
+    "--D": ["0", "1", "2", "4", "5", "-1", "1e300", "nan", ""],
+}
+# defaults too slow for the property (--n 4000, --trials 500, --dims 3,4,6),
+# placed ahead of the drawn flags, which override them
+_FAST = ["--n", "16", "--trials", "2", "--dims", "3,4"]
+
+
+def _value_flags():
+    """{command path: its value flags}, read off the parser."""
+    table = {}
+    for prog, action in _options(build_parser()):
+        table.setdefault(tuple(prog.split()[1:]), []).append(action.option_strings[0])
+    return table
+
+
+_VALUE_FLAGS = _value_flags()
+
+
+@st.composite
+def _argvs(draw):
+    """A command path, the fast defaults it takes, and up to three of its
+    value flags, each with a value from its edges."""
+    path = draw(st.sampled_from(sorted(_VALUE_FLAGS)))
+    flags = _VALUE_FLAGS[path]
+    argv = list(path)
+    for flag, value in zip(_FAST[::2], _FAST[1::2]):
+        if flag in flags:
+            argv += [flag, value]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3, unique=True)):
+        argv += [flag, draw(st.sampled_from(_EDGES.get(flag, _FLOAT_EDGES)))]
+    return argv
+
+
+def _null_cells(out):
+    """The null and non-finite numbers a report prints: JSON null, NaN and
+    Infinity, or the empty, nan, inf and None cells of CSV meta lines, check
+    lines and rows."""
+    if out.startswith("{"):
+        return re.findall(r"\b(?:null|NaN|Infinity)\b", out)
+    cells = []
+    for line in out.splitlines():
+        if line.startswith("# check."):
+            cells += [field.partition("=")[2] for field in line.split(" = ", 1)[1].split(" ")]
+        elif line.startswith("# "):
+            cells += line.split(" = ", 1)[1].strip("[]").split(", ")
+        else:
+            cells += line.split(",")
+    return [c for c in cells if c.strip().lower() in ("", "nan", "inf", "-inf", "none", "null")]
+
+
+@settings(max_examples=100, deadline=None)  # the count is bounded for time, like the draws
+@given(argv=_argvs())
+@example(argv=["monopole", "solve", "--n", "16", "--xi-max", "1e111"])
+@example(argv=["monopole", "solve", "--n", "17", "--xi-max", "1e111"])
+@example(argv=["monopole", "perturb", "--n", "400", "--xi-max", "1e155"])
+@example(argv=["monopole", "energy", "--n", "401", "--xi-max", "1e60"])
+@example(argv=["monopole", "perturb", "--n", "17", "--xi-max", "1e-50"])
+def test_every_command_keeps_the_cli_contract(argv):
+    """Over the flag table, at the edges of each rule: the exit code is 0, 1
+    or 2 and no exception escapes; exit 2 names a flag of the command; exit 0
+    prints no null or non-finite number; and exit 1 comes with an error line
+    or a failed check."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 1, 2) and "Traceback" not in err
+    if rc == 2:
+        flags = next(flags for path, flags in _VALUE_FLAGS.items() if argv[:len(path)] == list(path))
+        assert any(flag in err for flag in flags), err
+    if rc == 0:
+        assert not _null_cells(out), out
+    if rc == 1:
+        assert "error: " in err or re.search(r"ok=False|\"ok\": false", out)

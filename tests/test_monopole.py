@@ -339,6 +339,26 @@ def test_solve_perturbation_takes_no_dense_svd(monkeypatch, reference_profile):
     assert pert.min_singular_value == pytest.approx(FROZEN_MIN_SV, rel=1e-6)
 
 
+def test_the_diagnostic_factors_its_operator_once(monkeypatch, reference_profile):
+    """The inverse iteration solves with A and A^T through one factorization
+    and its transposed view: the diagnostic factors once, and the published
+    solve with its 400-node diagnostic factors twice."""
+    count = []
+    init = monopole._Factorization.__init__
+
+    def counting(self, A):
+        count.append(A.shape)
+        init(self, A)
+
+    monkeypatch.setattr(monopole._Factorization, "__init__", counting)
+    A = monopole._linear_operator(bps_profile(RadialGrid(25.0, 400)))
+    monopole._min_singular_value(A)
+    assert count == [(800, 800)]
+    count.clear()
+    solve_perturbation(reference_profile)
+    assert count == [(8000, 8000), (800, 800)]
+
+
 @pytest.mark.parametrize("xi_max, tight", [
     (10.0, True), (25.0, True), (1000.0, True),
     (1e-3, False), (0.1, False), (1.0, False), (1e4, False), (1e6, False),
@@ -463,14 +483,15 @@ def test_csr_oracle_is_the_operator():
 @pytest.mark.parametrize("n", [16, 17, 18, 19, 32, 33, 400, 401, 4000, 4001])
 def test_block_solves_are_backward_stable(n):
     """Cyclic reduction does not pivot; its stability here rests on this
-    sweep. Solves with A and with A^T have a normwise backward error of at
-    most 1e-14 at every cutoff from 1e-3 to 1e60."""
+    sweep. Solves with A, and with A^T through the transposed view of A's
+    factorization, have a normwise backward error of at most 1e-14 at every
+    cutoff from 1e-3 to 1e60."""
     rhs = np.random.default_rng(n).standard_normal((2 * n, 3))
     for xi_max in (1e-3, 0.1, 1.0, 25.0, 1e3, 1e6, 1e30, 1e60):
         A = monopole._linear_operator(bps_profile(RadialGrid(xi_max, n)))
-        M = _csr(A)
-        for lu, matrix in ((monopole._Factorization(A), M), (monopole._Factorization(A.T), M.T)):
-            assert _normwise_backward_error(matrix, lu.solve(rhs), rhs) <= 1e-14, xi_max
+        M, lu = _csr(A), monopole._Factorization(A)
+        for solver, matrix in ((lu, M), (lu.T, M.T)):
+            assert _normwise_backward_error(matrix, solver.solve(rhs), rhs) <= 1e-14, xi_max
 
 
 def test_several_right_hand_sides_solve_as_single_columns(reference_profile):
@@ -479,12 +500,13 @@ def test_several_right_hand_sides_solve_as_single_columns(reference_profile):
     count (7e-16 relative here)."""
     A = monopole._linear_operator(reference_profile)
     rhs = np.random.default_rng(1).standard_normal((A.shape[0], 4)) * [1.0, 1e-3, 1e5, 1.0]
-    for lu in (monopole._Factorization(A), monopole._Factorization(A.T)):
-        together = lu.solve(rhs)
-        single = np.column_stack([lu.solve(rhs[:, k]) for k in range(4)])
+    lu = monopole._Factorization(A)
+    for solver in (lu, lu.T):
+        together = solver.solve(rhs)
+        single = np.column_stack([solver.solve(rhs[:, k]) for k in range(4)])
         assert np.all(np.abs(together - single).max(axis=0) <= 1e-14 * np.abs(single).max(axis=0))
     b = rhs[:, 0]
-    assert np.array_equal(monopole.spsolve(A, b), monopole._Factorization(A).solve(b))
+    assert np.array_equal(monopole.spsolve(A, b), lu.solve(b))
 
 
 @pytest.mark.parametrize("node", [0, 2, 200, 399])
