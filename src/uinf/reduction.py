@@ -161,7 +161,7 @@ def _ym_groups(nd, grid, ginv, b, q):
     M = np.einsum("ab,bcij->acij", ginv, flow)
     M2 = np.einsum("abij,bcij->acij", M, M)
     t4s = np.einsum("abij,baij->ij", M2, M2)
-    NN = np.einsum("ab,bcij,cd,deij,ef->afij", ginv, flow, ginv, flow, ginv)
+    NN = np.einsum("aeij,ef->afij", M2, ginv)  # (g^-1 F)^2 g^-1
     C1 = -np.einsum("abij,abij->ij", P, NN) / b**2
     br = _node_bracket(dAex[:, :, None], dAex[:, None], s)
     C_adj = -np.einsum("abij,abij->ij", br, fup) / (q * b**4)
@@ -195,13 +195,14 @@ def _full_field_matrix(nd, D, q):
 
 def _full_inverse_metric(grid, ginv, b, t=1.0):
     """Inverse full-space metric with its sphere block scaled by t, shape
-    (n_theta, 1, N, N); t = 0 is the degenerate limit."""
+    t.shape + (n_theta, 1, N, N); t = 0 is the degenerate limit."""
     D = ginv.shape[0]
     gh = _ghat_inv(grid)
-    G = np.zeros(gh.shape[1:] + (D + 2, D + 2))
+    t = np.asarray(t, dtype=float)
+    G = np.zeros(t.shape + gh.shape[1:] + (D + 2, D + 2))
     G[..., :D, :D] = ginv
     for m in range(2):
-        G[..., D + m, D + m] = t * gh[m] / b**2
+        G[..., D + m, D + m] = t[..., None, None] * gh[m] / b**2
     return G
 
 
@@ -219,34 +220,44 @@ def _relative(residual, magnitude):
     return np.divide(residual, magnitude, out=np.zeros(np.shape(residual)), where=residual != 0)
 
 
-def _reduce_common(sector, cfg, scal, metric, background):
-    """(report, grid, node data, full field matrix) of one sector's split."""
+def _radius_free(sector, cfg, scal, metric, background):
+    """Grid, band limit, node data, full field matrix, covariant integral: none needs the radius."""
+    if sector == "scalar" and scal is None:
+        raise ValueError("the scalar sector needs a scalar jet")
     if metric.dim != cfg.dim:
         raise ValueError("metric dimension does not match the jet")
     grid, L = _grid_for(cfg, scal)
     nd = _node_data(cfg, scal, grid)
+    charged = replace(cfg, coupling=background.q)  # the covariant route's coupling, fixed by the flux
+    if sector == "scalar":
+        covariant = scalar_kinetic_integral(charged, scal, metric.spacetime)
+    else:
+        covariant = yang_mills_integral(charged, metric.spacetime)
+    return grid, L, nd, _full_field_matrix(nd, cfg.dim, background.q), covariant
+
+
+def _reduce_common(sector, cfg, scal, metric, background, shared=None):
+    """(report, grid, node data, full field matrix) of one sector's split at
+    the metric's radius; shared is _radius_free's output, made here if None."""
+    grid, L, nd, F, covariant = shared or _radius_free(sector, cfg, scal, metric, background)
     ginv = np.linalg.inv(metric.spacetime)
     b, q = metric.b, background.q
-    F = _full_field_matrix(nd, cfg.dim, q)
-    # the reference route at sphere-block scales t = 0..4, built after the groups;
-    # t = 1 is the metric itself
-    scaled = (_full_inverse_metric(grid, ginv, b, float(t)) for t in range(5))
-    charged = replace(cfg, coupling=q)  # the covariant route's coupling, fixed by the flux
+    # the reference route at sphere-block scales t = 0..4, one kernel call on the stack of
+    # their inverse metrics; t = 1 is the metric itself, where the sums are total and sum(mag)
+    t = np.arange(5.0)
+    scaled = _full_inverse_metric(grid, ginv, b, t)
     if sector == "scalar":
         groups = _scalar_groups(nd, grid, ginv, b, q)
         v = np.concatenate([nd["dphst"], nd["dphiex"]]).transpose(1, 2, 0)  # full-space gradient
-        refs = [_integrate(grid, 0.5 * delta3(F, v, G)) for G in scaled]
-        covariant = scalar_kinetic_integral(charged, scal, metric.spacetime)
+        refs = [_integrate(grid, d) for d in 0.5 * delta3(F, v, scaled)]
         const = 2.0 / q**2
     else:
         groups = _ym_groups(nd, grid, ginv, b, q)
-        refs = [_integrate(grid, trace4(F, G)) for G in scaled]
-        covariant = yang_mills_integral(charged, metric.spacetime)
+        refs = [_integrate(grid, d) for d in trace4(F, scaled)]
         const = 4.0 / q**2
     gk = [_integrate(grid, sum(terms[1:], terms[0])) for terms in groups]  # the written order
     mag = [_integrate(grid, sum(np.abs(term) for term in terms)) for terms in groups]
     total, ref = float(sum(gk)), refs[1]
-    t = np.arange(5.0)  # the scale of each reference; at t = 1 the sums are total and sum(mag)
     predicted, scan_mag = (sum(c * t**k for k, c in enumerate(cs)) for cs in (gk, mag))
     scan = _relative(np.abs(np.array(refs) - predicted), scan_mag)
 
@@ -287,8 +298,6 @@ def _reduce_common(sector, cfg, scal, metric, background):
 
 def reduce_scalar(cfg, scal, metric, background):
     """Group split of the scalar-gradient contraction; see module docstring."""
-    if scal is None:
-        raise ValueError("the scalar sector needs a scalar jet")
     return _reduce_common("scalar", cfg, scal, metric, background)[0]
 
 
@@ -301,11 +310,12 @@ def b_scan(cfg, scal, spacetime_metric, background, b_list):
     """Scalar-sector groups and route residuals across sphere radii, with the
     shrink exponent of the residual-to-covariant ratio fitted over the scan."""
     b_list = [float(b) for b in b_list]
-    if len(b_list) < 2:
-        raise ValueError("need at least two radii to fit an exponent")
+    if len(set(b_list)) < 2:
+        raise ValueError("need at least two distinct radii to fit an exponent")
+    shared = _radius_free("scalar", cfg, scal, BlockMetric(spacetime_metric, b_list[0]), background)
     rows = []
     for b in b_list:
-        rep = reduce_scalar(cfg, scal, BlockMetric(spacetime_metric, b), background)
+        rep = _reduce_common("scalar", cfg, scal, BlockMetric(spacetime_metric, b), background, shared)[0]
         gk = rep["group_integrals"]
         ratio = (abs(gk[1]) + abs(gk[0])) / abs(gk[2])
         rows.append({

@@ -14,9 +14,10 @@ Stack layout: the contraction kernels (`delta3`, `trace3`, `delta4`,
 `trace4`, `eps`) work on a stack of nodes. F has shape (..., A, B), v has
 shape (..., A) and the inverse metric (..., A, B); the leading axes
 broadcast, and each kernel returns an array of the leading shape (a numpy
-scalar for a single node). The reduction passes a sphere grid, the identity
-suite a stack of draws. The suite draws each stack's raw normals in four
-bulk calls and builds the stack's metrics with one stacked QR.
+scalar for a single node). The reduction passes a sphere grid, with a
+leading axis of five sphere-block scales on the inverse metric; the
+identity suite a stack of draws. The suite draws each stack's raw normals
+in four bulk calls and builds the stack's metrics with one stacked QR.
 
 The kernels take the inverse metric g^{AB}, not g. The reduction's forward
 scan evaluates the reference route with the sphere block of the inverse

@@ -191,6 +191,20 @@ def test_b_scan_needs_two_radii(seed0_fields, background):
         b_scan(cfg, scal, lorentz(4), background, [0.3])
 
 
+def test_b_scan_needs_two_distinct_radii(seed0_fields, background):
+    """A repeated radius gives the exponent fit no spread in log b: a
+    ValueError, not a failed least-squares solve."""
+    cfg, scal = seed0_fields
+    with pytest.raises(ValueError, match="two distinct radii"):
+        b_scan(cfg, scal, lorentz(4), background, [1.0, 1.0])
+
+
+def test_b_scan_needs_a_scalar_jet(seed0_fields, background):
+    cfg, _ = seed0_fields
+    with pytest.raises(ValueError, match="needs a scalar jet"):
+        b_scan(cfg, None, lorentz(4), background, [0.4, 0.2])
+
+
 def test_two_dim_constant(background):
     rng = np.random.default_rng(0)
     cfg = random_gauge_config(2, 3, rng, amplitude=0.4)
@@ -400,14 +414,103 @@ def test_one_term_off_by_a_millionth_fails_a_route(monkeypatch, seed0_fields, ba
                 assert shares[0] == pytest.approx(missed, rel=0.01)
 
 
-def test_b_scan_rows_carry_the_route_residuals(seed0_fields, background):
-    cfg, scal = seed0_fields
-    radii = [0.4, 0.05]
-    scan = b_scan(cfg, scal, lorentz(4), background, radii)
-    for row, b in zip(scan["rows"], radii):
-        rep = reduce_scalar(cfg, scal, metric4(b), background)
+SCAN_RADII = (0.4, 0.2, 0.1, 0.05)
+
+
+@pytest.mark.parametrize("dim, seed", [(4, 0), (2, 1), (3, 2), (4, 3)])
+def test_b_scan_rows_equal_the_reports_at_their_radii(background, dim, seed):
+    """A scan shares the radius-free data across its radii, and each row is
+    still the reduce_scalar report at its radius, bit for bit."""
+    rng = np.random.default_rng(seed)
+    cfg = random_gauge_config(dim, 3, rng, amplitude=0.4)
+    scal = random_adjoint_scalar(dim, 3, rng, amplitude=0.4)
+    scan = b_scan(cfg, scal, lorentz(dim), background, SCAN_RADII)
+    for row, b in zip(scan["rows"], SCAN_RADII):
+        rep = reduce_scalar(cfg, scal, BlockMetric(lorentz(dim), b), background)
+        gk = rep["group_integrals"]
+        assert row["b"] == b and row["q"] == rep["q_scaled"]
+        assert [row["covariant_group"], row["residual_group_1"], row["residual_group_0"]] == gk[2::-1]
+        assert row["ratio"] == (abs(gk[1]) + abs(gk[0])) / abs(gk[2])
         for name in ROUTE_RESIDUALS + ("vanishing_group_rel",):
-            assert row[name] == rep[name]
+            assert row[name] == rep[name], name
+
+
+def test_b_scan_computes_the_radius_free_data_once(monkeypatch, seed0_fields, background):
+    """The node data and the covariant integral do not depend on the radius:
+    a four-radius scan makes each once, not once per radius."""
+    cfg, scal = seed0_fields
+    calls = []
+    for name in ("_node_data", "scalar_kinetic_integral"):
+        _count_calls(monkeypatch, calls, name)
+    b_scan(cfg, scal, lorentz(4), background, SCAN_RADII)
+    assert sorted(calls) == ["_node_data", "scalar_kinetic_integral"]
+
+
+@pytest.mark.parametrize("sector, kernel", [("scalar", "delta3"), ("yang_mills", "trace4")])
+@pytest.mark.parametrize("b", [1.0, 0.05])
+def test_reference_scales_come_from_one_kernel_call(monkeypatch, seed0_fields, background,
+                                                    sector, kernel, b):
+    """The reference route evaluates its five sphere-block scales in one
+    stacked kernel call, and each scale's integral equals that of a call at
+    that scale alone to 1e-15 of the magnitude the forward scan divides by."""
+    cfg, scal = seed0_fields
+    real = getattr(reduction, kernel)
+    outputs = []
+
+    def recorded(*args):
+        outputs.append(real(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(reduction, kernel, recorded)
+    metric = metric4(b)
+    rep = _reduce(sector, cfg, scal, metric, background)
+    assert len(outputs) == 1 and outputs[0].shape[0] == 5
+    grid, _ = reduction._grid_for(cfg, scal if sector == "scalar" else None)
+    nd = reduction._node_data(cfg, scal if sector == "scalar" else None, grid)
+    F = reduction._full_field_matrix(nd, 4, background.q)
+    ginv = np.linalg.inv(metric.spacetime)
+    for t, stacked in enumerate(outputs[0]):
+        G = reduction._full_inverse_metric(grid, ginv, b, float(t))
+        if sector == "scalar":
+            v = np.concatenate([nd["dphst"], nd["dphiex"]]).transpose(1, 2, 0)
+            alone = real(F, v, G)
+        else:
+            alone = real(F, G)
+        assert stacked.shape == alone.shape
+        magnitude = sum(m * t**k for k, m in enumerate(rep["group_magnitudes"]))
+        diff = abs(reduction._integrate(grid, stacked) - reduction._integrate(grid, alone))
+        assert diff <= 1e-15 * magnitude
+        if t == 1:
+            scale = 0.5 if sector == "scalar" else 1.0
+            assert rep["reference_total"] == reduction._integrate(grid, scale * stacked)
+
+
+def _ym_groups_literal_nn(nd, grid, ginv, b, q):
+    """_ym_groups with its C1 term built from the literal five-factor
+    contraction g^-1 F g^-1 F g^-1: the oracle of the ordered product."""
+    groups = reduction._ym_groups(nd, grid, ginv, b, q)
+    P = reduction._block_invariants(nd, grid, ginv, b)[3]
+    flow = nd["flow"]
+    NN = np.einsum("ab,bcij,cd,deij,ef->afij", ginv, flow, ginv, flow, ginv)
+    groups[1][1] = -8.0 * -np.einsum("abij,abij->ij", P, NN) / b**2
+    return groups
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("b", [1.0, 0.05])
+def test_ym_groups_equal_the_literal_five_factor_contraction(background, dim, b):
+    """NN = (g^-1 F)^2 g^-1 read off M2 equals the literal five-operand
+    contraction to 1e-14 of its largest node value, term for term."""
+    rng = np.random.default_rng(10 + dim)
+    cfg = random_gauge_config(dim, 3, rng, amplitude=0.4)
+    grid, _ = reduction._grid_for(cfg, None)
+    nd = reduction._node_data(cfg, None, grid)
+    ginv = np.linalg.inv(lorentz(dim))
+    got = reduction._ym_groups(nd, grid, ginv, b, background.q)
+    want = _ym_groups_literal_nn(nd, grid, ginv, b, background.q)
+    for got_terms, want_terms in zip(got, want):
+        for g, w in zip(got_terms, want_terms):
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
 
 
 def test_covariant_identity_scale_is_not_floored(monkeypatch, background):
