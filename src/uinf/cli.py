@@ -8,7 +8,8 @@ Every report carries its checks, one of them "finite". Exit codes: 0 when
 all checks hold, 1 when one fails, a linear solve breaks down or an
 arithmetic error (a zero divisor, an overflow) ends the run, 2 on bad flags,
 flag values, config files or input files. Output is deterministic byte for
-byte: all randomness flows from --seed, nothing timestamps itself.
+byte: all randomness flows from --seed, nothing timestamps itself, and the
+bytes do not depend on the BLAS thread count.
 """
 
 import argparse
@@ -341,9 +342,7 @@ def cmd_algebra_bracket(args):
         with _path_flag(flag, path), open(path) as fh:
             fields.append(HarmonicField.from_dict(json.load(fh)))
     f, g = fields
-    # one bracket per order: a stacked `brackets` analyzes both products in one
-    # call, which moves the printed coefficients in the last bit from band 16 up
-    fg, gf = sphere_algebra.bracket(f, g), sphere_algebra.bracket(g, f)
+    fg, gf = sphere_algebra.brackets([(f, g), (g, f)])
     # a fixed bound, not --tol: the residual reads exactly 0 for the computed bracket
     residual = (fg + gf).norm() / (fg.norm() or 1.0)  # absolute for a zero bracket
     return {"meta": _meta(args), "result": fg.to_dict()}, [check("antisymmetry", residual, 1e-12)]

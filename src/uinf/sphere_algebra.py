@@ -350,7 +350,9 @@ def analyze(values, l_max, grid):
 
 
 def _analyze(values, L, grid):
-    """Coefficients (fields, l, 2L+1) of a stack of grid values, each as by analyze."""
+    """Coefficients (fields, l, 2L+1) of a stack of grid values, each as by
+    analyze bit for bit: the Legendre stage makes the field axis a matmul
+    batch axis, so each field has one product shape at any stack size."""
     if values.shape[1:] != (grid.n_theta, grid.n_phi):
         raise ValueError("value array does not match the grid")
     if not np.isfinite(values).all():
@@ -363,8 +365,7 @@ def _analyze(values, L, grid):
     trig = grid.trig[:M].reshape(2 * M, grid.n_phi)
     F = (parts @ trig.T).reshape(k, grid.n_theta, M, 2)
     F *= (2.0 * math.pi / grid.n_phi) * grid.w[:, None, None]
-    per_m = grid.P[:M, :M].transpose(1, 0, 2) @ F.transpose(2, 1, 0, 3).reshape(M, grid.n_theta, -1)
-    pairs = per_m.reshape(M, M, k, 2).transpose(2, 1, 0, 3)
+    pairs = (grid.P[:M, :M].transpose(1, 0, 2)[None] @ F.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
     half = pairs[..., 0] + 1j * pairs[..., 1]
     neg = _column_parity(L)[:L] * half[..., :0:-1].conj()
     coeffs = np.concatenate([neg, half], axis=-1)
@@ -382,8 +383,7 @@ def bracket(f, g):
 
 
 def brackets(pairs):
-    """[bracket(f, g) for f, g in pairs], bitwise up to result band 15 (from
-    band 16 up the stacked analysis can move the last bit). Per result band
+    """[bracket(f, g) for f, g in pairs], bit for bit. Per result band
     limit, the gradients of each distinct field (by identity) are taken once,
     in one stacked call per field band limit, and the products are analyzed
     in one stacked call (two when real and complex products mix)."""
@@ -427,11 +427,11 @@ def lm_index(l, m):
 def structure_constants(l_max):
     """f_abc = integral {Y_a, Y_b} conj(Y_c) for all triples within l_max.
 
-    Each integral is one quadrature on the grid of band 2*l_max, exact up to
-    band 4*l_max while the integrand has band at most 3*l_max - 1, so every
-    basis harmonic is transformed once. Returned tensor is indexed by
-    lm_index and exactly antisymmetric in the first two slots (filled from
-    the a < b computation); entries with m_c != m_a + m_b are exact zeros.
+    Each row a is projected by the analysis kernel, _analyze, on the grid of
+    band 2*l_max, exact to band 4*l_max (the integrand's is 3*l_max - 1), so
+    every basis harmonic is transformed once. Indexed by lm_index; exactly
+    antisymmetric in the first two slots (filled from a < b); entries with
+    m_c != m_a + m_b are exact zeros.
     """
     if l_max <= 0:
         raise ValueError("l_max must be positive")
@@ -440,11 +440,10 @@ def structure_constants(l_max):
     grid = grid_for_band_limit(2 * l_max)
     labels = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
     basis = [HarmonicField.basis(l, m) for l, m in labels]
-    ms = np.array([m for _, m in labels])
-    gx, gp = (g.reshape(N, -1) for g in gradients(basis, grid))
-    conj_w = (synthesize(basis, grid).conj() * grid.w2d).reshape(N, -1)
+    ls, ms = np.array(labels).T
+    gx, gp = gradients(basis, grid)
     for a in range(1, N):  # pairs a < b; the l = 0 row and column stay zero
-        row = (gx[a] * gp[a + 1:] - gp[a] * gx[a + 1:]) @ conj_w.T
+        row = _analyze(gx[a] * gp[a + 1:] - gp[a] * gx[a + 1:], l_max, grid)[:, ls, l_max + ms]
         # only order m_a + m_b is nonzero; the other orders are rounding noise
         out[a, a + 1:] = np.where(ms[a] + ms[a + 1:, None] == ms, row, 0.0)
         out[a + 1:, a] = -out[a, a + 1:]

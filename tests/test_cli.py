@@ -353,12 +353,27 @@ def test_algebra_bracket_with_a_symmetric_part_exits_1(tmp_path, capsys, monkeyp
     from uinf import sphere_algebra
 
     _, (fp, gp) = _l8_field_files(tmp_path)
-    bracket, product = sphere_algebra.bracket, sphere_algebra.product
-    monkeypatch.setattr(sphere_algebra, "bracket", lambda f, g: bracket(f, g) + product(f, g))
+    brackets, product = sphere_algebra.brackets, sphere_algebra.product
+    monkeypatch.setattr(sphere_algebra, "brackets", lambda pairs: [
+        b + product(f, g) for b, (f, g) in zip(brackets(pairs), pairs)])
     rc, out, _ = run(capsys, ["algebra", "bracket", "--f", fp, "--g", gp])
     _, checks = parse_report(out)
     check = next(c for c in checks if c["name"] == "antisymmetry")
     assert rc == 1 and not check["ok"] and check["value"] > 0.1
+
+
+def test_algebra_structure_constants_bytes_do_not_depend_on_the_blas_thread_count():
+    """Two fresh processes, one with one OpenBLAS thread and one with two
+    (the count is fixed when numpy loads), print the same bytes at --lmax 4
+    and 6. A 1-core host runs both alike, so it cannot tell the two apart."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys\nfrom uinf.cli import main\n"
+            "sys.exit(max(main(['algebra', 'structure-constants', '--lmax', l]) for l in '46'))")
+    procs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+             for threads in ("1", "2")]
+    assert [(p.returncode, p.stderr) for p in procs] == [(0, b"")] * 2
+    assert procs[0].stdout == procs[1].stdout
 
 
 @pytest.mark.parametrize("lmax", ["1", "3", "6"])

@@ -309,8 +309,10 @@ def test_bracket_jacobi_property(bands, seed):
     assert np.abs(j1 + j2 + j3).max() <= 1e-12 * scale
 
 
-_field_kinds = st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=5)
-_pair_slots = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12)
+_field_kinds = st.lists(st.tuples(st.integers(0, 16), st.booleans()), min_size=1, max_size=5)
+# the stack size is drawn on its own: a plain list strategy seldom passes a dozen pairs
+_pair_slots = st.integers(0, 40).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=n, max_size=n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,10 +320,15 @@ _pair_slots = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size
 @example(kinds=[(2, False)], slots=[], seed=0)
 @example(kinds=[(2, True)], slots=[(0, 0)], seed=1)
 @example(kinds=[(2, False), (1, True), (0, False)], slots=[(0, 1), (1, 0), (0, 0), (2, 1)], seed=2)
+# nine real pairs and one complex pair at result band 16
+@example(kinds=[(8, False), (8, False), (8, False), (8, True)],
+         slots=[(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (0, 0), (1, 1), (2, 2), (3, 0)],
+         seed=3)
 def test_brackets_equal_bracket_per_pair_bit_for_bit_property(kinds, slots, seed):
-    """A stack of pairs with band limits 0-4 mixed, real and complex fields
-    (kind True), and one field object in several pairs gives, pair by pair,
-    the coefficients of bracket bit for bit, signed zeros included."""
+    """A stack of up to 40 pairs with band limits 0-16 mixed (result bands
+    up to 32), real and complex fields (kind True), and one field object in
+    several pairs gives, pair by pair, the coefficients of bracket bit for
+    bit, signed zeros included."""
     rng = np.random.default_rng(seed)
     fields = [_random_complex_field(l, rng) if cplx else random_real_field(l, rng)
               for l, cplx in kinds]
@@ -366,13 +373,18 @@ _stack_kinds = st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1,
 
 
 @settings(max_examples=60, deadline=None)
-@given(kinds=_stack_kinds, extra=st.integers(0, 3), seed=_seeds)
-@example(kinds=[(3, False)], extra=0, seed=0)
-@example(kinds=[(2, False), (0, True), (2, True), (4, False)], extra=1, seed=1)
-def test_stacked_transforms_equal_one_field_calls_property(kinds, extra, seed):
+@given(kinds=_stack_kinds, extra=st.integers(0, 3), band=st.integers(0, 32),
+       rows=st.integers(1, 40), seed=_seeds)
+@example(kinds=[(3, False)], extra=0, band=0, rows=1, seed=0)
+@example(kinds=[(2, False), (0, True), (2, True), (4, False)], extra=1, band=3, rows=2, seed=1)
+@example(kinds=[(1, False)], extra=0, band=16, rows=9, seed=2)
+def test_stacked_transforms_equal_one_field_calls_property(kinds, extra, band, rows, seed):
     """Each row of synthesize and gradients over a stack with band limits
     0-4 mixed, real and complex fields (kind True), equals the one-field
-    call exactly; the stack is real exactly when every field is Hermitian."""
+    call exactly; the stack is real exactly when every field is Hermitian.
+    Each row of _analyze at band limits 0-32 over a stack of 1-40 real value
+    arrays, and over one of complex arrays, equals analyze of that row bit
+    for bit, signed zeros included."""
     rng = np.random.default_rng(seed)
     fields = [_random_complex_field(l, rng) if cplx else random_real_field(l, rng)
               for l, cplx in kinds]
@@ -386,6 +398,11 @@ def test_stacked_transforms_equal_one_field_calls_property(kinds, extra, seed):
         assert np.iscomplexobj(stack) != hermitian
         for row, f in zip(stack, fields):
             assert np.array_equal(row, one(f))
+    grid = grid_for_band_limit(band + extra)
+    values = rng.standard_normal((2, rows, grid.n_theta, grid.n_phi))
+    for stack in (values[0], values[0] + 1j * values[1]):
+        for row, c in zip(stack, sphere_algebra._analyze(stack, band, grid)):
+            assert c.tobytes() == analyze(row, band, grid).coeffs.tobytes()
 
 
 def test_structure_constants_match_brackets():
