@@ -28,6 +28,11 @@ from .sphere_algebra import HarmonicField
 from .tensor_kernels import minkowski_metric
 
 
+def _csv(columns, rows, meta):
+    """The CSV document of a list of dicts: one table row per dict, one column per name."""
+    return columns, np.array([[row[c] for c in columns] for row in rows], dtype=float), meta
+
+
 def _meta(args, **extra):
     meta = {"version": __version__, "command": args.command_path, "seed": args.seed}
     meta.update(extra)
@@ -192,12 +197,11 @@ def cmd_reduce_scan_b(args):
     scan = reduction.b_scan(cfg, scal, g, bg, args.b_list)
     columns = ["b", "q", "covariant_group", "residual_group_1",
                "residual_group_0", "ratio", "fit_exponent"]
-    rows = [[row[c] for c in columns] for row in scan["rows"]]
     meta = _meta(args, D=args.D, e=args.e, lmax=args.lmax, amplitude=args.amplitude,
                  fit_exponent=scan["fit_exponent"])
     # each route at its worst radius, against fixed bounds: scan-b takes no --tol
     worst = {n: max(row[n] for row in scan["rows"]) for n in _ROUTES + ("vanishing_group_rel",)}
-    return (columns, rows, meta), _route_checks(worst, 1e-10)
+    return _csv(columns, scan["rows"], meta), _route_checks(worst, 1e-10)
 
 
 def cmd_reduce_born_infeld(args):
@@ -210,12 +214,11 @@ def cmd_reduce_born_infeld(args):
             raise ValueError("%s at radius %r of --b-list, with this --alpha and --amplitude"
                              % (exc, b)) from None
     columns = ["b", "alpha", "lhs", "rhs", "ratio", "drift"]
-    rows = [[rep[c] for c in columns] for rep in reps]
     meta = _meta(args, D=args.D, e=args.e, lmax=args.lmax, amplitude=args.amplitude, C=args.C)
     # the drift falls with the radius: take it largest radius first, whatever the --b-list order
     drifts = [rep["drift"] for rep in sorted(reps, key=lambda rep: -rep["b"])]
     fall = float(np.min(-np.diff(drifts)))
-    return (columns, rows, meta), [check("drift_min_fall", fall, 0.0, ok=fall > 0.0)]
+    return _csv(columns, reps, meta), [check("drift_min_fall", fall, 0.0, ok=fall > 0.0)]
 
 
 def _coeff_table(args):
@@ -246,7 +249,7 @@ def cmd_monopole_solve(args):
                  **_convergence(breakdown))
     checks = [check(k, meta[k], args.tol) for k in ("max_residual_first", "max_residual_second")]
     checks.append(check("completed_energy_error", abs(breakdown.completed - 1.0), 1e-4))
-    return (["xi", "K", "H"], zip(grid.xi, profile.K, profile.H), meta), checks
+    return (["xi", "K", "H"], np.column_stack([grid.xi, profile.K, profile.H]), meta), checks
 
 
 def cmd_monopole_energy(args):
@@ -275,10 +278,10 @@ def cmd_monopole_perturb(args):
         pert = monopole.solve_perturbation(profile, coeffs=coeffs)
         rep = monopole.perturbation_report(profile, pert=pert)
     meta = _meta(args, **rep, **recorded)
-    rows = zip(grid.xi, profile.K, profile.H, pert.K1, pert.H1)
+    table = np.column_stack([grid.xi, profile.K, profile.H, pert.K1, pert.H1])
     # fixed bounds, not --tol: the diagnostic's stop rule and a linear energy response
     r2 = rep["linearity_r_squared"]
-    return (["xi", "K", "H", "K1", "H1"], rows, meta), [
+    return (["xi", "K", "H", "K1", "H1"], table, meta), [
         check("backward_error", rep["backward_error"], args.tol),
         check("diagnostic_change", rep["diagnostic_change"], 1e-12),
         check("linearity_r_squared", r2, 0.9999, ok=r2 >= 0.9999)]
@@ -291,27 +294,25 @@ def cmd_monopole_scan_evb(args):
         e=args.e, b=args.b, coeffs=coeffs,
     )
     columns = ["evb", "epsilon", "E0_integral", "correction_integral", "dE_over_E0", "cutoff"]
-    rows = [[row[c] for c in columns] for row in rows_data]
     meta = _meta(args, xi_max=args.xi_max, n=args.n, v=args.v, beta=args.beta,
                  e=args.e, b=args.b, prefactor=rows_data[0]["prefactor"],
                  quantization_ok=rows_data[0]["quantization_ok"], **recorded)
     error = abs(rows_data[0]["E0_integral"] - 1.0)  # against monopole solve's fixed bound
-    return (columns, rows, meta), [check("completed_energy_error", error, 1e-4)]
+    return _csv(columns, rows_data, meta), [check("completed_energy_error", error, 1e-4)]
 
 
 def cmd_algebra_structure_constants(args):
     tensor = sphere_algebra.structure_constants(args.lmax)
-    labels = [(l, m) for l in range(args.lmax + 1) for m in range(-l, l + 1)]
+    labels = np.array([(l, m) for l in range(args.lmax + 1) for m in range(-l, l + 1)], float)
     columns = ["l1", "m1", "l2", "m2", "l3", "m3", "re", "im"]
     mag = np.abs(tensor)
     index = np.nonzero(~(mag < 1e-12))  # C order: rows sorted by (i, j, k)
-    rows = [[*labels[i], *labels[j], *labels[k], value.real, value.imag]
-            for i, j, k, value in zip(*(a.tolist() for a in index), tensor[index].tolist())]
-    meta = _meta(args, lmax=args.lmax, threshold=1e-12, entries=len(rows))
+    table = np.column_stack([*(labels[a] for a in index), tensor[index].real, tensor[index].imag])
+    meta = _meta(args, lmax=args.lmax, threshold=1e-12, entries=len(table))
     # fixed bounds, not --tol, relative to the largest entry: both read exactly 0
-    ms = np.array([m for _, m in labels])
+    ms = labels[:, 1]
     off_order = ms[:, None, None] + ms[:, None] != ms  # m3 != m1 + m2
-    return (columns, rows, meta), [
+    return (columns, table, meta), [
         check("antisymmetry", np.abs(tensor + tensor.transpose(1, 0, 2)).max() / mag.max(), 1e-12),
         check("off_order_entries", mag[off_order].max() / mag.max(), 1e-12)]
 
@@ -470,22 +471,21 @@ def _parse(argv):
 
 
 def main(argv=None):
-    """Run one subcommand. Its handler returns (document, checks); this is
-    the one place that adds the finite check, writes the output and turns
-    the checks into the exit code. numpy raises on overflow, zero division
-    and invalid operations in the handler, so an arithmetic failure ends the
-    run where it starts; underflow stays silent (the profile tail underflows)."""
+    """Run one subcommand: its handler returns (document, checks), and one
+    reports.render call gives the text, the finite check and the key paths
+    of the non-finite numbers, named here on stderr. The checks set the exit
+    code. numpy raises on overflow, zero division and invalid operations in
+    the handler, so an arithmetic failure ends the run where it starts;
+    underflow stays silent (the profile tail underflows)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse(argv)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             document, checks = args.handler(args)
-        document, bad = reports.scrub(document)
+        text, bad = reports.render(document, checks)
         if bad:
             print("error: %d non-finite value(s) written as null: %s%s" % (
                 len(bad), ", ".join(bad[:10]), ", ..." if len(bad) > 10 else ""), file=sys.stderr)
-        checks.append(check("finite", len(bad), 0))
-        text = reports.render(document, checks)
         if args.out:
             with _path_flag("--out", args.out):
                 reports.atomic_write_text(args.out, text)

@@ -1,16 +1,17 @@
 """Deterministic report emission: full-precision floats, atomic writes,
 self-describing meta blocks and a checks block. No timestamps, so identical
-inputs produce identical bytes; a non-finite number is written as null."""
+inputs produce identical bytes; a non-finite number is written as null. A
+document is a JSON payload dict or a CSV (columns, table, meta) triple whose
+table is a 2-D float64 array of len(columns) columns."""
 
 import json
 import math
 import os
 import tempfile
 
+import numpy as np
 
-def fmt(x):
-    """Render a float with 17 significant digits (round-trip exact)."""
-    return "%.17g" % float(x)
+FLOAT = "%.17g"  # 17 significant digits: every double round-trips
 
 
 def atomic_write_text(path, text):
@@ -39,17 +40,13 @@ def check(name, value, bound, ok=None):
 
 
 def _plain(obj, bad, path=()):
-    """Plain python copy of obj (numpy unwrapped, complex as {re, im}) with
-    each non-finite float replaced by None and its key path added to bad."""
+    """Copy of obj with each non-finite float replaced by None and its key
+    path added to bad."""
     if isinstance(obj, float):  # python and numpy doubles
         if math.isfinite(obj):
             return float(obj)
         bad.append(path)
         return None
-    if hasattr(obj, "tolist"):
-        return _plain(obj.tolist(), bad, path)
-    if isinstance(obj, complex):
-        obj = {"re": obj.real, "im": obj.imag}
     if isinstance(obj, dict):
         return {k: _plain(v, bad, path + (k,)) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -57,36 +54,40 @@ def _plain(obj, bad, path=()):
     return obj
 
 
-def scrub(document):
-    """Plain copy of a JSON payload dict or a CSV (columns, rows, meta)
-    triple, and the key paths ("a.b[3]") of its non-finite numbers."""
-    bad = []
-    if isinstance(document, dict):
-        clean = _plain(document, bad)
-    else:
-        columns, rows, meta = document
-        clean = (columns, _plain(list(rows), bad, ("rows",)), _plain(meta, bad, ("meta",)))
-    return clean, ["".join("[%d]" % k if isinstance(k, int) else "." + k for k in path)[1:]
-                   for path in bad]
-
-
 def _text(value):
-    """CSV text of a plain value; None, a scrubbed non-finite number, is empty."""
-    return "" if value is None else fmt(value) if isinstance(value, float) else str(value)
+    """CSV text of a plain value; None, a non-finite number, is empty."""
+    return "" if value is None else FLOAT % value if isinstance(value, float) else str(value)
 
 
 def render(document, checks):
-    """Text of a scrubbed document: JSON with a top-level "checks" list, or
-    CSV with one "# check.<name> = value=... bound=... ok=..." line per check
-    after the meta lines."""
-    checks = _plain(checks, [])
+    """(text, key paths) of a document: each non-finite number is written as
+    null and named by its key path ("a.b[3]"; for CSV the table cells as
+    "rows[i][j]" in row-major order, then "meta.<key>"), and checks gains
+    the check "finite" on their count. JSON gets a top-level "checks" list,
+    CSV one "# check.<name> = value=... bound=... ok=..." line per check
+    after the meta lines. A table row is one FLOAT template, or cell by cell
+    with an empty cell for each non-finite number."""
+    bad = []
     if isinstance(document, dict):
-        payload = dict(document, checks=checks)
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    columns, rows, meta = document
+        document = _plain(document, bad)
+    else:
+        columns, table, meta = document
+        finite = np.isfinite(table)
+        bad = [("rows", i, j) for i, j in np.argwhere(~finite).tolist()]
+        meta = _plain(meta, bad, ("meta",))
+    checks.append(check("finite", len(bad), 0))
+    plain = _plain(checks, [])  # a check's non-finite number is written as null, not counted
+    paths = ["".join("[%d]" % k if isinstance(k, int) else "." + k for k in path)[1:]
+             for path in bad]
+    if isinstance(document, dict):
+        text = json.dumps(dict(document, checks=plain), indent=2, sort_keys=True, allow_nan=False)
+        return text + "\n", paths
     lines = ["# %s = %s" % (key, _text(meta[key])) for key in sorted(meta)]
     lines.extend("# check.%s = value=%s bound=%s ok=%s" % (
-        c["name"], _text(c["value"]), _text(c["bound"]), c["ok"]) for c in checks)
+        c["name"], _text(c["value"]), _text(c["bound"]), c["ok"]) for c in plain)
     lines.append(",".join(columns))
-    lines.extend(",".join(_text(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    template = ",".join([FLOAT] * len(columns))
+    rows = zip(table.tolist(), finite.all(axis=1).tolist())
+    lines.extend(template % tuple(row) if whole else
+                 ",".join(_text(x) if math.isfinite(x) else "" for x in row) for row, whole in rows)
+    return "\n".join(lines) + "\n", paths

@@ -165,9 +165,6 @@ class HarmonicField:
         L = max(self.l_max, other.l_max)
         return HarmonicField(L, self.pad_to(L).coeffs - other.pad_to(L).coeffs)
 
-    def __neg__(self):
-        return HarmonicField(self.l_max, -self.coeffs)
-
     def __mul__(self, scalar):
         return HarmonicField(self.l_max, self.coeffs * scalar)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from uinf import monopole
-from uinf.cli import build_parser, main
+from uinf.cli import _parse, build_parser, main
 from uinf.sphere_algebra import HarmonicField, random_real_field
 
 
@@ -686,6 +686,21 @@ def test_csv_determinism(tmp_path, capsys):
         capsys.readouterr()
         assert rc == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["monopole", "solve"], ["monopole", "perturb"], ["monopole", "scan-evb"],
+    ["reduce", "scan-b"], ["reduce", "born-infeld"], ["algebra", "structure-constants"]])
+def test_csv_handlers_return_a_float_table(argv):
+    """Each CSV subcommand's handler, run at default flags under main's numpy
+    error state, returns (columns, table, meta) with table a 2-D float64
+    array of one column per name."""
+    args = _parse(argv)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        (columns, table, meta), _ = args.handler(args)
+    assert isinstance(table, np.ndarray) and table.dtype == np.float64
+    assert table.ndim == 2 and table.shape[1] == len(columns) and len(table) > 0
+    assert isinstance(meta, dict)
 
 
 @pytest.mark.parametrize("sub", ["scalar", "ym", "two-dim", "scan-b", "born-infeld"])
