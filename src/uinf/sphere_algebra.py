@@ -7,7 +7,8 @@ phase). Synthesis, analysis, and the area-preserving bracket
 
 are exact for band-limited inputs on Gauss-Legendre x uniform-phi grids sized
 by the rules in grid_for_band_limit. Nodes never sit on the poles, so the
-1/sin(theta) factors that appear in coordinate derivatives stay finite.
+1/sin(theta) factors that appear in coordinate derivatives stay finite. The
+structure constants are a closed form over the Legendre tables, not a bracket.
 """
 
 from dataclasses import dataclass, field
@@ -422,28 +423,25 @@ def lm_index(l, m):
 
 
 def structure_constants(l_max):
-    """f_abc = integral {Y_a, Y_b} conj(Y_c) for all triples within l_max.
+    """f_abc = integral {Y_a, Y_b} conj(Y_c) for all triples within l_max, in closed form.
 
-    Each row a is projected by the analysis kernel, _analyze, on the grid of
-    band 2*l_max, exact to band 4*l_max (the integrand's is 3*l_max - 1), so
-    every basis harmonic is transformed once. Indexed by lm_index; exactly
-    antisymmetric in the first two slots (filled from a < b); entries with
-    m_c != m_a + m_b are exact zeros.
+    With Y = P(x) exp(i m phi), {Y_a, Y_b} = i (m_b P_a' P_b - m_a P_a P_b') exp(i (m_a + m_b) phi):
+    the phi integral is 2 pi where m_c = m_a + m_b, else 0, and the x integrand, a polynomial of
+    degree <= 3*l_max - 1, is exact by Gauss-Legendre on the grid of band 2*l_max. Indexed by
+    lm_index; purely imaginary, exactly antisymmetric in the first two slots.
     """
     if l_max <= 0:
         raise ValueError("l_max must be positive")
     N = (l_max + 1) ** 2
     out = np.zeros((N, N, N), dtype=complex)
     grid = grid_for_band_limit(2 * l_max)
-    labels = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
-    basis = [HarmonicField.basis(l, m) for l, m in labels]
-    ls, ms = np.array(labels).T
-    gx, gp = gradients(basis, grid)
-    for a in range(1, N):  # pairs a < b; the l = 0 row and column stay zero
-        row = _analyze(gx[a] * gp[a + 1:] - gp[a] * gx[a + 1:], l_max, grid)[:, ls, l_max + ms]
-        # only order m_a + m_b is nonzero; the other orders are rounding noise
-        out[a, a + 1:] = np.where(ms[a] + ms[a + 1:, None] == ms, row, 0.0)
-        out[a + 1:, a] = -out[a, a + 1:]
+    ls, ms = np.array([(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]).T
+    sign = np.where(ms < 0, _column_parity(l_max)[l_max + ms], 1.0)[:, None]  # Y_l,-m's (-1)^m
+    P, dPdx = sign * grid.P[ls, abs(ms)], sign * grid.dPdx[ls, abs(ms)]
+    T = ms[:, None] * (dPdx[:, None] * P)  # m_b P_a' P_b, indexed [a, b, node]
+    w = 2.0 * math.pi * grid.w
+    np.einsum("abj,cj->abc", (T - T.transpose(1, 0, 2)) * w, P, out=out.imag)
+    out[ms[:, None, None] + ms[:, None] != ms] = 0.0
     return out
 
 

@@ -405,41 +405,28 @@ def test_stacked_transforms_equal_one_field_calls_property(kinds, extra, band, r
             assert c.tobytes() == analyze(row, band, grid).coeffs.tobytes()
 
 
-def test_structure_constants_match_brackets():
-    C = structure_constants(3)
-    rng = np.random.default_rng(2)
-    n = C.shape[0]
-    for _ in range(20):
-        i, j = (int(x) for x in rng.integers(0, n, size=2))
-        li = int(np.floor(np.sqrt(i)))
-        mi = i - li * li - li
-        lj = int(np.floor(np.sqrt(j)))
-        mj = j - lj * lj - lj
-        br = bracket(HarmonicField.basis(li, mi), HarmonicField.basis(lj, mj))
-        for k in range(n):
-            lk = int(np.floor(np.sqrt(k)))
-            mk = k - lk * lk - lk
-            got = coefficient(br, lk, mk) if lk <= br.l_max else 0.0
-            assert abs(got - C[i, j, k]) < 1e-13
+@pytest.mark.parametrize("l_max", [3, 4])
+def test_structure_constants_match_brackets(l_max):
+    """Every pair a < b against every c: the closed form against the grid
+    bracket, all pairs from one brackets call."""
+    C = structure_constants(l_max)
+    labels = _labels(l_max)
+    basis = [HarmonicField.basis(l, m) for l, m in labels]
+    pairs = [(a, b) for a in range(len(labels)) for b in range(a + 1, len(labels))]
+    for (a, b), br in zip(pairs, brackets([(basis[a], basis[b]) for a, b in pairs])):
+        got = [coefficient(br, l, m) for l, m in labels]
+        assert np.abs(np.array(got) - C[a, b]).max() < 1e-13
 
 
-def test_structure_constants_transform_each_basis_harmonic_once(monkeypatch):
-    """One quadrature per row: no bracket per pair, and across the per-band
-    gradient calls every basis harmonic (16 within l_max = 3) once."""
-    def no_bracket(f, g):
-        raise AssertionError("structure_constants called bracket")
+def test_structure_constants_do_not_use_the_grid_bracket(monkeypatch):
+    """The closed form stays independent of the bracket it is checked
+    against: no bracket, no gradients and no analysis."""
+    def forbidden(*args):
+        raise AssertionError("structure_constants called the grid bracket")
 
-    calls = []
-    stacked = sphere_algebra._gradients
-    monkeypatch.setattr(sphere_algebra, "bracket", no_bracket)
-    monkeypatch.setattr(sphere_algebra, "_gradients",
-                        lambda fields, grid: calls.append(fields) or stacked(fields, grid))
+    for name in ("bracket", "brackets", "_gradients", "_analyze"):
+        monkeypatch.setattr(sphere_algebra, name, forbidden)
     structure_constants(3)
-    # Y_lm is the field of band limit l whose one nonzero coefficient is (l, m)
-    labels = [(f.l_max, int(np.flatnonzero(f.coeffs[-1])[0]) - f.l_max)
-              for fields in calls for f in fields]
-    assert sorted(labels) == [(l, m) for l in range(4) for m in range(-l, l + 1)]
-    assert sorted(({f.l_max for f in fields} for fields in calls), key=min) == [{0}, {1}, {2}, {3}]
 
 
 def test_structure_constants_l0_row_is_zero():
@@ -522,7 +509,7 @@ def test_structure_constants_selection_rules_property(l_max, data):
         assert abs(C[a, b, c]) <= 1e-13 * np.abs(C).max()
 
 
-@pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5, 6, 8])
 def test_structure_constants_off_order_entries_are_exact_zeros(l_max):
     """{Y_a, Y_b} has the single order m_a + m_b, so every entry with
     m_c != m_a + m_b is 0.0, not rounding noise."""
@@ -530,6 +517,16 @@ def test_structure_constants_off_order_entries_are_exact_zeros(l_max):
     m = np.array([m for _, m in _labels(l_max)])
     off_order = m[:, None, None] + m[None, :, None] != m[None, None, :]
     assert not np.any(C[off_order])
+
+
+@pytest.mark.parametrize("l_max", range(1, 9))
+def test_structure_constants_are_imaginary_and_exactly_antisymmetric(l_max):
+    """The phi integral leaves i times a real x integral, and the x integrand
+    changes sign exactly under a <-> b: no real part and no rounding in
+    the antisymmetry."""
+    C = _structure_constants(l_max)
+    assert not C.real.any()
+    assert np.array_equal(C, -C.transpose(1, 0, 2))
 
 
 def test_su2_closure():
