@@ -35,7 +35,7 @@ __all__ = [
     "structure_constants",
     "su2_generators",
     "random_real_field",
-    "lm_index",
+    "lm_pairs",
 ]
 
 
@@ -417,9 +417,9 @@ def integral_of_product(f, g):
     return complex(np.sum(_column_parity(L) * a * b[:, ::-1]))
 
 
-def lm_index(l, m):
-    """Flat index of the (l, m) pair: l^2 + l + m."""
-    return l * l + l + m
+def lm_pairs(l_max):
+    """The (l, m) pairs within l_max, shape ((l_max + 1)^2, 2): (l, m) sits at row l^2 + l + m."""
+    return np.array([(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)])
 
 
 def structure_constants(l_max):
@@ -428,14 +428,14 @@ def structure_constants(l_max):
     With Y = P(x) exp(i m phi), {Y_a, Y_b} = i (m_b P_a' P_b - m_a P_a P_b') exp(i (m_a + m_b) phi):
     the phi integral is 2 pi where m_c = m_a + m_b, else 0, and the x integrand, a polynomial of
     degree <= 3*l_max - 1, is exact by Gauss-Legendre on the grid of band 2*l_max. Indexed by
-    lm_index; purely imaginary, exactly antisymmetric in the first two slots.
+    the rows of lm_pairs; purely imaginary, exactly antisymmetric in the first two slots.
     """
     if l_max <= 0:
         raise ValueError("l_max must be positive")
     N = (l_max + 1) ** 2
     out = np.zeros((N, N, N), dtype=complex)
     grid = grid_for_band_limit(2 * l_max)
-    ls, ms = np.array([(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]).T
+    ls, ms = lm_pairs(l_max).T
     sign = np.where(ms < 0, _column_parity(l_max)[l_max + ms], 1.0)[:, None]  # Y_l,-m's (-1)^m
     P, dPdx = sign * grid.P[ls, abs(ms)], sign * grid.dPdx[ls, abs(ms)]
     T = ms[:, None] * (dPdx[:, None] * P)  # m_b P_a' P_b, indexed [a, b, node]

@@ -385,6 +385,32 @@ def test_algebra_structure_constants_checks_antisymmetry_and_the_order_rule(caps
         ("antisymmetry", 0.0, 1e-12), ("off_order_entries", 0.0, 1e-12)]
 
 
+@pytest.mark.parametrize("check_name", ["antisymmetry", "off_order_entries"])
+def test_algebra_structure_constants_checks_reach_the_last_row_block(capsys, monkeypatch, check_name):
+    """The checks run over blocks of rows; at --lmax 8 (three blocks) an
+    entry planted in rows (8, -8) and (8, 8), past the first block, still
+    fails its check: a symmetric pair on the order rule, or an entry off it."""
+    from uinf import sphere_algebra
+
+    real = sphere_algebra.structure_constants
+
+    def planted(l_max):
+        t = real(l_max)
+        a, b, v = 80, 64, 1j * np.abs(t).max()  # (8, 8), (8, -8) at l^2 + l + m
+        if check_name == "antisymmetry":
+            t[a, b, 0] += v  # m3 = 0 = m1 + m2
+            t[b, a, 0] += v
+        else:
+            t[a, a, 0] = v  # m3 = 0, m1 + m2 = 16
+        return t
+
+    monkeypatch.setattr(sphere_algebra, "structure_constants", planted)
+    rc, out, _ = run(capsys, ["algebra", "structure-constants", "--lmax", "8"])
+    _, checks = parse_report(out)
+    check = next(c for c in checks if c["name"] == check_name)
+    assert rc == 1 and not check["ok"] and check["value"] > 0.1
+
+
 @pytest.mark.parametrize("given, missing", [("f", "--g"), ("g", "--f")])
 def test_algebra_bracket_field_missing_from_flags_and_config(tmp_path, capsys, given, missing):
     path = dict(zip("fg", _field_files(tmp_path)))[given]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uinf import reduction
+from uinf import reduction, sphere_algebra
 from uinf.gauge_fields import (
     AdjointScalar,
     GaugeConfig,
@@ -23,7 +23,7 @@ from uinf.reduction import (
     reduce_yang_mills,
     two_dim_report,
 )
-from uinf.sphere_algebra import random_real_field, synthesize
+from uinf.sphere_algebra import brackets, random_real_field, synthesize
 from conftest import lorentz, zero_field
 
 # frozen outputs for the seed 0 draw (dim 4, l_max 3, amplitude 0.4, e = 2)
@@ -531,8 +531,8 @@ def test_covariant_identity_scale_is_not_floored(monkeypatch, background):
 @pytest.mark.parametrize("report", ["scalar", "born_infeld"])
 def test_reports_transform_in_one_stacked_call_each(monkeypatch, seed0_fields, background, report):
     """The node data come from one gradients call and one synthesize call,
-    and the Born-Infeld field strengths from one more synthesize call, not
-    one call per field."""
+    not one call per field, and the Born-Infeld field strengths from the
+    same node data."""
     cfg, scal = seed0_fields
     calls = []
     for name in ("gradients", "synthesize"):
@@ -542,7 +542,20 @@ def test_reports_transform_in_one_stacked_call_each(monkeypatch, seed0_fields, b
         assert sorted(calls) == ["gradients", "synthesize"]
     else:
         born_infeld_report(cfg, metric4(1.0), background, 0.5, 1.0)
-        assert sorted(calls) == ["gradients", "synthesize", "synthesize"]
+        assert sorted(calls) == ["gradients", "synthesize"]
+
+
+def test_born_infeld_report_builds_no_coefficient_bracket(monkeypatch, seed0_fields, background):
+    """The reduced field strength F + q{A, A} is read off the node bracket
+    table: no coefficient-space field strength, bracket or brackets call."""
+    def forbidden(*args):
+        raise AssertionError("born_infeld_report built a coefficient-space bracket")
+
+    monkeypatch.setattr(reduction, "field_strength", forbidden)
+    for name in ("bracket", "brackets"):
+        monkeypatch.setattr(sphere_algebra, name, forbidden)
+    rep = born_infeld_report(seed0_fields[0], metric4(1.0), background, 0.5, 1.0)
+    assert np.isfinite(rep["rhs"]) and rep["rhs"] != rep["rhs_without_bracket"]
 
 
 def test_born_infeld_report_rejects_a_one_dimensional_spacetime(background):
@@ -559,27 +572,29 @@ def _node_data_per_field(cfg, scal, grid):
     D = cfg.dim
     shape = (grid.n_theta, grid.n_phi)
     s = grid.sin_theta[:, None]
-    dAex = np.zeros((2, D) + shape)
-    for mu in range(D):
-        dx, dp = cfg.a[mu].grad_values(grid)
-        dAex[0, mu] = -s * dx
-        dAex[1, mu] = dp
+    fields = list(cfg.a) + ([] if scal is None else [scal.phi])
+    ex = np.zeros((2, len(fields)) + shape)  # d_theta and d_phi of each field
+    for i, f in enumerate(fields):
+        dx, dp = f.grad_values(grid)
+        ex[0, i] = -s * dx
+        ex[1, i] = dp
+    bracket = np.zeros((len(fields),) * 2 + shape)
+    for i in range(len(fields)):
+        for j in range(len(fields)):
+            bracket[i, j] = (ex[1, i] * ex[0, j] - ex[0, i] * ex[1, j]) / s
+    dAex = ex[:, :D]
     dav = np.zeros((D, D) + shape)
     for nu in range(D):
         for mu in range(D):
             dav[nu, mu] = synthesize([cfg.da[nu][mu]], grid)[0]
     flow = dav - dav.swapaxes(0, 1)
-    out = {"s": s, "dAex": dAex, "flow": flow, "shape": shape}
+    out = {"s": s, "dAex": dAex, "flow": flow, "shape": shape, "bracket": bracket}
     if scal is not None:
         dphst = np.zeros((D,) + shape)
         for mu in range(D):
             dphst[mu] = synthesize([scal.dphi[mu]], grid)[0]
-        px, pp = scal.phi.grad_values(grid)
-        dphiex = np.zeros((2,) + shape)
-        dphiex[0] = -s * px
-        dphiex[1] = pp
         out["dphst"] = dphst
-        out["dphiex"] = dphiex
+        out["dphiex"] = ex[:, D]
     return out
 
 
@@ -602,3 +617,28 @@ def test_node_data_equal_the_per_field_transforms(dim, with_scalar):
     for key, value in want.items():
         assert np.array_equal(got[key], value), key
         assert np.asarray(got[key]).dtype == np.asarray(value).dtype, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=5), with_scalar=st.booleans(),
+       bands=st.lists(st.integers(min_value=0, max_value=5), min_size=6, max_size=6),
+       seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_node_bracket_table_equals_the_coefficient_bracket_property(dim, with_scalar, bands, seed):
+    """The node table is exactly antisymmetric with an exactly zero diagonal,
+    and each entry equals the synthesized coefficient bracket {f_i, f_j} on
+    the same grid to 1e-13 of the table's largest entry: the node and the
+    coefficient routes of {A, A} stay tied."""
+    rng = np.random.default_rng(seed)
+    fields = [random_real_field(l, rng) for l in bands[:dim + with_scalar]]
+    zero = zero_field(0)
+    cfg = GaugeConfig(dim, 1.0, fields[:dim], [[zero] * dim for _ in range(dim)])
+    scal = AdjointScalar(dim, fields[dim], [zero] * dim) if with_scalar else None
+    grid = reduction._grid_for(cfg, scal)[0]
+    table = reduction._node_data(cfg, scal, grid)["bracket"]
+    assert np.array_equal(table, -table.swapaxes(0, 1))
+    assert not np.any(table[np.arange(len(fields)), np.arange(len(fields))])
+    pairs = [(i, j) for i in range(len(fields)) for j in range(len(fields))]
+    want = synthesize(brackets([(fields[i], fields[j]) for i, j in pairs]), grid)
+    scale = np.abs(table).max()
+    for (i, j), w in zip(pairs, want):
+        assert np.abs(table[i, j] - w).max() <= 1e-13 * scale, (i, j)

@@ -16,7 +16,7 @@ from uinf.sphere_algebra import (
     gradients,
     grid_for_band_limit,
     integral_of_product,
-    lm_index,
+    lm_pairs,
     product,
     random_real_field,
     structure_constants,
@@ -431,8 +431,17 @@ def test_structure_constants_do_not_use_the_grid_bracket(monkeypatch):
 
 def test_structure_constants_l0_row_is_zero():
     C = structure_constants(2)
-    assert not np.any(C[lm_index(0, 0), :, :])
-    assert not np.any(C[:, lm_index(0, 0), :])
+    row = (lm_pairs(2) == (0, 0)).all(axis=1)
+    assert not np.any(C[row, :, :])
+    assert not np.any(C[:, row, :])
+
+
+def test_lm_pairs_list_the_flat_coefficient_order():
+    """Row l^2 + l + m of lm_pairs holds (l, m), the order of the structure
+    constants' indices."""
+    pairs = lm_pairs(4)
+    assert pairs.shape == (25, 2)
+    assert [tuple(p) for p in pairs] == [(l, m) for l in range(5) for m in range(-l, l + 1)]
 
 
 @settings(max_examples=25, deadline=None)
