@@ -302,24 +302,20 @@ def cmd_monopole_scan_evb(args):
 
 
 def cmd_algebra_structure_constants(args):
-    tensor = sphere_algebra.structure_constants(args.lmax)
+    S = sphere_algebra.structure_constants(args.lmax)  # f_abc = i S[a, b, l3] at m3 = m1 + m2
     labels = sphere_algebra.lm_pairs(args.lmax)
     columns = ["l1", "m1", "l2", "m2", "l3", "m3", "re", "im"]
-    mag = np.abs(tensor)
-    index = np.nonzero(~(mag < 1e-12))  # C order: rows sorted by (i, j, k)
-    table = np.column_stack([*(labels[a] for a in index), tensor[index].real, tensor[index].imag])
+    a, b, l3 = index = np.nonzero(~(np.abs(S) < 1e-12))  # C order: c grows with l3 at fixed m3
+    (l1, m1), (l2, m2) = labels[a].T, labels[b].T
+    table = np.column_stack([l1, m1, l2, m2, l3, m1 + m2, np.zeros(len(l3)), S[index]])
     meta = _meta(args, lmax=args.lmax, threshold=1e-12, entries=len(table))
-    # fixed bounds, not --tol, relative to the largest entry: both read exactly 0; taken
-    # over row blocks of about 2^18 entries, so no temporary is the size of the tensor
-    ms, step = labels[:, 1], max(1, 2**18 // len(labels)**2)
-    anti = off = 0.0
-    for i in range(0, len(labels), step):
-        rows = slice(i, i + step)
-        anti = max(anti, np.abs(tensor[rows] + tensor[:, rows].transpose(1, 0, 2)).max())
-        off = max(off, mag[rows][ms[rows, None, None] + ms[:, None] != ms].max(initial=0.0))  # m3 != m1 + m2
+    # fixed bounds, not --tol, relative to the largest entry; allowed is the 3j selection rule
+    la, lb, lc = labels[:, 0, None, None], labels[:, 0, None], np.arange(args.lmax + 1)
+    allowed = ((la + lb + lc) % 2 == 1) & (abs(la - lb) < lc) & (lc < la + lb)
+    top = np.abs(S).max()
     return (columns, table, meta), [
-        check("antisymmetry", anti / mag.max(), 1e-12),
-        check("off_order_entries", off / mag.max(), 1e-12)]
+        check("antisymmetry", np.abs(S + S.transpose(1, 0, 2)).max() / top, 1e-12),
+        check("selection_rule", np.abs(S[~allowed]).max(initial=0.0) / top, 1e-12)]
 
 
 def cmd_algebra_su2(args):

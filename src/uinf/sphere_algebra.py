@@ -423,25 +423,29 @@ def lm_pairs(l_max):
 
 
 def structure_constants(l_max):
-    """f_abc = integral {Y_a, Y_b} conj(Y_c) for all triples within l_max, in closed form.
+    """f_abc = integral {Y_a, Y_b} conj(Y_c) within l_max, in closed form, stored as S.
 
     With Y = P(x) exp(i m phi), {Y_a, Y_b} = i (m_b P_a' P_b - m_a P_a P_b') exp(i (m_a + m_b) phi):
     the phi integral is 2 pi where m_c = m_a + m_b, else 0, and the x integrand, a polynomial of
-    degree <= 3*l_max - 1, is exact by Gauss-Legendre on the grid of band 2*l_max. Indexed by
-    the rows of lm_pairs; purely imaginary, exactly antisymmetric in the first two slots.
+    degree <= 3*l_max - 1, is exact by Gauss-Legendre on the grid of band 2*l_max. So f is purely
+    imaginary with one order per pair: f_abc = i S[a, b, l_c] at m_c = m_a + m_b, else 0. S is
+    real, shaped (N, N, l_max + 1) with a and b the N = (l_max + 1)^2 rows of lm_pairs, exactly
+    antisymmetric in a and b, and 0.0 where |m_a + m_b| > l_c.
     """
     if l_max <= 0:
         raise ValueError("l_max must be positive")
     N = (l_max + 1) ** 2
-    out = np.zeros((N, N, N), dtype=complex)
+    out = np.zeros((N, N, l_max + 1))
     grid = grid_for_band_limit(2 * l_max)
     ls, ms = lm_pairs(l_max).T
     sign = np.where(ms < 0, _column_parity(l_max)[l_max + ms], 1.0)[:, None]  # Y_l,-m's (-1)^m
     P, dPdx = sign * grid.P[ls, abs(ms)], sign * grid.dPdx[ls, abs(ms)]
     T = ms[:, None] * (dPdx[:, None] * P)  # m_b P_a' P_b, indexed [a, b, node]
-    w = 2.0 * math.pi * grid.w
-    np.einsum("abj,cj->abc", (T - T.transpose(1, 0, 2)) * w, P, out=out.imag)
-    out[ms[:, None, None] + ms[:, None] != ms] = 0.0
+    T = (T - T.transpose(1, 0, 2)) * (2.0 * math.pi * grid.w)
+    orders = ms[:, None] + ms
+    for m in range(-l_max, l_max + 1):  # the pairs of order m against the P rows of order m
+        pairs = orders == m
+        out[pairs, abs(m):] = np.einsum("pj,cj->pc", T[pairs], P[ms == m])
     return out
 
 

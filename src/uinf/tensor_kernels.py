@@ -10,8 +10,8 @@ hold.
 Index conventions: antisymmetric F carries two lower indices, v carries one
 lower index.
 
-Stack layout: the contraction kernels (`delta3`, `trace3`, `delta4`,
-`trace4`, `eps`) work on a stack of nodes. F has shape (..., A, B), v has
+Stack layout: the contraction kernels (`delta3`, `delta4`, `trace4`,
+`eps`) work on a stack of nodes. F has shape (..., A, B), v has
 shape (..., A) and the inverse metric (..., A, B); the leading axes
 broadcast, and each kernel returns an array of the leading shape (a numpy
 scalar for a single node). The reduction passes a sphere grid, with a
@@ -34,7 +34,6 @@ import numpy as np
 
 __all__ = [
     "delta3",
-    "trace3",
     "delta4",
     "trace4",
     "eps",
@@ -105,18 +104,13 @@ def delta4(F, ginv):
 
 
 def _trace3_terms(F, v, ginv):
-    """The two terms of trace3: (2 F_{AB} F^{AB} v_C v^C, -4 F^{AC} F_{AB} v^B v_C)."""
+    """The two grouped rank-3 trace terms: (2 F_{AB} F^{AB} v_C v^C, -4 F^{AC} F_{AB} v^B v_C)."""
     Fup = _raise(F, ginv)
     vup = _raise_vector(v, ginv)
     s1 = np.einsum("...ab,...ab->...", F, Fup)
     s2 = np.einsum("...a,...a->...", v, vup)
     t2 = np.einsum("...ac,...ab,...b,...c->...", Fup, F, vup, v)
     return 2.0 * (s1 * s2), -4.0 * t2
-
-
-def trace3(F, v, ginv):
-    """Grouped form 2 (F_{AB} F^{AB} v_C v^C - 2 F^{AC} F_{AB} v^B v_C)."""
-    return np.add(*_trace3_terms(F, v, ginv))
 
 
 def _trace4_terms(F, ginv):

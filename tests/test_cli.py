@@ -362,14 +362,23 @@ def test_algebra_bracket_with_a_symmetric_part_exits_1(tmp_path, capsys, monkeyp
     assert rc == 1 and not check["ok"] and check["value"] > 0.1
 
 
-def test_algebra_structure_constants_bytes_do_not_depend_on_the_blas_thread_count():
+def test_cli_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     """Two fresh processes, one with one OpenBLAS thread and one with two
-    (the count is fixed when numpy loads), print the same bytes at --lmax 4
-    and 6. A 1-core host runs both alike, so it cannot tell the two apart."""
+    (the count is fixed when numpy loads), print the same bytes for every
+    subcommand at its defaults, `algebra bracket` on two L = 8 field files,
+    and for `algebra structure-constants` at --lmax 4 and 6. A 1-core host
+    runs both alike, so it cannot tell the two apart."""
+    _, (fp, gp) = _l8_field_files(tmp_path)
+    argvs = [["identities"]] + [["reduce", sub] for sub in (
+        "scalar", "ym", "two-dim", "scan-b", "born-infeld")] + [["monopole", sub] for sub in (
+        "solve", "energy", "perturb", "scan-evb")] + [
+        ["algebra", "structure-constants"], ["algebra", "su2"],
+        ["algebra", "bracket", "--f", fp, "--g", gp]] + [
+        ["algebra", "structure-constants", "--lmax", l] for l in "46"]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = ("import sys\nfrom uinf.cli import main\n"
-            "sys.exit(max(main(['algebra', 'structure-constants', '--lmax', l]) for l in '46'))")
-    procs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+    code = ("import json, sys\nfrom uinf.cli import main\n"
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    procs = [subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
                             env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
              for threads in ("1", "2")]
     assert [(p.returncode, p.stderr) for p in procs] == [(0, b"")] * 2
@@ -378,30 +387,34 @@ def test_algebra_structure_constants_bytes_do_not_depend_on_the_blas_thread_coun
 
 @pytest.mark.parametrize("lmax", ["1", "3", "6"])
 def test_algebra_structure_constants_checks_antisymmetry_and_the_order_rule(capsys, lmax):
+    """Antisymmetry is exact; outside the 3j selection rule the entries are
+    rounding noise."""
     rc, out, _ = run(capsys, ["algebra", "structure-constants", "--lmax", lmax])
     _, checks = parse_report(out)
     assert rc == 0
-    assert [(c["name"], c["value"], c["bound"]) for c in checks[:2]] == [
-        ("antisymmetry", 0.0, 1e-12), ("off_order_entries", 0.0, 1e-12)]
+    assert [(c["name"], c["bound"]) for c in checks[:2]] == [
+        ("antisymmetry", 1e-12), ("selection_rule", 1e-12)]
+    assert checks[0]["value"] == 0.0 and checks[1]["value"] <= 1e-14
 
 
-@pytest.mark.parametrize("check_name", ["antisymmetry", "off_order_entries"])
-def test_algebra_structure_constants_checks_reach_the_last_row_block(capsys, monkeypatch, check_name):
-    """The checks run over blocks of rows; at --lmax 8 (three blocks) an
-    entry planted in rows (8, -8) and (8, 8), past the first block, still
-    fails its check: a symmetric pair on the order rule, or an entry off it."""
+@pytest.mark.parametrize("check_name", ["antisymmetry", "selection_rule"])
+def test_algebra_structure_constants_checks_fail_on_a_planted_entry(capsys, monkeypatch, check_name):
+    """At --lmax 8, a symmetric pair in rows (8, -8) and (8, 8) at an
+    allowed slot fails antisymmetry, and an entry at a slot the rule
+    forbids (l1 + l2 + l3 even) fails selection_rule."""
     from uinf import sphere_algebra
 
     real = sphere_algebra.structure_constants
 
     def planted(l_max):
         t = real(l_max)
-        a, b, v = 80, 64, 1j * np.abs(t).max()  # (8, 8), (8, -8) at l^2 + l + m
+        a, b, v = 80, 64, np.abs(t).max()  # (8, 8), (8, -8) at l^2 + l + m
         if check_name == "antisymmetry":
-            t[a, b, 0] += v  # m3 = 0 = m1 + m2
-            t[b, a, 0] += v
+            t[a, b, 1] += v  # l3 = 1: 8 + 8 + 1 is odd and 0 < 1 < 16
+            t[b, a, 1] += v
         else:
-            t[a, a, 0] = v  # m3 = 0, m1 + m2 = 16
+            t[a, b, 2] = v  # l3 = 2: 8 + 8 + 2 is even
+            t[b, a, 2] = -v
         return t
 
     monkeypatch.setattr(sphere_algebra, "structure_constants", planted)
@@ -1059,7 +1072,7 @@ def test_overflow_on_finite_input_is_an_arithmetic_failure(capsys, sub):
 
 
 @pytest.mark.parametrize("argv", [
-    ["algebra", "structure-constants", "--lmax", "200"],  # a 960 TiB tensor
+    ["algebra", "structure-constants", "--lmax", "1000"],  # a 7.1 PiB table
     ["monopole", "solve", "--n", "100000000000000"],  # a 728 TiB radial grid
 ])
 def test_out_of_memory_is_an_error_line_not_a_traceback(capsys, argv):

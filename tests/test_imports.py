@@ -146,7 +146,6 @@ CALLERS = [path for path in SOURCES + sorted(BENCH.glob("*.py")) if not path.nam
 
 # public names that nothing in CALLERS reads, each with why it stays public
 UNCALLED = {
-    "trace3": "documented API: the grouped rank-3 trace form, the pair of delta3",
     "cutoff_growth": "the per-term tail report of monopole perturb planned in ROADMAP.md calls it",
 }
 

@@ -409,7 +409,7 @@ def test_stacked_transforms_equal_one_field_calls_property(kinds, extra, band, r
 def test_structure_constants_match_brackets(l_max):
     """Every pair a < b against every c: the closed form against the grid
     bracket, all pairs from one brackets call."""
-    C = structure_constants(l_max)
+    C = _structure_constants(l_max)
     labels = _labels(l_max)
     basis = [HarmonicField.basis(l, m) for l, m in labels]
     pairs = [(a, b) for a in range(len(labels)) for b in range(a + 1, len(labels))]
@@ -489,9 +489,22 @@ def _closed_form_constant(a, b, c):
             * _wigner_3j(la, lb, lc, ma, mb, -mc))
 
 
+def _dense(S):
+    """The (N, N, N) tensor f_abc = i S[a, b, l_c] at m_c = m_a + m_b, 0 elsewhere,
+    indexed by the rows of lm_pairs in every slot."""
+    N, l_max = len(S), S.shape[2] - 1
+    m = lm_pairs(l_max)[:, 1]
+    a, b, lc = np.indices(S.shape).reshape(3, -1)
+    mc = m[a] + m[b]
+    a, b, lc, mc = (x[abs(mc) <= lc] for x in (a, b, lc, mc))
+    C = np.zeros((N, N, N), dtype=complex)
+    C.imag[a, b, lc * lc + lc + mc] = S[a, b, lc]
+    return C
+
+
 @lru_cache(maxsize=None)
 def _structure_constants(l_max):
-    return structure_constants(l_max)
+    return _dense(structure_constants(l_max))
 
 
 @pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5, 6, 7])
@@ -520,22 +533,24 @@ def test_structure_constants_selection_rules_property(l_max, data):
 
 @pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5, 6, 8])
 def test_structure_constants_off_order_entries_are_exact_zeros(l_max):
-    """{Y_a, Y_b} has the single order m_a + m_b, so every entry with
-    m_c != m_a + m_b is 0.0, not rounding noise."""
-    C = _structure_constants(l_max)
-    m = np.array([m for _, m in _labels(l_max)])
-    off_order = m[:, None, None] + m[None, :, None] != m[None, None, :]
-    assert not np.any(C[off_order])
+    """{Y_a, Y_b} has the single order m_a + m_b, which no degree below
+    |m_a + m_b| carries, so every slot with |m_a + m_b| > l_c is 0.0, not
+    rounding noise."""
+    S = structure_constants(l_max)
+    m = lm_pairs(l_max)[:, 1]
+    off_order = abs(m[:, None, None] + m[None, :, None]) > np.arange(l_max + 1)
+    assert not np.any(S[off_order])
 
 
 @pytest.mark.parametrize("l_max", range(1, 9))
 def test_structure_constants_are_imaginary_and_exactly_antisymmetric(l_max):
     """The phi integral leaves i times a real x integral, and the x integrand
     changes sign exactly under a <-> b: no real part and no rounding in
-    the antisymmetry."""
-    C = _structure_constants(l_max)
-    assert not C.real.any()
-    assert np.array_equal(C, -C.transpose(1, 0, 2))
+    the antisymmetry. Only that real integral, S, is stored."""
+    S = structure_constants(l_max)
+    N = (l_max + 1) ** 2
+    assert S.dtype == np.float64 and S.shape == (N, N, l_max + 1)
+    assert np.array_equal(S, -S.transpose(1, 0, 2))
 
 
 def test_su2_closure():

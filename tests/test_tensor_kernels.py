@@ -15,9 +15,14 @@ from uinf.tensor_kernels import (
     epsilon_symbol,
     identity_suite,
     minkowski_metric,
-    trace3,
     trace4,
 )
+
+
+def trace3(F, v, ginv):
+    """Grouped form 2 (F_{AB} F^{AB} v_C v^C - 2 F^{AC} F_{AB} v^B v_C)."""
+    return np.add(*tensor_kernels._trace3_terms(F, v, ginv))
+
 
 QUARTIC_RATIO = 8.0
 ROUTE_CONSTANTS = {
