@@ -12,6 +12,9 @@ import tempfile
 import numpy as np
 
 FLOAT = "%.17g"  # 17 significant digits: every double round-trips
+# CSV rows formatted at a time: only one block's Python floats and row strings
+# are alive next to the text, which a whole table's would outweigh several times
+ROW_BLOCK = 4096
 
 
 def atomic_write_text(path, text):
@@ -66,7 +69,8 @@ def render(document, checks):
     the check "finite" on their count. JSON gets a top-level "checks" list,
     CSV one "# check.<name> = value=... bound=... ok=..." line per check
     after the meta lines. A table row is one FLOAT template, or cell by cell
-    with an empty cell for each non-finite number."""
+    with an empty cell for each non-finite number; rows are formatted
+    ROW_BLOCK at a time."""
     bad = []
     if isinstance(document, dict):
         document = _plain(document, bad)
@@ -87,7 +91,10 @@ def render(document, checks):
         c["name"], _text(c["value"]), _text(c["bound"]), c["ok"]) for c in plain)
     lines.append(",".join(columns))
     template = ",".join([FLOAT] * len(columns))
-    rows = zip(table.tolist(), finite.all(axis=1).tolist())
-    lines.extend(template % tuple(row) if whole else
-                 ",".join(_text(x) if math.isfinite(x) else "" for x in row) for row, whole in rows)
-    return "\n".join(lines) + "\n", paths
+    for start in range(0, len(table), ROW_BLOCK):
+        rows = zip(table[start:start + ROW_BLOCK].tolist(),
+                   finite[start:start + ROW_BLOCK].all(axis=1).tolist())
+        lines.append("\n".join(template % tuple(row) if whole else ",".join(
+            _text(x) if math.isfinite(x) else "" for x in row) for row, whole in rows))
+    lines.append("")  # the final newline, so that the text is built by one join
+    return "\n".join(lines), paths

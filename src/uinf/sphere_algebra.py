@@ -39,38 +39,54 @@ __all__ = [
 ]
 
 
-def _legendre_tables(l_max, x):
-    """Normalized associated Legendre values and x-derivatives.
-
-    Returns (P, dPdx), each shaped (l_max+1, l_max+1, len(x)), indexed
-    [l, m, node] for 0 <= m <= l. Normalization is such that
+def _legendre_table(l_max, x):
+    """Normalized associated Legendre values P, shaped (l_max+1, l_max+1,
+    len(x)), indexed [l, m, node] for 0 <= m <= l. Normalization is such that
     Y_lm = P[l, m] * exp(i m phi) is orthonormal on the sphere, with the
-    Condon-Shortley sign folded in.
-    """
+    Condon-Shortley sign folded in. A grid holds this table, 8 (l_max+1)^2
+    len(x) bytes; the x-derivatives are built from it by _dPdx."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    P = np.zeros((l_max + 1, l_max + 1, n))
+    P = np.zeros((l_max + 1, l_max + 1, x.size))
     sin_theta = np.sqrt(1.0 - x * x)
     P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
     for m in range(1, l_max + 1):
         P[m, m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_theta * P[m - 1, m - 1]
     m = np.arange(l_max)
     P[m + 1, m] = np.sqrt(2.0 * m + 3.0)[:, None] * x * P[m, m]
-    dPdx = np.zeros_like(P)
-    denom = x * x - 1.0
     # one pass per degree over all its orders: the recurrence fills m <= l - 2
-    # from the two degrees below, then dPdx takes the whole row m <= l
-    for l in range(1, l_max + 1):
+    # from the two degrees below
+    for l in range(2, l_max + 1):
         m = np.arange(l - 1)
         a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
         b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
         P[l, :l - 1] = a * (x * P[l - 1, :l - 1] - b * P[l - 2, :l - 1])
-        m = np.arange(l)
-        c = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))[:, None]
-        upper = l * x * P[l, :l + 1]
-        upper[:l] -= c * P[l - 1, :l]
-        dPdx[l, :l + 1] = upper / denom
-    return P, dPdx
+    return P
+
+
+def _dPdx(grid, L):
+    """dP/dx at the grid's nodes for degrees and orders <= L, shaped (L+1, L+1, n_theta).
+
+    A transform reads the derivatives only up to its fields' band, which is half the grid's
+    for a bracket. So a grid holds one derivative table, in grid.dx_table, built from grid.P
+    at the largest field band asked of the grid so far: a larger band rebuilds it, a smaller
+    one reads its leading block. Each entry is (l x P[l, m] - c_lm P[l-1, m]) / (x^2 - 1)
+    whichever band built it, so every block is bit for bit the same. For a bracket at band L
+    the band-2L grid holds 8 (2L+1)^3 bytes of P and 8 (L+1)^2 (2L+1) of dP/dx.
+    """
+    if not grid.dx_table or len(grid.dx_table[0]) <= L:
+        grid.dx_table.clear()  # the old table goes before the larger one is built
+        x, P = grid.x, grid.P
+        dPdx = np.zeros((L + 1, L + 1, grid.n_theta))
+        denom = x * x - 1.0
+        for l in range(1, L + 1):
+            m = np.arange(l)
+            c = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))[:, None]
+            upper = l * x * P[l, :l + 1]
+            upper[:l] -= c * P[l - 1, :l]
+            dPdx[l, :l + 1] = upper / denom
+        dPdx.setflags(write=False)
+        grid.dx_table.append(dPdx)
+    return grid.dx_table[0][:L + 1, :L + 1]
 
 
 @dataclass(frozen=True)
@@ -81,7 +97,10 @@ class SphereGrid:
     analysis is exact for fields of band <= band_limit. trig[m] holds
     (cos(m phi), -sin(m phi)) for 0 <= m <= band_limit, so that
     Re(a exp(i m phi)) = (Re a, Im a) . trig[m]. w2d holds the quadrature
-    weights on the (theta, phi) product grid; they sum to 4 pi.
+    weights on the (theta, phi) product grid; they sum to 4 pi. P is the
+    Legendre table to band_limit. dx_table holds at most one array: dP/dx up
+    to the largest field band asked of the grid so far, which _dPdx builds
+    and reads.
     """
 
     band_limit: int
@@ -93,8 +112,8 @@ class SphereGrid:
     sin_theta: np.ndarray = field(repr=False)
     w2d: np.ndarray = field(repr=False)
     P: np.ndarray = field(repr=False)
-    dPdx: np.ndarray = field(repr=False)
     trig: np.ndarray = field(repr=False)
+    dx_table: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 @lru_cache(maxsize=None)
@@ -109,10 +128,10 @@ def grid_for_band_limit(band_limit):
     x, w = leggauss(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     w2d = np.outer(w, np.full(n_phi, 2.0 * math.pi / n_phi))
-    P, dPdx = _legendre_tables(band_limit, x)
+    P = _legendre_table(band_limit, x)
     m_phi = np.outer(np.arange(band_limit + 1), phi)
     trig = np.stack([np.cos(m_phi), -np.sin(m_phi)], axis=1)
-    arrays = (x, w, phi, np.sqrt(1.0 - x * x), w2d, P, dPdx, trig)
+    arrays = (x, w, phi, np.sqrt(1.0 - x * x), w2d, P, trig)
     for arr in arrays:
         arr.setflags(write=False)
     return SphereGrid(band_limit, n_theta, n_phi, *arrays)
@@ -305,7 +324,7 @@ def _gradients(fields, grid):
     amps = _sum_over_l(parts, grid.P)
     # d/dphi turns a_m into i m a_m: (re, im) -> m (-im, re)
     dphi = amps[..., ::-1] * (np.arange(amps.shape[2])[:, None] * [-1.0, 1.0])
-    dx = _sum_over_m(_sum_over_l(parts, grid.dPdx), grid, cplx)
+    dx = _sum_over_m(_sum_over_l(parts, _dPdx(grid, fields[0].l_max)), grid, cplx)
     return dx, _sum_over_m(dphi, grid, cplx), cplx
 
 
@@ -439,7 +458,7 @@ def structure_constants(l_max):
     grid = grid_for_band_limit(2 * l_max)
     ls, ms = lm_pairs(l_max).T
     sign = np.where(ms < 0, _column_parity(l_max)[l_max + ms], 1.0)[:, None]  # Y_l,-m's (-1)^m
-    P, dPdx = sign * grid.P[ls, abs(ms)], sign * grid.dPdx[ls, abs(ms)]
+    P, dPdx = sign * grid.P[ls, abs(ms)], sign * _dPdx(grid, l_max)[ls, abs(ms)]
     T = ms[:, None] * (dPdx[:, None] * P)  # m_b P_a' P_b, indexed [a, b, node]
     T = (T - T.transpose(1, 0, 2)) * (2.0 * math.pi * grid.w)
     orders = ms[:, None] + ms

@@ -52,6 +52,24 @@ def test_csv_rows_match_the_per_cell_reference(table, meta):
     assert checks[-1] == {"name": "finite", "value": len(paths), "bound": 0, "ok": not paths}
 
 
+def test_csv_rows_in_blocks_match_the_reference_across_block_boundaries():
+    """A table of two blocks and a part is written as one table would be:
+    non-finite cells just before and just after each block boundary are empty
+    and named, and no row is lost or repeated at a boundary."""
+    n = 2 * reports.ROW_BLOCK + 5
+    table = np.random.default_rng(3).standard_normal((n, 3))
+    for edge in (reports.ROW_BLOCK, 2 * reports.ROW_BLOCK):
+        table[edge - 1, 0], table[edge - 1, 2] = math.nan, math.inf
+        table[edge, 1] = -math.inf
+        table[edge + 1] = math.nan
+    text, paths = reports.render((["a", "b", "c"], table, {}), [])
+    lines = text.splitlines()
+    assert text.endswith("\n") and lines[lines.index("a,b,c") + 1:] == [
+        _reference_row(row) for row in table.tolist()]
+    rows, cols = np.nonzero(~np.isfinite(table))
+    assert paths == ["rows[%d][%d]" % ij for ij in zip(rows.tolist(), cols.tolist())]
+
+
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(-2**53, 2**53))
 def test_an_integral_float_prints_as_its_integer(k):

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import lru_cache
 import math
 
@@ -48,7 +49,7 @@ def test_harmonic_matches_scipy_reference():
 
 def _legendre_loop(l_max, x):
     """The Legendre tables by the element-wise loop over (l, m) that the
-    vectorized _legendre_tables replaced: the oracle for its arithmetic."""
+    vectorized _legendre_table and _dPdx replaced: the oracle for their arithmetic."""
     n = x.size
     P = np.zeros((l_max + 1, l_max + 1, n))
     sin_theta = np.sqrt(1.0 - x * x)
@@ -75,14 +76,46 @@ def _legendre_loop(l_max, x):
 
 
 def test_legendre_tables_equal_the_elementwise_loop():
-    """The tables, vectorized over the orders, equal the loop bit for bit on
-    every grid up to band limit 70: the same operations per element, in the
-    same order."""
+    """A grid's P and its derivative table at the grid's own band, vectorized
+    over the orders, equal the loop bit for bit on every grid up to band limit
+    70: the same operations per element, in the same order. A derivative table
+    grown from a smaller band equals one built at once."""
     for band_limit in range(71):
-        x = grid_for_band_limit(band_limit).x
-        for table, oracle in zip(sphere_algebra._legendre_tables(band_limit, x),
-                                 _legendre_loop(band_limit, x)):
-            assert np.array_equal(table, oracle), band_limit
+        grid = grid_for_band_limit(band_limit)
+        P, dPdx = _legendre_loop(band_limit, grid.x)
+        assert np.array_equal(grid.P, P), band_limit
+        assert np.array_equal(sphere_algebra._dPdx(grid, band_limit), dPdx), band_limit
+    grown = dataclasses.replace(grid)  # the band-70 grid with no derivative table yet
+    sphere_algebra._dPdx(grown, 9)
+    assert np.array_equal(sphere_algebra._dPdx(grown, 40), dPdx[:41, :41])
+
+
+@pytest.mark.parametrize("L", [8, 16])
+def test_a_bracket_grid_holds_its_derivative_table_at_the_field_band(L, monkeypatch):
+    """After a bracket of two band-L fields, the band-2L grid holds 8 (2L+1)^3 bytes of P
+    and 8 (L+1)^2 (2L+1) bytes of derivative table, counted in nbytes on fresh grids."""
+    fresh = lru_cache(maxsize=None)(sphere_algebra.grid_for_band_limit.__wrapped__)
+    monkeypatch.setattr(sphere_algebra, "grid_for_band_limit", fresh)
+    rng = np.random.default_rng(L)
+    bracket(random_real_field(L, rng), random_real_field(L, rng))
+    grid = fresh(2 * L)
+    assert grid.P.nbytes == 8 * (2 * L + 1) ** 3
+    assert [t.nbytes for t in grid.dx_table] == [8 * (L + 1) ** 2 * (2 * L + 1)]
+
+
+def test_a_derivative_table_grows_to_the_largest_band_and_no_further():
+    """Field bands 0..B asked of one grid in rising order keep its one derivative table
+    within the 8 (B+1)^3 bytes of a table at the grid's band; a smaller band asked after
+    a larger one reads the table there, rebuilding nothing."""
+    B = 12
+    grid = dataclasses.replace(grid_for_band_limit(B))  # no derivative table yet
+    rng = np.random.default_rng(0)
+    for L in range(B + 1):
+        gradients([random_real_field(L, rng)], grid)
+        assert len(grid.dx_table) == 1 and grid.dx_table[0].nbytes <= 8 * (B + 1) ** 3
+    table = grid.dx_table[0]
+    gradients([random_real_field(3, rng)], grid)
+    assert len(grid.dx_table) == 1 and grid.dx_table[0] is table
 
 
 def test_harmonic_equator_value():
