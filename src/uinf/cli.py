@@ -127,7 +127,7 @@ def _config_tokens(args, rest):
             if key == "coeff":
                 if any(t == flag or t.startswith(flag + "=") for t in rest):
                     continue
-                values = [v.strip() for v in value.split(",") if v.strip()]
+                values = [v.strip() for v in value.split(",") if v.strip()] or [""]
             tokens += [flag + "=" + v for v in values]
     return tokens
 
@@ -304,18 +304,18 @@ def cmd_monopole_scan_evb(args):
 def cmd_algebra_structure_constants(args):
     S = sphere_algebra.structure_constants(args.lmax)  # f_abc = i S[a, b, l3] at m3 = m1 + m2
     labels = sphere_algebra.lm_pairs(args.lmax)
-    columns = ["l1", "m1", "l2", "m2", "l3", "m3", "re", "im"]
-    a, b, l3 = index = np.nonzero(~(np.abs(S) < 1e-12))  # C order: c grows with l3 at fixed m3
-    (l1, m1), (l2, m2) = labels[a].T, labels[b].T
-    table = np.column_stack([l1, m1, l2, m2, l3, m1 + m2, np.zeros(len(l3)), S[index]])
-    meta = _meta(args, lmax=args.lmax, threshold=1e-12, entries=len(table))
     # fixed bounds, not --tol, relative to the largest entry; allowed is the 3j selection rule
     la, lb, lc = labels[:, 0, None, None], labels[:, 0, None], np.arange(args.lmax + 1)
     allowed = ((la + lb + lc) % 2 == 1) & (abs(la - lb) < lc) & (lc < la + lb)
     top = np.abs(S).max()
-    return (columns, table, meta), [
-        check("antisymmetry", np.abs(S + S.transpose(1, 0, 2)).max() / top, 1e-12),
-        check("selection_rule", np.abs(S[~allowed]).max(initial=0.0) / top, 1e-12)]
+    checks = [check("antisymmetry", np.abs(S + S.transpose(1, 0, 2)).max() / top, 1e-12),
+              check("selection_rule", np.abs(S[~allowed]).max(initial=0.0) / top, 1e-12)]
+    del allowed  # the checks and their S-sized temporaries end before the row table
+    a, b, l3 = index = np.nonzero(~(np.abs(S) < 1e-12))  # C order: c grows with l3 at fixed m3
+    (l1, m1), (l2, m2) = labels[a].T, labels[b].T
+    table = np.column_stack([l1, m1, l2, m2, l3, m1 + m2, np.zeros(len(l3)), S[index]])
+    meta = _meta(args, lmax=args.lmax, threshold=1e-12, entries=len(table))
+    return (["l1", "m1", "l2", "m2", "l3", "m3", "re", "im"], table, meta), checks
 
 
 def cmd_algebra_su2(args):

@@ -459,12 +459,11 @@ def structure_constants(l_max):
     ls, ms = lm_pairs(l_max).T
     sign = np.where(ms < 0, _column_parity(l_max)[l_max + ms], 1.0)[:, None]  # Y_l,-m's (-1)^m
     P, dPdx = sign * grid.P[ls, abs(ms)], sign * _dPdx(grid, l_max)[ls, abs(ms)]
-    T = ms[:, None] * (dPdx[:, None] * P)  # m_b P_a' P_b, indexed [a, b, node]
-    T = (T - T.transpose(1, 0, 2)) * (2.0 * math.pi * grid.w)
-    orders = ms[:, None] + ms
+    weight, orders = 2.0 * math.pi * grid.w, ms[:, None] + ms
     for m in range(-l_max, l_max + 1):  # the pairs of order m against the P rows of order m
-        pairs = orders == m
-        out[pairs, abs(m):] = np.einsum("pj,cj->pc", T[pairs], P[ms == m])
+        a, b = np.nonzero(orders == m)
+        T = ms[b, None] * (dPdx[a] * P[b]) - ms[a, None] * (dPdx[b] * P[a])  # [pair, node]
+        out[a, b, abs(m):] = np.einsum("pj,cj->pc", T * weight, P[ms == m])
     return out
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -422,6 +423,23 @@ def test_algebra_structure_constants_checks_fail_on_a_planted_entry(capsys, monk
     _, checks = parse_report(out)
     check = next(c for c in checks if c["name"] == check_name)
     assert rc == 1 and not check["ok"] and check["value"] > 0.1
+
+
+def test_algebra_structure_constants_holds_little_beside_s_and_the_table():
+    """At --lmax 12 the handler's allocations, the kernel's included, peak
+    at 2 (S.nbytes + table.nbytes) or less: the checks' S-sized temporaries
+    end before the row table is built (with both alive it reads 2.5)."""
+    from uinf import sphere_algebra
+
+    S = sphere_algebra.structure_constants(12)  # builds the grid and its derivative table
+    args = _parse(["algebra", "structure-constants", "--lmax", "12"])
+    tracemalloc.start()
+    try:
+        (_, table, _), _ = args.handler(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (S.nbytes + table.nbytes)
 
 
 @pytest.mark.parametrize("given, missing", [("f", "--g"), ("g", "--f")])
@@ -1019,6 +1037,8 @@ def test_broken_perturbation_response_is_reported(capsys):
         (["reduce", "born-infeld"], "alpha", "100", "--alpha"),
         (["reduce", "born-infeld"], "amplitude", "5", "--amplitude"),
         (["reduce", "born-infeld"], "b_list", "1e-300,1", "--b-list"),
+        (["monopole", "energy"], "coeff", "", "--coeff"),
+        (["monopole", "energy"], "coeff", ",", "--coeff"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_flag(tmp_path, capsys, argv, key, value, flag):

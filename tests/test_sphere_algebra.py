@@ -1,6 +1,7 @@
 import dataclasses
 from functools import lru_cache
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -584,6 +585,45 @@ def test_structure_constants_are_imaginary_and_exactly_antisymmetric(l_max):
     N = (l_max + 1) ** 2
     assert S.dtype == np.float64 and S.shape == (N, N, l_max + 1)
     assert np.array_equal(S, -S.transpose(1, 0, 2))
+
+
+def _full_table_structure_constants(l_max):
+    """The structure constants from one N^2-by-node table T = m_b P_a' P_b,
+    antisymmetrized as T - T^T over all pairs and gathered per order."""
+    N = (l_max + 1) ** 2
+    out = np.zeros((N, N, l_max + 1))
+    grid = grid_for_band_limit(2 * l_max)
+    ls, ms = lm_pairs(l_max).T
+    sign = np.where(ms < 0, sphere_algebra._column_parity(l_max)[l_max + ms], 1.0)[:, None]
+    P, dPdx = sign * grid.P[ls, abs(ms)], sign * sphere_algebra._dPdx(grid, l_max)[ls, abs(ms)]
+    T = ms[:, None] * (dPdx[:, None] * P)
+    T = (T - T.transpose(1, 0, 2)) * (2.0 * math.pi * grid.w)
+    orders = ms[:, None] + ms
+    for m in range(-l_max, l_max + 1):
+        pairs = orders == m
+        out[pairs, abs(m):] = np.einsum("pj,cj->pc", T[pairs], P[ms == m])
+    return out
+
+
+@pytest.mark.parametrize("l_max", range(1, 11))
+def test_structure_constants_equal_the_full_table_bit_for_bit(l_max):
+    """Built order by order, from each order's pairs alone, S keeps every
+    bit of the full-table construction."""
+    assert np.array_equal(structure_constants(l_max), _full_table_structure_constants(l_max))
+
+
+def test_structure_constants_allocate_no_pair_by_node_table():
+    """At l_max 12 the kernel's allocations peak at 2 S.nbytes or less. The
+    full table T, N^2 (2 l_max + 1) doubles, is 1.9 S.nbytes alone, and
+    with its antisymmetrized copy the full-table kernel peaks at 6.8."""
+    structure_constants(12)  # builds the band-24 grid and its derivative table
+    tracemalloc.start()
+    try:
+        S = structure_constants(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * S.nbytes
 
 
 def test_su2_closure():
