@@ -110,7 +110,7 @@ def _config_tokens(args, rest):
     coeff, whose lines drop out when --coeff is given in rest)."""
     known = set(vars(args)) - {"handler", "command_path", "command", "subcommand", "config"}
     tokens = []
-    with _path_flag("--config", args.config), open(args.config) as fh:
+    with _path_flag("--config", args.config), open(args.config, encoding="utf-8-sig") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -206,13 +206,10 @@ def cmd_reduce_scan_b(args):
 
 def cmd_reduce_born_infeld(args):
     cfg, _, g, bg = _drawn_reduction_inputs(args, args.D, False)
-    reps = []
-    for b in args.b_list:
-        try:
-            reps.append(reduction.born_infeld_report(cfg, BlockMetric(g, b), bg, args.alpha, C=args.C))
-        except ValueError as exc:  # a determinant outside the square root's domain
-            raise ValueError("%s at radius %r of --b-list, with this --alpha and --amplitude"
-                             % (exc, b)) from None
+    try:
+        reps = reduction.born_infeld_report(cfg, g, bg, args.alpha, args.C, args.b_list)
+    except ValueError as exc:  # a determinant outside the square root's domain, at the radius named
+        raise ValueError("%s of --b-list, with this --alpha and --amplitude" % exc) from None
     columns = ["b", "alpha", "lhs", "rhs", "ratio", "drift"]
     meta = _meta(args, D=args.D, e=args.e, lmax=args.lmax, amplitude=args.amplitude, C=args.C)
     # the drift falls with the radius: take it largest radius first, whatever the --b-list order
@@ -341,7 +338,7 @@ def cmd_algebra_bracket(args):
     fields = []
     for flag, path in paths:
         # a missing file, bad JSON or a layout that is not a field
-        with _path_flag(flag, path), open(path) as fh:
+        with _path_flag(flag, path), open(path, encoding="utf-8-sig") as fh:
             fields.append(HarmonicField.from_dict(json.load(fh)))
     f, g = fields
     fg, gf = sphere_algebra.brackets([(f, g), (g, f)])

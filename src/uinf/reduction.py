@@ -25,10 +25,9 @@ import math
 
 import numpy as np
 
-from .gauge_fields import field_strength, scalar_kinetic_integral, yang_mills_integral
+from .gauge_fields import scalar_kinetic_integral, yang_mills_integral
 # bracket stays bound here: bench/test_bench_helpers.py checks every binding site
-from .sphere_algebra import (bracket, gradients, grid_for_band_limit,  # noqa: F401
-                             integral_of_product, synthesize)
+from .sphere_algebra import bracket, gradients, grid_for_band_limit, synthesize  # noqa: F401
 from .tensor_kernels import born_infeld_density, delta3, eps, trace4
 
 __all__ = [
@@ -216,90 +215,85 @@ def _relative(residual, magnitude):
     return np.divide(residual, magnitude, out=np.zeros(np.shape(residual)), where=residual != 0)
 
 
-def _radius_free(sector, cfg, scal, metric, background):
-    """Grid, band limit, node data, full field matrix, covariant integral: none needs the radius."""
+def _reduce_common(sector, cfg, scal, metrics, background):
+    """(reports, grid, node data, full field matrix) of one sector's split, one
+    report per metric; the metrics share one spacetime block and differ in b,
+    so the grid, the node data, F and the covariant integral are built once."""
     if sector == "scalar" and scal is None:
         raise ValueError("the scalar sector needs a scalar jet")
-    if metric.dim != cfg.dim:
+    spacetime = metrics[0].spacetime
+    if metrics[0].dim != cfg.dim:
         raise ValueError("metric dimension does not match the jet")
     grid, L = _grid_for(cfg, scal)
     nd = _node_data(cfg, scal, grid)
-    charged = replace(cfg, coupling=background.q)  # the covariant route's coupling, fixed by the flux
-    if sector == "scalar":
-        covariant = scalar_kinetic_integral(charged, scal, metric.spacetime)
-    else:
-        covariant = yang_mills_integral(charged, metric.spacetime)
-    return grid, L, nd, _full_field_matrix(nd, cfg.dim, background.q), covariant
-
-
-def _reduce_common(sector, cfg, scal, metric, background, shared=None):
-    """(report, grid, node data, full field matrix) of one sector's split at
-    the metric's radius; shared is _radius_free's output, made here if None."""
-    grid, L, nd, F, covariant = shared or _radius_free(sector, cfg, scal, metric, background)
-    ginv = np.linalg.inv(metric.spacetime)
-    b, q = metric.b, background.q
-    # the reference route at sphere-block scales t = 0..4, one kernel call on the stack of
-    # their inverse metrics; t = 1 is the metric itself, where the sums are total and sum(mag)
-    t = np.arange(5.0)
-    scaled = _full_inverse_metric(grid, ginv, b, t)
-    if sector == "scalar":
-        groups = _scalar_groups(nd, grid, ginv, b, q)
-        v = np.concatenate([nd["dphst"], nd["dphiex"]]).transpose(1, 2, 0)  # full-space gradient
-        refs = [_integrate(grid, d) for d in 0.5 * delta3(F, v, scaled)]
-        const = 2.0 / q**2
-    else:
-        groups = _ym_groups(nd, grid, ginv, b, q)
-        refs = [_integrate(grid, d) for d in trace4(F, scaled)]
-        const = 4.0 / q**2
-    gk = [_integrate(grid, sum(terms[1:], terms[0])) for terms in groups]  # the written order
-    mag = [_integrate(grid, sum(np.abs(term) for term in terms)) for terms in groups]
-    total, ref = float(sum(gk)), refs[1]
-    predicted, scan_mag = (sum(c * t**k for k, c in enumerate(cs)) for cs in (gk, mag))
-    scan = _relative(np.abs(np.array(refs) - predicted), scan_mag)
-
-    cov_lhs, cov_rhs = gk[2] * b**4, const * covariant
-    cov_abs = abs(cov_lhs - cov_rhs)
-
-    report = {
-        "sector": sector,
-        "dim": cfg.dim,
-        "b": b,
-        "e": q,
-        "q_scaled": q * b * b,
-        "quantization_ok": background.quantization_ok,
-        "l_max": L,
-        "grid_band_limit": grid.band_limit,
-        "n_theta": grid.n_theta,
-        "n_phi": grid.n_phi,
-        "normalization": "half_delta3" if sector == "scalar" else "trace_form",
-        "group_integrals": gk,
-        "group_magnitudes": mag,
-        "total": total,
-        "retained_fraction": float(_relative(np.abs(total), sum(mag))),
-        "total_4pi": total / (4.0 * np.pi),
-        "reference_total": ref,
-        "reference_total_4pi": ref / (4.0 * np.pi),
-        "classification_residual_abs": abs(total - ref),
-        "classification_residual_rel": float(scan[1]),
-        "forward_scan_residual_rel": float(scan.max()),
-        "covariant_integral": covariant,
-        "covariant_constant": const,
-        "covariant_identity_abs": cov_abs,
-        "covariant_identity_rel": float(_relative(cov_abs, max(abs(cov_lhs), abs(cov_rhs)))),
-        "sign_s": 1.0,
-        "vanishing_group_rel": float(_relative(np.abs(gk[3:]), mag[3:]).max()),
-    }
-    return report, grid, nd, F
+    q = background.q
+    charged = replace(cfg, coupling=q)  # the covariant route's coupling, fixed by the flux
+    covariant = (scalar_kinetic_integral(charged, scal, spacetime) if sector == "scalar"
+                 else yang_mills_integral(charged, spacetime))
+    F = _full_field_matrix(nd, cfg.dim, q)
+    ginv = np.linalg.inv(spacetime)
+    reports = []
+    for b in (metric.b for metric in metrics):
+        # the reference route at sphere-block scales t = 0..4, one kernel call on the stack of
+        # their inverse metrics; t = 1 is the metric itself, where the sums are total and sum(mag)
+        t = np.arange(5.0)
+        scaled = _full_inverse_metric(grid, ginv, b, t)
+        if sector == "scalar":
+            groups = _scalar_groups(nd, grid, ginv, b, q)
+            v = np.concatenate([nd["dphst"], nd["dphiex"]]).transpose(1, 2, 0)  # full-space grad
+            refs = [_integrate(grid, d) for d in 0.5 * delta3(F, v, scaled)]
+            const = 2.0 / q**2
+        else:
+            groups = _ym_groups(nd, grid, ginv, b, q)
+            refs = [_integrate(grid, d) for d in trace4(F, scaled)]
+            const = 4.0 / q**2
+        gk = [_integrate(grid, sum(terms[1:], terms[0])) for terms in groups]  # the written order
+        mag = [_integrate(grid, sum(np.abs(term) for term in terms)) for terms in groups]
+        total, ref = float(sum(gk)), refs[1]
+        predicted, scan_mag = (sum(c * t**k for k, c in enumerate(cs)) for cs in (gk, mag))
+        scan = _relative(np.abs(np.array(refs) - predicted), scan_mag)
+        cov_lhs, cov_rhs = gk[2] * b**4, const * covariant
+        cov_abs = abs(cov_lhs - cov_rhs)
+        reports.append({
+            "sector": sector,
+            "dim": cfg.dim,
+            "b": b,
+            "e": q,
+            "q_scaled": q * b * b,
+            "quantization_ok": background.quantization_ok,
+            "l_max": L,
+            "grid_band_limit": grid.band_limit,
+            "n_theta": grid.n_theta,
+            "n_phi": grid.n_phi,
+            "normalization": "half_delta3" if sector == "scalar" else "trace_form",
+            "group_integrals": gk,
+            "group_magnitudes": mag,
+            "total": total,
+            "retained_fraction": float(_relative(np.abs(total), sum(mag))),
+            "total_4pi": total / (4.0 * np.pi),
+            "reference_total": ref,
+            "reference_total_4pi": ref / (4.0 * np.pi),
+            "classification_residual_abs": abs(total - ref),
+            "classification_residual_rel": float(scan[1]),
+            "forward_scan_residual_rel": float(scan.max()),
+            "covariant_integral": covariant,
+            "covariant_constant": const,
+            "covariant_identity_abs": cov_abs,
+            "covariant_identity_rel": float(_relative(cov_abs, max(abs(cov_lhs), abs(cov_rhs)))),
+            "sign_s": 1.0,
+            "vanishing_group_rel": float(_relative(np.abs(gk[3:]), mag[3:]).max()),
+        })
+    return reports, grid, nd, F
 
 
 def reduce_scalar(cfg, scal, metric, background):
     """Group split of the scalar-gradient contraction; see module docstring."""
-    return _reduce_common("scalar", cfg, scal, metric, background)[0]
+    return _reduce_common("scalar", cfg, scal, [metric], background)[0][0]
 
 
 def reduce_yang_mills(cfg, metric, background):
     """Group split of the quartic trace form; see module docstring."""
-    return _reduce_common("yang_mills", cfg, None, metric, background)[0]
+    return _reduce_common("yang_mills", cfg, None, [metric], background)[0][0]
 
 
 def b_scan(cfg, scal, spacetime_metric, background, b_list):
@@ -308,14 +302,13 @@ def b_scan(cfg, scal, spacetime_metric, background, b_list):
     b_list = [float(b) for b in b_list]
     if len(set(b_list)) < 2:
         raise ValueError("need at least two distinct radii to fit an exponent")
-    shared = _radius_free("scalar", cfg, scal, BlockMetric(spacetime_metric, b_list[0]), background)
+    metrics = [BlockMetric(spacetime_metric, b) for b in b_list]
     rows = []
-    for b in b_list:
-        rep = _reduce_common("scalar", cfg, scal, BlockMetric(spacetime_metric, b), background, shared)[0]
+    for rep in _reduce_common("scalar", cfg, scal, metrics, background)[0]:
         gk = rep["group_integrals"]
         ratio = (abs(gk[1]) + abs(gk[0])) / abs(gk[2])
         rows.append({
-            "b": b,
+            "b": rep["b"],
             "q": rep["q_scaled"],
             "covariant_group": gk[2],
             "residual_group_1": gk[1],
@@ -337,18 +330,20 @@ def two_dim_report(cfg, metric, background):
     onto the bracket-extended F_01, and the two lowest groups vanish."""
     if cfg.dim != 2 or metric.dim != 2:
         raise ValueError("this check needs exactly two spacetime dimensions")
-    rep, grid, nd, F = _reduce_common("yang_mills", cfg, None, metric, background)
+    (rep,), grid, nd, F = _reduce_common("yang_mills", cfg, None, [metric], background)
     b, q = metric.b, background.q
-    eps_contract = eps(F, F, _full_inverse_metric(grid, np.linalg.inv(metric.spacetime), b))
+    ginv = np.linalg.inv(metric.spacetime)
+    eps_contract = eps(F, F, _full_inverse_metric(grid, ginv, b))
     det_st = float(np.linalg.det(metric.spacetime))
     # node-route bracket-extended F_01
     ft01_nodes = nd["flow"][0, 1] + q * nd["bracket"][0, 1]
     predicted = 8.0 * ft01_nodes / (q * b**2 * math.sqrt(abs(det_st)))
     pointwise_rel = float(_relative(np.max(np.abs(eps_contract - predicted)), np.max(np.abs(predicted))))
     eps_sq_integral = _integrate(grid, eps_contract**2)
-    # coefficient-route integral of the bracket-extended component
-    ft01 = field_strength(replace(cfg, coupling=q), 0, 1)
-    ft_sq = integral_of_product(ft01, ft01).real
+    # coefficient-route integral of F_01^2: in two dimensions the covariant integral is
+    # 2 (g^00 g^11 - g^01 g^10) times it, so at Minkowski the division is exact
+    w = ginv[0, 0] * ginv[1, 1] - ginv[0, 1] * ginv[1, 0]
+    ft_sq = float(rep["covariant_integral"] / (2.0 * w))
     measured_constant = eps_sq_integral * (q**2 * b**4 * abs(det_st)) / ft_sq
     group_rel = _relative(np.abs(rep["group_integrals"][:2]), rep["group_magnitudes"][:2])
     return {
@@ -362,67 +357,72 @@ def two_dim_report(cfg, metric, background):
     }
 
 
-def born_infeld_report(cfg, metric, background, alpha, C):
+def born_infeld_report(cfg, spacetime_metric, background, alpha, C, b_list):
     """Determinant-root action of the full-space data against its reduced
-    spacetime counterpart built from the bracket-extended field strength.
+    spacetime counterpart built from the bracket-extended field strength,
+    one row per radius of b_list.
 
     lhs is the background-subtracted full integral; rhs carries the same
     subtraction on the spacetime block. kk_reference is the quadratic
     (small-alpha) form, and suppression_ratio compares rhs built with and
     without the bracket term. rhs reads F + q{A, A} as flow + q bracket
-    from the node data that lhs is built on.
+    from the node data that lhs is built on. Only G, lhs and kk_reference
+    depend on the radius; rhs is built once, after the first radius's lhs.
+    A determinant outside the root's domain raises a ValueError naming the radius.
     """
     D = cfg.dim
     if D < 2:
         raise ValueError("spacetime dimension %d: field strengths need at least 2" % D)
-    b, q = metric.b, background.q
+    metrics = [BlockMetric(spacetime_metric, b) for b in b_list]
+    q = background.q
     grid = grid_for_band_limit(2 * cfg.l_max + 8)
     nd = _node_data(cfg, None, grid)
     s = nd["s"]
-    g_st = metric.spacetime
+    g_st = metrics[0].spacetime
     det_st = float(np.linalg.det(g_st))
     if det_st >= 0.0:
         raise ValueError("the spacetime block must carry one negative direction")
-
-    G = np.zeros(s.shape + (D + 2, D + 2))
-    G[..., :D, :D] = g_st
-    G[..., D, D] = b**2
-    G[..., D + 1, D + 1] = b**2 * s**2
-
+    ginv = np.linalg.inv(g_st)
     F = _full_field_matrix(nd, D, q)
     F_vac = np.zeros_like(F)
     F_vac[..., D:, D:] = F[..., D:, D:]  # the flux background alone
-
     w_coord = (grid.w / grid.sin_theta)[:, None] * (2.0 * math.pi / grid.n_phi)
-    lhs_full = float(np.sum(w_coord * born_infeld_density(F, G, alpha, C)))
-    lhs_vac = float(np.sum(w_coord * born_infeld_density(F_vac, G, alpha, C)))
-    lhs = lhs_full - lhs_vac
 
-    ft_nodes = (nd["flow"] + q * nd["bracket"]).transpose(2, 3, 0, 1)  # F + q{A, A}
+    def rhs_integral(Fst, g):
+        return _integrate(grid, born_infeld_density(Fst, g, alpha, C) * (abs(alpha) / abs(q)))
 
-    def rhs_integral(Fst):
-        dens = born_infeld_density(Fst, G[..., :D, :D], alpha, C) * (abs(alpha) / abs(q))
-        return _integrate(grid, dens)
-
-    rhs = rhs_integral(ft_nodes)
-    rhs_plain = rhs_integral(F[..., :D, :D])
-
-    _, _, S, _, X = _block_invariants(nd, grid, np.linalg.inv(g_st), b)
-    kk_reference = C / 4.0 * b**2 * math.sqrt(-det_st) * _integrate(grid, S + 2.0 * X)
-
-    ratio = lhs / rhs
-    return {
-        "b": b,
-        "alpha": alpha,
-        "e": q,
-        "lhs": lhs,
-        "rhs": rhs,
-        "rhs_without_bracket": rhs_plain,
-        "ratio": ratio,
-        "drift": abs(ratio - 1.0),
-        "kk_reference": kk_reference,
-        "kk_residual": float(_relative(abs(lhs - kk_reference), abs(kk_reference))),
-        "suppression_ratio": float(_relative(abs(lhs - rhs), abs(lhs - rhs_plain))),
-        "lhs_full": lhs_full,
-        "lhs_vacuum": lhs_vac,
-    }
+    rows = []
+    for b in (metric.b for metric in metrics):
+        G = np.zeros(s.shape + (D + 2, D + 2))
+        G[..., :D, :D] = g_st
+        G[..., D, D] = b**2
+        G[..., D + 1, D + 1] = b**2 * s**2
+        try:
+            lhs_full = float(np.sum(w_coord * born_infeld_density(F, G, alpha, C)))
+            lhs_vac = float(np.sum(w_coord * born_infeld_density(F_vac, G, alpha, C)))
+            if not rows:  # the radius-free rhs pair
+                ft_nodes = (nd["flow"] + q * nd["bracket"]).transpose(2, 3, 0, 1)  # F + q{A, A}
+                rhs = rhs_integral(ft_nodes, G[..., :D, :D])
+                rhs_plain = rhs_integral(F[..., :D, :D], G[..., :D, :D])
+        except ValueError as exc:
+            raise ValueError("%s at radius %r" % (exc, b)) from None
+        lhs = lhs_full - lhs_vac
+        _, _, S, _, X = _block_invariants(nd, grid, ginv, b)
+        kk_reference = C / 4.0 * b**2 * math.sqrt(-det_st) * _integrate(grid, S + 2.0 * X)
+        ratio = lhs / rhs
+        rows.append({
+            "b": b,
+            "alpha": alpha,
+            "e": q,
+            "lhs": lhs,
+            "rhs": rhs,
+            "rhs_without_bracket": rhs_plain,
+            "ratio": ratio,
+            "drift": abs(ratio - 1.0),
+            "kk_reference": kk_reference,
+            "kk_residual": float(_relative(abs(lhs - kk_reference), abs(kk_reference))),
+            "suppression_ratio": float(_relative(abs(lhs - rhs), abs(lhs - rhs_plain))),
+            "lhs_full": lhs_full,
+            "lhs_vacuum": lhs_vac,
+        })
+    return rows

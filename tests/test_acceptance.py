@@ -262,14 +262,12 @@ def test_criterion_13_flat_limit_of_the_square_root_action(background):
     rng = np.random.default_rng(2)
     cfg = random_gauge_config(4, 2, rng, amplitude=0.25)
     drifts = [
-        born_infeld_report(cfg, BlockMetric(lorentz(4), b), background, alpha=0.5, C=1.0)["drift"]
-        for b in (0.4, 0.2, 0.1, 0.05)
+        rep["drift"]
+        for rep in born_infeld_report(cfg, lorentz(4), background, 0.5, 1.0, [0.4, 0.2, 0.1, 0.05])
     ]
     assert all(b < a for a, b in zip(drifts, drifts[1:]))
     suppression = [
-        born_infeld_report(cfg, BlockMetric(lorentz(4), 0.1), background, alpha=alpha, C=1.0)[
-            "suppression_ratio"
-        ]
+        born_infeld_report(cfg, lorentz(4), background, alpha, 1.0, [0.1])[0]["suppression_ratio"]
         for alpha in (0.8, 0.4, 0.2, 0.1, 0.05)
     ]
     assert all(b > a for a, b in zip(suppression, suppression[1:]))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from uinf import monopole
+from uinf import monopole, reduction
 from uinf.cli import _parse, build_parser, main
 from uinf.sphere_algebra import HarmonicField, random_real_field
 
@@ -171,6 +171,16 @@ def test_reduce_scan_b_checks_each_route_at_its_worst_radius(capsys):
     assert all(c["ok"] for c in checks)
 
 
+@pytest.mark.parametrize("sub", ["scalar", "ym", "two-dim", "scan-b", "born-infeld"])
+def test_each_reduce_subcommand_builds_its_node_data_once(capsys, monkeypatch, sub):
+    """Every reduction builds its radius-free node data once, in the function
+    that loops its radii, however many radii the subcommand runs."""
+    real, calls = reduction._node_data, []
+    monkeypatch.setattr(reduction, "_node_data", lambda *args: calls.append(args) or real(*args))
+    assert run(capsys, ["reduce", sub])[0] == 0
+    assert len(calls) == 1
+
+
 def test_reduce_born_infeld_drift_check(capsys):
     rc, out, _ = run(capsys, ["reduce", "born-infeld"])
     assert rc == 0
@@ -322,6 +332,25 @@ def test_algebra_bracket_fields_from_config(tmp_path, capsys):
     flags = run(capsys, ["algebra", "bracket", "--f", fp, "--g", gp])
     assert flags[0] == 0
     assert run(capsys, ["algebra", "bracket", "--config", str(cfg)]) == flags
+
+
+@pytest.mark.parametrize("flag", ["--config", "--f", "--g"])
+def test_a_byte_order_mark_reads_as_its_absence(tmp_path, capsys, flag):
+    """An input file saved with a UTF-8 byte-order mark gives the output of
+    the same file without one: RFC 8259 lets a JSON reader ignore the mark,
+    and the first config key keeps its name."""
+    fp, gp = _field_files(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lmax = 2\n")
+    argv = (["reduce", "ym", "--config", str(cfg)] if flag == "--config"
+            else ["algebra", "bracket", "--f", fp, "--g", gp])
+    plain = run(capsys, argv)
+    i = argv.index(flag) + 1
+    marked = tmp_path / "marked"
+    with open(argv[i], "rb") as fh:
+        marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    argv[i] = str(marked)
+    assert plain[0] == 0 and run(capsys, argv) == plain
 
 
 def _l8_field_files(tmp_path):

@@ -45,8 +45,8 @@ CASES = {
         lambda _: reduction.two_dim_report(_jets(3), BlockMetric(lorentz(3), 1.0), Background(2.0)),
         ValueError, "this check needs exactly two spacetime dimensions"),
     "born_infeld_euclidean_block": (
-        lambda _: reduction.born_infeld_report(_jets(2), BlockMetric(np.eye(2), 1.0),
-                                               Background(2.0), 0.5, C=1.0),
+        lambda _: reduction.born_infeld_report(_jets(2), np.eye(2), Background(2.0), 0.5, 1.0,
+                                               [1.0]),
         ValueError, "the spacetime block must carry one negative direction"),
     "coefficient_shape": (lambda _: HarmonicField(1, np.zeros((2, 2))),
                           ValueError, "coefficient array shape does not match l_max"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uinf import reduction, sphere_algebra
+from uinf import gauge_fields, reduction, sphere_algebra
 from uinf.gauge_fields import (
     AdjointScalar,
     GaugeConfig,
@@ -249,12 +249,9 @@ def test_quantization_flag():
 def test_born_infeld_drift_shrinks_with_radius(background):
     rng = np.random.default_rng(2)
     cfg = random_gauge_config(4, 2, rng, amplitude=0.25)
-    drifts = []
-    rhs_vals = []
-    for b in (0.4, 0.2, 0.1, 0.05):
-        rep = born_infeld_report(cfg, BlockMetric(lorentz(4), b), background, alpha=0.5, C=1.0)
-        drifts.append(rep["drift"])
-        rhs_vals.append(rep["rhs"])
+    reps = born_infeld_report(cfg, lorentz(4), background, 0.5, 1.0, [0.4, 0.2, 0.1, 0.05])
+    drifts = [rep["drift"] for rep in reps]
+    rhs_vals = [rep["rhs"] for rep in reps]
     assert drifts == pytest.approx(
         [1.1763875983126157, 0.39763567408829703, 0.1038134931403013, 0.0261743181982651],
         rel=1e-10,
@@ -267,9 +264,8 @@ def test_born_infeld_drift_shrinks_with_radius(background):
 def test_born_infeld_expansion_suppression(background):
     rng = np.random.default_rng(2)
     cfg = random_gauge_config(4, 2, rng, amplitude=0.25)
-    metric = BlockMetric(lorentz(4), 0.1)
     ratios = [
-        born_infeld_report(cfg, metric, background, alpha=alpha, C=1.0)["suppression_ratio"]
+        born_infeld_report(cfg, lorentz(4), background, alpha, 1.0, [0.1])[0]["suppression_ratio"]
         for alpha in (0.8, 0.4, 0.2, 0.1, 0.05)
     ]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -280,9 +276,8 @@ def test_born_infeld_quadratic_remainder(background):
     """The gap to the flux-subtracted quadratic model scales like alpha^2."""
     rng = np.random.default_rng(2)
     cfg = random_gauge_config(4, 2, rng, amplitude=0.25)
-    metric = BlockMetric(lorentz(4), 0.5)
     resid = [
-        born_infeld_report(cfg, metric, background, alpha=alpha, C=1.0)["kk_residual"]
+        born_infeld_report(cfg, lorentz(4), background, alpha, 1.0, [0.5])[0]["kk_residual"]
         for alpha in (0.2, 0.1, 0.05, 0.025)
     ]
     for a, b in zip(resid, resid[1:]):
@@ -446,6 +441,39 @@ def test_b_scan_computes_the_radius_free_data_once(monkeypatch, seed0_fields, ba
     assert sorted(calls) == ["_node_data", "scalar_kinetic_integral"]
 
 
+def test_born_infeld_report_computes_the_radius_free_data_once(monkeypatch, background):
+    """A four-radius report builds the node data and the field matrix once,
+    the rhs pair of densities once and lhs's pair per radius; each row is
+    still the one-radius report at its radius, bit for bit."""
+    cfg = random_gauge_config(4, 2, np.random.default_rng(2), amplitude=0.25)
+    alone = [born_infeld_report(cfg, lorentz(4), background, 0.5, 1.0, [b])[0] for b in SCAN_RADII]
+    names = ("_node_data", "_full_field_matrix", "born_infeld_density")
+    calls = []
+    for name in names:
+        _count_calls(monkeypatch, calls, name)
+    rows = born_infeld_report(cfg, lorentz(4), background, 0.5, 1.0, SCAN_RADII)
+    assert [calls.count(name) for name in names] == [1, 1, 2 + 2 * len(SCAN_RADII)]
+    assert rows == alone
+
+
+@pytest.mark.parametrize("spacetime, rel", [
+    (lorentz(2), 0.0), (np.array([[-1.0, 0.3], [0.3, 1.2]]), 1e-15)])
+def test_two_dim_reads_the_component_integral_off_the_covariant_route(monkeypatch, background,
+                                                                      spacetime, rel):
+    """two_dim_report builds F_01 once, inside the covariant route, and reads
+    the integral of its square off that route's integral: the coefficient-route
+    oracle bit for bit at Minkowski, to 1e-15 at a non-diagonal metric."""
+    cfg = random_gauge_config(2, 3, np.random.default_rng(0), amplitude=0.4)
+    ft01 = gauge_fields.field_strength(replace(cfg, coupling=background.q), 0, 1)
+    want = sphere_algebra.integral_of_product(ft01, ft01).real
+    real, calls = gauge_fields.field_strength, []
+    monkeypatch.setattr(gauge_fields, "field_strength",
+                        lambda *args: calls.append(args) or real(*args))
+    got = two_dim_report(cfg, BlockMetric(spacetime, 1.0), background)["covariant_component_integral"]
+    assert len(calls) == 1
+    assert type(got) is float and abs(got - want) <= rel * abs(want)
+
+
 @pytest.mark.parametrize("sector, kernel", [("scalar", "delta3"), ("yang_mills", "trace4")])
 @pytest.mark.parametrize("b", [1.0, 0.05])
 def test_reference_scales_come_from_one_kernel_call(monkeypatch, seed0_fields, background,
@@ -541,7 +569,7 @@ def test_reports_transform_in_one_stacked_call_each(monkeypatch, seed0_fields, b
         reduce_scalar(cfg, scal, metric4(1.0), background)
         assert sorted(calls) == ["gradients", "synthesize"]
     else:
-        born_infeld_report(cfg, metric4(1.0), background, 0.5, 1.0)
+        born_infeld_report(cfg, lorentz(4), background, 0.5, 1.0, [1.0])
         assert sorted(calls) == ["gradients", "synthesize"]
 
 
@@ -551,10 +579,10 @@ def test_born_infeld_report_builds_no_coefficient_bracket(monkeypatch, seed0_fie
     def forbidden(*args):
         raise AssertionError("born_infeld_report built a coefficient-space bracket")
 
-    monkeypatch.setattr(reduction, "field_strength", forbidden)
+    monkeypatch.setattr(gauge_fields, "field_strength", forbidden)
     for name in ("bracket", "brackets"):
         monkeypatch.setattr(sphere_algebra, name, forbidden)
-    rep = born_infeld_report(seed0_fields[0], metric4(1.0), background, 0.5, 1.0)
+    (rep,) = born_infeld_report(seed0_fields[0], lorentz(4), background, 0.5, 1.0, [1.0])
     assert np.isfinite(rep["rhs"]) and rep["rhs"] != rep["rhs_without_bracket"]
 
 
@@ -564,7 +592,7 @@ def test_born_infeld_report_rejects_a_one_dimensional_spacetime(background):
     from an empty synthesis."""
     cfg = random_gauge_config(1, 2, np.random.default_rng(0))
     with pytest.raises(ValueError, match="dimension 1"):
-        born_infeld_report(cfg, BlockMetric(-np.eye(1), 1.0), background, 0.5, 1.0)
+        born_infeld_report(cfg, -np.eye(1), background, 0.5, 1.0, [1.0])
 
 
 def _node_data_per_field(cfg, scal, grid):
