@@ -255,7 +255,7 @@ def cmd_monopole_energy(args):
     breakdown = monopole.energy_breakdown(profile)
     coeffs, recorded = _coeff_table(args)
     physical = monopole.physical_energy(
-        breakdown, monopole.second_line_integral(profile, coeffs), args.evb,
+        breakdown.completed, args.xi_max, monopole.second_line_integral(profile, coeffs), args.evb,
         v=args.v, beta=args.beta, e=args.e, b=args.b,
     )
     payload = {
@@ -495,7 +495,8 @@ def main(argv=None):
         print("error: linear solve failed: %s" % exc, file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # a zero divisor or an overflow, in numpy or Python floats
-        print("error: arithmetic failed: %s" % exc, file=sys.stderr)
+        msg = "overflow: %s" % exc.args[-1] if isinstance(exc, OverflowError) else exc
+        print("error: arithmetic failed: %s" % msg, file=sys.stderr)  # no errno tuple
         return 1
     except MemoryError as exc:  # an array larger than the host can hold
         print("error: out of memory: %s" % exc, file=sys.stderr)

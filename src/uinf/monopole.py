@@ -265,6 +265,10 @@ def tail_estimate(xi_max):
     return 1.0 / xi_max
 
 
+def _raw_energy(profile):
+    return float(_simpson(energy_density(profile), profile.grid.xi))
+
+
 def energy_breakdown(profile):
     """Raw energy integral, its squared form and boundary term, and the tail.
 
@@ -275,7 +279,7 @@ def energy_breakdown(profile):
     taken once."""
     xi = profile.grid.xi
     r1, r2 = bogomolnyi_residuals(profile)
-    raw = float(_simpson(energy_density(profile), xi))
+    raw = _raw_energy(profile)
     squared = float(_simpson((r1 ** 2 + 0.5 * r2 ** 2) / xi ** 2, xi))
     edge = profile.H * (1.0 - profile.K ** 2) / xi
     bnd = float(edge[-1] - edge[0])
@@ -350,12 +354,11 @@ def cutoff_growth(profile):
     }
 
 
-def linearized_forcing(profile, coeffs):
+def linearized_forcing(profile, c):
     """Variational derivatives of the correction integral at the base
-    profile, Phi_q = ds/dq - d/dxi[ds/dq'] for q = K, H and the density s.
-    Each partial of s is row 1 of s on first-order jets that seed one of K,
-    H, K', H' with a unit tangent; the outer d/dxi is fd1."""
-    c = _filled_coeffs(coeffs)
+    profile, Phi_q = ds/dq - d/dxi[ds/dq'] for q = K, H and the density s of
+    the full table c. Each partial of s is row 1 of s on first-order jets
+    that seed one of K, H, K', H' with a unit tangent; the outer d/dxi is fd1."""
     xi = profile.grid.xi
     args = (profile.K, profile.H) + profile.derivatives
     dK, dH, dKp, dHp = (
@@ -677,7 +680,7 @@ def perturbation_report(profile, pert):
     tangents = (pert.K1, pert.H1, fd1(pert.K1, grid.h), fd1(pert.H1, grid.h))
     jets = [_Jet([q, unit * t], 4) for q, t in zip((profile.K, profile.H) + profile.derivatives, tangents)]
     energy = [float(_simpson(row, xi)) for row in _energy_density_at(xi, *jets).rows]
-    correction = _second_line_density_at(xi, *jets, _filled_coeffs(pert.coeffs)).rows
+    correction = _second_line_density_at(xi, *jets, pert.coeffs).rows
     # dE = sum_{k>=1} x**k energy[k] + unit x sum_k x**k (integrated correction[k]), x = eps / unit
     poly = unit * np.array([0.0] + [float(_simpson(row, xi)) for row in correction])
     poly[1:len(energy)] += energy[1:]
@@ -708,9 +711,9 @@ def perturbation_report(profile, pert):
     }
 
 
-def physical_energy(breakdown, correction, evb, v, beta, e, b):
+def physical_energy(completed, cutoff, correction, evb, v, beta, e, b):
     """Dimensionful energy estimate at deformation strength set by evb, from
-    a profile's energy breakdown and its correction integral.
+    a profile's completed energy, its cutoff and its correction integral.
 
     The deformation parameter is epsilon = (evb)**4/30, computed from the
     evb argument alone; the overall prefactor 8 pi**2 v beta/(e**3 b**2)
@@ -719,7 +722,6 @@ def physical_energy(breakdown, correction, evb, v, beta, e, b):
     parameters.  The integer check on 2/e is a reported flag, never an
     error.
     """
-    completed = breakdown.completed
     epsilon = evb ** 4 / 30.0
     prefactor = 8.0 * np.pi ** 2 * v * beta / (e ** 3 * b ** 2)
     return {
@@ -728,7 +730,7 @@ def physical_energy(breakdown, correction, evb, v, beta, e, b):
         "E0_integral": completed,
         "correction_integral": correction,
         "dE_over_E0": epsilon * correction / completed,
-        "cutoff": breakdown.xi_max,
+        "cutoff": cutoff,
         "prefactor": prefactor,
         "total": prefactor * (completed + epsilon * correction),
         "quantization_ok": abs(2.0 / e - round(2.0 / e)) < 1e-12,
@@ -739,9 +741,9 @@ def energy_scan(evb_list, xi_max, n, v=1.0, beta=1.0, e=2.0, b=1.0, coeffs=None)
     """physical_energy of one closed-form profile at each evb; the two
     integrals do not depend on evb and are computed once."""
     profile = bps_profile(RadialGrid(xi_max, n))
-    breakdown = energy_breakdown(profile)
+    completed = _raw_energy(profile) + tail_estimate(xi_max)
     correction = second_line_integral(profile, coeffs)
-    return [physical_energy(breakdown, correction, evb, v, beta, e, b) for evb in evb_list]
+    return [physical_energy(completed, xi_max, correction, evb, v, beta, e, b) for evb in evb_list]
 
 
 def convergence_check(breakdown):
@@ -770,7 +772,7 @@ def convergence_check(breakdown):
     xi_max, n = breakdown.xi_max, breakdown.n
     raw = {n: breakdown.raw_integral}
     for m in (n // 2, n // 4) if n // 4 >= 16 else (2 * n, 4 * n):
-        raw[m] = energy_breakdown(bps_profile(RadialGrid(xi_max, m))).raw_integral
+        raw[m] = _raw_energy(bps_profile(RadialGrid(xi_max, m)))
     fine, mid, coarse = (raw[m] for m in sorted(raw, reverse=True))
     d_fine, d_coarse = fine - mid, mid - coarse
     order = 3.0

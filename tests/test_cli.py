@@ -891,16 +891,52 @@ def test_monopole_energy_integrates_the_profile_energy_once(monkeypatch, capsys)
     convergence keys share one energy integral at --n; the convergence
     keys add one at each of n/2 and n/4."""
     calls = []
-    real = monopole.energy_breakdown
+    real = monopole._raw_energy
 
     def counted(profile):
         calls.append(profile.grid.n)
         return real(profile)
 
-    monkeypatch.setattr(monopole, "energy_breakdown", counted)
+    monkeypatch.setattr(monopole, "_raw_energy", counted)
     rc, _, _ = run(capsys, ["monopole", "energy", "--xi-max", "10", "--n", "800"])
     assert rc == 0
     assert calls == [800, 400, 200]
+
+
+@pytest.mark.parametrize("sub, breakdowns, residuals, fills", [
+    ("solve", 1, 2, 0), ("energy", 1, 1, 1), ("scan-evb", 0, 0, 1), ("perturb", 0, 0, 1)])
+def test_each_monopole_subcommand_computes_what_its_report_reads_once(
+        capsys, monkeypatch, sub, breakdowns, residuals, fills):
+    """A breakdown is built only where one is printed, the convergence grids
+    and the evb scan integrate the energy density alone, and each subcommand
+    that takes --coeff fills its coefficient table once. solve's 2 residual
+    passes are its own maximum residuals and the breakdown's squared form,
+    both on the same profile: sharing them would take a cache on the
+    profile or a second public energy function."""
+    calls = []
+    for name in ("energy_breakdown", "bogomolnyi_residuals", "_filled_coeffs"):
+        real = getattr(monopole, name)
+        monkeypatch.setattr(monopole, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    assert run(capsys, ["monopole", sub])[0] == 0
+    assert [calls.count(name) for name in ("energy_breakdown", "bogomolnyi_residuals",
+                                           "_filled_coeffs")] == [breakdowns, residuals, fills]
+
+
+def test_monopole_energy_and_scan_evb_agree_bit_for_bit(capsys):
+    """monopole energy reaches the completed energy through its breakdown,
+    scan-evb through the energy density alone; at one evb, cutoff, grid and
+    coefficient table their shared numbers are the same doubles."""
+    common = ["--xi-max", "10", "--n", "800", "--coeff", "h2_1mk2=3"]
+    rc, out, _ = run(capsys, ["monopole", "energy", "--evb", "0.2"] + common)
+    assert rc == 0
+    physical = parse_report(out)[0]["physical"]
+    rc, out, _ = run(capsys, ["monopole", "scan-evb", "--evb-list", "0.2"] + common)
+    assert rc == 0
+    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+    for key in ("E0_integral", "correction_integral", "epsilon", "dE_over_E0"):
+        assert row[key] == physical[key], key
 
 
 CONVERGENCE_KEYS = ("discretization_estimate", "observed_order", "cutoff_remainder")
@@ -1118,6 +1154,22 @@ def test_overflow_on_finite_input_is_an_arithmetic_failure(capsys, sub):
     rc, out, err = run(capsys, ["reduce", sub, "--amplitude", "1e200"])
     assert rc == 1 and out == ""
     assert err.startswith("error: arithmetic failed") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "reduce scalar --b 1e100", "reduce ym --b 1e90", "reduce two-dim --b 1e80",
+    "reduce scan-b --b-list 1e100,1", "reduce born-infeld --b-list 1e160,1",
+    "monopole energy --b 1e200", "monopole energy --e 1e110", "monopole energy --evb 1e100",
+    "monopole scan-evb --evb-list 1e100,2",
+])
+def test_python_float_overflow_names_the_overflow(capsys, argv):
+    """A Python float that overflows raises OverflowError(errno, reason):
+    the error line says overflow and gives the reason, not the tuple."""
+    if argv.startswith("monopole"):
+        argv += " --xi-max 10 --n 800"
+    rc, out, err = run(capsys, argv.split())
+    assert rc == 1 and out == ""
+    assert "overflow" in err and "(34," not in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

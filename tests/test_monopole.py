@@ -165,7 +165,7 @@ def test_second_line_coefficients_are_immutable_defaults(reference_profile):
 
 def _one_term(term):
     """The published coefficient table (term None) or its one term alone."""
-    return None if term is None else {
+    return dict(SECOND_LINE_COEFFS) if term is None else {
         name: value if name == term else 0.0 for name, value in SECOND_LINE_COEFFS.items()}
 
 
@@ -630,13 +630,15 @@ def test_physical_energy_scaling(reference_profile):
     evb = 0.1
     breakdown = energy_breakdown(reference_profile)
     correction = second_line_integral(reference_profile, None)
-    out = physical_energy(breakdown, correction, evb, v=1.0, beta=1.0, e=2.0, b=1.0)
+    out = physical_energy(breakdown.completed, breakdown.xi_max, correction, evb,
+                          v=1.0, beta=1.0, e=2.0, b=1.0)
     assert out["epsilon"] == pytest.approx(evb**4 / 30.0, rel=1e-15, abs=0)
     assert out["prefactor"] == pytest.approx(np.pi**2, rel=1e-15)
     assert out["quantization_ok"]
     expected = out["prefactor"] * (out["E0_integral"] + out["epsilon"] * out["correction_integral"])
     assert out["total"] == pytest.approx(expected, rel=1e-12)
-    odd = physical_energy(breakdown, correction, evb, v=1.0, beta=1.0, e=3.0, b=1.0)
+    odd = physical_energy(breakdown.completed, breakdown.xi_max, correction, evb,
+                          v=1.0, beta=1.0, e=3.0, b=1.0)
     assert not odd["quantization_ok"]
 
 
@@ -662,14 +664,15 @@ def test_energy_scan_computes_each_integral_once(monkeypatch):
 
         monkeypatch.setattr(monopole, name, counted)
 
-    count("energy_breakdown")
+    count("_raw_energy")
     count("second_line_integral")
     evbs = [0.1, 0.2, 0.3]
     rows = energy_scan(evbs, xi_max=10.0, n=800)
-    assert sorted(calls) == ["energy_breakdown", "second_line_integral"]
+    assert sorted(calls) == ["_raw_energy", "second_line_integral"]
     profile = bps_profile(RadialGrid(10.0, 800))
     breakdown, correction = energy_breakdown(profile), second_line_integral(profile, None)
-    assert rows == [physical_energy(breakdown, correction, evb, 1.0, 1.0, 2.0, 1.0) for evb in evbs]
+    assert rows == [physical_energy(breakdown.completed, 10.0, correction, evb, 1.0, 1.0, 2.0, 1.0)
+                    for evb in evbs]
 
 
 def test_convergence_toward_continuum(reference_profile):
@@ -718,7 +721,7 @@ def test_convergence_check_grids_and_nominal_order(monkeypatch, n, grids):
         taken.append(profile.grid.n)
         return breakdown
 
-    monkeypatch.setattr(monopole, "energy_breakdown", same)
+    monkeypatch.setattr(monopole, "_raw_energy", lambda p: same(p).raw_integral)
     out = convergence_check(breakdown)
     assert taken == grids
     assert out == {"discretization_estimate": 0.0, "observed_order": 3.0,
