@@ -75,7 +75,6 @@ def _coeff(text):
 _FINITE = _rule("finite", float, math.isfinite)
 _NONZERO = _rule("finite and nonzero", float, lambda x: math.isfinite(x) and x != 0.0)
 _POSITIVE = _rule("finite and positive", float, lambda x: 0.0 < x < math.inf)
-_NONNEGATIVE = _rule("finite and nonnegative", float, lambda x: 0.0 <= x < math.inf)
 _COEFF = _rule("NAME=VALUE with NAME one of %s and a finite VALUE"
                % ", ".join(monopole.SECOND_LINE_COEFFS), _coeff,
                lambda pair: pair[0] in monopole.SECOND_LINE_COEFFS and math.isfinite(pair[1]))
@@ -142,11 +141,15 @@ def cmd_identities(args):
         dims=args.dims, trials=args.trials, rng=rng, signature=args.signature
     )
     payload = {
-        "meta": _meta(args, dims=list(args.dims), trials=args.trials,
-                      signature=args.signature, spread_tolerance=args.tol),
+        "meta": _meta(args, dims=list(args.dims), trials=args.trials, signature=args.signature),
         "ratios": suite,
     }
-    return payload, [check("spread." + name, row["spread"], args.tol) for name, row in suite.items()]
+    sign = -1.0 if args.signature == "lorentzian" else 1.0  # det g's, carried by the epsilon routes
+    constants = {"delta3_vs_trace3": 1.0, "delta4_vs_trace4": 8.0,
+                 "eps3_vs_delta3": sign, "eps4_vs_trace4": 8.0 * sign}
+    return payload, ([check("spread." + name, row["spread"], 1e-10) for name, row in suite.items()]
+                     + [check("mean." + name, abs(suite[name]["mean"] - constant), 1e-10)
+                        for name, constant in constants.items()])
 
 
 def _drawn_reduction_inputs(args, dim, want_scalar):
@@ -160,16 +163,16 @@ def _drawn_reduction_inputs(args, dim, want_scalar):
 _ROUTES = ("classification_residual_rel", "covariant_identity_rel", "forward_scan_residual_rel")
 
 
-def _route_checks(rep, tol, groups=("vanishing_group_rel",), residuals=_ROUTES):
-    """Route residuals against tol; the vanishing groups are exact zeros up
-    to rounding, so their bound does not move with it."""
-    return [check(n, rep[n], tol) for n in residuals] + [check(n, rep[n], 1e-12) for n in groups]
+def _route_checks(rep, groups=("vanishing_group_rel",), residuals=_ROUTES):
+    """Route residuals against 1e-10; the vanishing groups are exact zeros
+    up to rounding, against 1e-12."""
+    return [check(n, rep[n], 1e-10) for n in residuals] + [check(n, rep[n], 1e-12) for n in groups]
 
 
 def _reduce_result(args, rep, **names):
-    """The report and its checks, the route residuals against --tol."""
+    """The report and its route checks."""
     document = {"meta": _meta(args, amplitude=args.amplitude), "report": rep}
-    return document, _route_checks(rep, args.tol, **names)
+    return document, _route_checks(rep, **names)
 
 
 def cmd_reduce_scalar(args):
@@ -199,9 +202,9 @@ def cmd_reduce_scan_b(args):
                "residual_group_0", "ratio", "fit_exponent"]
     meta = _meta(args, D=args.D, e=args.e, lmax=args.lmax, amplitude=args.amplitude,
                  fit_exponent=scan["fit_exponent"])
-    # each route at its worst radius, against fixed bounds: scan-b takes no --tol
+    # each route at its worst radius
     worst = {n: max(row[n] for row in scan["rows"]) for n in _ROUTES + ("vanishing_group_rel",)}
-    return _csv(columns, scan["rows"], meta), _route_checks(worst, 1e-10)
+    return _csv(columns, scan["rows"], meta), _route_checks(worst)
 
 
 def cmd_reduce_born_infeld(args):
@@ -244,7 +247,7 @@ def cmd_monopole_solve(args):
                  max_residual_second=float(np.abs(r2).max()),
                  completed_energy=breakdown.completed,
                  **_convergence(breakdown))
-    checks = [check(k, meta[k], args.tol) for k in ("max_residual_first", "max_residual_second")]
+    checks = [check(k, meta[k], 1e-8) for k in ("max_residual_first", "max_residual_second")]
     checks.append(check("completed_energy_error", abs(breakdown.completed - 1.0), 1e-4))
     return (["xi", "K", "H"], np.column_stack([grid.xi, profile.K, profile.H]), meta), checks
 
@@ -263,7 +266,7 @@ def cmd_monopole_energy(args):
         "breakdown": dict(vars(breakdown), **_convergence(breakdown)),
         "physical": physical,
     }
-    return payload, [check("completed_energy_error", abs(breakdown.completed - 1.0), args.tol)]
+    return payload, [check("completed_energy_error", abs(breakdown.completed - 1.0), 1e-4)]
 
 
 def cmd_monopole_perturb(args):
@@ -276,10 +279,10 @@ def cmd_monopole_perturb(args):
         rep = monopole.perturbation_report(profile, pert=pert)
     meta = _meta(args, **rep, **recorded)
     table = np.column_stack([grid.xi, profile.K, profile.H, pert.K1, pert.H1])
-    # fixed bounds, not --tol: the diagnostic's stop rule and a linear energy response
+    # the diagnostic's stop rule and a linear energy response
     r2 = rep["linearity_r_squared"]
     return (["xi", "K", "H", "K1", "H1"], table, meta), [
-        check("backward_error", rep["backward_error"], args.tol),
+        check("backward_error", rep["backward_error"], 1e-8),
         check("diagnostic_change", rep["diagnostic_change"], 1e-12),
         check("linearity_r_squared", r2, 0.9999, ok=r2 >= 0.9999)]
 
@@ -294,14 +297,14 @@ def cmd_monopole_scan_evb(args):
     meta = _meta(args, xi_max=args.xi_max, n=args.n, v=args.v, beta=args.beta,
                  e=args.e, b=args.b, prefactor=rows_data[0]["prefactor"],
                  quantization_ok=rows_data[0]["quantization_ok"], **recorded)
-    error = abs(rows_data[0]["E0_integral"] - 1.0)  # against monopole solve's fixed bound
+    error = abs(rows_data[0]["E0_integral"] - 1.0)
     return _csv(columns, rows_data, meta), [check("completed_energy_error", error, 1e-4)]
 
 
 def cmd_algebra_structure_constants(args):
     S = sphere_algebra.structure_constants(args.lmax)  # f_abc = i S[a, b, l3] at m3 = m1 + m2
     labels = sphere_algebra.lm_pairs(args.lmax)
-    # fixed bounds, not --tol, relative to the largest entry; allowed is the 3j selection rule
+    # bounds relative to the largest entry; allowed is the 3j selection rule
     la, lb, lc = labels[:, 0, None, None], labels[:, 0, None], np.arange(args.lmax + 1)
     allowed = ((la + lb + lc) % 2 == 1) & (abs(la - lb) < lc) & (lc < la + lb)
     top = np.abs(S).max()
@@ -317,6 +320,7 @@ def cmd_algebra_structure_constants(args):
 
 def cmd_algebra_su2(args):
     gen = sphere_algebra.su2_generators()
+    c = math.sqrt(3.0 / (4.0 * math.pi))  # {Y10, Y1m} = i m c Y1m
     payload = {
         "meta": _meta(args),
         "basis": gen.basis,
@@ -326,7 +330,8 @@ def cmd_algebra_su2(args):
         "substituted": gen.substituted,
         "generators": [t.to_dict() for t in gen.as_tuple()],
     }
-    return payload, [check("closure_residual", gen.closure_residual, args.tol)]
+    return payload, [check("closure_residual", gen.closure_residual, 1e-10),
+                     check("bracket_constant_rel", abs(gen.c + c) / c, 1e-12)]
 
 
 def cmd_algebra_bracket(args):
@@ -342,7 +347,7 @@ def cmd_algebra_bracket(args):
             fields.append(HarmonicField.from_dict(json.load(fh)))
     f, g = fields
     fg, gf = sphere_algebra.brackets([(f, g), (g, f)])
-    # a fixed bound, not --tol: the residual reads exactly 0 for the computed bracket
+    # the residual reads exactly 0 for the computed bracket
     residual = (fg + gf).norm() / (fg.norm() or 1.0)  # absolute for a zero bracket
     return {"meta": _meta(args), "result": fg.to_dict()}, [check("antisymmetry", residual, 1e-12)]
 
@@ -354,30 +359,19 @@ def cmd_algebra_bracket(args):
 def build_parser():
     """The flag table: every flag that takes a value converts and checks it
     with its type, except the paths (--config, --out, --f, --g) and
-    --signature, whose choices argparse checks. Only the subcommands with a
-    check that a tolerance bounds take --tol, with that check's default
-    bound."""
+    --signature, whose choices argparse checks."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_at_least(0), default=0, help="random generator seed")
     common.add_argument("--config", default=None,
                         help="file of key = value lines merged under explicit flags")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    def checked(tol):
-        """The common flags, plus --tol with default tol when it is not None."""
-        if tol is None:
-            return common
-        parent = argparse.ArgumentParser(add_help=False, parents=[common])
-        parent.add_argument("--tol", type=_NONNEGATIVE, default=tol,
-                            help="pass/fail tolerance (default %(default)s)")
-        return parent
-
     parser = argparse.ArgumentParser(prog="uinf", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="command", required=True)
 
-    p = top.add_parser("identities", parents=[checked("1e-10")],
+    p = top.add_parser("identities", parents=[common],
                        help="contraction identity ratio suite over random draws")
     p.add_argument("--dims", type=_DIMS, default="3,4,6", help="comma list of dimensions")
     p.add_argument("--trials", type=_at_least(1), default=500)
@@ -387,8 +381,8 @@ def build_parser():
     reduce_p = top.add_parser("reduce", help="sphere-to-spacetime splits")
     reduce_sub = reduce_p.add_subparsers(dest="subcommand", required=True)
 
-    def add_reduce(name, handler, min_D=1, b_flag=True, lmax=3, amplitude=0.4, tol="1e-10"):
-        sp = reduce_sub.add_parser(name, parents=[checked(tol)])
+    def add_reduce(name, handler, min_D=1, b_flag=True, lmax=3, amplitude=0.4):
+        sp = reduce_sub.add_parser(name, parents=[common])
         sp.add_argument("--e", type=_NONZERO, default=2.0, help="background coupling")
         sp.add_argument("--lmax", type=_at_least(0), default=lmax)
         sp.add_argument("--amplitude", type=_FINITE, default=amplitude)
@@ -404,17 +398,17 @@ def build_parser():
     add_reduce("scalar", cmd_reduce_scalar)
     add_reduce("ym", cmd_reduce_ym)
     add_reduce("two-dim", cmd_reduce_two_dim, min_D=None)
-    add_reduce("scan-b", cmd_reduce_scan_b, b_flag=False, tol=None)
+    add_reduce("scan-b", cmd_reduce_scan_b, b_flag=False)
     sp = add_reduce("born-infeld", cmd_reduce_born_infeld, min_D=2, b_flag=False,
-                    lmax=2, amplitude=0.25, tol=None)
+                    lmax=2, amplitude=0.25)
     sp.add_argument("--alpha", type=_NONZERO, default=0.5)
     sp.add_argument("--C", type=_NONZERO, default=1.0)
 
     mono_p = top.add_parser("monopole", help="radial profile workbench")
     mono_sub = mono_p.add_subparsers(dest="subcommand", required=True)
 
-    def add_mono(name, handler, tol, coeff=False, physical=False):
-        sp = mono_sub.add_parser(name, parents=[checked(tol)])
+    def add_mono(name, handler, coeff=False, physical=False):
+        sp = mono_sub.add_parser(name, parents=[common])
         sp.add_argument("--xi-max", type=_POSITIVE, default=25.0)
         sp.add_argument("--n", type=_at_least(16), default=4000)
         if coeff:
@@ -429,11 +423,11 @@ def build_parser():
         sp.set_defaults(handler=handler, command_path="monopole %s" % name)
         return sp
 
-    add_mono("solve", cmd_monopole_solve, "1e-8")
-    sp = add_mono("energy", cmd_monopole_energy, "1e-4", coeff=True, physical=True)
+    add_mono("solve", cmd_monopole_solve)
+    sp = add_mono("energy", cmd_monopole_energy, coeff=True, physical=True)
     sp.add_argument("--evb", type=_FINITE, default=0.1)
-    add_mono("perturb", cmd_monopole_perturb, "1e-8", coeff=True)
-    sp = add_mono("scan-evb", cmd_monopole_scan_evb, None, coeff=True, physical=True)
+    add_mono("perturb", cmd_monopole_perturb, coeff=True)
+    sp = add_mono("scan-evb", cmd_monopole_scan_evb, coeff=True, physical=True)
     sp.add_argument("--evb-list", type=_EVB_LIST, default="0.1,0.2,0.3")
 
     alg_p = top.add_parser("algebra", help="harmonic field utilities")
@@ -444,7 +438,7 @@ def build_parser():
     sp.set_defaults(handler=cmd_algebra_structure_constants,
                     command_path="algebra structure-constants")
 
-    sp = alg_sub.add_parser("su2", parents=[checked("1e-10")])
+    sp = alg_sub.add_parser("su2", parents=[common])
     sp.set_defaults(handler=cmd_algebra_su2, command_path="algebra su2")
 
     sp = alg_sub.add_parser("bracket", parents=[common])

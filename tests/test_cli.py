@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from uinf import monopole, reduction
+from uinf import monopole, reduction, sphere_algebra, tensor_kernels
 from uinf.cli import _parse, build_parser, main
 from uinf.sphere_algebra import HarmonicField, random_real_field
 
@@ -70,13 +71,38 @@ def test_identities_exits_clean(capsys):
         assert row["spread"] < 1e-10
 
 
-def test_identities_impossible_tolerance_fails(capsys):
-    rc, out, _ = run(capsys, ["identities", "--trials", "20", "--tol", "1e-20"])
+def _scale(monkeypatch, module, kernel, factor=1.0 + 1e-6):
+    """Plant a fault: the module's kernel returns its value times factor."""
+    clean = getattr(module, kernel)
+    monkeypatch.setattr(module, kernel, lambda *args, **kw: clean(*args, **kw) * factor)
+
+
+@pytest.mark.parametrize("module, kernel, argv, failing", [
+    (tensor_kernels, "delta3", ["identities"], ["mean.delta3_vs_trace3", "mean.eps3_vs_delta3"]),
+    (tensor_kernels, "delta4", ["identities"], ["mean.delta4_vs_trace4"]),
+    (tensor_kernels, "eps", ["identities"], ["mean.eps3_vs_delta3", "mean.eps4_vs_trace4"]),
+    (sphere_algebra, "_dPdx", ["algebra", "su2"], ["bracket_constant_rel"]),
+], ids=["delta3", "delta4", "eps", "_dPdx"])
+def test_fault_table(monkeypatch, capsys, module, kernel, argv, failing):
+    """Each row scales one kernel's output by 1 + 1e-6; a default run that
+    calls it exits 1, and the checks named fail."""
+    _scale(monkeypatch, module, kernel)
+    rc, out, _ = run(capsys, argv)
+    assert rc == 1
+    assert [c["name"] for c in parse_report(out)[1] if not c["ok"]] == failing
+
+
+def test_identities_fails_a_mean_off_its_route_constant(monkeypatch, capsys):
+    """delta4 scaled by 1 + 1e-6 keeps every spread, and moves the quartic
+    ratio's mean by 8e-6 off its constant 8: that check fails alone."""
+    _scale(monkeypatch, tensor_kernels, "delta4")
+    rc, out, _ = run(capsys, ["identities", "--trials", "20"])
     assert rc == 1
     _, checks = parse_report(out)
     failing = [c for c in checks if not c["ok"]]
-    assert failing and all(c["name"].startswith("spread.") for c in failing)
-    assert all(c["bound"] == 1e-20 and c["value"] > 1e-20 for c in failing)
+    assert [c["name"] for c in failing] == ["mean.delta4_vs_trace4"]
+    assert failing[0]["bound"] == 1e-10
+    assert failing[0]["value"] == pytest.approx(8e-6, rel=1e-6)
 
 
 @pytest.mark.parametrize("seed", [44, 580, 622, 701, 767])
@@ -482,7 +508,14 @@ def test_algebra_bracket_field_missing_from_flags_and_config(tmp_path, capsys, g
         assert missing in err and "--" + given not in err
 
 
-def test_monopole_perturb_checks_the_solver_backward_error(capsys):
+def _plant_backward_error(monkeypatch):
+    """solve_perturbation's solution as computed, reported with a backward error of 1e-6."""
+    solve = monopole.solve_perturbation
+    monkeypatch.setattr(monopole, "solve_perturbation", lambda *args, **kw: dataclasses.replace(
+        solve(*args, **kw), backward_error=1e-6))
+
+
+def test_monopole_perturb_checks_the_solver_backward_error(monkeypatch, capsys):
     base = ["monopole", "perturb", "--xi-max", "10", "--n", "800"]
     rc, out, _ = run(capsys, base)
     assert rc == 0
@@ -491,15 +524,16 @@ def test_monopole_perturb_checks_the_solver_backward_error(capsys):
     assert len(berr) == 1 and berr[0]["bound"] == 1e-8
     assert 0.0 < berr[0]["value"] < 1e-14
     assert float(dict(line.split(" = ") for line in meta)["backward_error"]) == berr[0]["value"]
-    rc, out, _ = run(capsys, base + ["--tol", "1e-20"])
+    _plant_backward_error(monkeypatch)
+    rc, out, _ = run(capsys, base)
     assert rc == 1
     assert [c["name"] for c in parse_report(out)[1] if not c["ok"]] == ["backward_error"]
 
 
 def test_monopole_perturb_fails_a_diagnostic_that_reaches_its_cap(monkeypatch, capsys):
     """The singularity diagnostic's last relative change is checked against
-    its stop rule, 1e-12, whatever --tol says; at a cap of one iteration it
-    has not converged, and that check fails alone."""
+    its stop rule, 1e-12; at a cap of one iteration it has not converged,
+    and that check fails alone, or beside a planted backward error."""
     base = ["monopole", "perturb", "--xi-max", "10", "--n", "800"]
     rc, out, _ = run(capsys, base)
     (_, _, meta), checks = parse_report(out)
@@ -509,9 +543,11 @@ def test_monopole_perturb_fails_a_diagnostic_that_reaches_its_cap(monkeypatch, c
     assert float(meta["diagnostic_change"]) == change["value"]
     assert 1 < int(meta["diagnostic_iterations"]) < monopole._DIAGNOSTIC_MAX_ITER
     monkeypatch.setattr(monopole, "_DIAGNOSTIC_MAX_ITER", 1)
-    for tol, failing in ((["--tol", "1e-8"], ["diagnostic_change"]),
-                         (["--tol", "1e-20"], ["backward_error", "diagnostic_change"])):
-        rc, out, err = run(capsys, base + tol)
+    for planted, failing in ((False, ["diagnostic_change"]),
+                             (True, ["backward_error", "diagnostic_change"])):
+        if planted:
+            _plant_backward_error(monkeypatch)
+        rc, out, err = run(capsys, base)
         assert rc == 1 and err == ""
         (_, _, meta), checks = parse_report(out)
         assert dict(line.split(" = ") for line in meta)["diagnostic_iterations"] == "1"
@@ -659,44 +695,59 @@ def test_singular_response_operator_is_one_error_line(xi_max):
     assert proc.stderr == "error: linear solve failed: Matrix is exactly singular\n"
 
 
-def test_reduce_two_dim_checks_the_nested_split(capsys):
-    rc, out, _ = run(capsys, ["reduce", "two-dim", "--lmax", "2", "--tol", "1e-20"])
+@pytest.mark.parametrize("kernel, failing", [
+    ("yang_mills_integral", "report.covariant_identity_rel"),
+    ("eps", "pointwise_residual_rel"),
+])
+def test_reduce_two_dim_checks_the_nested_split(monkeypatch, capsys, kernel, failing):
+    """A fault in the Yang-Mills integral fails the nested split's covariant
+    route, and one in eps the two-dimensional pointwise residual, alone."""
+    _scale(monkeypatch, reduction, kernel)
+    rc, out, _ = run(capsys, ["reduce", "two-dim", "--lmax", "2"])
     assert rc == 1
-    _, checks = parse_report(out)
-    failing = [c for c in checks if not c["ok"]]
-    assert [c["name"] for c in failing] == [
-        "pointwise_residual_rel",
-        "report.classification_residual_rel",
-        "report.covariant_identity_rel",
-        "report.forward_scan_residual_rel",
-    ]
-    assert all(c["bound"] == 1e-20 for c in failing)
-    nested = {c["name"]: c for c in checks}["report.vanishing_group_rel"]
+    checks = {c["name"]: c for c in parse_report(out)[1]}
+    assert [name for name, c in checks.items() if not c["ok"]] == [failing]
+    assert checks[failing]["bound"] == 1e-10
+    nested = checks["report.vanishing_group_rel"]
     assert nested["bound"] == 1e-12 and nested["ok"]
 
 
-@pytest.mark.parametrize(
-    "argv, name, default",
-    [
-        (["identities", "--trials", "20"], "spread.delta3_vs_trace3", "1e-10"),
-        (["reduce", "scalar", "--lmax", "1"], "classification_residual_rel", "1e-10"),
-        (["reduce", "ym", "--lmax", "1"], "forward_scan_residual_rel", "1e-10"),
-        (["reduce", "two-dim", "--lmax", "1"], "report.covariant_identity_rel", "1e-10"),
-        (["monopole", "solve", "--xi-max", "10", "--n", "800"], "max_residual_first", "1e-8"),
-        (["monopole", "energy", "--xi-max", "10", "--n", "800"], "completed_energy_error", "1e-4"),
-        (["monopole", "perturb", "--xi-max", "10", "--n", "800"], "backward_error", "1e-8"),
-        (["algebra", "su2"], "closure_residual", "1e-10"),
-    ],
-    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
-)
-def test_tol_default_is_the_check_bound_and_shown_in_help(capsys, argv, name, default):
+_RATIOS = ("delta3_vs_trace3", "delta4_vs_trace4", "eps3_vs_delta3", "eps4_vs_trace4")
+_ROUTE_BOUNDS = [("classification_residual_rel", 1e-10), ("covariant_identity_rel", 1e-10),
+                 ("forward_scan_residual_rel", 1e-10), ("vanishing_group_rel", 1e-12)]
+# every check of each subcommand's default report, with its bound, in report order
+_DEFAULT_BOUNDS = {
+    "identities": [(kind + "." + ratio, 1e-10) for kind in ("spread", "mean") for ratio in _RATIOS],
+    "reduce scalar": _ROUTE_BOUNDS,
+    "reduce ym": _ROUTE_BOUNDS,
+    "reduce two-dim": [("pointwise_residual_rel", 1e-10), ("group_0_rel", 1e-12),
+                       ("group_1_rel", 1e-12)] + [("report." + n, b) for n, b in _ROUTE_BOUNDS],
+    "reduce scan-b": _ROUTE_BOUNDS,
+    "reduce born-infeld": [("drift_min_fall", 0.0)],
+    "monopole solve": [("max_residual_first", 1e-8), ("max_residual_second", 1e-8),
+                       ("completed_energy_error", 1e-4)],
+    "monopole energy": [("completed_energy_error", 1e-4)],
+    "monopole perturb": [("backward_error", 1e-8), ("diagnostic_change", 1e-12),
+                         ("linearity_r_squared", 0.9999)],
+    "monopole scan-evb": [("completed_energy_error", 1e-4)],
+    "algebra structure-constants": [("antisymmetry", 1e-12), ("selection_rule", 1e-12)],
+    "algebra su2": [("closure_residual", 1e-10), ("bracket_constant_rel", 1e-12)],
+    "algebra bracket": [("antisymmetry", 1e-12)],
+}
+
+
+@pytest.mark.parametrize("command", _DEFAULT_BOUNDS)
+def test_every_default_report_pins_its_check_bounds(tmp_path, capsys, command):
+    """Each bound is its check's own: the defaults pass, each against the
+    bound pinned here, and every report ends with its finite check."""
+    argv = command.split()
+    if command == "algebra bracket":
+        fp, gp = _l8_field_files(tmp_path)[1]
+        argv += ["--f", fp, "--g", gp]
     rc, out, _ = run(capsys, argv)
     assert rc == 0
-    bounds = {c["name"]: c["bound"] for c in parse_report(out)[1]}
-    assert bounds[name] == float(default)
-    rc, out, _ = run(capsys, argv + ["--help"])
-    assert rc == 0
-    assert "(default %s)" % default in out
+    bounds = [(c["name"], c["bound"]) for c in parse_report(out)[1]]
+    assert bounds == _DEFAULT_BOUNDS[command] + [("finite", 0.0)]
 
 
 def test_missing_input_file_is_io_error(tmp_path, capsys):
@@ -1070,9 +1121,6 @@ def test_broken_perturbation_response_is_reported(capsys):
         (["reduce", "scalar"], "b", "nan", "--b"),
         (["reduce", "born-infeld"], "alpha", "0", "--alpha"),
         (["reduce", "born-infeld"], "alpha", "nan", "--alpha"),
-        (["algebra", "su2"], "tol", "abc", "--tol"),
-        (["algebra", "su2"], "tol", "nan", "--tol"),
-        (["reduce", "ym"], "tol", "-1", "--tol"),
         (["monopole", "solve"], "n", "8", "--n"),
         (["algebra", "structure-constants"], "lmax", "-1", "--lmax"),
         (["reduce", "scalar"], "amplitude", "nan", "--amplitude"),
@@ -1090,11 +1138,6 @@ def test_broken_perturbation_response_is_reported(capsys):
         (["identities"], "seed", "-1", "--seed"),
         (["identities"], "dims", "abc", "--dims"),
         (["identities"], "dims", "2,3,4", "--dims"),
-        (["reduce", "scan-b"], "tol", "5", "--tol"),
-        (["reduce", "born-infeld"], "tol", "5", "--tol"),
-        (["monopole", "scan-evb"], "tol", "5", "--tol"),
-        (["algebra", "structure-constants"], "tol", "5", "--tol"),
-        (["algebra", "bracket", "--f", "f.json", "--g", "g.json"], "tol", "5", "--tol"),
         (["algebra", "structure-constants"], "lmax", "0", "--lmax"),
         (["monopole", "energy"], "coeff", "zzz=1", "--coeff"),
         (["monopole", "perturb"], "coeff", "zzz=1", "--coeff"),
@@ -1303,7 +1346,6 @@ _FLOAT_EDGES = ["0", "-0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e300", "-
 _NO_FILE = ["no-such-dir/file.json"]
 _EDGES = {
     "--seed": ["0", "-0", "7", "-1", "1e300", "nan", "abc", "", "18446744073709551616"],
-    "--tol": _FLOAT_EDGES,
     "--config": _NO_FILE,
     "--out": _NO_FILE,
     "--f": _NO_FILE,
@@ -1341,6 +1383,20 @@ def _value_flags():
 
 
 _VALUE_FLAGS = _value_flags()
+
+
+@pytest.mark.parametrize("path", sorted(_VALUE_FLAGS), ids=" ".join)
+def test_no_command_takes_tol(tmp_path, capsys, path):
+    """Every bound is fixed where its check is built: --tol is an unknown
+    flag, and tol an unknown config key, of every command; --help shows none."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 5\n")
+    for argv in (["--tol", "5"], ["--config", str(cfg)]):
+        rc, out, err = run(capsys, list(path) + argv)
+        assert rc == 2 and out == ""
+        assert "--tol" in err
+    rc, out, _ = run(capsys, list(path) + ["--help"])
+    assert rc == 0 and "--tol" not in out
 
 
 @st.composite
