@@ -230,8 +230,8 @@ def _coeff_table(args):
 
 def _convergence(breakdown):
     """convergence_check's keys for the run's grid. Its other grids can
-    overflow or divide by zero where --n's does not, at a cutoff far out of
-    range (--xi-max 1e111 or 1e-160), so they run with numpy's errors
+    divide by zero where --n's does not, at a cutoff far out of range
+    (--xi-max 1e-160 with --n below 64), so they run with numpy's errors
     ignored: such a key is written as null and the report is kept."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return monopole.convergence_check(breakdown)
@@ -308,8 +308,12 @@ def cmd_algebra_structure_constants(args):
     la, lb, lc = labels[:, 0, None, None], labels[:, 0, None], np.arange(args.lmax + 1)
     allowed = ((la + lb + lc) % 2 == 1) & (abs(la - lb) < lc) & (lc < la + lb)
     top = np.abs(S).max()
+    # the generator row: {Y10, Ylm} = i m sqrt(3/4pi) Ylm, so S[row(1, 0), b, l_b] = m_b sqrt(3/4pi)
+    ls, ms = labels.T
+    generator = S[2, np.arange(len(ls)), ls] - ms * math.sqrt(3.0 / (4.0 * math.pi))
     checks = [check("antisymmetry", np.abs(S + S.transpose(1, 0, 2)).max() / top, 1e-12),
-              check("selection_rule", np.abs(S[~allowed]).max(initial=0.0) / top, 1e-12)]
+              check("selection_rule", np.abs(S[~allowed]).max(initial=0.0) / top, 1e-12),
+              check("generator_row", np.abs(generator).max() / top, 1e-12)]
     del allowed  # the checks and their S-sized temporaries end before the row table
     a, b, l3 = index = np.nonzero(~(np.abs(S) < 1e-12))  # C order: c grows with l3 at fixed m3
     (l1, m1), (l2, m2) = labels[a].T, labels[b].T

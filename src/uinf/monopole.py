@@ -137,28 +137,18 @@ class EnergyBreakdown:
     n: int
 
 
-def _simpson(y, x):
-    """Composite Simpson integral of y at strictly increasing nodes x, by the
-    arithmetic of scipy.integrate.simpson(y, x=x) in its order: irregular-node
-    weights over interval pairs, a trapezoid for two nodes, and for an even
-    count Cartwright's last-interval correction (J. Math. Sci. Math. Educ.
-    12(2), 2017)."""
-    n, d = len(y), np.diff(x)
+def _simpson(y, h):
+    """Composite Simpson integral of y at uniform spacing h: a trapezoid for
+    two nodes, and for an even count the rule on the first n - 1 nodes plus
+    the last interval's weights h/12 (5, 8, -1) (Cartwright, J. Math. Sci.
+    Math. Educ. 12(2), 2017), as scipy.integrate.simpson takes them."""
+    n = len(y)
     if n == 2:
-        return 0.5 * d[-1] * (y[-1] + y[-2])
-    stop = n - 2 if n % 2 else n - 3
-    h0, h1 = d[0:stop:2], d[1:stop + 1:2]
-    hsum, ratio = h0 + h1, h0 / h1
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
-                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-                                  + y[2:stop + 2:2] * (2.0 - ratio)))
+        return 0.5 * h * (y[0] + y[1])
+    m = n - 1 + n % 2
+    result = h / 3.0 * np.sum(y[0:m - 2:2] + 4.0 * y[1:m - 1:2] + y[2:m:2])
     if n % 2 == 0:
-        # 0-d arrays, as in scipy: numpy's array power can round unlike its scalar one
-        a, b = d[-2, ...], d[-1, ...]
-        alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
-        beta = (b ** 2 + 3.0 * a * b) / (6 * a)
-        eta = b ** 3 / (6 * a * (a + b))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+        result += h / 12.0 * (5.0 * y[-1] + 8.0 * y[-2] - y[-3])
     return result
 
 
@@ -266,7 +256,7 @@ def tail_estimate(xi_max):
 
 
 def _raw_energy(profile):
-    return float(_simpson(energy_density(profile), profile.grid.xi))
+    return float(_simpson(energy_density(profile), profile.grid.h))
 
 
 def energy_breakdown(profile):
@@ -280,7 +270,7 @@ def energy_breakdown(profile):
     xi = profile.grid.xi
     r1, r2 = bogomolnyi_residuals(profile)
     raw = _raw_energy(profile)
-    squared = float(_simpson((r1 ** 2 + 0.5 * r2 ** 2) / xi ** 2, xi))
+    squared = float(_simpson((r1 ** 2 + 0.5 * r2 ** 2) / xi ** 2, profile.grid.h))
     edge = profile.H * (1.0 - profile.K ** 2) / xi
     bnd = float(edge[-1] - edge[0])
     tail = tail_estimate(profile.grid.xi_max)
@@ -324,7 +314,7 @@ def _second_line_density_at(xi, K, H, Kp, Hp, c):
 
 
 def second_line_integral(profile, coeffs):
-    return float(_simpson(second_line_density(profile, coeffs), profile.grid.xi))
+    return float(_simpson(second_line_density(profile, coeffs), profile.grid.h))
 
 
 def cutoff_growth(profile):
@@ -342,7 +332,7 @@ def cutoff_growth(profile):
         idx = int(round(f * (profile.grid.n - 1)))
         idx = max(idx, 8)
         cuts.append(xi[idx])
-        values.append(float(_simpson(dens[: idx + 1], xi[: idx + 1])))
+        values.append(float(_simpson(dens[: idx + 1], profile.grid.h)))
     cuts = np.array(cuts)
     values = np.array(values)
     slope = float(np.polyfit(np.log(cuts), np.log(values), 1)[0])
@@ -679,10 +669,10 @@ def perturbation_report(profile, pert):
     grid, xi = profile.grid, profile.grid.xi
     tangents = (pert.K1, pert.H1, fd1(pert.K1, grid.h), fd1(pert.H1, grid.h))
     jets = [_Jet([q, unit * t], 4) for q, t in zip((profile.K, profile.H) + profile.derivatives, tangents)]
-    energy = [float(_simpson(row, xi)) for row in _energy_density_at(xi, *jets).rows]
+    energy = [float(_simpson(row, grid.h)) for row in _energy_density_at(xi, *jets).rows]
     correction = _second_line_density_at(xi, *jets, pert.coeffs).rows
     # dE = sum_{k>=1} x**k energy[k] + unit x sum_k x**k (integrated correction[k]), x = eps / unit
-    poly = unit * np.array([0.0] + [float(_simpson(row, xi)) for row in correction])
+    poly = unit * np.array([0.0] + [float(_simpson(row, grid.h)) for row in correction])
     poly[1:len(energy)] += energy[1:]
     changes = np.polynomial.polynomial.polyval(epsilons / unit, poly)
     finite = np.isfinite(changes).all()  # the LAPACK fit fails on non-finite data

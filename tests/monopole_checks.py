@@ -78,7 +78,7 @@ def functional_gradient(profile):
 
 
 def _energy_of_arrays(grid, K, H):
-    return float(monopole._simpson(energy_density(MonopoleProfile(grid=grid, K=K, H=H)), grid.xi))
+    return float(monopole._simpson(energy_density(MonopoleProfile(grid=grid, K=K, H=H)), grid.h))
 
 
 def gateaux_difference(profile, direction_K, direction_H):
@@ -121,7 +121,7 @@ def variational_check(profile, rng=None, pairs=100):
     comparison.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    xi = profile.grid.xi
+    h = profile.grid.h
     worst = 0.0
     total = 0.0
     for _ in range(pairs):
@@ -130,7 +130,7 @@ def variational_check(profile, rng=None, pairs=100):
         v = random_direction(profile.grid, rng)
         fd = gateaux_difference(base, u, v)
         gK, gH = functional_gradient(base)
-        analytic = float(monopole._simpson(gK * u + gH * v, xi))
+        analytic = float(monopole._simpson(gK * u + gH * v, h))
         rel = abs(fd - analytic) / max(abs(analytic), 1.0)
         worst = max(worst, rel)
         total += rel

@@ -82,7 +82,9 @@ def _scale(monkeypatch, module, kernel, factor=1.0 + 1e-6):
     (tensor_kernels, "delta4", ["identities"], ["mean.delta4_vs_trace4"]),
     (tensor_kernels, "eps", ["identities"], ["mean.eps3_vs_delta3", "mean.eps4_vs_trace4"]),
     (sphere_algebra, "_dPdx", ["algebra", "su2"], ["bracket_constant_rel"]),
-], ids=["delta3", "delta4", "eps", "_dPdx"])
+    (sphere_algebra, "_dPdx", ["algebra", "structure-constants"], ["generator_row"]),
+    (sphere_algebra, "structure_constants", ["algebra", "structure-constants"], ["generator_row"]),
+], ids=["delta3", "delta4", "eps", "_dPdx", "_dPdx-structure-constants", "structure_constants"])
 def test_fault_table(monkeypatch, capsys, module, kernel, argv, failing):
     """Each row scales one kernel's output by 1 + 1e-6; a default run that
     calls it exits 1, and the checks named fail."""
@@ -730,7 +732,8 @@ _DEFAULT_BOUNDS = {
     "monopole perturb": [("backward_error", 1e-8), ("diagnostic_change", 1e-12),
                          ("linearity_r_squared", 0.9999)],
     "monopole scan-evb": [("completed_energy_error", 1e-4)],
-    "algebra structure-constants": [("antisymmetry", 1e-12), ("selection_rule", 1e-12)],
+    "algebra structure-constants": [("antisymmetry", 1e-12), ("selection_rule", 1e-12),
+                                    ("generator_row", 1e-12)],
     "algebra su2": [("closure_residual", 1e-10), ("bracket_constant_rel", 1e-12)],
     "algebra bracket": [("antisymmetry", 1e-12)],
 }
@@ -1035,16 +1038,19 @@ def test_tiny_cutoff_keeps_its_report(capsys):
     assert all(math.isfinite(breakdown[key]) for key in CONVERGENCE_KEYS)
 
 
-def test_convergence_keys_beyond_the_grids_range_are_null(capsys):
-    """At --xi-max 1e111 the even grids 34 and 68 overflow Simpson's
-    last-interval weights where the odd --n 17 does not: the three keys are
-    written as null and named on stderr, and the report stays, exiting 1."""
-    rc, out, err = run(capsys, ["monopole", "solve", "--xi-max", "1e111", "--n", "17"])
-    assert rc == 1 and err.startswith("error: 3 non-finite value(s)") and err.count("\n") == 1
-    assert all("meta." + key in err for key in CONVERGENCE_KEYS)
-    meta = [ln for ln in out.splitlines() if ln.startswith("# ")]
-    assert all("# %s = " % key in meta for key in CONVERGENCE_KEYS)
-    assert "# check.completed_energy_error = " in "\n".join(meta)
+@pytest.mark.parametrize("n", ["17", "18"])
+def test_convergence_keys_beyond_the_grids_range_are_null(capsys, n):
+    """At --xi-max 1e111 the grids never resolve the core, on odd and even
+    --n alike: the order is finite but outside [2, 4], so the estimate and
+    the remainder are written as null and named on stderr, and the report
+    stays, exiting 1."""
+    rc, out, err = run(capsys, ["monopole", "solve", "--xi-max", "1e111", "--n", n])
+    assert rc == 1 and err == ("error: 2 non-finite value(s) written as null: "
+                               "meta.discretization_estimate, meta.cutoff_remainder\n")
+    meta = dict(ln[2:].split(" = ") for ln in out.splitlines() if ln.startswith("# "))
+    assert meta["discretization_estimate"] == meta["cutoff_remainder"] == ""
+    assert math.isfinite(float(meta["observed_order"])) and not 2 <= float(meta["observed_order"]) <= 4
+    assert "check.completed_energy_error" in meta
 
 
 @pytest.mark.parametrize("sub", ["solve", "energy"])

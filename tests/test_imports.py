@@ -10,6 +10,7 @@ purpose for other code to find.
 """
 
 import ast
+from functools import lru_cache
 import os
 from pathlib import Path
 import subprocess
@@ -19,6 +20,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "uinf").glob("*.py"))
+
+
+@lru_cache(maxsize=None)
+def _tree(path):
+    """The module at path, parsed once for all the tests that read it."""
+    return ast.parse(path.read_text())
 
 
 def _imported(tree, lines):
@@ -48,10 +55,10 @@ def _used(tree):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
-    text = path.read_text()
-    tree = ast.parse(text)
+    tree = _tree(path)
     used = _used(tree)
-    unused = [(name, line) for name, line in _imported(tree, text.splitlines()) if name not in used]
+    unused = [(name, line) for name, line in _imported(tree, path.read_text().splitlines())
+              if name not in used]
     assert unused == [], "%s imports names it never uses: %s" % (path.name, unused)
 
 
@@ -91,7 +98,7 @@ def test_no_module_imports_scipy(path):
     """scipy is a test dependency only: no package module imports it, at
     module level or inside a function."""
     imported = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             imported += [(alias.name, node.lineno) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -103,7 +110,7 @@ def _exported(sibling, name):
     """Whether a sibling offers name: it is in the sibling's __all__, or the
     sibling has none and the name is not private (a dunder such as
     __version__ is not private)."""
-    listed = _listed(ast.parse((SRC / "uinf" / (sibling + ".py")).read_text()))
+    listed = _listed(_tree(SRC / "uinf" / (sibling + ".py")))
     if listed is not None:
         return name in listed
     return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
@@ -135,7 +142,7 @@ def test_module_takes_only_exported_names_from_siblings(path):
     name taken from a sibling is in that sibling's __all__ (or, without
     one, does not start with an underscore)."""
     bad = ["%s.%s (line %d)" % (sibling, name, line)
-           for sibling, name, line in _taken(ast.parse(path.read_text()))
+           for sibling, name, line in _taken(_tree(path))
            if not _exported(sibling, name)]
     assert bad == [], "%s takes names its siblings do not export: %s" % (path.name, bad)
 
@@ -153,7 +160,7 @@ UNCALLED = {
 def _statements(path):
     """(names defined, names read) of each top-level statement of path; an
     attribute read, as in monopole.bps_profile, reads its attribute name."""
-    for node in ast.parse(path.read_text()).body:
+    for node in _tree(path).body:
         defined = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else {
             t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)}
         read = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
@@ -171,7 +178,7 @@ def test_every_public_name_has_a_caller():
     statements = [(path, defined, read) for path in CALLERS for defined, read in _statements(path)]
     uncalled = set()
     for path in SOURCES:
-        for name in _listed(ast.parse(path.read_text())) or ():
+        for name in _listed(_tree(path)) or ():
             if not any(name in read and not (caller == path and name in defined)
                        for caller, defined, read in statements):
                 uncalled.add(name)
@@ -207,7 +214,7 @@ def _calls(paths):
     keyword (None)."""
     calls = {}
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 starred = any(isinstance(arg, ast.Starred) for arg in node.args)
@@ -226,7 +233,7 @@ def _library_defaults():
     """(module, function, parameter, position) of every defaulted parameter
     of the package's public functions and methods."""
     for path in SOURCES:
-        for func, name, position in _defaulted(ast.parse(path.read_text())):
+        for func, name, position in _defaulted(_tree(path)):
             yield path.stem, func, name, position
 
 
