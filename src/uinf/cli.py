@@ -228,13 +228,21 @@ def _coeff_table(args):
     return table, {"coeff_" + name: value for name, value in table.items()}
 
 
-def _convergence(breakdown):
-    """convergence_check's keys for the run's grid. Its other grids can
-    divide by zero where --n's does not, at a cutoff far out of range
-    (--xi-max 1e-160 with --n below 64), so they run with numpy's errors
-    ignored: such a key is written as null and the report is kept."""
+def _convergence(profile, breakdown):
+    """convergence_check's keys for the run's grid, and the checks they
+    support: closed_form_remainder holds cutoff_remainder to its closed form
+    within |discretization_estimate|. On [0, xi_max] the closed-form
+    profile's raw energy is H (1 - K**2)/xi at xi_max, so the remainder is
+    that plus the tail 1/xi_max, minus 1. The other grids can divide by zero
+    where --n's does not, at a cutoff far out of range (--xi-max 1e-160 with
+    --n below 64), so they and the check run with numpy's errors ignored:
+    such a key is written as null and the report is kept."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return monopole.convergence_check(breakdown)
+        keys = monopole.convergence_check(breakdown)
+        xi_max = profile.grid.xi_max
+        closed = profile.H[-1] * (1.0 - profile.K[-1] ** 2) / xi_max + 1.0 / xi_max - 1.0
+        return keys, [check("closed_form_remainder", abs(keys["cutoff_remainder"] - closed),
+                            abs(keys["discretization_estimate"]))]
 
 
 def cmd_monopole_solve(args):
@@ -242,13 +250,13 @@ def cmd_monopole_solve(args):
     profile = monopole.bps_profile(grid)
     r1, r2 = monopole.bogomolnyi_residuals(profile)
     breakdown = monopole.energy_breakdown(profile)
+    keys, closure = _convergence(profile, breakdown)
     meta = _meta(args, xi_max=args.xi_max, n=args.n,
                  max_residual_first=float(np.abs(r1).max()),
                  max_residual_second=float(np.abs(r2).max()),
-                 completed_energy=breakdown.completed,
-                 **_convergence(breakdown))
+                 completed_energy=breakdown.completed, **keys)
     checks = [check(k, meta[k], 1e-8) for k in ("max_residual_first", "max_residual_second")]
-    checks.append(check("completed_energy_error", abs(breakdown.completed - 1.0), 1e-4))
+    checks += [check("completed_energy_error", abs(breakdown.completed - 1.0), 1e-4)] + closure
     return (["xi", "K", "H"], np.column_stack([grid.xi, profile.K, profile.H]), meta), checks
 
 
@@ -256,6 +264,7 @@ def cmd_monopole_energy(args):
     grid = monopole.RadialGrid(args.xi_max, args.n)
     profile = monopole.bps_profile(grid)
     breakdown = monopole.energy_breakdown(profile)
+    keys, closure = _convergence(profile, breakdown)
     coeffs, recorded = _coeff_table(args)
     physical = monopole.physical_energy(
         breakdown.completed, args.xi_max, monopole.second_line_integral(profile, coeffs), args.evb,
@@ -263,10 +272,10 @@ def cmd_monopole_energy(args):
     )
     payload = {
         "meta": _meta(args, xi_max=args.xi_max, n=args.n, **recorded),
-        "breakdown": dict(vars(breakdown), **_convergence(breakdown)),
+        "breakdown": dict(vars(breakdown), **keys),
         "physical": physical,
     }
-    return payload, [check("completed_energy_error", abs(breakdown.completed - 1.0), 1e-4)]
+    return payload, [check("completed_energy_error", abs(breakdown.completed - 1.0), 1e-4)] + closure
 
 
 def cmd_monopole_perturb(args):
@@ -316,26 +325,29 @@ def cmd_algebra_structure_constants(args):
               check("generator_row", np.abs(generator).max() / top, 1e-12)]
     del allowed  # the checks and their S-sized temporaries end before the row table
     a, b, l3 = index = np.nonzero(~(np.abs(S) < 1e-12))  # C order: c grows with l3 at fixed m3
-    (l1, m1), (l2, m2) = labels[a].T, labels[b].T
-    table = np.column_stack([l1, m1, l2, m2, l3, m1 + m2, np.zeros(len(l3)), S[index]])
+    table = np.zeros((len(l3), 8))  # filled column by column: no stacked copy of its inputs
+    table[:, 0:2], table[:, 2:4], table[:, 4] = labels[a], labels[b], l3
+    table[:, 5] = table[:, 1] + table[:, 3]  # m3 = m1 + m2; the re column stays 0
+    table[:, 7] = S[index]
     meta = _meta(args, lmax=args.lmax, threshold=1e-12, entries=len(table))
     return (["l1", "m1", "l2", "m2", "l3", "m3", "re", "im"], table, meta), checks
 
 
 def cmd_algebra_su2(args):
-    gen = sphere_algebra.su2_generators()
+    triple, measured, residual, printed_residual = sphere_algebra.su2_generators()
     c = math.sqrt(3.0 / (4.0 * math.pi))  # {Y10, Y1m} = i m c Y1m
     payload = {
         "meta": _meta(args),
-        "basis": gen.basis,
-        "bracket_constant": gen.c,
-        "closure_residual": gen.closure_residual,
-        "printed_residual": gen.printed_residual,
-        "substituted": gen.substituted,
-        "generators": [t.to_dict() for t in gen.as_tuple()],
+        # the printed basis does not close; the real combinations stand in for it
+        "basis": "real_combination",
+        "bracket_constant": measured,
+        "closure_residual": residual,
+        "printed_residual": printed_residual,
+        "substituted": True,
+        "generators": [t.to_dict() for t in triple],
     }
-    return payload, [check("closure_residual", gen.closure_residual, 1e-10),
-                     check("bracket_constant_rel", abs(gen.c + c) / c, 1e-12)]
+    return payload, [check("closure_residual", residual, 1e-10),
+                     check("bracket_constant_rel", abs(measured + c) / c, 1e-12)]
 
 
 def cmd_algebra_bracket(args):

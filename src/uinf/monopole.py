@@ -119,9 +119,6 @@ class Perturbation:
     K1: np.ndarray
     H1: np.ndarray
     coeffs: dict
-    min_singular_value: float
-    diagnostic_iterations: int
-    diagnostic_change: float
     backward_error: float
 
 
@@ -588,20 +585,9 @@ def solve_perturbation(profile, coeffs=None):
     forcings and reports the normwise backward error of the solve,
     ||A y - b|| / (||A|| ||y|| + ||b||) in the max norm, which stays near
     machine precision for a stable solve at any grid size (the plain
-    relative residual grows like 1/h**2).  min_singular_value, the
-    distance from singularity, is the smallest singular value of the
-    operator around the closed-form bps_profile on 400 nodes over the same
-    xi_max, not around the profile passed: it depends on xi_max alone.  The
-    translation-like direction (K', H') of the base profile satisfies the
-    cutoff rows but not the regularity rows, so the operator is invertible.
-
-    The diagnostic comes from block inverse iteration, with a block of 4
-    columns, on one factorization of that operator and its transposed view:
-    at small xi_max the two regularity rows share one stencil and the two
-    smallest singular values nearly coincide, which stalls a single vector.
-    It stops when an iteration moves the estimate by at most 1e-12
-    relative, or at a cap of 50 iterations; the count and the last relative
-    change are reported, so a capped run shows a change above 1e-12.
+    relative residual grows like 1/h**2).  The translation-like direction
+    (K', H') of the base profile satisfies the cutoff rows but not the
+    regularity rows, so the operator is invertible.
     """
     c = _filled_coeffs(coeffs)
     A = _linear_operator(profile)
@@ -611,16 +597,11 @@ def solve_perturbation(profile, coeffs=None):
     rhs[2:-2:2] = -phi_K[1:-1]
     rhs[3:-2:2] = -phi_H[1:-1]
     y = spsolve(A, rhs)
-    coarse = RadialGrid(profile.grid.xi_max, _DIAGNOSTIC_N)
-    min_sv, iterations, change = _min_singular_value(_linear_operator(bps_profile(coarse)))
     scale = A.norm() * np.abs(y).max() + np.abs(rhs).max()
     return Perturbation(
         K1=y[0::2],
         H1=y[1::2],
         coeffs=c,
-        min_singular_value=min_sv,
-        diagnostic_iterations=iterations,
-        diagnostic_change=change,
         backward_error=float(np.abs(A @ y - rhs).max() / scale) if scale else 0.0,
     )
 
@@ -657,6 +638,17 @@ def perturbation_report(profile, pert):
     the solve, and the coarse-grid singularity diagnostic. The densities are
     quartic, so their rows on jets of K + eps K1, H + eps H1 and the
     derivatives integrate to dE exactly, as a polynomial in eps.
+
+    min_singular_value, the distance from singularity, is the smallest
+    singular value of the response operator around the closed-form
+    bps_profile on 400 nodes over the profile's xi_max: it depends on xi_max
+    alone. It comes from block inverse iteration, with a block of 4
+    columns, on one factorization of that operator and its transposed view:
+    at small xi_max the two regularity rows share one stencil and the two
+    smallest singular values nearly coincide, which stalls a single vector.
+    It stops when an iteration moves the estimate by at most 1e-12
+    relative, or at a cap of 50 iterations; the count and the last relative
+    change are reported, so a capped run shows a change above 1e-12.
     """
     response = max(np.abs(pert.K1).max(), np.abs(pert.H1).max(), 1.0)
     # keep the first-order displacement below ~3e-3 in sup norm so the fit
@@ -667,6 +659,8 @@ def perturbation_report(profile, pert):
     # is eps / unit too, which keeps their rows in range
     unit = 2.0 ** math.frexp(epsilons.max())[1]
     grid, xi = profile.grid, profile.grid.xi
+    coarse = bps_profile(RadialGrid(grid.xi_max, _DIAGNOSTIC_N))
+    min_sv, iterations, change = _min_singular_value(_linear_operator(coarse))
     tangents = (pert.K1, pert.H1, fd1(pert.K1, grid.h), fd1(pert.H1, grid.h))
     jets = [_Jet([q, unit * t], 4) for q, t in zip((profile.K, profile.H) + profile.derivatives, tangents)]
     energy = [float(_simpson(row, grid.h)) for row in _energy_density_at(xi, *jets).rows]
@@ -692,10 +686,10 @@ def perturbation_report(profile, pert):
         "max_response": float(response),
         "base_energy": energy[0] + tail_estimate(grid.xi_max),
         "backward_error": pert.backward_error,
-        "min_singular_value": pert.min_singular_value,
+        "min_singular_value": min_sv,
         "diagnostic_n": _DIAGNOSTIC_N,
-        "diagnostic_iterations": pert.diagnostic_iterations,
-        "diagnostic_change": pert.diagnostic_change,
+        "diagnostic_iterations": iterations,
+        "diagnostic_change": change,
         "cutoff": grid.xi_max,
         "n": grid.n,
     }

@@ -23,7 +23,6 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "SphereGrid",
     "HarmonicField",
-    "Su2Generators",
     "grid_for_band_limit",
     "synthesize",
     "gradients",
@@ -467,58 +466,34 @@ def structure_constants(l_max):
     return out
 
 
-@dataclass(frozen=True)
-class Su2Generators:
-    """Three l = 1 fields closing under the bracket with one real constant."""
-
-    t1: HarmonicField
-    t2: HarmonicField
-    t3: HarmonicField
-    c: float
-    closure_residual: float
-    basis: str
-    printed_residual: float
-    substituted: bool
-
-    def as_tuple(self):
-        return (self.t1, self.t2, self.t3)
-
-
-def _closure_residual(ts):
-    """Best single real constant and the worst-pair residual for the triple."""
-    cycles = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-    brs = brackets([(ts[a], ts[b]) for a, b, _ in cycles])
-    projections = []
-    for (a, b, c), br in zip(cycles, brs):
-        tc = ts[c]
-        projections.append(br.inner(tc) / tc.inner(tc).real)
-    c_shared = float(np.mean([p.real for p in projections]))
-    residual = 0.0
-    for (a, b, c), br in zip(cycles, brs):
-        diff = br - c_shared * ts[c].pad_to(br.l_max)
-        residual = max(residual, diff.norm())
-    return c_shared, residual
+def _closure_residual(ts, brs):
+    """Best single real constant of the triple ts, whose cyclic brackets
+    {t1, t2}, {t2, t3}, {t3, t1} are brs, and the worst pair's residual."""
+    thirds = ts[2], ts[0], ts[1]  # {t1, t2} closes onto t3, and cyclically
+    c = float(np.mean([(br.inner(t) / t.inner(t).real).real for br, t in zip(brs, thirds)]))
+    return c, max((br - c * t.pad_to(br.l_max)).norm() for br, t in zip(brs, thirds))
 
 
 def su2_generators():
-    """l = 1 generator triple with a measured closure constant.
+    """((t1, t2, t3), c, closure_residual, printed_residual): an l = 1
+    generator triple, its measured closure constant and worst-pair residual.
 
     The printed basis (Y11 + i Y1-1)/sqrt(2), (Y11 - i Y1-1)/sqrt(2), Y10
     does not close: its pairwise bracket constants differ in phase, so no
-    single real constant fits, and its residual is reported as
-    printed_residual. The standard real combinations are substituted, and
-    the `basis`/`substituted` fields say so.
+    single real constant fits, and its residual is printed_residual. The
+    triple returned is the standard real combinations that replace it. The
+    cyclic brackets of both triples come from one brackets call.
     """
     y11 = HarmonicField.basis(1, 1)
     y1m1 = HarmonicField.basis(1, -1)
     y10 = HarmonicField.basis(1, 0)
     s = 1.0 / math.sqrt(2.0)
-    _, r_printed = _closure_residual((s * (y11 + 1j * y1m1), s * (y11 - 1j * y1m1), y10))
-    real_basis = (s * (y1m1 - y11), s * 1j * (y1m1 + y11), y10)
-    c_real, r_real = _closure_residual(real_basis)
-    return Su2Generators(*real_basis, c=c_real, closure_residual=r_real,
-                         basis="real_combination", printed_residual=r_printed,
-                         substituted=True)
+    printed = (s * (y11 + 1j * y1m1), s * (y11 - 1j * y1m1), y10)
+    triple = (s * (y1m1 - y11), s * 1j * (y1m1 + y11), y10)
+    brs = brackets([(ts[a], ts[b]) for ts in (printed, triple)
+                    for a, b in ((0, 1), (1, 2), (2, 0))])
+    c, residual = _closure_residual(triple, brs[3:])
+    return triple, c, residual, _closure_residual(printed, brs[:3])[1]
 
 
 def random_real_field(l_max, rng, amplitude=1.0):

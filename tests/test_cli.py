@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from uinf import monopole, reduction, sphere_algebra, tensor_kernels
+from uinf import cli, monopole, reduction, sphere_algebra, tensor_kernels
 from uinf.cli import _parse, build_parser, main
 from uinf.sphere_algebra import HarmonicField, random_real_field
 
@@ -33,7 +33,8 @@ def _reject_constant(text):
 def parse_report(out):
     """(document, checks) of a report, parsed strictly: JSON without NaN or
     Infinity, or CSV with '# key = value' meta lines, a column line and rows
-    of finite numbers of that width."""
+    of finite numbers of that width. A check's null number, an empty field
+    in CSV, reads as NaN."""
     if out.startswith("{"):
         doc = json.loads(out, parse_constant=_reject_constant)
         return doc, doc["checks"]
@@ -46,8 +47,9 @@ def parse_report(out):
         if key.startswith("check."):
             fields = dict(item.split("=") for item in value.split(" "))
             assert set(fields) == {"value", "bound", "ok"} and fields["ok"] in ("True", "False")
-            checks.append({"name": key[len("check."):], "value": float(fields["value"]),
-                           "bound": float(fields["bound"]), "ok": fields["ok"] == "True"})
+            value, bound = (float(fields[k] or "nan") for k in ("value", "bound"))
+            checks.append({"name": key[len("check."):], "value": value, "bound": bound,
+                           "ok": fields["ok"] == "True"})
     header, *rows = lines[len(meta):]
     width = len(header.split(","))
     for row in rows:
@@ -77,18 +79,33 @@ def _scale(monkeypatch, module, kernel, factor=1.0 + 1e-6):
     monkeypatch.setattr(module, kernel, lambda *args, **kw: clean(*args, **kw) * factor)
 
 
-@pytest.mark.parametrize("module, kernel, argv, failing", [
-    (tensor_kernels, "delta3", ["identities"], ["mean.delta3_vs_trace3", "mean.eps3_vs_delta3"]),
-    (tensor_kernels, "delta4", ["identities"], ["mean.delta4_vs_trace4"]),
-    (tensor_kernels, "eps", ["identities"], ["mean.eps3_vs_delta3", "mean.eps4_vs_trace4"]),
-    (sphere_algebra, "_dPdx", ["algebra", "su2"], ["bracket_constant_rel"]),
-    (sphere_algebra, "_dPdx", ["algebra", "structure-constants"], ["generator_row"]),
-    (sphere_algebra, "structure_constants", ["algebra", "structure-constants"], ["generator_row"]),
-], ids=["delta3", "delta4", "eps", "_dPdx", "_dPdx-structure-constants", "structure_constants"])
-def test_fault_table(monkeypatch, capsys, module, kernel, argv, failing):
-    """Each row scales one kernel's output by 1 + 1e-6; a default run that
-    calls it exits 1, and the checks named fail."""
-    _scale(monkeypatch, module, kernel)
+_FAULT = 1.0 + 1e-6
+# the tail is 1/25 of the energy at the default cutoff, so its fault is larger
+_TAIL_FAULT = 1.0 + 1e-3
+
+
+@pytest.mark.parametrize("module, kernel, factor, argv, failing", [
+    (tensor_kernels, "delta3", _FAULT, ["identities"], ["mean.delta3_vs_trace3", "mean.eps3_vs_delta3"]),
+    (tensor_kernels, "delta4", _FAULT, ["identities"], ["mean.delta4_vs_trace4"]),
+    (tensor_kernels, "eps", _FAULT, ["identities"], ["mean.eps3_vs_delta3", "mean.eps4_vs_trace4"]),
+    (sphere_algebra, "_dPdx", _FAULT, ["algebra", "su2"], ["bracket_constant_rel"]),
+    (sphere_algebra, "_dPdx", _FAULT, ["algebra", "structure-constants"], ["generator_row"]),
+    (sphere_algebra, "structure_constants", _FAULT, ["algebra", "structure-constants"],
+     ["generator_row"]),
+    (monopole, "_simpson", _FAULT, ["monopole", "solve"], ["closed_form_remainder"]),
+    (monopole, "_simpson", _FAULT, ["monopole", "energy"], ["closed_form_remainder"]),
+    (monopole, "energy_density", _FAULT, ["monopole", "solve"], ["closed_form_remainder"]),
+    (monopole, "energy_density", _FAULT, ["monopole", "energy"], ["closed_form_remainder"]),
+    (monopole, "tail_estimate", _TAIL_FAULT, ["monopole", "solve"], ["closed_form_remainder"]),
+    (monopole, "tail_estimate", _TAIL_FAULT, ["monopole", "energy"], ["closed_form_remainder"]),
+], ids=["delta3", "delta4", "eps", "_dPdx", "_dPdx-structure-constants", "structure_constants",
+        "_simpson-solve", "_simpson-energy", "energy_density-solve", "energy_density-energy",
+        "tail_estimate-solve", "tail_estimate-energy"])
+def test_fault_table(monkeypatch, capsys, module, kernel, factor, argv, failing):
+    """Each row scales one kernel's output by factor, 1 + 1e-6 (the tail
+    1 + 1e-3); a default run that calls it exits 1, and the checks named
+    fail."""
+    _scale(monkeypatch, module, kernel, factor)
     rc, out, _ = run(capsys, argv)
     assert rc == 1
     assert [c["name"] for c in parse_report(out)[1] if not c["ok"]] == failing
@@ -308,7 +325,7 @@ def test_algebra_su2(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["closure_residual"] < 1e-10
-    assert doc["substituted"] is True
+    assert doc["basis"] == "real_combination" and doc["substituted"] is True
     assert len(doc["generators"]) == 3
 
 
@@ -717,7 +734,8 @@ def test_reduce_two_dim_checks_the_nested_split(monkeypatch, capsys, kernel, fai
 _RATIOS = ("delta3_vs_trace3", "delta4_vs_trace4", "eps3_vs_delta3", "eps4_vs_trace4")
 _ROUTE_BOUNDS = [("classification_residual_rel", 1e-10), ("covariant_identity_rel", 1e-10),
                  ("forward_scan_residual_rel", 1e-10), ("vanishing_group_rel", 1e-12)]
-# every check of each subcommand's default report, with its bound, in report order
+# every check of each subcommand's default report, with its bound, in report order;
+# None is the bound that follows the grid, |discretization_estimate| of the same report
 _DEFAULT_BOUNDS = {
     "identities": [(kind + "." + ratio, 1e-10) for kind in ("spread", "mean") for ratio in _RATIOS],
     "reduce scalar": _ROUTE_BOUNDS,
@@ -727,8 +745,8 @@ _DEFAULT_BOUNDS = {
     "reduce scan-b": _ROUTE_BOUNDS,
     "reduce born-infeld": [("drift_min_fall", 0.0)],
     "monopole solve": [("max_residual_first", 1e-8), ("max_residual_second", 1e-8),
-                       ("completed_energy_error", 1e-4)],
-    "monopole energy": [("completed_energy_error", 1e-4)],
+                       ("completed_energy_error", 1e-4), ("closed_form_remainder", None)],
+    "monopole energy": [("completed_energy_error", 1e-4), ("closed_form_remainder", None)],
     "monopole perturb": [("backward_error", 1e-8), ("diagnostic_change", 1e-12),
                          ("linearity_r_squared", 0.9999)],
     "monopole scan-evb": [("completed_energy_error", 1e-4)],
@@ -749,8 +767,11 @@ def test_every_default_report_pins_its_check_bounds(tmp_path, capsys, command):
         argv += ["--f", fp, "--g", gp]
     rc, out, _ = run(capsys, argv)
     assert rc == 0
-    bounds = [(c["name"], c["bound"]) for c in parse_report(out)[1]]
-    assert bounds == _DEFAULT_BOUNDS[command] + [("finite", 0.0)]
+    doc, checks = parse_report(out)
+    keys = doc.get("breakdown") if isinstance(doc, dict) else dict(m.split(" = ") for m in doc[2])
+    want = [(name, abs(float(keys["discretization_estimate"])) if bound is None else bound)
+            for name, bound in _DEFAULT_BOUNDS[command]]
+    assert [(c["name"], c["bound"]) for c in checks] == want + [("finite", 0.0)]
 
 
 def test_missing_input_file_is_io_error(tmp_path, capsys):
@@ -1070,24 +1091,27 @@ def test_unresolved_grid_is_not_blamed_on_the_cutoff(capsys, sub):
 
 def _without_convergence_keys(text):
     """The report text with the three keys taken out of the JSON breakdown
-    (and the rest rendered as the CLI renders it) or out of the CSV meta."""
+    (and the rest rendered as the CLI renders it) or out of the CSV meta,
+    and the closed_form_remainder check out of its checks."""
     if text.startswith("{"):
         doc = json.loads(text)
         for key in CONVERGENCE_KEYS:
             del doc["breakdown"][key]
+        doc["checks"] = [c for c in doc["checks"] if c["name"] != "closed_form_remainder"]
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     return "".join(ln for ln in text.splitlines(keepends=True)
-                   if ln.split(" = ")[0][2:] not in CONVERGENCE_KEYS)
+                   if ln.split(" = ")[0][2:] not in CONVERGENCE_KEYS + ("check.closed_form_remainder",))
 
 
 @pytest.mark.parametrize("sub", ["solve", "energy"])
 def test_convergence_keys_are_the_only_addition(monkeypatch, capsys, sub):
-    """At default flags the report without the three keys is, byte for
-    byte, the one the handler writes when convergence_check adds none."""
+    """At default flags the report without the three keys and their
+    closed_form_remainder check is, byte for byte, the one the handler
+    writes when the convergence step adds neither."""
     rc, out, _ = run(capsys, ["monopole", sub])
     assert rc == 0 and all(out.count('"%s"' % key) + out.count("# %s = " % key) == 1
                            for key in CONVERGENCE_KEYS)
-    monkeypatch.setattr(monopole, "convergence_check", lambda breakdown: {})
+    monkeypatch.setattr(cli, "_convergence", lambda profile, breakdown: ({}, []))
     assert run(capsys, ["monopole", sub]) == (0, _without_convergence_keys(out), "")
 
 

@@ -314,23 +314,26 @@ def test_perturbation_solver_frozen(reference_profile):
     pert = solve_perturbation(reference_profile)
     assert np.all(np.isfinite(pert.K1))
     assert np.all(np.isfinite(pert.H1))
-    assert pert.min_singular_value == pytest.approx(FROZEN_MIN_SV, rel=1e-6)
-    assert perturbation_report(reference_profile, pert)["diagnostic_n"] == 400
+    rep = perturbation_report(reference_profile, pert)
+    assert rep["min_singular_value"] == pytest.approx(FROZEN_MIN_SV, rel=1e-6)
+    assert rep["diagnostic_n"] == 400
 
 
 def test_solve_perturbation_takes_no_dense_svd(monkeypatch, reference_profile):
+    """Neither the solve nor the report's singularity diagnostic takes a
+    dense SVD."""
     def refuse(*args, **kwargs):
         raise AssertionError("dense SVD called")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    pert = solve_perturbation(reference_profile)
-    assert pert.min_singular_value == pytest.approx(FROZEN_MIN_SV, rel=1e-6)
+    rep = perturbation_report(reference_profile, solve_perturbation(reference_profile))
+    assert rep["min_singular_value"] == pytest.approx(FROZEN_MIN_SV, rel=1e-6)
 
 
 def test_the_diagnostic_factors_its_operator_once(monkeypatch, reference_profile):
     """The inverse iteration solves with A and A^T through one factorization
-    and its transposed view: the diagnostic factors once, and the published
-    solve with its 400-node diagnostic factors twice."""
+    and its transposed view: the diagnostic factors once. The solve factors
+    its own operator alone, and the report the 400-node diagnostic's alone."""
     count = []
     init = monopole._Factorization.__init__
 
@@ -343,8 +346,11 @@ def test_the_diagnostic_factors_its_operator_once(monkeypatch, reference_profile
     monopole._min_singular_value(A)
     assert count == [(800, 800)]
     count.clear()
-    solve_perturbation(reference_profile)
-    assert count == [(8000, 8000), (800, 800)]
+    pert = solve_perturbation(reference_profile)
+    assert count == [(8000, 8000)]
+    count.clear()
+    perturbation_report(reference_profile, pert)
+    assert count == [(800, 800)]
 
 
 @pytest.mark.parametrize("xi_max, tight", [
@@ -357,12 +363,12 @@ def test_min_singular_value_agrees_with_the_dense_svd(xi_max, tight):
     SVD is accurate to that, and otherwise within the SVD's own error
     10 eps sigma_max / sigma_min (at xi_max <= 0.1 the two smallest singular
     values agree to 1e-3 and closer, which a single vector would not resolve)."""
-    profile = bps_profile(RadialGrid(xi_max, 400))
-    pert = solve_perturbation(profile)
-    assert pert.diagnostic_change <= 1e-12
-    assert 1 <= pert.diagnostic_iterations < monopole._DIAGNOSTIC_MAX_ITER
-    sv = np.linalg.svd(monopole._linear_operator(profile).toarray(), compute_uv=False)
-    rel = abs(pert.min_singular_value - sv[-1]) / sv[-1]
+    A = monopole._linear_operator(bps_profile(RadialGrid(xi_max, 400)))
+    sigma, iterations, change = monopole._min_singular_value(A)
+    assert change <= 1e-12
+    assert 1 <= iterations < monopole._DIAGNOSTIC_MAX_ITER
+    sv = np.linalg.svd(A.toarray(), compute_uv=False)
+    rel = abs(sigma - sv[-1]) / sv[-1]
     dense_error = 10.0 * np.finfo(float).eps * sv[0] / sv[-1]
     assert rel <= (1e-9 if tight else max(1e-9, dense_error))
 
@@ -524,11 +530,13 @@ def test_solve_commutes_with_powers_of_two():
 def test_huge_cutoffs_keep_a_finite_response(xi_max):
     """At cutoffs of 1e80 and 1e100 the response stays finite and the solve
     backward stable; the diagnostic there overflows and reads NaN."""
+    profile = bps_profile(RadialGrid(xi_max, 400))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pert = solve_perturbation(bps_profile(RadialGrid(xi_max, 400)))
+        pert = solve_perturbation(profile)
+        rep = perturbation_report(profile, pert)
     assert np.isfinite(pert.K1).all() and np.isfinite(pert.H1).all()
     assert pert.backward_error < 1e-14
-    assert math.isnan(pert.min_singular_value)
+    assert math.isnan(rep["min_singular_value"])
 
 
 def test_perturbation_backward_error_is_reported(reference_profile):

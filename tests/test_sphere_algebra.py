@@ -627,24 +627,40 @@ def test_structure_constants_allocate_no_pair_by_node_table():
 
 
 def test_su2_closure():
-    gen = su2_generators()
-    assert gen.basis == "real_combination"
-    assert gen.substituted
-    assert gen.closure_residual < 1e-10
-    assert abs(gen.c - (-C_DIPOLE)) < 1e-12
-    assert abs(gen.printed_residual - 0.5150322693642524) < 1e-12
+    _, c, residual, printed_residual = su2_generators()
+    assert residual < 1e-10
+    assert abs(c - (-C_DIPOLE)) < 1e-12
+    assert abs(printed_residual - 0.5150322693642524) < 1e-12
 
 
 def test_su2_bracket_relations():
     """Each cyclic bracket closes onto the third generator scaled by the
     single measured constant."""
-    gen = su2_generators()
-    t1, t2, t3 = gen.as_tuple()
+    (t1, t2, t3), c_shared, _, _ = su2_generators()
     for a, b, c in ((t1, t2, t3), (t2, t3, t1), (t3, t1, t2)):
         br = bracket(a, b)
         L = max(br.l_max, c.l_max)
-        diff = br.pad_to(L).coeffs - gen.c * c.pad_to(L).coeffs
+        diff = br.pad_to(L).coeffs - c_shared * c.pad_to(L).coeffs
         assert np.max(np.abs(diff)) < 1e-13
+
+
+def test_su2_generators_take_one_brackets_call(monkeypatch):
+    """The six cyclic brackets, of the printed triple and of the real one,
+    come from one brackets call and no per-pair bracket call."""
+    calls = []
+    real = sphere_algebra.brackets
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return real(pairs)
+
+    def refuse(f, g):
+        raise AssertionError("per-pair bracket called")
+
+    monkeypatch.setattr(sphere_algebra, "brackets", counted)
+    monkeypatch.setattr(sphere_algebra, "bracket", refuse)
+    su2_generators()
+    assert calls == [6]
 
 
 def test_field_serialization_roundtrip():
