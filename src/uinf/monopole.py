@@ -532,7 +532,8 @@ class _Factorization:
             x[..., e] -= block @ x[..., j]
         for e, p in self.pivots.items():
             x[..., e] = p @ x[..., e]
-        return _interleaved(x * unit, b.shape)
+        x *= unit
+        return _interleaved(x, b.shape)
 
 
 def spsolve(A, b):
@@ -590,12 +591,10 @@ def solve_perturbation(profile, coeffs=None):
     regularity rows, so the operator is invertible.
     """
     c = _filled_coeffs(coeffs)
+    rhs = np.zeros(2 * profile.grid.n)
+    # the forcings go before the operator is built: none is alive across the solve
+    rhs[2:-2:2], rhs[3:-2:2] = (-phi[1:-1] for phi in linearized_forcing(profile, c))
     A = _linear_operator(profile)
-    phi_K, phi_H = linearized_forcing(profile, c)
-    n = profile.grid.n
-    rhs = np.zeros(2 * n)
-    rhs[2:-2:2] = -phi_K[1:-1]
-    rhs[3:-2:2] = -phi_H[1:-1]
     y = spsolve(A, rhs)
     scale = A.norm() * np.abs(y).max() + np.abs(rhs).max()
     return Perturbation(

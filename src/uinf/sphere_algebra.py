@@ -38,54 +38,109 @@ __all__ = [
 ]
 
 
-def _legendre_table(l_max, x):
-    """Normalized associated Legendre values P, shaped (l_max+1, l_max+1,
-    len(x)), indexed [l, m, node] for 0 <= m <= l. Normalization is such that
-    Y_lm = P[l, m] * exp(i m phi) is orthonormal on the sphere, with the
-    Condon-Shortley sign folded in. A grid holds this table, 8 (l_max+1)^2
-    len(x) bytes; the x-derivatives are built from it by _dPdx."""
+def _row(B, l, m):
+    """Row of degree l, order m in a Legendre table packed at band B, flattened to
+    (B//2 + 1) (B + 2) rows: order m <= B//2 sits in pair m at position l - m, and order
+    m > B//2 in pair B - m at position l + 1, after the B - m + 1 degrees of its partner.
+    Degree l - 1 of the same order sits one row before."""
+    return np.where(m <= B // 2, m * (B + 1) + l, (B - m) * (B + 2) + l + 1)
+
+
+def _legendre_table(B, x):
+    """Normalized associated Legendre values P(l, m) at x for 0 <= m <= l <= B, packed:
+    shaped (B//2 + 1, B + 2, len(x)), order m paired with order B - m as _row places them,
+    so the table holds the (B+1)(B+2)/2 nonzero rows and, at even B, the B/2 + 1 zero rows
+    of the middle pair, 8 (B//2 + 1)(B + 2) len(x) bytes in all. Normalization is such that
+    Y_lm = P(l, m) exp(i m phi) is orthonormal on the sphere, with the Condon-Shortley sign
+    folded in. A grid holds this table; the x-derivatives are built from it by _dPdx."""
     x = np.asarray(x, dtype=float)
-    P = np.zeros((l_max + 1, l_max + 1, x.size))
+    table = np.zeros((B // 2 + 1, B + 2, x.size))
+    P = table.reshape(-1, x.size)
     sin_theta = np.sqrt(1.0 - x * x)
-    P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, l_max + 1):
-        P[m, m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_theta * P[m - 1, m - 1]
-    m = np.arange(l_max)
-    P[m + 1, m] = np.sqrt(2.0 * m + 3.0)[:, None] * x * P[m, m]
+    diag = _row(B, np.arange(B + 1), np.arange(B + 1))
+    P[diag[0]] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, B + 1):
+        P[diag[m]] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_theta * P[diag[m - 1]]
+    m = np.arange(B)
+    P[diag[:-1] + 1] = np.sqrt(2.0 * m + 3.0)[:, None] * x * P[diag[:-1]]
     # one pass per degree over all its orders: the recurrence fills m <= l - 2
     # from the two degrees below
-    for l in range(2, l_max + 1):
+    for l in range(2, B + 1):
         m = np.arange(l - 1)
         a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
         b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
-        P[l, :l - 1] = a * (x * P[l - 1, :l - 1] - b * P[l - 2, :l - 1])
-    return P
+        r = _row(B, l, m)
+        P[r] = a * (x * P[r - 1] - b * P[r - 2])
+    return table
 
 
 def _dPdx(grid, L):
-    """dP/dx at the grid's nodes for degrees and orders <= L, shaped (L+1, L+1, n_theta).
+    """dP/dx at the grid's nodes for degrees <= L' packed at band L' as _legendre_table
+    packs P, where L' >= L is the largest field band asked of the grid so far.
 
     A transform reads the derivatives only up to its fields' band, which is half the grid's
     for a bracket. So a grid holds one derivative table, in grid.dx_table, built from grid.P
     at the largest field band asked of the grid so far: a larger band rebuilds it, a smaller
-    one reads its leading block. Each entry is (l x P[l, m] - c_lm P[l-1, m]) / (x^2 - 1)
-    whichever band built it, so every block is bit for bit the same. For a bracket at band L
-    the band-2L grid holds 8 (2L+1)^3 bytes of P and 8 (L+1)^2 (2L+1) of dP/dx.
+    one reads it as _read lays out. Each entry is (l x P(l, m) - c_lm P(l-1, m)) / (x^2 - 1)
+    whichever band built it, so every entry is bit for bit the same. For a bracket at band L
+    the band-2L grid holds 8 (L + 1)(2L + 2)(2L + 1) bytes of P and 8 (L//2 + 1)(L + 2)(2L + 1)
+    of dP/dx.
     """
-    if not grid.dx_table or len(grid.dx_table[0]) <= L:
+    if not grid.dx_table or grid.dx_table[0].shape[1] - 2 < L:
         grid.dx_table.clear()  # the old table goes before the larger one is built
-        x, P = grid.x, grid.P
-        dPdx = np.zeros((L + 1, L + 1, grid.n_theta))
+        x, P = grid.x, grid.P.reshape(-1, grid.n_theta)
+        table = np.zeros((L // 2 + 1, L + 2, grid.n_theta))
+        dPdx = table.reshape(-1, grid.n_theta)
         denom = x * x - 1.0
         for l in range(1, L + 1):
-            m = np.arange(l)
-            c = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))[:, None]
-            upper = l * x * P[l, :l + 1]
-            upper[:l] -= c * P[l - 1, :l]
-            dPdx[l, :l + 1] = upper / denom
-        dPdx.setflags(write=False)
-        grid.dx_table.append(dPdx)
-    return grid.dx_table[0][:L + 1, :L + 1]
+            m = np.arange(l + 1)
+            c = np.sqrt((l * l - m[:l] * m[:l]) * (2.0 * l + 1.0) / (2.0 * l - 1.0))[:, None]
+            r = _row(grid.band_limit, l, m)
+            upper = l * x * P[r]
+            upper[:l] -= c * P[r[:l] - 1]
+            dPdx[_row(L, l, m)] = upper / denom
+        table.setflags(write=False)
+        grid.dx_table.append(table)
+    return grid.dx_table[0]
+
+
+@lru_cache(maxsize=None)
+def _slots(L):
+    """The (l, m) with 0 <= m <= l <= L, l-major, that a band-L transform carries: their
+    flat indices in a (L+1, 2L+1) coefficient array, those of (l, -m), and the (-1)^m and
+    the one-sided sum's weight of each."""
+    l, m = np.tril_indices(L + 1)
+    out = (l * (2 * L + 1) + L + m, l * (2 * L + 1) + L - m, _column_parity(L)[L + m],
+           np.where(m > 0, 1.0, 0.5))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _read(B, L):
+    """How a band-L transform reads a table packed at band B >= L: (pairs, positions,
+    blocks, slot, at, orders).
+
+    When 2L <= B every order 0..L is a pair's lower order, and the read takes positions
+    0..L of pairs 0..L in one column block, order m's degree m + j at position j: the
+    (L+1)^2 rows per node of the unpacked read. Otherwise it takes positions 0..L+1 of
+    every pair in two column blocks, the lower order's and the upper's. slot[i] is the
+    flat (pair, position, block) of the i-th (l, m) of _slots(L), at the (pair, block) of
+    each order 0..L, and orders[pair, block] the order there: the lower one where the upper
+    is past L or is the middle pair's own."""
+    blocks = 1 if 2 * L <= B else 2
+    pairs, positions = (L + 1, L + 1) if blocks == 1 else (B // 2 + 1, L + 2)
+    l, m = np.tril_indices(L + 1)
+    upper = m > B // 2
+    slot = (np.where(upper, B - m, m) * positions + np.where(upper, l + 1, l - m)) * blocks + upper
+    m = np.arange(L + 1)
+    at = np.where(m > B // 2, B - m, m), (m > B // 2).astype(int)
+    p = np.arange(pairs)
+    orders = np.stack([p, np.where(B - p <= L, B - p, p)], axis=1)[:, :blocks]
+    for arr in (slot, *at, orders):
+        arr.setflags(write=False)
+    return pairs, positions, blocks, slot, at, orders
 
 
 @dataclass(frozen=True)
@@ -97,9 +152,11 @@ class SphereGrid:
     (cos(m phi), -sin(m phi)) for 0 <= m <= band_limit, so that
     Re(a exp(i m phi)) = (Re a, Im a) . trig[m]. w2d holds the quadrature
     weights on the (theta, phi) product grid; they sum to 4 pi. P is the
-    Legendre table to band_limit. dx_table holds at most one array: dP/dx up
-    to the largest field band asked of the grid so far, which _dPdx builds
-    and reads.
+    Legendre table to band_limit B packed at its nonzeros, order m paired with
+    order B - m: shape (B//2 + 1, B + 2, n_theta), 8 (B//2 + 1)(B + 2)(B + 1)
+    bytes, about half the (B + 1)^3 doubles of the (l, m, node) cube. dx_table
+    holds at most one array: dP/dx packed the same way at the largest field
+    band asked of the grid so far, which _dPdx builds and reads.
     """
 
     band_limit: int
@@ -278,31 +335,36 @@ def _real_parts(fields, grid):
     """Split each of a list of fields of one band limit, f = h1 + i h2, into
     real fields; h1 = (c + c~)/2, h2 = (c - c~)/2i.
 
-    Returns the m >= 0 coefficients of every h1, then of every nonzero h2,
-    as (re, im) pairs shaped (parts, l, m, 2), with m > 0 doubled for the
-    one-sided cos/sin sum, and the mask of fields with a nonzero h2. Exactly
-    Hermitian coefficients give h2 == 0, so real fields keep real values.
+    Returns the (l, m) coefficients of _slots(L) of every h1, then of every
+    nonzero h2, shaped (parts, slots), with m > 0 doubled for the one-sided
+    cos/sin sum, and the mask of fields with a nonzero h2. Exactly Hermitian
+    coefficients give h2 == 0, so real fields keep real values.
     """
     L = fields[0].l_max
     if grid.band_limit < L:
         raise ValueError("grid too coarse for band limit")
-    coeffs = np.array([f.coeffs for f in fields])
-    c, mirror = coeffs[..., L:], _mirror(coeffs, L)[..., L:]
-    weight = np.where(np.arange(L + 1) > 0, 1.0, 0.5)
+    coeffs = np.array([f.coeffs for f in fields]).reshape(len(fields), -1)
+    at, mirror_at, parity, weight = _slots(L)
+    c, mirror = coeffs[:, at], parity * coeffs[:, mirror_at].conj()
     h2 = (c - mirror) * weight
-    cplx = h2.any(axis=(1, 2))
+    cplx = h2.any(axis=1)
     parts = (c + mirror) * weight
     if cplx.any():
         parts = np.concatenate([parts, h2[cplx] / 1j])
-    return np.stack([parts.real, parts.imag], axis=-1), cplx
+    return parts, cplx
 
 
-def _sum_over_l(parts, table):
-    """Order amplitudes per node: sum over l of parts against a Legendre
-    table, one matrix product per order m; shape (parts, n_theta, m, 2)."""
-    k, M = parts.shape[:2]
-    per_m = table[:M, :M].transpose(1, 2, 0) @ parts.transpose(2, 1, 0, 3).reshape(M, M, 2 * k)
-    return per_m.reshape(M, -1, k, 2).transpose(2, 1, 0, 3)
+def _sum_over_l(parts, table, L):
+    """Order amplitudes per node: sum over l of band-L parts against a packed
+    Legendre table, one matrix product per pair; shape (parts, n_theta, m, 2)."""
+    k = len(parts)
+    pairs, positions, blocks, slot, at, _ = _read(table.shape[1] - 2, L)
+    cols = np.zeros((pairs * positions * blocks, k), dtype=complex)
+    cols[slot] = parts.T
+    cols = cols.view(float).reshape(pairs, positions, 2 * blocks * k)
+    per_pair = table[:pairs, :positions].transpose(0, 2, 1) @ cols
+    per_pair = per_pair.reshape(pairs, table.shape[2], blocks, k, 2)
+    return per_pair.transpose(3, 1, 0, 2, 4)[:, :, at[0], at[1]]
 
 
 def _sum_over_m(amps, grid, cplx):
@@ -319,18 +381,19 @@ def _sum_over_m(amps, grid, cplx):
 
 def _gradients(fields, grid):
     """grad_values of fields of one band limit, stacked, and their cplx mask."""
+    L = fields[0].l_max
     parts, cplx = _real_parts(fields, grid)
-    amps = _sum_over_l(parts, grid.P)
+    amps = _sum_over_l(parts, grid.P, L)
     # d/dphi turns a_m into i m a_m: (re, im) -> m (-im, re)
-    dphi = amps[..., ::-1] * (np.arange(amps.shape[2])[:, None] * [-1.0, 1.0])
-    dx = _sum_over_m(_sum_over_l(parts, _dPdx(grid, fields[0].l_max)), grid, cplx)
+    dphi = amps[..., ::-1] * (np.arange(L + 1)[:, None] * [-1.0, 1.0])
+    dx = _sum_over_m(_sum_over_l(parts, _dPdx(grid, L), L), grid, cplx)
     return dx, _sum_over_m(dphi, grid, cplx), cplx
 
 
 def _values(fields, grid):
     """Grid values of fields of one band limit, stacked, and their cplx mask."""
     parts, cplx = _real_parts(fields, grid)
-    return _sum_over_m(_sum_over_l(parts, grid.P), grid, cplx), cplx
+    return _sum_over_m(_sum_over_l(parts, grid.P, fields[0].l_max), grid, cplx), cplx
 
 
 def _by_band(kernel, fields, grid):
@@ -377,14 +440,20 @@ def _analyze(values, L, grid):
         raise ValueError("grid too coarse for band limit")
     cplx = np.iscomplexobj(values)
     parts = np.stack([values.real, values.imag], 1).reshape(-1, *grid.w2d.shape) if cplx else values
-    k, M = len(parts), L + 1
-    trig = grid.trig[:M].reshape(2 * M, grid.n_phi)
-    F = (parts @ trig.T).reshape(k, grid.n_theta, M, 2)
+    k = len(parts)
+    pairs, positions, blocks, slot, _, orders = _read(grid.band_limit, L)
+    # the phi stage puts the orders in pair order: its trig rows are gathered, a cheaper
+    # copy than its output
+    trig = grid.trig[orders].reshape(-1, grid.n_phi)
+    F = (parts @ trig.T).reshape(k, grid.n_theta, pairs, 2 * blocks)
     F *= (2.0 * math.pi / grid.n_phi) * grid.w[:, None, None]
-    pairs = (grid.P[:M, :M].transpose(1, 0, 2)[None] @ F.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
-    half = pairs[..., 0] + 1j * pairs[..., 1]
-    neg = _column_parity(L)[:L] * half[..., :0:-1].conj()
-    coeffs = np.concatenate([neg, half], axis=-1)
+    per_pair = grid.P[None, :pairs, :positions] @ F.transpose(0, 2, 1, 3)
+    half = per_pair.reshape(k, pairs * positions * blocks, 2)[:, slot].view(complex)[..., 0]
+    at, mirror_at, parity, _ = _slots(L)
+    coeffs = np.zeros((k, (L + 1) * (2 * L + 1)), dtype=complex)
+    coeffs[:, mirror_at] = parity * half.conj()  # m = 0 too, which the next line overwrites
+    coeffs[:, at] = half
+    coeffs = coeffs.reshape(k, L + 1, 2 * L + 1)
     return coeffs[0::2] + 1j * coeffs[1::2] if cplx else coeffs
 
 
@@ -457,7 +526,8 @@ def structure_constants(l_max):
     grid = grid_for_band_limit(2 * l_max)
     ls, ms = lm_pairs(l_max).T
     sign = np.where(ms < 0, _column_parity(l_max)[l_max + ms], 1.0)[:, None]  # Y_l,-m's (-1)^m
-    P, dPdx = sign * grid.P[ls, abs(ms)], sign * _dPdx(grid, l_max)[ls, abs(ms)]
+    P, dPdx = (sign * t.reshape(-1, grid.n_theta)[_row(t.shape[1] - 2, ls, abs(ms))]
+               for t in (grid.P, _dPdx(grid, l_max)))
     weight, orders = 2.0 * math.pi * grid.w, ms[:, None] + ms
     for m in range(-l_max, l_max + 1):  # the pairs of order m against the P rows of order m
         a, b = np.nonzero(orders == m)

@@ -76,47 +76,153 @@ def _legendre_loop(l_max, x):
     return P, dPdx
 
 
+def _layout(B):
+    """(l, m, pair, position) of every entry of a Legendre table packed at band B: order
+    m <= B // 2 in pair m from position 0 up, order m > B // 2 in pair B - m after the
+    B - m + 1 degrees of its partner, degree l at position l + 1."""
+    for m in range(B + 1):
+        for l in range(m, B + 1):
+            yield (l, m, m, l - m) if m <= B // 2 else (l, m, B - m, l + 1)
+
+
+def _packed(table):
+    """A full (l, m, node) table of band B packed by _layout, zero where it places nothing."""
+    B = len(table) - 1
+    out = np.zeros((B // 2 + 1, B + 2, table.shape[2]))
+    for l, m, pair, position in _layout(B):
+        out[pair, position] = table[l, m]
+    return out
+
+
+def _unpacked(packed):
+    """The full (l, m, node) table of a packed one, zero for m > l."""
+    B = packed.shape[1] - 2
+    out = np.zeros((B + 1, B + 1, packed.shape[2]))
+    for l, m, pair, position in _layout(B):
+        out[l, m] = packed[pair, position]
+    return out
+
+
+def _packed_bytes(B, n_theta):
+    return 8 * (B // 2 + 1) * (B + 2) * n_theta
+
+
 def test_legendre_tables_equal_the_elementwise_loop():
     """A grid's P and its derivative table at the grid's own band, vectorized
-    over the orders, equal the loop bit for bit on every grid up to band limit
-    70: the same operations per element, in the same order. A derivative table
-    grown from a smaller band equals one built at once."""
+    over the orders, equal the loop packed, every entry bit for bit, on every
+    grid up to band limit 70: the same operations per element, in the same
+    order. A derivative table grown from a smaller band equals one built at
+    once, and a smaller band reads it rather than building another."""
     for band_limit in range(71):
         grid = grid_for_band_limit(band_limit)
         P, dPdx = _legendre_loop(band_limit, grid.x)
-        assert np.array_equal(grid.P, P), band_limit
-        assert np.array_equal(sphere_algebra._dPdx(grid, band_limit), dPdx), band_limit
+        assert grid.P.shape == (band_limit // 2 + 1, band_limit + 2, grid.n_theta)
+        assert np.array_equal(grid.P, _packed(P)), band_limit
+        assert np.array_equal(sphere_algebra._dPdx(grid, band_limit), _packed(dPdx)), band_limit
     grown = dataclasses.replace(grid)  # the band-70 grid with no derivative table yet
     sphere_algebra._dPdx(grown, 9)
-    assert np.array_equal(sphere_algebra._dPdx(grown, 40), dPdx[:41, :41])
+    table = sphere_algebra._dPdx(grown, 40)
+    assert np.array_equal(table, _packed(dPdx[:41, :41]))
+    assert sphere_algebra._dPdx(grown, 25) is table
 
 
 @pytest.mark.parametrize("L", [8, 16])
 def test_a_bracket_grid_holds_its_derivative_table_at_the_field_band(L, monkeypatch):
-    """After a bracket of two band-L fields, the band-2L grid holds 8 (2L+1)^3 bytes of P
-    and 8 (L+1)^2 (2L+1) bytes of derivative table, counted in nbytes on fresh grids."""
+    """After a bracket of two band-L fields, the band-2L grid holds its P packed at band 2L,
+    8 (L+1)(2L+2)(2L+1) bytes, and its derivative table packed at band L,
+    8 (L//2+1)(L+2)(2L+1) bytes, counted in nbytes on fresh grids."""
     fresh = lru_cache(maxsize=None)(sphere_algebra.grid_for_band_limit.__wrapped__)
     monkeypatch.setattr(sphere_algebra, "grid_for_band_limit", fresh)
     rng = np.random.default_rng(L)
     bracket(random_real_field(L, rng), random_real_field(L, rng))
     grid = fresh(2 * L)
-    assert grid.P.nbytes == 8 * (2 * L + 1) ** 3
-    assert [t.nbytes for t in grid.dx_table] == [8 * (L + 1) ** 2 * (2 * L + 1)]
+    assert grid.P.nbytes == _packed_bytes(2 * L, 2 * L + 1) == 8 * (L + 1) * (2 * L + 2) * (2 * L + 1)
+    assert [t.nbytes for t in grid.dx_table] == [_packed_bytes(L, 2 * L + 1)]
 
 
 def test_a_derivative_table_grows_to_the_largest_band_and_no_further():
     """Field bands 0..B asked of one grid in rising order keep its one derivative table
-    within the 8 (B+1)^3 bytes of a table at the grid's band; a smaller band asked after
-    a larger one reads the table there, rebuilding nothing."""
+    packed at the band last asked, 8 (L//2+1)(L+2)(B+1) bytes; a smaller band asked
+    after a larger one reads the table there, rebuilding nothing."""
     B = 12
     grid = dataclasses.replace(grid_for_band_limit(B))  # no derivative table yet
     rng = np.random.default_rng(0)
     for L in range(B + 1):
         gradients([random_real_field(L, rng)], grid)
-        assert len(grid.dx_table) == 1 and grid.dx_table[0].nbytes <= 8 * (B + 1) ** 3
+        assert [t.nbytes for t in grid.dx_table] == [_packed_bytes(L, B + 1)]
     table = grid.dx_table[0]
     gradients([random_real_field(3, rng)], grid)
     assert len(grid.dx_table) == 1 and grid.dx_table[0] is table
+
+
+def test_a_grid_and_its_derivative_table_are_built_packed():
+    """Building a band-64 grid and its band-32 derivative table allocates at most 1.25
+    times the two packed tables' bytes at its peak; the two tables unpacked are 1.9 times."""
+    build = sphere_algebra.grid_for_band_limit.__wrapped__
+    sphere_algebra._dPdx(build(64), 32)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        grid = build(64)
+        table = sphere_algebra._dPdx(grid, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.P.nbytes + table.nbytes == _packed_bytes(64, 65) + _packed_bytes(32, 65)
+    assert peak <= 1.25 * (grid.P.nbytes + table.nbytes)
+
+
+def _dense_reference(f, grid):
+    """(values, df/dx, df/dphi) of f on the grid, and the analysis of given values, as
+    einsums over the loop's full tables: one term per (l, m), no packing."""
+    L = f.l_max
+    P, dPdx = _legendre_loop(L, grid.x)
+    m = np.arange(-L, L + 1)
+    sign = np.where(m < 0, (-1.0) ** m, 1.0)[:, None]  # Y_l,-m = (-1)^m conj Y_lm
+    signed = [sign * t[:, abs(m)] for t in (P, dPdx)]
+    E = np.exp(1j * np.outer(m, grid.phi))
+    values, dx = (np.einsum("lj,ljt,jp->tp", f.coeffs, t, E) for t in signed)
+    dphi = np.einsum("lj,ljt,jp->tp", f.coeffs * (1j * m), signed[0], E)
+
+    def analysis(v):
+        return np.einsum("tp,ljt,jp->lj", grid.w2d * v, signed[0], E.conj())
+
+    return values, dx, dphi, analysis
+
+
+def _rel_to(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(B=st.integers(3, 40), shape=st.sampled_from(["half", "between", "full"]),
+       where=st.floats(0.0, 1.0), cplx=st.booleans(), seed=st.integers(0, 2**31 - 1))
+@example(B=40, shape="half", where=1.0, cplx=False, seed=0)
+@example(B=40, shape="between", where=0.0, cplx=True, seed=1)
+@example(B=39, shape="between", where=1.0, cplx=False, seed=2)
+@example(B=40, shape="full", where=0.0, cplx=True, seed=3)
+@example(B=3, shape="full", where=0.0, cplx=False, seed=4)
+def test_transforms_through_both_read_shapes_match_dense_sums_property(B, shape, where, cplx,
+                                                                        seed):
+    """synthesize, gradients and analyze of a band-L field on a band-B grid agree with
+    dense einsums over the loop's full tables to 1e-13 relative, with L <= B/2 (a
+    one-block read of pairs 0..L), B/2 < L < B and L = B (two-block reads of every pair);
+    synthesize then analyze gives the coefficients back to 1e-12, since a flat spectrum
+    at full band loses more in the round trip (4.2e-13 at band 40 with unpacked tables)."""
+    lo, hi = {"half": (0, B // 2), "between": (B // 2 + 1, B - 1), "full": (B, B)}[shape]
+    L = lo + round(where * (hi - lo))
+    rng = np.random.default_rng(seed)
+    f = _random_complex_field(L, rng) if cplx else random_real_field(L, rng)
+    grid = grid_for_band_limit(B)
+    values, dx, dphi, analysis = _dense_reference(f, grid)
+    got = synthesize([f], grid)[0]
+    assert _rel_to(got, values) < 1e-13
+    gx, gp = gradients([f], grid)
+    assert _rel_to(gx[0], dx) < 1e-13 and _rel_to(gp[0], dphi) < 1e-13
+    v = rng.standard_normal(got.shape) + (1j * rng.standard_normal(got.shape) if cplx else 0.0)
+    want = analysis(v)
+    want[np.abs(np.arange(-L, L + 1)) > np.arange(L + 1)[:, None]] = 0.0
+    assert _rel_to(analyze(v, L, grid).coeffs, want) < 1e-13
+    assert _rel_to(analyze(got, L, grid).coeffs, f.coeffs) < 1e-12
 
 
 def test_harmonic_equator_value():
@@ -595,7 +701,7 @@ def _full_table_structure_constants(l_max):
     grid = grid_for_band_limit(2 * l_max)
     ls, ms = lm_pairs(l_max).T
     sign = np.where(ms < 0, sphere_algebra._column_parity(l_max)[l_max + ms], 1.0)[:, None]
-    P, dPdx = sign * grid.P[ls, abs(ms)], sign * sphere_algebra._dPdx(grid, l_max)[ls, abs(ms)]
+    P, dPdx = (sign * _unpacked(t)[ls, abs(ms)] for t in (grid.P, sphere_algebra._dPdx(grid, l_max)))
     T = ms[:, None] * (dPdx[:, None] * P)
     T = (T - T.transpose(1, 0, 2)) * (2.0 * math.pi * grid.w)
     orders = ms[:, None] + ms
