@@ -456,8 +456,9 @@ class _Factorization:
     the interior block tridiagonal. Block cyclic reduction takes that Schur
     complement without pivoting: each level eliminates the odd nodes by the
     inverses of their diagonal blocks, until at most _CORE_NODES are left to
-    a pivoted dense solve. T is the factorization of A^T, read off this one:
-    every Schur complement of A^T is A's, transposed."""
+    a pivoted dense solve. A level keeps those inverses and its bands, and the
+    sweeps apply them in turn. T is the factorization of A^T, read off this
+    one by transposes: every Schur complement of A^T is A's, transposed."""
 
     def __init__(self, A):
         n = A.diag.shape[-1]
@@ -488,7 +489,7 @@ class _Factorization:
             diag[..., :odd] += _mul(gamma, lo)
             lower, upper = np.zeros_like(diag), np.zeros_like(diag)
             lower[..., 1:], upper[..., :odd] = _mul(alpha, lo[..., :even - 1]), _mul(gamma, up)
-            self.levels.append((inv, lo, up, alpha, gamma, lo_even, up_even))
+            self.levels.append((inv, lo, up, lo_even, up_even))
         self.core = _BlockOperator(lower, diag, upper, ()).toarray()
 
     @cached_property
@@ -497,9 +498,9 @@ class _Factorization:
         t.pivots = {e: p.T for e, p in self.pivots.items()}
         t.into, t.out = ([(j, i, b.T) for i, j, b in links] for links in (self.out, self.into))
         t.levels = []
-        for inv, lo, up, _, _, lo_even, up_even in self.levels:
+        for inv, lo, up, lo_even, up_even in self.levels:
             k = lo_even.shape[-1]  # the odd nodes with an even node to their right
-            level = inv, up_even, lo_even, -_mul(inv, up)[..., :k], -_mul(inv, lo), up[..., :k], lo
+            level = inv, up_even, lo_even, up[..., :k], lo
             t.levels.append(tuple(b.swapaxes(0, 1) for b in level))
         t.core = self.core.T
         return t
@@ -515,13 +516,13 @@ class _Factorization:
         for i, j, block in self.into:
             x[..., i] -= block @ ends[j]
         rhs, f = [], x[..., 1:-1]
-        for inv, lo, up, alpha, gamma, *_ in self.levels:
+        for inv, _, _, lo_even, up_even in self.levels:
             rhs.append(f)
-            odd, f = f[..., 1::2], f[..., 0::2].copy()
-            f[..., 1:] += _mul(alpha, odd[..., :f.shape[-1] - 1])
-            f[..., :inv.shape[-1]] += _mul(gamma, odd)
+            odd, f = _mul(inv, f[..., 1::2]), f[..., 0::2].copy()
+            f[..., 1:] -= _mul(lo_even, odd[..., :f.shape[-1] - 1])
+            f[..., :inv.shape[-1]] -= _mul(up_even, odd)
         y = _nodes(np.linalg.solve(self.core, _interleaved(f, (len(self.core), -1))))
-        for (inv, lo, up, alpha, gamma, *_), f in zip(reversed(self.levels), reversed(rhs)):
+        for (inv, lo, up, *_), f in zip(reversed(self.levels), reversed(rhs)):
             odd, even = inv.shape[-1], y.shape[-1]
             r = f[..., 1::2] - _mul(lo, y[..., :odd])
             r[..., :even - 1] -= _mul(up[..., :even - 1], y[..., 1:])

@@ -46,13 +46,23 @@ def _row(B, l, m):
     return np.where(m <= B // 2, m * (B + 1) + l, (B - m) * (B + 2) + l + 1)
 
 
+def _degree(table, l, top):
+    """Views of degree l's orders 0..top in a table packed at band B, as _row places them:
+    the lower orders are one stride-(B + 1) run of the flattened rows, the upper orders one
+    column of their pairs, reversed into order."""
+    B = table.shape[1] - 2
+    lower = min(top, B // 2) + 1
+    return (table.reshape(-1, table.shape[2])[l:l + lower * (B + 1):B + 1],
+            table[B - top:B - B // 2, l + 1][::-1])
+
+
 def _legendre_table(B, x):
     """Normalized associated Legendre values P(l, m) at x for 0 <= m <= l <= B, packed:
     shaped (B//2 + 1, B + 2, len(x)), order m paired with order B - m as _row places them,
     so the table holds the (B+1)(B+2)/2 nonzero rows and, at even B, the B/2 + 1 zero rows
-    of the middle pair, 8 (B//2 + 1)(B + 2) len(x) bytes in all. Normalization is such that
-    Y_lm = P(l, m) exp(i m phi) is orthonormal on the sphere, with the Condon-Shortley sign
-    folded in. A grid holds this table; the x-derivatives are built from it by _dPdx."""
+    of the middle pair. Normalization is such that Y_lm = P(l, m) exp(i m phi) is orthonormal
+    on the sphere, with the Condon-Shortley sign folded in. A grid holds this table on its
+    nodes x >= 0; the x-derivatives are built from it by _dPdx."""
     x = np.asarray(x, dtype=float)
     table = np.zeros((B // 2 + 1, B + 2, x.size))
     P = table.reshape(-1, x.size)
@@ -69,49 +79,56 @@ def _legendre_table(B, x):
         m = np.arange(l - 1)
         a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
         b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
-        r = _row(B, l, m)
-        P[r] = a * (x * P[r - 1] - b * P[r - 2])
+        lower = slice(min(l - 2, B // 2) + 1)
+        for s, (row, one, two) in zip((lower, slice(lower.stop, None)),
+                                      zip(*(_degree(table, k, l - 2) for k in (l, l - 1, l - 2)))):
+            row[...] = a[s] * (x * one - b[s] * two)
     return table
 
 
 def _dPdx(grid, L):
-    """dP/dx at the grid's nodes for degrees <= L' packed at band L' as _legendre_table
-    packs P, where L' >= L is the largest field band asked of the grid so far.
+    """dP/dx at the grid's nodes x >= 0 for degrees <= L' packed at band L' as
+    _legendre_table packs P, where L' >= L is the largest field band asked of the grid so far.
 
     A transform reads the derivatives only up to its fields' band, which is half the grid's
     for a bracket. So a grid holds one derivative table, in grid.dx_table, built from grid.P
     at the largest field band asked of the grid so far: a larger band rebuilds it, a smaller
-    one reads it as _read lays out. Each entry is (l x P(l, m) - c_lm P(l-1, m)) / (x^2 - 1)
-    whichever band built it, so every entry is bit for bit the same. For a bracket at band L
-    the band-2L grid holds 8 (L + 1)(2L + 2)(2L + 1) bytes of P and 8 (L//2 + 1)(L + 2)(2L + 1)
-    of dP/dx.
+    one reads it as _read lays out. For a bracket at band L the band-2L grid holds
+    8 (L + 1)(2L + 2)(L + 1) bytes of P and 8 (L//2 + 1)(L + 2)(L + 1) of dP/dx.
     """
     if not grid.dx_table or grid.dx_table[0].shape[1] - 2 < L:
         grid.dx_table.clear()  # the old table goes before the larger one is built
-        x, P = grid.x, grid.P.reshape(-1, grid.n_theta)
-        table = np.zeros((L // 2 + 1, L + 2, grid.n_theta))
-        dPdx = table.reshape(-1, grid.n_theta)
-        denom = x * x - 1.0
-        for l in range(1, L + 1):
-            m = np.arange(l + 1)
-            c = np.sqrt((l * l - m[:l] * m[:l]) * (2.0 * l + 1.0) / (2.0 * l - 1.0))[:, None]
-            r = _row(grid.band_limit, l, m)
-            upper = l * x * P[r]
-            upper[:l] -= c * P[r[:l] - 1]
-            dPdx[_row(L, l, m)] = upper / denom
+        table = _derivative_table(grid.P, grid.x[grid.n_theta // 2:], L)
         table.setflags(write=False)
         grid.dx_table.append(table)
     return grid.dx_table[0]
 
 
+def _derivative_table(P, x, L):
+    """dP/dx at the nodes x of a table P of _legendre_table, for degrees <= L packed at
+    band L: each entry is (l x P(l, m) - c_lm P(l-1, m)) / (x^2 - 1) whatever the bands, so
+    every entry is bit for bit the same."""
+    table = np.zeros((L // 2 + 1, L + 2, x.size))
+    denom = x * x - 1.0
+    for l in range(1, L + 1):
+        m = np.arange(l)
+        c = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))[:, None]
+        upper = l * x * np.concatenate(_degree(P, l, l))
+        upper[:l] -= c * np.concatenate(_degree(P, l - 1, l - 1))
+        lower, rest = _degree(table, l, l)
+        lower[...], rest[...] = upper[:len(lower)] / denom, upper[len(lower):] / denom
+    return table
+
+
 @lru_cache(maxsize=None)
 def _slots(L):
     """The (l, m) with 0 <= m <= l <= L, l-major, that a band-L transform carries: their
-    flat indices in a (L+1, 2L+1) coefficient array, those of (l, -m), and the (-1)^m and
-    the one-sided sum's weight of each."""
+    flat indices in a (L+1, 2L+1) coefficient array, those of (l, -m), and the (-1)^m, the
+    one-sided sum's weight and the (-1)^(l+m) of each, the last the sign that takes P(l, m)
+    at x to P(l, m) at -x."""
     l, m = np.tril_indices(L + 1)
     out = (l * (2 * L + 1) + L + m, l * (2 * L + 1) + L - m, _column_parity(L)[L + m],
-           np.where(m > 0, 1.0, 0.5))
+           np.where(m > 0, 1.0, 0.5), 1.0 - 2.0 * ((l + m) % 2))
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -120,27 +137,50 @@ def _slots(L):
 @lru_cache(maxsize=None)
 def _read(B, L):
     """How a band-L transform reads a table packed at band B >= L: (pairs, positions,
-    blocks, slot, at, orders).
+    blocks, slot).
 
     When 2L <= B every order 0..L is a pair's lower order, and the read takes positions
     0..L of pairs 0..L in one column block, order m's degree m + j at position j: the
     (L+1)^2 rows per node of the unpacked read. Otherwise it takes positions 0..L+1 of
     every pair in two column blocks, the lower order's and the upper's. slot[i] is the
-    flat (pair, position, block) of the i-th (l, m) of _slots(L), at the (pair, block) of
-    each order 0..L, and orders[pair, block] the order there: the lower one where the upper
-    is past L or is the middle pair's own."""
+    flat (pair, position, block) of the i-th (l, m) of _slots(L)."""
     blocks = 1 if 2 * L <= B else 2
     pairs, positions = (L + 1, L + 1) if blocks == 1 else (B // 2 + 1, L + 2)
     l, m = np.tril_indices(L + 1)
     upper = m > B // 2
     slot = (np.where(upper, B - m, m) * positions + np.where(upper, l + 1, l - m)) * blocks + upper
+    slot.setflags(write=False)
+    return pairs, positions, blocks, slot
+
+
+@lru_cache(maxsize=None)
+def _hemispheres(B, L, n_theta, sign=1.0):
+    """Gathers that let one matrix product per pair cover both hemispheres of a grid of
+    n_theta nodes, for a band-L transform against a table packed at band B and kept on the
+    nodes x >= 0, whose entry at -x is sign (-1)^(l+m) times its entry at x: (cols, out, into).
+
+    The product's rows are the flat (pair, node x >= 0, block, side), side 0 the node itself
+    and side 1 its mirror x < 0. cols[(pair, position, block, side)] indexes [parts, -parts,
+    0]: the part at its slot on side 0, sign (-1)^(l+m) times it on side 1, and 0 where the
+    read places nothing. out[(node, m)] is the row that holds order m at a grid node, and
+    into[row] that (node, m), or n_theta (L + 1), one past the last, for a row no (node, m)
+    has: the equator's mirror and the orders a read does not use."""
+    pairs, positions, blocks, slot = _read(B, L)
+    count = len(slot)
+    cols = np.full((pairs * positions * blocks, 2), 2 * count)
+    cols[slot, 0] = np.arange(count)
+    cols[slot, 1] = np.arange(count) + count * (sign * _slots(L)[4] < 0)
+    nodes, south, j = (n_theta + 1) // 2, n_theta // 2, np.arange(n_theta)[:, None]
     m = np.arange(L + 1)
-    at = np.where(m > B // 2, B - m, m), (m > B // 2).astype(int)
-    p = np.arange(pairs)
-    orders = np.stack([p, np.where(B - p <= L, B - p, p)], axis=1)[:, :blocks]
-    for arr in (slot, *at, orders):
+    node = np.where(j < south, nodes - 1 - j, j - south)
+    out = (((np.where(m > B // 2, B - m, m) * nodes + node) * blocks + (m > B // 2)) * 2
+           + (j < south)).reshape(-1)
+    into = np.full(pairs * nodes * blocks * 2, out.size)
+    into[out] = np.arange(out.size)
+    cols = cols.reshape(-1)
+    for arr in (cols, out, into):
         arr.setflags(write=False)
-    return pairs, positions, blocks, slot, at, orders
+    return cols, out, into
 
 
 @dataclass(frozen=True)
@@ -151,12 +191,14 @@ class SphereGrid:
     analysis is exact for fields of band <= band_limit. trig[m] holds
     (cos(m phi), -sin(m phi)) for 0 <= m <= band_limit, so that
     Re(a exp(i m phi)) = (Re a, Im a) . trig[m]. w2d holds the quadrature
-    weights on the (theta, phi) product grid; they sum to 4 pi. P is the
-    Legendre table to band_limit B packed at its nonzeros, order m paired with
-    order B - m: shape (B//2 + 1, B + 2, n_theta), 8 (B//2 + 1)(B + 2)(B + 1)
-    bytes, about half the (B + 1)^3 doubles of the (l, m, node) cube. dx_table
-    holds at most one array: dP/dx packed the same way at the largest field
-    band asked of the grid so far, which _dPdx builds and reads.
+    weights on the (theta, phi) product grid; they sum to 4 pi. The nodes
+    mirror, x == -x[::-1], and P(l, m) at -x is (-1)^(l+m) times P(l, m) at x,
+    so P is the Legendre table to band_limit B on the B//2 + 1 nodes x >= 0,
+    packed at its nonzeros, order m paired with order B - m: shape
+    (B//2 + 1, B + 2, B//2 + 1), 8 (B//2 + 1)^2 (B + 2) bytes, about a quarter
+    of the (B + 1)^3 doubles of the (l, m, node) cube. dx_table holds at most
+    one array: dP/dx on the same nodes, packed the same way at the largest
+    field band asked of the grid so far, which _dPdx builds and reads.
     """
 
     band_limit: int
@@ -184,7 +226,7 @@ def grid_for_band_limit(band_limit):
     x, w = leggauss(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     w2d = np.outer(w, np.full(n_phi, 2.0 * math.pi / n_phi))
-    P = _legendre_table(band_limit, x)
+    P = _legendre_table(band_limit, x[n_theta // 2:])
     m_phi = np.outer(np.arange(band_limit + 1), phi)
     trig = np.stack([np.cos(m_phi), -np.sin(m_phi)], axis=1)
     arrays = (x, w, phi, np.sqrt(1.0 - x * x), w2d, P, trig)
@@ -336,35 +378,40 @@ def _real_parts(fields, grid):
     real fields; h1 = (c + c~)/2, h2 = (c - c~)/2i.
 
     Returns the (l, m) coefficients of _slots(L) of every h1, then of every
-    nonzero h2, shaped (parts, slots), with m > 0 doubled for the one-sided
-    cos/sin sum, and the mask of fields with a nonzero h2. Exactly Hermitian
-    coefficients give h2 == 0, so real fields keep real values.
+    nonzero h2, with m > 0 doubled for the one-sided cos/sin sum, followed on
+    each row by their negatives and a 0, the entries _sum_over_l gathers from:
+    shaped (parts, 2 slots + 1). Also returns the mask of fields with a nonzero
+    h2. Exactly Hermitian coefficients give h2 == 0, so real fields keep real
+    values.
     """
     L = fields[0].l_max
     if grid.band_limit < L:
         raise ValueError("grid too coarse for band limit")
     coeffs = np.array([f.coeffs for f in fields]).reshape(len(fields), -1)
-    at, mirror_at, parity, weight = _slots(L)
+    at, mirror_at, parity, weight, _ = _slots(L)
     c, mirror = coeffs[:, at], parity * coeffs[:, mirror_at].conj()
     h2 = (c - mirror) * weight
     cplx = h2.any(axis=1)
     parts = (c + mirror) * weight
     if cplx.any():
         parts = np.concatenate([parts, h2[cplx] / 1j])
-    return parts, cplx
+    return np.concatenate([parts, -parts, np.zeros((len(parts), 1))], axis=1), cplx
 
 
-def _sum_over_l(parts, table, L):
-    """Order amplitudes per node: sum over l of band-L parts against a packed
-    Legendre table, one matrix product per pair; shape (parts, n_theta, m, 2)."""
-    k = len(parts)
-    pairs, positions, blocks, slot, at, _ = _read(table.shape[1] - 2, L)
-    cols = np.zeros((pairs * positions * blocks, k), dtype=complex)
-    cols[slot] = parts.T
-    cols = cols.view(float).reshape(pairs, positions, 2 * blocks * k)
+def _sum_over_l(parts, table, L, n_theta, sign=1.0):
+    """Order amplitudes at each of n_theta nodes: sum over l of the band-L parts of
+    _real_parts against a packed Legendre table kept on the nodes x >= 0, whose entry at -x
+    is sign (-1)^(l+m) times its entry at x (sign -1 for dP/dx). One matrix product per pair
+    and part takes the part and its mirrored copy, [c | sign (-1)^(l+m) c], for both
+    hemispheres, so each part has one product shape at any stack size; shape
+    (parts, n_theta, m, 2)."""
+    k, B = len(parts), table.shape[1] - 2
+    pairs, positions, blocks, _ = _read(B, L)
+    cols, out, _ = _hemispheres(B, L, n_theta, sign)
+    cols = parts.take(cols, axis=1).view(float).reshape(k, pairs, positions, 4 * blocks)
     per_pair = table[:pairs, :positions].transpose(0, 2, 1) @ cols
-    per_pair = per_pair.reshape(pairs, table.shape[2], blocks, k, 2)
-    return per_pair.transpose(3, 1, 0, 2, 4)[:, :, at[0], at[1]]
+    amps = per_pair.view(complex).reshape(k, pairs * table.shape[2] * blocks * 2).take(out, axis=1)
+    return amps.view(float).reshape(k, n_theta, L + 1, 2)
 
 
 def _sum_over_m(amps, grid, cplx):
@@ -383,17 +430,18 @@ def _gradients(fields, grid):
     """grad_values of fields of one band limit, stacked, and their cplx mask."""
     L = fields[0].l_max
     parts, cplx = _real_parts(fields, grid)
-    amps = _sum_over_l(parts, grid.P, L)
+    amps = _sum_over_l(parts, grid.P, L, grid.n_theta)
     # d/dphi turns a_m into i m a_m: (re, im) -> m (-im, re)
     dphi = amps[..., ::-1] * (np.arange(L + 1)[:, None] * [-1.0, 1.0])
-    dx = _sum_over_m(_sum_over_l(parts, _dPdx(grid, L), L), grid, cplx)
+    dx = _sum_over_m(_sum_over_l(parts, _dPdx(grid, L), L, grid.n_theta, -1.0), grid, cplx)
     return dx, _sum_over_m(dphi, grid, cplx), cplx
 
 
 def _values(fields, grid):
     """Grid values of fields of one band limit, stacked, and their cplx mask."""
     parts, cplx = _real_parts(fields, grid)
-    return _sum_over_m(_sum_over_l(parts, grid.P, fields[0].l_max), grid, cplx), cplx
+    amps = _sum_over_l(parts, grid.P, fields[0].l_max, grid.n_theta)
+    return _sum_over_m(amps, grid, cplx), cplx
 
 
 def _by_band(kernel, fields, grid):
@@ -441,15 +489,18 @@ def _analyze(values, L, grid):
     cplx = np.iscomplexobj(values)
     parts = np.stack([values.real, values.imag], 1).reshape(-1, *grid.w2d.shape) if cplx else values
     k = len(parts)
-    pairs, positions, blocks, slot, _, orders = _read(grid.band_limit, L)
-    # the phi stage puts the orders in pair order: its trig rows are gathered, a cheaper
-    # copy than its output
-    trig = grid.trig[orders].reshape(-1, grid.n_phi)
-    F = (parts @ trig.T).reshape(k, grid.n_theta, pairs, 2 * blocks)
-    F *= (2.0 * math.pi / grid.n_phi) * grid.w[:, None, None]
-    per_pair = grid.P[None, :pairs, :positions] @ F.transpose(0, 2, 1, 3)
-    half = per_pair.reshape(k, pairs * positions * blocks, 2)[:, slot].view(complex)[..., 0]
-    at, mirror_at, parity, _ = _slots(L)
+    pairs, positions, blocks, slot = _read(grid.band_limit, L)
+    F = parts @ grid.trig[:L + 1].reshape(-1, grid.n_phi).T
+    F *= grid.w2d[:, :1]  # the node's weight times 2 pi / n_phi
+    # each node x >= 0 beside its mirror x < 0 (a 0 for the equator's): one matrix product
+    # per pair and field sums both hemispheres against the table kept on x >= 0
+    F = np.concatenate([F.view(complex).reshape(k, grid.n_theta * (L + 1)), np.zeros((k, 1))],
+                       axis=1)
+    G = F.take(_hemispheres(grid.band_limit, L, grid.n_theta)[2], axis=1).view(float)
+    per_pair = grid.P[:pairs, :positions] @ G.reshape(k, pairs, grid.P.shape[2], 4 * blocks)
+    sides = per_pair.view(complex).reshape(k, pairs * positions * blocks, 2).take(slot, axis=1)
+    at, mirror_at, parity, _, reflect = _slots(L)
+    half = sides[..., 0] + reflect * sides[..., 1]
     coeffs = np.zeros((k, (L + 1) * (2 * L + 1)), dtype=complex)
     coeffs[:, mirror_at] = parity * half.conj()  # m = 0 too, which the next line overwrites
     coeffs[:, at] = half
@@ -526,8 +577,13 @@ def structure_constants(l_max):
     grid = grid_for_band_limit(2 * l_max)
     ls, ms = lm_pairs(l_max).T
     sign = np.where(ms < 0, _column_parity(l_max)[l_max + ms], 1.0)[:, None]  # Y_l,-m's (-1)^m
-    P, dPdx = (sign * t.reshape(-1, grid.n_theta)[_row(t.shape[1] - 2, ls, abs(ms))]
-               for t in (grid.P, _dPdx(grid, l_max)))
+    # the rows on every node from the tables on x >= 0: P(-x) = (-1)^(l+m) P(x), and dP/dx
+    # mirrors with the opposite sign
+    rows = (t.reshape(-1, t.shape[2])[_row(t.shape[1] - 2, ls, abs(ms))]
+            for t in (grid.P, _dPdx(grid, l_max)))
+    south, flip = grid.n_theta // 2, 1.0 - 2.0 * ((ls + ms) % 2)[:, None]
+    P, dPdx = (sign * np.concatenate([s * flip * r[:, r.shape[1] - south:][:, ::-1], r], axis=1)
+               for r, s in zip(rows, (1.0, -1.0)))
     weight, orders = 2.0 * math.pi * grid.w, ms[:, None] + ms
     for m in range(-l_max, l_max + 1):  # the pairs of order m against the P rows of order m
         a, b = np.nonzero(orders == m)

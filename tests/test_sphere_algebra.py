@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.special import sph_harm_y
 
 from uinf import sphere_algebra
@@ -103,61 +104,96 @@ def _unpacked(packed):
     return out
 
 
-def _packed_bytes(B, n_theta):
-    return 8 * (B // 2 + 1) * (B + 2) * n_theta
+def _table_bytes(B, n_theta):
+    """Bytes of a table packed at band B on the (n_theta + 1) // 2 nodes x >= 0 of a grid."""
+    return 8 * (B // 2 + 1) * (B + 2) * ((n_theta + 1) // 2)
 
 
 def test_legendre_tables_equal_the_elementwise_loop():
     """A grid's P and its derivative table at the grid's own band, vectorized
-    over the orders, equal the loop packed, every entry bit for bit, on every
-    grid up to band limit 70: the same operations per element, in the same
-    order. A derivative table grown from a smaller band equals one built at
-    once, and a smaller band reads it rather than building another."""
+    over the orders, equal the loop packed on the nodes x >= 0, every entry bit
+    for bit, on every grid up to band limit 70: the same operations per element,
+    in the same order. A derivative table grown from a smaller band equals one
+    built at once, and a smaller band reads it rather than building another."""
     for band_limit in range(71):
         grid = grid_for_band_limit(band_limit)
         P, dPdx = _legendre_loop(band_limit, grid.x)
-        assert grid.P.shape == (band_limit // 2 + 1, band_limit + 2, grid.n_theta)
-        assert np.array_equal(grid.P, _packed(P)), band_limit
-        assert np.array_equal(sphere_algebra._dPdx(grid, band_limit), _packed(dPdx)), band_limit
+        north = grid.n_theta // 2
+        assert grid.P.shape == (band_limit // 2 + 1, band_limit + 2, band_limit // 2 + 1)
+        assert np.array_equal(grid.P, _packed(P)[..., north:]), band_limit
+        assert np.array_equal(sphere_algebra._dPdx(grid, band_limit), _packed(dPdx)[..., north:])
     grown = dataclasses.replace(grid)  # the band-70 grid with no derivative table yet
     sphere_algebra._dPdx(grown, 9)
     table = sphere_algebra._dPdx(grown, 40)
-    assert np.array_equal(table, _packed(dPdx[:41, :41]))
+    assert np.array_equal(table, _packed(dPdx[:41, :41])[..., north:])
     assert sphere_algebra._dPdx(grown, 25) is table
+
+
+def _full_tables(B, L):
+    """The nodes of the band-B grid (numpy's leggauss, as grid_for_band_limit takes them),
+    and P packed at band B and dP/dx packed at band L on every one of them, by the package's
+    own arithmetic."""
+    x = leggauss(B + 1)[0]
+    P = sphere_algebra._legendre_table(B, x)
+    return x, P, sphere_algebra._derivative_table(P, x, L)
+
+
+def _reflections(B):
+    """(-1)^(l+m) of each (pair, position) of a table packed at band B, 0 where it places
+    nothing."""
+    out = np.zeros((B // 2 + 1, B + 2, 1))
+    for l, m, pair, position in _layout(B):
+        out[pair, position] = (-1.0) ** (l + m)
+    return out
+
+
+@pytest.mark.parametrize("B", [*range(71), 128, 300])
+def test_nodes_and_legendre_tables_mirror_exactly(B):
+    """The grid's nodes mirror, x == -x[::-1], with the equator node exactly 0.0 at even
+    band; P at -x is (-1)^(l+m) times P at x and dP/dx is -(-1)^(l+m) times dP/dx at x,
+    every entry bit for bit. A grid keeps its tables on the nodes x >= 0 on this ground."""
+    x, P, dPdx = _full_tables(B, B // 2)
+    assert np.array_equal(x, -x[::-1])
+    assert B % 2 or x[B // 2] == 0.0
+    for table, sign in ((P, _reflections(B)), (dPdx, -_reflections(B // 2))):
+        for pair, pair_sign in zip(table, sign):  # a pair at a time, to keep band 300 small
+            assert np.array_equal(pair[:, ::-1], pair_sign * pair)
 
 
 @pytest.mark.parametrize("L", [8, 16])
 def test_a_bracket_grid_holds_its_derivative_table_at_the_field_band(L, monkeypatch):
-    """After a bracket of two band-L fields, the band-2L grid holds its P packed at band 2L,
-    8 (L+1)(2L+2)(2L+1) bytes, and its derivative table packed at band L,
-    8 (L//2+1)(L+2)(2L+1) bytes, counted in nbytes on fresh grids."""
+    """After a bracket of two band-L fields, the band-2L grid holds its P packed at band 2L
+    on its L + 1 nodes x >= 0, 8 (L+1)(2L+2)(L+1) bytes, and its derivative table packed at
+    band L on the same nodes, 8 (L//2+1)(L+2)(L+1) bytes, counted in nbytes on fresh grids."""
     fresh = lru_cache(maxsize=None)(sphere_algebra.grid_for_band_limit.__wrapped__)
     monkeypatch.setattr(sphere_algebra, "grid_for_band_limit", fresh)
     rng = np.random.default_rng(L)
     bracket(random_real_field(L, rng), random_real_field(L, rng))
     grid = fresh(2 * L)
-    assert grid.P.nbytes == _packed_bytes(2 * L, 2 * L + 1) == 8 * (L + 1) * (2 * L + 2) * (2 * L + 1)
-    assert [t.nbytes for t in grid.dx_table] == [_packed_bytes(L, 2 * L + 1)]
+    assert grid.P.nbytes == _table_bytes(2 * L, 2 * L + 1) == 8 * (L + 1) * (2 * L + 2) * (L + 1)
+    assert [t.nbytes for t in grid.dx_table] == [_table_bytes(L, 2 * L + 1)]
 
 
 def test_a_derivative_table_grows_to_the_largest_band_and_no_further():
     """Field bands 0..B asked of one grid in rising order keep its one derivative table
-    packed at the band last asked, 8 (L//2+1)(L+2)(B+1) bytes; a smaller band asked
+    packed at the band last asked, 8 (L//2+1)(L+2)(B//2+1) bytes; a smaller band asked
     after a larger one reads the table there, rebuilding nothing."""
     B = 12
     grid = dataclasses.replace(grid_for_band_limit(B))  # no derivative table yet
     rng = np.random.default_rng(0)
     for L in range(B + 1):
         gradients([random_real_field(L, rng)], grid)
-        assert [t.nbytes for t in grid.dx_table] == [_packed_bytes(L, B + 1)]
+        assert [t.nbytes for t in grid.dx_table] == [_table_bytes(L, B + 1)]
     table = grid.dx_table[0]
     gradients([random_real_field(3, rng)], grid)
     assert len(grid.dx_table) == 1 and grid.dx_table[0] is table
 
 
 def test_a_grid_and_its_derivative_table_are_built_packed():
-    """Building a band-64 grid and its band-32 derivative table allocates at most 1.25
-    times the two packed tables' bytes at its peak; the two tables unpacked are 1.9 times."""
+    """Building a band-64 grid and its band-32 derivative table allocates at its peak the
+    grid's other arrays and at most 1.15 times the two packed tables' bytes on the nodes
+    x >= 0; with either table on every node, or P unpacked, the two tables alone are more
+    than 1.2 times."""
     build = sphere_algebra.grid_for_band_limit.__wrapped__
     sphere_algebra._dPdx(build(64), 32)  # imports and caches outside the measurement
     tracemalloc.start()
@@ -167,8 +203,9 @@ def test_a_grid_and_its_derivative_table_are_built_packed():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert grid.P.nbytes + table.nbytes == _packed_bytes(64, 65) + _packed_bytes(32, 65)
-    assert peak <= 1.25 * (grid.P.nbytes + table.nbytes)
+    assert grid.P.nbytes + table.nbytes == _table_bytes(64, 65) + _table_bytes(32, 65)
+    others = sum(a.nbytes for a in (grid.x, grid.w, grid.phi, grid.sin_theta, grid.w2d, grid.trig))
+    assert peak <= others + 1.15 * (grid.P.nbytes + table.nbytes)
 
 
 def _dense_reference(f, grid):
@@ -701,7 +738,7 @@ def _full_table_structure_constants(l_max):
     grid = grid_for_band_limit(2 * l_max)
     ls, ms = lm_pairs(l_max).T
     sign = np.where(ms < 0, sphere_algebra._column_parity(l_max)[l_max + ms], 1.0)[:, None]
-    P, dPdx = (sign * _unpacked(t)[ls, abs(ms)] for t in (grid.P, sphere_algebra._dPdx(grid, l_max)))
+    P, dPdx = (sign * _unpacked(t)[ls, abs(ms)] for t in _full_tables(2 * l_max, l_max)[1:])
     T = ms[:, None] * (dPdx[:, None] * P)
     T = (T - T.transpose(1, 0, 2)) * (2.0 * math.pi * grid.w)
     orders = ms[:, None] + ms
