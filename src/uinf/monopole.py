@@ -374,17 +374,16 @@ def _linear_operator(profile):
     cH = 2.0 * K ** 2 / xi ** 2
     cX = 4.0 * K * H / xi ** 2
     inv_h2 = 1.0 / (h * h)
-    lower, diag, upper = (np.zeros((2, 2, n)) for _ in range(3))
-    lower[0, 0, 1:-1] = upper[0, 0, 1:-1] = -2.0 * inv_h2
-    lower[1, 1, 1:-1] = upper[1, 1, 1:-1] = -inv_h2
+    lower, upper, diag = np.zeros((2, n)), np.zeros((2, n)), np.zeros((2, 2, n))
+    lower[:, 1:-1] = upper[:, 1:-1] = [[-2.0 * inv_h2], [-inv_h2]]
     diag[..., 1:-1] = [[4.0 * inv_h2 + cK[1:-1], cX[1:-1]], [cX[1:-1], 2.0 * inv_h2 + cH[1:-1]]]
     two_h, both = 2.0 * h, [0, 1]
     # regularity rows at the first node: xi y' - 2 y = 0, forward 3-point y'
     diag[both, both, 0] = xi[0] * (-3.0 / two_h) - 2.0
-    upper[both, both, 0] = xi[0] * (4.0 / two_h)
+    upper[:, 0] = xi[0] * (4.0 / two_h)
     # cutoff rows: K1' + K1 = 0 and H1' = 0, backward 3-point y'
     diag[both, both, -1] = [3.0 / two_h + 1.0, 3.0 / two_h]
-    lower[both, both, -1] = -4.0 / two_h
+    lower[:, -1] = -4.0 / two_h
     # the third stencil points, outside the band
     reach = [(0, 2, xi[0] * (-1.0 / two_h)), (n - 1, n - 3, 1.0 / two_h)]
     return _BlockOperator(lower, diag, upper, reach)
@@ -395,9 +394,13 @@ _CORE_NODES = 32
 
 
 def _mul(a, b):
-    """a_i b_i for a (2, 2, k) stack of 2x2 blocks, stored component-major,
-    and blocks (2, 2, k) or node vectors (2, m, k)."""
-    return np.einsum("abk,b...k->a...k", a, b)
+    """a_i b_i for stacks of k 2x2 blocks, stored component-major: (2, 2, k),
+    or (2, k) for diagonal blocks; b may also be node vectors (2, m, k). A
+    diagonal factor is a broadcast product, bit for bit the einsum on its
+    blocks: each entry sums one product with an exact zero."""
+    if a.ndim == 2:
+        return a[:, None] * b
+    return a * b if b.ndim == 2 else np.einsum("abk,b...k->a...k", a, b)
 
 
 def _inverse(d):
@@ -420,10 +423,11 @@ def _interleaved(v, shape):
 
 
 class _BlockOperator:
-    """A matrix in 2x2 node blocks of interleaved unknowns: (2, 2, n) stacks
-    lower, diag and upper (lower[..., 0] and upper[..., -1] zero), and reach,
-    the entries off the band as (row node, column node, coefficient of the
-    identity block)."""
+    """A matrix in 2x2 node blocks of interleaved unknowns: the (2, 2, n) stack
+    diag; the couplings lower and upper (lower[..., 0] and upper[..., -1]
+    zero) as (2, n) stacks of diagonal blocks, or (2, 2, n) stacks where only
+    @ reads them; and reach, the entries off the band as (row node, column
+    node, coefficient of the identity block)."""
 
     def __init__(self, lower, diag, upper, reach):
         self.lower, self.diag, self.upper, self.reach = lower, diag, upper, reach
@@ -440,7 +444,7 @@ class _BlockOperator:
 
     def norm(self):
         """The max norm, the largest absolute row sum."""
-        sums = sum(np.abs(b).sum(axis=1) for b in (self.lower, self.diag, self.upper))
+        sums = np.abs(self.lower) + np.abs(self.diag).sum(axis=1) + np.abs(self.upper)
         for i, _, c in self.reach:
             sums[:, i] += abs(c)
         return sums.max()
@@ -450,20 +454,23 @@ class _BlockOperator:
 
 
 class _Factorization:
-    """A factored _BlockOperator whose reach touches only its end nodes.
+    """A factored _BlockOperator whose reach touches only its end nodes, and
+    whose end nodes' diagonal blocks are diagonal.
 
     The two end nodes go first, each by its own pivot block, which leaves
     the interior block tridiagonal. Block cyclic reduction takes that Schur
     complement without pivoting: each level eliminates the odd nodes by the
     inverses of their diagonal blocks, until at most _CORE_NODES are left to
-    a pivoted dense solve. A level keeps those inverses and its bands, and the
-    sweeps apply them in turn. T is the factorization of A^T, read off this
-    one by transposes: every Schur complement of A^T is A's, transposed."""
+    a pivoted dense solve. A level keeps those inverses and views of its
+    couplings, diagonal at the first level, and the sweeps apply them in turn.
+    T is the factorization of A^T, read off this one by transposes: every
+    Schur complement of A^T is A's, transposed."""
 
     def __init__(self, A):
         n = A.diag.shape[-1]
-        links = [(1, 0, A.lower[..., 1]), (0, 1, A.upper[..., 0]),
-                 (n - 2, n - 1, A.upper[..., -2]), (n - 1, n - 2, A.lower[..., -1])]
+        links = [(1, 0, A.lower[:, 1]), (0, 1, A.upper[:, 0]),
+                 (n - 2, n - 1, A.upper[:, -2]), (n - 1, n - 2, A.lower[:, -1])]
+        links = [(i, j, np.diag(c)) for i, j, c in links]
         links += [(i, j, c * np.eye(2)) for i, j, c in A.reach]
         self.pivots = {e: _inverse(A.diag[..., e]) for e in (0, n - 1)}
         # (row, end, block) of the interior rows' couplings to an end node,
@@ -471,11 +478,14 @@ class _Factorization:
         self.into = [link for link in links if link[1] in self.pivots]
         self.out = [link for link in links if link[0] in self.pivots]
         lower, diag, upper = bands = [b[..., 1:-1].copy() for b in (A.lower, A.diag, A.upper)]
-        lower[..., 0] = upper[..., -1] = 0.0
+        lower[:, 0] = upper[:, -1] = 0.0
+        # the end pivots are diagonal, so the Schur corrections to the couplings are too
         for i, j, b in self.into:
             for e, k, c in self.out:
                 if e == j:
-                    bands[k - i + 1][..., i - 1] -= b @ self.pivots[j] @ c
+                    band, s = bands[k - i + 1], b @ self.pivots[j] @ c
+                    band[..., i - 1] -= s if band.ndim == 3 else s.diagonal()
+        del bands  # level 1 keeps views of the couplings, and no level the diagonal
         self.levels = []
         while diag.shape[-1] > _CORE_NODES:
             inv, lo, up = _inverse(diag[..., 1::2]), lower[..., 1::2], upper[..., 1::2]
@@ -501,7 +511,7 @@ class _Factorization:
         for inv, lo, up, lo_even, up_even in self.levels:
             k = lo_even.shape[-1]  # the odd nodes with an even node to their right
             level = inv, up_even, lo_even, up[..., :k], lo
-            t.levels.append(tuple(b.swapaxes(0, 1) for b in level))
+            t.levels.append(tuple(b if b.ndim == 2 else b.swapaxes(0, 1) for b in level))
         t.core = self.core.T
         return t
 
@@ -521,14 +531,13 @@ class _Factorization:
             odd, f = _mul(inv, f[..., 1::2]), f[..., 0::2].copy()
             f[..., 1:] -= _mul(lo_even, odd[..., :f.shape[-1] - 1])
             f[..., :inv.shape[-1]] -= _mul(up_even, odd)
-        y = _nodes(np.linalg.solve(self.core, _interleaved(f, (len(self.core), -1))))
+        # each level's solution overwrites its right-hand side, the first level's in x
+        f[...] = y = _nodes(np.linalg.solve(self.core, _interleaved(f, (len(self.core), -1))))
         for (inv, lo, up, *_), f in zip(reversed(self.levels), reversed(rhs)):
-            odd, even = inv.shape[-1], y.shape[-1]
-            r = f[..., 1::2] - _mul(lo, y[..., :odd])
-            r[..., :even - 1] -= _mul(up[..., :even - 1], y[..., 1:])
-            y, f = np.empty_like(f), y
-            y[..., 0::2], y[..., 1::2] = f, _mul(inv, r)
-        x[..., 1:-1] = y
+            r = f[..., 1::2]
+            r -= _mul(lo, y[..., :inv.shape[-1]])
+            r[..., :y.shape[-1] - 1] -= _mul(up[..., :y.shape[-1] - 1], y[..., 1:])
+            f[..., 0::2], r[...], y = y, _mul(inv, r), f
         for e, j, block in self.out:
             x[..., e] -= block @ x[..., j]
         for e, p in self.pivots.items():

@@ -389,7 +389,7 @@ def _real_parts(fields, grid):
         raise ValueError("grid too coarse for band limit")
     coeffs = np.array([f.coeffs for f in fields]).reshape(len(fields), -1)
     at, mirror_at, parity, weight, _ = _slots(L)
-    c, mirror = coeffs[:, at], parity * coeffs[:, mirror_at].conj()
+    c, mirror = coeffs.take(at, axis=1), parity * coeffs.take(mirror_at, axis=1).conj()
     h2 = (c - mirror) * weight
     cplx = h2.any(axis=1)
     parts = (c + mirror) * weight
