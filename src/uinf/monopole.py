@@ -573,13 +573,15 @@ def _inverse_largest_sv(Z):
 def _min_singular_value(A):
     """(sigma_min, iterations, last relative change) of the response operator
     A by block inverse iteration on one factorization of A and its transposed
-    view: Q <- qr(A^-T (A^-1 Q)) from a fixed seeded block, with sigma_min
-    estimated as 1 / (the largest singular value of A^-1 Q). It stops once an
-    iteration moves the estimate by at most _DIAGNOSTIC_RTOL relative, or
-    after _DIAGNOSTIC_MAX_ITER iterations; a non-finite estimate stops it at
-    once and is returned as NaN."""
+    view: Q <- qr(A^-T (A^-1 Q)) from a fixed block, the first cosine (DCT-II)
+    columns over the row index (no random draw, so no numpy.random), with
+    sigma_min estimated as 1 / (the largest singular value of A^-1 Q). It
+    stops once an iteration moves the estimate by at most _DIAGNOSTIC_RTOL
+    relative, or after _DIAGNOSTIC_MAX_ITER iterations; a non-finite
+    estimate stops it at once and is returned as NaN."""
     lu = _Factorization(A)
-    block = np.random.default_rng(0).standard_normal((A.shape[0], _DIAGNOSTIC_BLOCK))
+    n = A.shape[0]
+    block = np.cos(math.pi * (np.arange(n)[:, None] + 0.5) * np.arange(_DIAGNOSTIC_BLOCK) / n)
     Z = lu.solve(np.linalg.qr(block)[0])
     sigma, iterations, change = _inverse_largest_sv(Z), 0, math.inf
     while iterations < _DIAGNOSTIC_MAX_ITER and change > _DIAGNOSTIC_RTOL:

@@ -11,6 +11,7 @@ by the rules in grid_for_band_limit. Nodes never sit on the poles, so the
 structure constants are a closed form over the Legendre tables, not a bracket.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
@@ -93,7 +94,7 @@ def _dPdx(grid, L):
     A transform reads the derivatives only up to its fields' band, which is half the grid's
     for a bracket. So a grid holds one derivative table, in grid.dx_table, built from grid.P
     at the largest field band asked of the grid so far: a larger band rebuilds it, a smaller
-    one reads it as _read lays out. For a bracket at band L the band-2L grid holds
+    one reads it as _plan lays out. For a bracket at band L the band-2L grid holds
     8 (L + 1)(2L + 2)(L + 1) bytes of P and 8 (L//2 + 1)(L + 2)(L + 1) of dP/dx.
     """
     if not grid.dx_table or grid.dx_table[0].shape[1] - 2 < L:
@@ -120,67 +121,69 @@ def _derivative_table(P, x, L):
     return table
 
 
+_Plan = namedtuple("_Plan", "rows gather parity weight reflect dphi cols at_nodes into sides place")
+
+
 @lru_cache(maxsize=None)
-def _slots(L):
-    """The (l, m) with 0 <= m <= l <= L, l-major, that a band-L transform carries: their
-    flat indices in a (L+1, 2L+1) coefficient array, those of (l, -m), and the (-1)^m, the
-    one-sided sum's weight and the (-1)^(l+m) of each, the last the sign that takes P(l, m)
-    at x to P(l, m) at -x."""
+def _plan(B, L, n_theta, sign=1.0):
+    """Index arrays and factors of a band-L transform against a Legendre table packed at
+    band B and kept on the nodes x >= 0 of a grid of n_theta nodes, whose entry at -x is
+    sign (-1)^(l+m) times its entry at x (sign -1 for dP/dx). B < L raises ValueError.
+
+    The transform carries the n slots (l, m), 0 <= m <= l <= L, l-major. gather holds their
+    flat indices in a (L+1, 2L+1) coefficient array, then those of (l, -m); parity, weight
+    and reflect hold per slot (-1)^m, the one-sided sum's weight and the (-1)^(l+m) that
+    takes P(l, m) at x to P(l, m) at -x. dphi times each order's (im, re) gives m (-im, re),
+    the d/dphi of a_m exp(i m phi).
+
+    The read, table[rows]: when 2L <= B every order 0..L is a pair's lower order, and it
+    takes positions 0..L of pairs 0..L in one column block, order m's degree m + j at
+    position j; otherwise positions 0..L+1 of every pair in two column blocks, the lower
+    order's and the upper's. One matrix product per pair then covers both hemispheres, each
+    node x >= 0 beside its mirror x < 0 as the two sides of a block:
+    - synthesis takes cols[pair, position, (block, side)] from [parts, -parts, 0], the part
+      at its slot on side 0, sign (-1)^(l+m) times it on side 1, 0 where the read places
+      nothing; at_nodes[node, (m, re/im)] indexes the flat real product rows (pair, node,
+      block, side, re/im) at each grid node, and at_nodes ^ 1 the same with re and im
+      swapped;
+    - analysis takes into[pair, node, (block, side)] from the flat (node, m) weighted order
+      amplitudes followed by a 0, which the equator's mirror and the unused orders read;
+      sides[:n] and sides[n:] index the two sides of each slot in the flat complex product
+      rows (pair, position, block, side), and place[l, m + L] indexes each coefficient in
+      [slots, their (l, -m) mirrors, 0].
+    """
+    if B < L:
+        raise ValueError("grid too coarse for band limit")
     l, m = np.tril_indices(L + 1)
-    out = (l * (2 * L + 1) + L + m, l * (2 * L + 1) + L - m, _column_parity(L)[L + m],
-           np.where(m > 0, 1.0, 0.5), 1.0 - 2.0 * ((l + m) % 2))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _read(B, L):
-    """How a band-L transform reads a table packed at band B >= L: (pairs, positions,
-    blocks, slot).
-
-    When 2L <= B every order 0..L is a pair's lower order, and the read takes positions
-    0..L of pairs 0..L in one column block, order m's degree m + j at position j: the
-    (L+1)^2 rows per node of the unpacked read. Otherwise it takes positions 0..L+1 of
-    every pair in two column blocks, the lower order's and the upper's. slot[i] is the
-    flat (pair, position, block) of the i-th (l, m) of _slots(L)."""
+    count, reflect, at = len(l), 1.0 - 2.0 * ((l + m) % 2), l * (2 * L + 1) + L + m
     blocks = 1 if 2 * L <= B else 2
     pairs, positions = (L + 1, L + 1) if blocks == 1 else (B // 2 + 1, L + 2)
-    l, m = np.tril_indices(L + 1)
     upper = m > B // 2
     slot = (np.where(upper, B - m, m) * positions + np.where(upper, l + 1, l - m)) * blocks + upper
-    slot.setflags(write=False)
-    return pairs, positions, blocks, slot
-
-
-@lru_cache(maxsize=None)
-def _hemispheres(B, L, n_theta, sign=1.0):
-    """Gathers that let one matrix product per pair cover both hemispheres of a grid of
-    n_theta nodes, for a band-L transform against a table packed at band B and kept on the
-    nodes x >= 0, whose entry at -x is sign (-1)^(l+m) times its entry at x: (cols, out, into).
-
-    The product's rows are the flat (pair, node x >= 0, block, side), side 0 the node itself
-    and side 1 its mirror x < 0. cols[(pair, position, block, side)] indexes [parts, -parts,
-    0]: the part at its slot on side 0, sign (-1)^(l+m) times it on side 1, and 0 where the
-    read places nothing. out[(node, m)] is the row that holds order m at a grid node, and
-    into[row] that (node, m), or n_theta (L + 1), one past the last, for a row no (node, m)
-    has: the equator's mirror and the orders a read does not use."""
-    pairs, positions, blocks, slot = _read(B, L)
-    count = len(slot)
     cols = np.full((pairs * positions * blocks, 2), 2 * count)
     cols[slot, 0] = np.arange(count)
-    cols[slot, 1] = np.arange(count) + count * (sign * _slots(L)[4] < 0)
+    cols[slot, 1] = np.arange(count) + count * (sign * reflect < 0)
     nodes, south, j = (n_theta + 1) // 2, n_theta // 2, np.arange(n_theta)[:, None]
-    m = np.arange(L + 1)
+    order = np.arange(L + 1)
     node = np.where(j < south, nodes - 1 - j, j - south)
-    out = (((np.where(m > B // 2, B - m, m) * nodes + node) * blocks + (m > B // 2)) * 2
-           + (j < south)).reshape(-1)
+    out = (((np.where(order > B // 2, B - order, order) * nodes + node) * blocks
+            + (order > B // 2)) * 2 + (j < south))
     into = np.full(pairs * nodes * blocks * 2, out.size)
-    into[out] = np.arange(out.size)
-    cols = cols.reshape(-1)
-    for arr in (cols, out, into):
+    into[out.reshape(-1)] = np.arange(out.size)
+    place = np.full((L + 1) * (2 * L + 1), 2 * count)
+    place[at - 2 * m] = np.arange(count) + count
+    place[at] = np.arange(count)
+    plan = _Plan(rows=np.s_[:pairs, :positions], gather=np.concatenate([at, at - 2 * m]),
+                 parity=_column_parity(L)[L + m], weight=np.where(m > 0, 1.0, 0.5), reflect=reflect,
+                 dphi=(order[:, None] * np.array([-1.0, 1.0])).reshape(-1),
+                 cols=cols.reshape(pairs, positions, 2 * blocks),
+                 at_nodes=np.stack([2 * out, 2 * out + 1], -1).reshape(n_theta, -1),
+                 into=into.reshape(pairs, nodes, 2 * blocks),
+                 sides=np.concatenate([2 * slot, 2 * slot + 1]),
+                 place=place.reshape(L + 1, 2 * L + 1))
+    for arr in plan[1:]:
         arr.setflags(write=False)
-    return cols, out, into
+    return plan
 
 
 @dataclass(frozen=True)
@@ -373,74 +376,72 @@ def _mirror(c, l_max):
     return _column_parity(l_max) * c[..., ::-1].conj()
 
 
-def _real_parts(fields, grid):
+def _real_parts(fields, plan):
     """Split each of a list of fields of one band limit, f = h1 + i h2, into
     real fields; h1 = (c + c~)/2, h2 = (c - c~)/2i.
 
-    Returns the (l, m) coefficients of _slots(L) of every h1, then of every
+    Returns the coefficients at the plan's slots of every h1, then of every
     nonzero h2, with m > 0 doubled for the one-sided cos/sin sum, followed on
     each row by their negatives and a 0, the entries _sum_over_l gathers from:
     shaped (parts, 2 slots + 1). Also returns the mask of fields with a nonzero
     h2. Exactly Hermitian coefficients give h2 == 0, so real fields keep real
     values.
     """
-    L = fields[0].l_max
-    if grid.band_limit < L:
-        raise ValueError("grid too coarse for band limit")
-    coeffs = np.array([f.coeffs for f in fields]).reshape(len(fields), -1)
-    at, mirror_at, parity, weight, _ = _slots(L)
-    c, mirror = coeffs.take(at, axis=1), parity * coeffs.take(mirror_at, axis=1).conj()
-    h2 = (c - mirror) * weight
+    coeffs = np.array([f.coeffs for f in fields]).reshape(len(fields), -1).take(plan.gather, axis=1)
+    n = len(plan.weight)
+    c, mirror = coeffs[:, :n], plan.parity * coeffs[:, n:].conj()
+    h2 = (c - mirror) * plan.weight
     cplx = h2.any(axis=1)
-    parts = (c + mirror) * weight
+    parts = (c + mirror) * plan.weight
     if cplx.any():
         parts = np.concatenate([parts, h2[cplx] / 1j])
     return np.concatenate([parts, -parts, np.zeros((len(parts), 1))], axis=1), cplx
 
 
-def _sum_over_l(parts, table, L, n_theta, sign=1.0):
-    """Order amplitudes at each of n_theta nodes: sum over l of the band-L parts of
-    _real_parts against a packed Legendre table kept on the nodes x >= 0, whose entry at -x
-    is sign (-1)^(l+m) times its entry at x (sign -1 for dP/dx). One matrix product per pair
-    and part takes the part and its mirrored copy, [c | sign (-1)^(l+m) c], for both
-    hemispheres, so each part has one product shape at any stack size; shape
-    (parts, n_theta, m, 2)."""
-    k, B = len(parts), table.shape[1] - 2
-    pairs, positions, blocks, _ = _read(B, L)
-    cols, out, _ = _hemispheres(B, L, n_theta, sign)
-    cols = parts.take(cols, axis=1).view(float).reshape(k, pairs, positions, 4 * blocks)
-    per_pair = table[:pairs, :positions].transpose(0, 2, 1) @ cols
-    amps = per_pair.view(complex).reshape(k, pairs * table.shape[2] * blocks * 2).take(out, axis=1)
-    return amps.view(float).reshape(k, n_theta, L + 1, 2)
+def _sum_over_l(parts, table, plan):
+    """Order amplitudes at the nodes x >= 0 and their mirrors: sum over l of the parts of
+    _real_parts against the table the plan reads. One matrix product per pair and part takes
+    the part and its mirrored copy, [c | sign (-1)^(l+m) c], for both hemispheres, so each
+    part has one product shape at any stack size; the product rows, flat per part, that
+    plan.at_nodes indexes."""
+    per_pair = table[plan.rows].transpose(0, 2, 1) @ parts.take(plan.cols, axis=1).view(float)
+    return per_pair.reshape(len(parts), -1)
 
 
 def _sum_over_m(amps, grid, cplx):
-    """Grid values sum_m Re(a_m exp(i m phi)) of the parts of _real_parts,
-    per field: h1, or h1 + i h2 where cplx marks it (the stack is complex)."""
-    k, n, M, _ = amps.shape
-    vals = amps.reshape(k, n, 2 * M) @ grid.trig[:M].reshape(2 * M, grid.n_phi)
+    """Grid values sum_m Re(a_m exp(i m phi)) of order amplitudes (..., parts, node,
+    (m, re/im)) of the parts of _real_parts, per field: h1, or h1 + i h2 where cplx marks it
+    (the stack is complex)."""
+    vals = amps @ grid.trig[:amps.shape[-1] // 2].reshape(amps.shape[-1], grid.n_phi)
     if not cplx.any():
         return vals
-    out = vals[:len(cplx)].astype(complex)
-    out[cplx] += 1j * vals[len(cplx):]
+    out = vals[..., :len(cplx), :, :].astype(complex)
+    out[..., cplx, :, :] += 1j * vals[..., len(cplx):, :, :]
     return out
 
 
 def _gradients(fields, grid):
     """grad_values of fields of one band limit, stacked, and their cplx mask."""
     L = fields[0].l_max
-    parts, cplx = _real_parts(fields, grid)
-    amps = _sum_over_l(parts, grid.P, L, grid.n_theta)
-    # d/dphi turns a_m into i m a_m: (re, im) -> m (-im, re)
-    dphi = amps[..., ::-1] * (np.arange(L + 1)[:, None] * [-1.0, 1.0])
-    dx = _sum_over_m(_sum_over_l(parts, _dPdx(grid, L), L, grid.n_theta, -1.0), grid, cplx)
-    return dx, _sum_over_m(dphi, grid, cplx), cplx
+    plan = _plan(grid.band_limit, L, grid.n_theta)
+    parts, cplx = _real_parts(fields, plan)
+    table = _dPdx(grid, L)
+    dx = _plan(table.shape[1] - 2, L, grid.n_theta, -1.0)
+    # dx and dphi in one stack for one phi sum, dphi from each order's (im, re), which
+    # at_nodes ^ 1 gathers; mode "clip" skips take's buffered bounds check, which the
+    # plan's indices pass
+    amps = np.empty((2, len(parts), grid.n_theta, 2 * L + 2))
+    _sum_over_l(parts, table, dx).take(dx.at_nodes, axis=1, out=amps[0], mode="clip")
+    _sum_over_l(parts, grid.P, plan).take(plan.at_nodes ^ 1, axis=1, out=amps[1], mode="clip")
+    amps[1] *= plan.dphi
+    return *_sum_over_m(amps, grid, cplx), cplx
 
 
 def _values(fields, grid):
     """Grid values of fields of one band limit, stacked, and their cplx mask."""
-    parts, cplx = _real_parts(fields, grid)
-    amps = _sum_over_l(parts, grid.P, fields[0].l_max, grid.n_theta)
+    plan = _plan(grid.band_limit, fields[0].l_max, grid.n_theta)
+    parts, cplx = _real_parts(fields, plan)
+    amps = _sum_over_l(parts, grid.P, plan).take(plan.at_nodes, axis=1)
     return _sum_over_m(amps, grid, cplx), cplx
 
 
@@ -484,27 +485,22 @@ def _analyze(values, L, grid):
         raise ValueError("value array does not match the grid")
     if not np.isfinite(values).all():
         raise FloatingPointError("grid values to analyze are not all finite (an overflow)")
-    if grid.band_limit < L:
-        raise ValueError("grid too coarse for band limit")
+    plan = _plan(grid.band_limit, L, grid.n_theta)
     cplx = np.iscomplexobj(values)
     parts = np.stack([values.real, values.imag], 1).reshape(-1, *grid.w2d.shape) if cplx else values
     k = len(parts)
-    pairs, positions, blocks, slot = _read(grid.band_limit, L)
     F = parts @ grid.trig[:L + 1].reshape(-1, grid.n_phi).T
     F *= grid.w2d[:, :1]  # the node's weight times 2 pi / n_phi
-    # each node x >= 0 beside its mirror x < 0 (a 0 for the equator's): one matrix product
-    # per pair and field sums both hemispheres against the table kept on x >= 0
-    F = np.concatenate([F.view(complex).reshape(k, grid.n_theta * (L + 1)), np.zeros((k, 1))],
-                       axis=1)
-    G = F.take(_hemispheres(grid.band_limit, L, grid.n_theta)[2], axis=1).view(float)
-    per_pair = grid.P[:pairs, :positions] @ G.reshape(k, pairs, grid.P.shape[2], 4 * blocks)
-    sides = per_pair.view(complex).reshape(k, pairs * positions * blocks, 2).take(slot, axis=1)
-    at, mirror_at, parity, _, reflect = _slots(L)
-    half = sides[..., 0] + reflect * sides[..., 1]
-    coeffs = np.zeros((k, (L + 1) * (2 * L + 1)), dtype=complex)
-    coeffs[:, mirror_at] = parity * half.conj()  # m = 0 too, which the next line overwrites
-    coeffs[:, at] = half
-    coeffs = coeffs.reshape(k, L + 1, 2 * L + 1)
+    # the 0 that the equator's mirror and the unused orders read
+    F = np.concatenate([F.view(complex).reshape(k, -1), np.zeros((k, 1))], axis=1)
+    per_pair = grid.P[plan.rows] @ F.take(plan.into, axis=1).view(float)
+    sides = per_pair.view(complex).reshape(k, -1).take(plan.sides, axis=1)
+    n = len(plan.weight)
+    slots = np.empty((k, 2 * n + 1), dtype=complex)
+    np.add(sides[:, :n], plan.reflect * sides[:, n:], out=slots[:, :n])
+    np.multiply(plan.parity, slots[:, :n].conj(), out=slots[:, n:-1])
+    slots[:, -1] = 0.0
+    coeffs = slots.take(plan.place, axis=1)
     return coeffs[0::2] + 1j * coeffs[1::2] if cplx else coeffs
 
 
@@ -532,9 +528,10 @@ def brackets(pairs):
         row = {id(h): r for r, h in enumerate(fields)}
         f, g = np.array([[row[id(h)] for h in pairs[i]] for i in idx]).T
         vals, real = gx[f] * gp[g] - gp[f] * gx[g], ~(cplx[f] | cplx[g])
-        for sel, v in ((real, vals[real].real), (~real, vals[~real])):
-            for i, c in zip(np.array(idx)[sel], _analyze(v, L, grid)):
-                out[i] = HarmonicField(L, c)
+        for sel, v in ((real, vals.real), (~real, vals)):
+            if sel.any():
+                for i, c in zip(np.array(idx)[sel], _analyze(v[sel], L, grid)):
+                    out[i] = HarmonicField(L, c)
     return out
 
 

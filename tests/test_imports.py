@@ -93,6 +93,17 @@ def test_monopole_and_cli_load_no_scipy(module):
     assert _scipy(loaded) == []
 
 
+def test_monopole_perturb_loads_no_random_generator():
+    """The singularity diagnostic starts its iteration from a fixed block, so
+    `monopole perturb` run through the command line in a fresh interpreter
+    leaves numpy.random unloaded."""
+    loaded = _loaded_after("import contextlib, io\nfrom uinf import cli\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           "    assert cli.main(['monopole', 'perturb', '--n', '64']) == 0")
+    assert "uinf.monopole" in loaded
+    assert "numpy.random" not in loaded
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_imports_scipy(path):
     """scipy is a test dependency only: no package module imports it, at

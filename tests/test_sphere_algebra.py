@@ -532,6 +532,24 @@ def test_brackets_transform_each_distinct_field_once(monkeypatch):
     assert sorted(calls) == sorted([(4, ab), (3, ab), (3, [id(c)]), (2, [id(c)])])
 
 
+def test_brackets_analyze_one_nonempty_stack_per_kind(monkeypatch):
+    """Per result band limit, brackets analyzes all its real products in one
+    stack and all its complex products in another, and never an empty stack:
+    all-real pairs make one analysis per band."""
+    stacks = []
+    analyze_stack = sphere_algebra._analyze
+    monkeypatch.setattr(sphere_algebra, "_analyze", lambda values, L, grid: stacks.append(
+        (L, len(values), np.iscomplexobj(values))) or analyze_stack(values, L, grid))
+    rng = np.random.default_rng(4)
+    a, b, c = random_real_field(2, rng), random_real_field(2, rng), random_real_field(1, rng)
+    z = _random_complex_field(2, rng)
+    brackets([(a, b), (b, c), (a, a), (c, c)])
+    assert sorted(stacks) == [(2, 1, False), (3, 1, False), (4, 2, False)]
+    stacks.clear()
+    brackets([(a, b), (z, a), (b, a), (c, z), (c, a)])
+    assert sorted(stacks) == [(3, 1, False), (3, 1, True), (4, 1, True), (4, 2, False)]
+
+
 def test_brackets_raise_on_overflow_like_bracket():
     """One field whose grid values overflow in a stack of finite pairs makes
     brackets raise FloatingPointError, as bracket of that pair does."""
