@@ -63,7 +63,7 @@ def _legendre_table(B, x):
     so the table holds the (B+1)(B+2)/2 nonzero rows and, at even B, the B/2 + 1 zero rows
     of the middle pair. Normalization is such that Y_lm = P(l, m) exp(i m phi) is orthonormal
     on the sphere, with the Condon-Shortley sign folded in. A grid holds this table on its
-    nodes x >= 0; the x-derivatives are built from it by _dPdx."""
+    nodes x >= 0, one degree past its band for the x-derivatives of _x_derivative."""
     x = np.asarray(x, dtype=float)
     table = np.zeros((B // 2 + 1, B + 2, x.size))
     P = table.reshape(-1, x.size)
@@ -87,100 +87,102 @@ def _legendre_table(B, x):
     return table
 
 
-def _dPdx(grid, L):
-    """dP/dx at the grid's nodes x >= 0 for degrees <= L' packed at band L' as
-    _legendre_table packs P, where L' >= L is the largest field band asked of the grid so far.
-
-    A transform reads the derivatives only up to its fields' band, which is half the grid's
-    for a bracket. So a grid holds one derivative table, in grid.dx_table, built from grid.P
-    at the largest field band asked of the grid so far: a larger band rebuilds it, a smaller
-    one reads it as _plan lays out. For a bracket at band L the band-2L grid holds
-    8 (L + 1)(2L + 2)(L + 1) bytes of P and 8 (L//2 + 1)(L + 2)(L + 1) of dP/dx.
-    """
-    if not grid.dx_table or grid.dx_table[0].shape[1] - 2 < L:
-        grid.dx_table.clear()  # the old table goes before the larger one is built
-        table = _derivative_table(grid.P, grid.x[grid.n_theta // 2:], L)
-        table.setflags(write=False)
-        grid.dx_table.append(table)
-    return grid.dx_table[0]
+def _alpha(l, m):
+    """a(l, m) = sqrt((l^2 - m^2) / (4 l^2 - 1)), so that for the normalized P
+    x P(l, m) = a(l+1, m) P(l+1, m) + a(l, m) P(l-1, m); a(m, m) = 0."""
+    return np.sqrt((l * l - m * m) / (4.0 * l * l - 1.0))
 
 
-def _derivative_table(P, x, L):
-    """dP/dx at the nodes x of a table P of _legendre_table, for degrees <= L packed at
-    band L: each entry is (l x P(l, m) - c_lm P(l-1, m)) / (x^2 - 1) whatever the bands, so
-    every entry is bit for bit the same."""
-    table = np.zeros((L // 2 + 1, L + 2, x.size))
-    denom = x * x - 1.0
-    for l in range(1, L + 1):
-        m = np.arange(l)
-        c = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))[:, None]
-        upper = l * x * np.concatenate(_degree(P, l, l))
-        upper[:l] -= c * np.concatenate(_degree(P, l - 1, l - 1))
-        lower, rest = _degree(table, l, l)
-        lower[...], rest[...] = upper[:len(lower)] / denom, upper[len(lower):] / denom
-    return table
+def _x_derivative(below, above, factors):
+    """factors[0] below + factors[1] above, by DLMF 14.10 for the normalized P:
+    (x^2 - 1) dP(l, m)/dx = l a(l+1, m) P(l+1, m) - (l+1) a(l, m) P(l-1, m). From the P rows
+    of degrees l -/+ 1 it gives the rows of (x^2 - 1) P'; from a field's coefficients
+    f(j -/+ 1, m), with factors (j-1) a(j, m) and -(j+2) a(j+1, m), the coefficients of D f,
+    whose synthesis is (x^2 - 1) df/dx: band L + 1 and the same orders for f of band L."""
+    return factors[0] * below + factors[1] * above
 
 
-_Plan = namedtuple("_Plan", "rows gather parity weight reflect dphi cols at_nodes into sides place")
+_Synthesis = namedtuple("_Synthesis", "rows parity gather weight steps cols dcols at_nodes dx_at "
+                        "scale")
+_Analysis = namedtuple("_Analysis", "rows parity reflect into sides place")
 
 
 @lru_cache(maxsize=None)
-def _plan(B, L, n_theta, sign=1.0):
-    """Index arrays and factors of a band-L transform against a Legendre table packed at
-    band B and kept on the nodes x >= 0 of a grid of n_theta nodes, whose entry at -x is
-    sign (-1)^(l+m) times its entry at x (sign -1 for dP/dx). B < L raises ValueError.
+def _plan(band, L, synthesis):
+    """Index arrays and factors of a band-L synthesis (and gradient), or analysis, on the grid
+    of the given band, against its table P, packed at band B = band + 1 and kept on the nodes
+    x >= 0, whose entry at -x is (-1)^(l+m) times its entry at x. L > band raises ValueError.
+    Each direction builds only the arrays it reads.
 
-    The transform carries the n slots (l, m), 0 <= m <= l <= L, l-major. gather holds their
-    flat indices in a (L+1, 2L+1) coefficient array, then those of (l, -m); parity, weight
-    and reflect hold per slot (-1)^m, the one-sided sum's weight and the (-1)^(l+m) that
-    takes P(l, m) at x to P(l, m) at -x. dphi times each order's (im, re) gives m (-im, re),
-    the d/dphi of a_m exp(i m phi).
+    The slots (l, m) run order by order over degrees m..L, for synthesis m..L+1, where D f
+    (_x_derivative) reaches and f is 0. gather holds their flat indices (degree L for L + 1)
+    in a (L+1, 2L+1) coefficient array, then those of (l, -m); parity, weight, reflect and
+    steps hold per slot (-1)^m, the one-sided sum's weight (0 at degree L + 1), the
+    (-1)^(l+m) that takes P(l, m) at x to P(l, m) at -x, and _x_derivative's factors on the
+    slots before and after (0 where that is no neighbour in f). scale holds per node
+    1 / (x^2 - 1), and per order (-m, m), which times each order's (im, re) gives d/dphi.
 
-    The read, table[rows]: when 2L <= B every order 0..L is a pair's lower order, and it
-    takes positions 0..L of pairs 0..L in one column block, order m's degree m + j at
-    position j; otherwise positions 0..L+1 of every pair in two column blocks, the lower
-    order's and the upper's. One matrix product per pair then covers both hemispheres, each
-    node x >= 0 beside its mirror x < 0 as the two sides of a block:
-    - synthesis takes cols[pair, position, (block, side)] from [parts, -parts, 0], the part
-      at its slot on side 0, sign (-1)^(l+m) times it on side 1, 0 where the read places
-      nothing; at_nodes[node, (m, re/im)] indexes the flat real product rows (pair, node,
-      block, side, re/im) at each grid node, and at_nodes ^ 1 the same with re and im
-      swapped;
+    The read, table[rows]: when L <= B//2 every order 0..L is a pair's lower order, and it
+    takes positions 0..top, the top degree, of pairs 0..L in one column block, order m's
+    degree m + j at position j; otherwise positions 0..top+1 of every pair in two column
+    blocks, the lower order's and the upper's. One matrix product per pair then covers both
+    hemispheres, each node x >= 0 beside its mirror x < 0 as the two sides of a block:
+    - synthesis takes cols[pair, position, (block, side)] from the rows [0, parts, 0] and
+      [0, -parts, 0] of _real_parts, the part at its slot on side 0, sign (-1)^(l+m) times
+      it on side 1, the first 0 where the read places nothing, and dcols those and D f's
+      from [0, D f, 0] and [0, -D f, 0] after them. at_nodes[node, (m, re/im)] indexes the
+      flat real product rows (pair, node, block, side, re/im) at each grid node, dx_at[0]
+      D f's and dx_at[1] f's (im, re) in the rows (pair, node, field, block, side, re/im);
     - analysis takes into[pair, node, (block, side)] from the flat (node, m) weighted order
       amplitudes followed by a 0, which the equator's mirror and the unused orders read;
       sides[:n] and sides[n:] index the two sides of each slot in the flat complex product
       rows (pair, position, block, side), and place[l, m + L] indexes each coefficient in
       [slots, their (l, -m) mirrors, 0].
     """
-    if B < L:
+    if L > band:
         raise ValueError("grid too coarse for band limit")
-    l, m = np.tril_indices(L + 1)
-    count, reflect, at = len(l), 1.0 - 2.0 * ((l + m) % 2), l * (2 * L + 1) + L + m
-    blocks = 1 if 2 * L <= B else 2
-    pairs, positions = (L + 1, L + 1) if blocks == 1 else (B // 2 + 1, L + 2)
+    grid = grid_for_band_limit(band)
+    B, n_theta = grid.P.shape[1] - 2, grid.n_theta
+    top, order = L + synthesis, np.arange(L + 1)
+    m, l = np.nonzero(np.arange(top + 1) >= order[:, None])
+    count, blocks = len(l), 1 if L <= B // 2 else 2
+    pairs, positions = (L + 1, top + 1) if blocks == 1 else (B // 2 + 1, top + 2)
     upper = m > B // 2
     slot = (np.where(upper, B - m, m) * positions + np.where(upper, l + 1, l - m)) * blocks + upper
-    cols = np.full((pairs * positions * blocks, 2), 2 * count)
-    cols[slot, 0] = np.arange(count)
-    cols[slot, 1] = np.arange(count) + count * (sign * reflect < 0)
+    reflect = 1.0 - 2.0 * ((l + m) % 2)
     nodes, south, j = (n_theta + 1) // 2, n_theta // 2, np.arange(n_theta)[:, None]
-    order = np.arange(L + 1)
-    node = np.where(j < south, nodes - 1 - j, j - south)
-    out = (((np.where(order > B // 2, B - order, order) * nodes + node) * blocks
-            + (order > B // 2)) * 2 + (j < south))
-    into = np.full(pairs * nodes * blocks * 2, out.size)
-    into[out.reshape(-1)] = np.arange(out.size)
-    place = np.full((L + 1) * (2 * L + 1), 2 * count)
-    place[at - 2 * m] = np.arange(count) + count
-    place[at] = np.arange(count)
-    plan = _Plan(rows=np.s_[:pairs, :positions], gather=np.concatenate([at, at - 2 * m]),
-                 parity=_column_parity(L)[L + m], weight=np.where(m > 0, 1.0, 0.5), reflect=reflect,
-                 dphi=(order[:, None] * np.array([-1.0, 1.0])).reshape(-1),
-                 cols=cols.reshape(pairs, positions, 2 * blocks),
-                 at_nodes=np.stack([2 * out, 2 * out + 1], -1).reshape(n_theta, -1),
-                 into=into.reshape(pairs, nodes, 2 * blocks),
-                 sides=np.concatenate([2 * slot, 2 * slot + 1]),
-                 place=place.reshape(L + 1, 2 * L + 1))
+    # each grid node's product row (pair, node) and column (block, side), per order
+    row = (np.where(order > B // 2, B - order, order) * nodes
+           + np.where(j < south, nodes - 1 - j, j - south))
+    col = 2 * (order > B // 2) + (j < south)
+    at = np.minimum(l, L) * (2 * L + 1) + L + m
+    rows, parity = np.s_[:pairs, :positions], _column_parity(L)[L + m]
+    if synthesis:
+        cols = np.zeros((pairs * positions * blocks, 2), dtype=int)
+        cols[slot] = np.arange(1, count + 1)[:, None] + np.outer(reflect < 0, [0, count + 2])
+        cols = cols.reshape(pairs, positions, 2 * blocks)
+        f, both = 2 * (row * 2 * blocks + col), 2 * (row * 4 * blocks + col) + 1
+        dphi = (order[:, None] * [-1.0, 1.0]).reshape(-1)
+        plan = _Synthesis(
+            rows, parity, np.stack([at, at - 2 * m]),
+            np.where(l > L, 0.0, np.where(m > 0, 1.0, 0.5)),
+            np.stack([(l - 1) * _alpha(l, m),  # complex, as the parts they weigh
+                      np.where(l < L, -(l + 2) * _alpha(l + 1, m), 0.0)]).astype(complex),
+            cols, np.concatenate([cols, np.where(cols > 0, cols + 2 * (count + 2), 0)], axis=2),
+            np.stack([f, f + 1], -1).reshape(n_theta, -1),
+            np.stack([np.stack([both + 4 * blocks - 1, both + 4 * blocks], -1),
+                      np.stack([both, both - 1], -1)]).reshape(2, n_theta, -1),
+            np.stack(np.broadcast_arrays(1.0 / (grid.x * grid.x - 1.0)[:, None], dphi)))
+    else:
+        out = row * 2 * blocks + col
+        into = np.full(pairs * nodes * blocks * 2, out.size)
+        into[out.reshape(-1)] = np.arange(out.size)
+        place = np.full((L + 1) * (2 * L + 1), 2 * count)
+        place[at - 2 * m] = np.arange(count) + count
+        place[at] = np.arange(count)
+        plan = _Analysis(rows, parity, reflect, into.reshape(pairs, nodes, 2 * blocks),
+                         np.concatenate([2 * slot, 2 * slot + 1]),
+                         place.reshape(L + 1, 2 * L + 1))
     for arr in plan[1:]:
         arr.setflags(write=False)
     return plan
@@ -196,12 +198,10 @@ class SphereGrid:
     Re(a exp(i m phi)) = (Re a, Im a) . trig[m]. w2d holds the quadrature
     weights on the (theta, phi) product grid; they sum to 4 pi. The nodes
     mirror, x == -x[::-1], and P(l, m) at -x is (-1)^(l+m) times P(l, m) at x,
-    so P is the Legendre table to band_limit B on the B//2 + 1 nodes x >= 0,
-    packed at its nonzeros, order m paired with order B - m: shape
-    (B//2 + 1, B + 2, B//2 + 1), 8 (B//2 + 1)^2 (B + 2) bytes, about a quarter
-    of the (B + 1)^3 doubles of the (l, m, node) cube. dx_table holds at most
-    one array: dP/dx on the same nodes, packed the same way at the largest
-    field band asked of the grid so far, which _dPdx builds and reads.
+    so P is the Legendre table on the B//2 + 1 nodes x >= 0, B = band_limit,
+    to degree B + 1 for the D f of _x_derivative, packed at its nonzeros, order
+    m paired with order B + 1 - m: shape ((B + 1)//2 + 1, B + 3, B//2 + 1),
+    about a quarter of the (l, m, node) cube.
     """
 
     band_limit: int
@@ -214,7 +214,6 @@ class SphereGrid:
     w2d: np.ndarray = field(repr=False)
     P: np.ndarray = field(repr=False)
     trig: np.ndarray = field(repr=False)
-    dx_table: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 @lru_cache(maxsize=None)
@@ -229,9 +228,10 @@ def grid_for_band_limit(band_limit):
     x, w = leggauss(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     w2d = np.outer(w, np.full(n_phi, 2.0 * math.pi / n_phi))
-    P = _legendre_table(band_limit, x[n_theta // 2:])
     m_phi = np.outer(np.arange(band_limit + 1), phi)
     trig = np.stack([np.cos(m_phi), -np.sin(m_phi)], axis=1)
+    del m_phi  # the table's build is the peak, with no trig temporaries beside it
+    P = _legendre_table(band_limit + 1, x[n_theta // 2:])
     arrays = (x, w, phi, np.sqrt(1.0 - x * x), w2d, P, trig)
     for arr in arrays:
         arr.setflags(write=False)
@@ -376,36 +376,37 @@ def _mirror(c, l_max):
     return _column_parity(l_max) * c[..., ::-1].conj()
 
 
-def _real_parts(fields, plan):
+def _real_parts(fields, plan, width):
     """Split each of a list of fields of one band limit, f = h1 + i h2, into
     real fields; h1 = (c + c~)/2, h2 = (c - c~)/2i.
 
-    Returns the coefficients at the plan's slots of every h1, then of every
-    nonzero h2, with m > 0 doubled for the one-sided cos/sin sum, followed on
-    each row by their negatives and a 0, the entries _sum_over_l gathers from:
-    shaped (parts, 2 slots + 1). Also returns the mask of fields with a nonzero
-    h2. Exactly Hermitian coefficients give h2 == 0, so real fields keep real
-    values.
+    Returns the rows _sum_over_l gathers from, shaped (parts, width, slots + 2): the
+    coefficients at the plan's slots of every h1, then of every nonzero h2, with m > 0
+    doubled for the one-sided cos/sin sum, between two zeros, then their negatives and
+    width - 2 zero rows (a gradient's D f and -D f); and the mask of fields with a nonzero
+    h2. Exactly Hermitian coefficients give h2 == 0, so real fields keep real values.
     """
     coeffs = np.array([f.coeffs for f in fields]).reshape(len(fields), -1).take(plan.gather, axis=1)
-    n = len(plan.weight)
-    c, mirror = coeffs[:, :n], plan.parity * coeffs[:, n:].conj()
+    c, mirror = coeffs[:, 0], plan.parity * coeffs[:, 1].conj()
     h2 = (c - mirror) * plan.weight
     cplx = h2.any(axis=1)
     parts = (c + mirror) * plan.weight
     if cplx.any():
         parts = np.concatenate([parts, h2[cplx] / 1j])
-    return np.concatenate([parts, -parts, np.zeros((len(parts), 1))], axis=1), cplx
+    row = np.zeros((len(parts), width, parts.shape[1] + 2), dtype=complex)
+    row[:, 0, 1:-1] = parts
+    np.negative(parts, out=row[:, 1, 1:-1])
+    return row, cplx
 
 
-def _sum_over_l(parts, table, plan):
-    """Order amplitudes at the nodes x >= 0 and their mirrors: sum over l of the parts of
-    _real_parts against the table the plan reads. One matrix product per pair and part takes
-    the part and its mirrored copy, [c | sign (-1)^(l+m) c], for both hemispheres, so each
-    part has one product shape at any stack size; the product rows, flat per part, that
-    plan.at_nodes indexes."""
-    per_pair = table[plan.rows].transpose(0, 2, 1) @ parts.take(plan.cols, axis=1).view(float)
-    return per_pair.reshape(len(parts), -1)
+def _sum_over_l(row, table, rows, cols):
+    """Order amplitudes at the nodes x >= 0 and their mirrors: sum over l of the rows of
+    _real_parts against table[rows]. One matrix product per pair and part takes the columns
+    cols of the part's row, [c | sign (-1)^(l+m) c] and for a gradient [d | sign (-1)^(l+m) d]
+    beside them, for both hemispheres, so each part has one product shape at any stack size;
+    the product rows, flat per part, that the plan's node gathers index."""
+    parts = row.reshape(len(row), -1).take(cols, axis=1).view(float)
+    return (table[rows].transpose(0, 2, 1) @ parts).reshape(len(row), -1)
 
 
 def _sum_over_m(amps, grid, cplx):
@@ -421,27 +422,22 @@ def _sum_over_m(amps, grid, cplx):
 
 
 def _gradients(fields, grid):
-    """grad_values of fields of one band limit, stacked, and their cplx mask."""
-    L = fields[0].l_max
-    plan = _plan(grid.band_limit, L, grid.n_theta)
-    parts, cplx = _real_parts(fields, plan)
-    table = _dPdx(grid, L)
-    dx = _plan(table.shape[1] - 2, L, grid.n_theta, -1.0)
-    # dx and dphi in one stack for one phi sum, dphi from each order's (im, re), which
-    # at_nodes ^ 1 gathers; mode "clip" skips take's buffered bounds check, which the
-    # plan's indices pass
-    amps = np.empty((2, len(parts), grid.n_theta, 2 * L + 2))
-    _sum_over_l(parts, table, dx).take(dx.at_nodes, axis=1, out=amps[0], mode="clip")
-    _sum_over_l(parts, grid.P, plan).take(plan.at_nodes ^ 1, axis=1, out=amps[1], mode="clip")
-    amps[1] *= plan.dphi
-    return *_sum_over_m(amps, grid, cplx), cplx
+    """grad_values of fields of one band limit, stacked, and their cplx mask: df/dphi from the
+    synthesis of f, df/dx from that of D f (_x_derivative) over x^2 - 1 at each node, both
+    in one product per pair on P, and both in one stack for one phi sum."""
+    plan = _plan(grid.band_limit, fields[0].l_max, True)
+    row, cplx = _real_parts(fields, plan, 4)
+    row[:, 2:, 1:-1] = _x_derivative(row[:, :2, :-2], row[:, :2, 2:], plan.steps)
+    amps = _sum_over_l(row, grid.P, plan.rows, plan.dcols).take(plan.dx_at, axis=1)
+    amps *= plan.scale
+    return *_sum_over_m(amps.transpose(1, 0, 2, 3), grid, cplx), cplx
 
 
 def _values(fields, grid):
     """Grid values of fields of one band limit, stacked, and their cplx mask."""
-    plan = _plan(grid.band_limit, fields[0].l_max, grid.n_theta)
-    parts, cplx = _real_parts(fields, plan)
-    amps = _sum_over_l(parts, grid.P, plan).take(plan.at_nodes, axis=1)
+    plan = _plan(grid.band_limit, fields[0].l_max, True)
+    row, cplx = _real_parts(fields, plan, 2)
+    amps = _sum_over_l(row, grid.P, plan.rows, plan.cols).take(plan.at_nodes, axis=1)
     return _sum_over_m(amps, grid, cplx), cplx
 
 
@@ -485,7 +481,7 @@ def _analyze(values, L, grid):
         raise ValueError("value array does not match the grid")
     if not np.isfinite(values).all():
         raise FloatingPointError("grid values to analyze are not all finite (an overflow)")
-    plan = _plan(grid.band_limit, L, grid.n_theta)
+    plan = _plan(grid.band_limit, L, False)
     cplx = np.iscomplexobj(values)
     parts = np.stack([values.real, values.imag], 1).reshape(-1, *grid.w2d.shape) if cplx else values
     k = len(parts)
@@ -495,7 +491,7 @@ def _analyze(values, L, grid):
     F = np.concatenate([F.view(complex).reshape(k, -1), np.zeros((k, 1))], axis=1)
     per_pair = grid.P[plan.rows] @ F.take(plan.into, axis=1).view(float)
     sides = per_pair.view(complex).reshape(k, -1).take(plan.sides, axis=1)
-    n = len(plan.weight)
+    n = len(plan.reflect)
     slots = np.empty((k, 2 * n + 1), dtype=complex)
     np.add(sides[:, :n], plan.reflect * sides[:, n:], out=slots[:, :n])
     np.multiply(plan.parity, slots[:, :n].conj(), out=slots[:, n:-1])
@@ -574,11 +570,14 @@ def structure_constants(l_max):
     grid = grid_for_band_limit(2 * l_max)
     ls, ms = lm_pairs(l_max).T
     sign = np.where(ms < 0, _column_parity(l_max)[l_max + ms], 1.0)[:, None]  # Y_l,-m's (-1)^m
-    # the rows on every node from the tables on x >= 0: P(-x) = (-1)^(l+m) P(x), and dP/dx
-    # mirrors with the opposite sign
-    rows = (t.reshape(-1, t.shape[2])[_row(t.shape[1] - 2, ls, abs(ms))]
-            for t in (grid.P, _dPdx(grid, l_max)))
-    south, flip = grid.n_theta // 2, 1.0 - 2.0 * ((ls + ms) % 2)[:, None]
+    # the P rows on the nodes x >= 0 and the P' rows from those of degrees l -/+ 1, a row
+    # before and a row after (at l = m the row before is another order's, with factor 0)
+    table, at = grid.P.reshape(-1, grid.P.shape[2]), _row(grid.P.shape[1] - 2, ls, abs(ms))
+    steps = np.stack([-(ls + 1) * _alpha(ls, abs(ms)), ls * _alpha(ls + 1, abs(ms))])[..., None]
+    south, x = grid.n_theta // 2, grid.x[grid.n_theta // 2:]
+    rows = table[at], _x_derivative(table[at - 1], table[at + 1], steps) / (x * x - 1.0)
+    # every node from x >= 0: P(-x) = (-1)^(l+m) P(x), and P' mirrors with the opposite sign
+    flip = 1.0 - 2.0 * ((ls + ms) % 2)[:, None]
     P, dPdx = (sign * np.concatenate([s * flip * r[:, r.shape[1] - south:][:, ::-1], r], axis=1)
                for r, s in zip(rows, (1.0, -1.0)))
     weight, orders = 2.0 * math.pi * grid.w, ms[:, None] + ms

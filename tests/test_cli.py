@@ -88,8 +88,9 @@ _TAIL_FAULT = 1.0 + 1e-3
     (tensor_kernels, "delta3", _FAULT, ["identities"], ["mean.delta3_vs_trace3", "mean.eps3_vs_delta3"]),
     (tensor_kernels, "delta4", _FAULT, ["identities"], ["mean.delta4_vs_trace4"]),
     (tensor_kernels, "eps", _FAULT, ["identities"], ["mean.eps3_vs_delta3", "mean.eps4_vs_trace4"]),
-    (sphere_algebra, "_dPdx", _FAULT, ["algebra", "su2"], ["bracket_constant_rel"]),
-    (sphere_algebra, "_dPdx", _FAULT, ["algebra", "structure-constants"], ["generator_row"]),
+    (sphere_algebra, "_x_derivative", _FAULT, ["algebra", "su2"], ["bracket_constant_rel"]),
+    (sphere_algebra, "_x_derivative", _FAULT, ["algebra", "structure-constants"],
+     ["generator_row"]),
     (sphere_algebra, "structure_constants", _FAULT, ["algebra", "structure-constants"],
      ["generator_row"]),
     (monopole, "_simpson", _FAULT, ["monopole", "solve"], ["closed_form_remainder"]),
@@ -98,7 +99,8 @@ _TAIL_FAULT = 1.0 + 1e-3
     (monopole, "energy_density", _FAULT, ["monopole", "energy"], ["closed_form_remainder"]),
     (monopole, "tail_estimate", _TAIL_FAULT, ["monopole", "solve"], ["closed_form_remainder"]),
     (monopole, "tail_estimate", _TAIL_FAULT, ["monopole", "energy"], ["closed_form_remainder"]),
-], ids=["delta3", "delta4", "eps", "_dPdx", "_dPdx-structure-constants", "structure_constants",
+], ids=["delta3", "delta4", "eps", "_x_derivative", "_x_derivative-structure-constants",
+        "structure_constants",
         "_simpson-solve", "_simpson-energy", "energy_density-solve", "energy_density-energy",
         "tail_estimate-solve", "tail_estimate-energy"])
 def test_fault_table(monkeypatch, capsys, module, kernel, factor, argv, failing):

@@ -198,6 +198,20 @@ def test_every_public_name_has_a_caller():
     assert stale == [], "exempt names that have a caller: %s" % stale
 
 
+def test_every_private_definition_has_a_caller():
+    """A private top-level function or class of the package is read somewhere in src/
+    outside its own definition. A helper that only tests reach is test scaffolding, and a
+    helper that nothing reaches is dead code."""
+    statements = [(path, defined, read) for path in SOURCES for defined, read in _statements(path)]
+    private = [(path, node.name) for path in SOURCES for node in _tree(path).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
+    assert private, "no private definitions found"
+    uncalled = [(path.name, name) for path, name in private
+                if not any(name in read and not (caller == path and name in defined)
+                           for caller, defined, read in statements)]
+    assert uncalled == [], "private definitions without a caller in src/: %s" % uncalled
+
+
 def _defaulted(tree):
     """(function, parameter, position) of every defaulted parameter of a
     public function or method. The position counts the positional arguments

@@ -41,16 +41,16 @@ YM_GROUPS_B1 = (
 B_SCAN_EXPONENT = 2.5876502650226536
 # every group integral of the seed 0 draw, bit for bit
 SCALAR_GROUPS_EXACT = {
-    1.0: [-0.5813614633039716, -0.035780100747604786, 0.4198914129912112,
-          1.477525844598393e-17],
-    0.05: [-0.5813614633039716, -14.31204029904191, 67182.62607859375,
-           -4.0871586496010704e-10],
+    1.0: [-0.5813614633039716, -0.03578010074760477, 0.4198914129912111,
+          1.3221607362569663e-17],
+    0.05: [-0.5813614633039716, -14.312040299041906, 67182.62607859376,
+           -2.29515216589674e-10],
 }
 YM_GROUPS_EXACT = {
-    1.0: [-2.4390898406725743, -3.525661582219012, -0.05050907243435319,
-          -7.017898359635546e-17, 0.0],
-    0.05: [-2.4390898406725743, -1410.2646328876046, -8081.451589496634,
-           5.119238071703531e-08, 3.9056228628930146e-05],
+    1.0: [-2.4390898406725743, -3.525661582219011, -0.05050907243435276,
+          7.334858510479964e-18, 0.0],
+    0.05: [-2.4390898406725743, -1410.2646328876049, -8081.451589496625,
+           5.253951643274703e-08, 3.9056228628930146e-05],
 }
 TWO_DIM_CONSTANT = 64.0
 

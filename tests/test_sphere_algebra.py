@@ -1,4 +1,3 @@
-import dataclasses
 from functools import lru_cache
 import math
 import tracemalloc
@@ -50,8 +49,9 @@ def test_harmonic_matches_scipy_reference():
 
 
 def _legendre_loop(l_max, x):
-    """The Legendre tables by the element-wise loop over (l, m) that the
-    vectorized _legendre_table and _dPdx replaced: the oracle for their arithmetic."""
+    """The Legendre tables by the element-wise loop over (l, m): P, the oracle for the
+    arithmetic of the vectorized _legendre_table, and dP/dx per entry from P, the dense
+    reference for the x-derivatives."""
     n = x.size
     P = np.zeros((l_max + 1, l_max + 1, n))
     sin_theta = np.sqrt(1.0 - x * x)
@@ -110,32 +110,22 @@ def _table_bytes(B, n_theta):
 
 
 def test_legendre_tables_equal_the_elementwise_loop():
-    """A grid's P and its derivative table at the grid's own band, vectorized
-    over the orders, equal the loop packed on the nodes x >= 0, every entry bit
-    for bit, on every grid up to band limit 70: the same operations per element,
-    in the same order. A derivative table grown from a smaller band equals one
-    built at once, and a smaller band reads it rather than building another."""
+    """A grid's P, to one degree past the grid's band and vectorized over the orders, equals
+    the loop packed on the nodes x >= 0, every entry bit for bit, on every grid up to band
+    limit 70: the same operations per element, in the same order."""
     for band_limit in range(71):
         grid = grid_for_band_limit(band_limit)
-        P, dPdx = _legendre_loop(band_limit, grid.x)
+        P = _legendre_loop(band_limit + 1, grid.x)[0]
         north = grid.n_theta // 2
-        assert grid.P.shape == (band_limit // 2 + 1, band_limit + 2, band_limit // 2 + 1)
+        assert grid.P.shape == ((band_limit + 1) // 2 + 1, band_limit + 3, band_limit // 2 + 1)
         assert np.array_equal(grid.P, _packed(P)[..., north:]), band_limit
-        assert np.array_equal(sphere_algebra._dPdx(grid, band_limit), _packed(dPdx)[..., north:])
-    grown = dataclasses.replace(grid)  # the band-70 grid with no derivative table yet
-    sphere_algebra._dPdx(grown, 9)
-    table = sphere_algebra._dPdx(grown, 40)
-    assert np.array_equal(table, _packed(dPdx[:41, :41])[..., north:])
-    assert sphere_algebra._dPdx(grown, 25) is table
 
 
-def _full_tables(B, L):
+def _grid_table(B):
     """The nodes of the band-B grid (numpy's leggauss, as grid_for_band_limit takes them),
-    and P packed at band B and dP/dx packed at band L on every one of them, by the package's
-    own arithmetic."""
+    and P packed at band B + 1, as the grid packs it, on every one of them."""
     x = leggauss(B + 1)[0]
-    P = sphere_algebra._legendre_table(B, x)
-    return x, P, sphere_algebra._derivative_table(P, x, L)
+    return x, sphere_algebra._legendre_table(B + 1, x)
 
 
 def _reflections(B):
@@ -150,62 +140,30 @@ def _reflections(B):
 @pytest.mark.parametrize("B", [*range(71), 128, 300])
 def test_nodes_and_legendre_tables_mirror_exactly(B):
     """The grid's nodes mirror, x == -x[::-1], with the equator node exactly 0.0 at even
-    band; P at -x is (-1)^(l+m) times P at x and dP/dx is -(-1)^(l+m) times dP/dx at x,
-    every entry bit for bit. A grid keeps its tables on the nodes x >= 0 on this ground."""
-    x, P, dPdx = _full_tables(B, B // 2)
+    band, and P at -x is (-1)^(l+m) times P at x, every entry bit for bit. A grid keeps its
+    table on the nodes x >= 0 on this ground."""
+    x, P = _grid_table(B)
     assert np.array_equal(x, -x[::-1])
     assert B % 2 or x[B // 2] == 0.0
-    for table, sign in ((P, _reflections(B)), (dPdx, -_reflections(B // 2))):
-        for pair, pair_sign in zip(table, sign):  # a pair at a time, to keep band 300 small
-            assert np.array_equal(pair[:, ::-1], pair_sign * pair)
+    for pair, pair_sign in zip(P, _reflections(B + 1)):  # a pair at a time, for band 300
+        assert np.array_equal(pair[:, ::-1], pair_sign * pair)
 
 
-@pytest.mark.parametrize("L", [8, 16])
-def test_a_bracket_grid_holds_its_derivative_table_at_the_field_band(L, monkeypatch):
-    """After a bracket of two band-L fields, the band-2L grid holds its P packed at band 2L
-    on its L + 1 nodes x >= 0, 8 (L+1)(2L+2)(L+1) bytes, and its derivative table packed at
-    band L on the same nodes, 8 (L//2+1)(L+2)(L+1) bytes, counted in nbytes on fresh grids."""
-    fresh = lru_cache(maxsize=None)(sphere_algebra.grid_for_band_limit.__wrapped__)
-    monkeypatch.setattr(sphere_algebra, "grid_for_band_limit", fresh)
-    rng = np.random.default_rng(L)
-    bracket(random_real_field(L, rng), random_real_field(L, rng))
-    grid = fresh(2 * L)
-    assert grid.P.nbytes == _table_bytes(2 * L, 2 * L + 1) == 8 * (L + 1) * (2 * L + 2) * (L + 1)
-    assert [t.nbytes for t in grid.dx_table] == [_table_bytes(L, 2 * L + 1)]
-
-
-def test_a_derivative_table_grows_to_the_largest_band_and_no_further():
-    """Field bands 0..B asked of one grid in rising order keep its one derivative table
-    packed at the band last asked, 8 (L//2+1)(L+2)(B//2+1) bytes; a smaller band asked
-    after a larger one reads the table there, rebuilding nothing."""
-    B = 12
-    grid = dataclasses.replace(grid_for_band_limit(B))  # no derivative table yet
-    rng = np.random.default_rng(0)
-    for L in range(B + 1):
-        gradients([random_real_field(L, rng)], grid)
-        assert [t.nbytes for t in grid.dx_table] == [_table_bytes(L, B + 1)]
-    table = grid.dx_table[0]
-    gradients([random_real_field(3, rng)], grid)
-    assert len(grid.dx_table) == 1 and grid.dx_table[0] is table
-
-
-def test_a_grid_and_its_derivative_table_are_built_packed():
-    """Building a band-64 grid and its band-32 derivative table allocates at its peak the
-    grid's other arrays and at most 1.15 times the two packed tables' bytes on the nodes
-    x >= 0; with either table on every node, or P unpacked, the two tables alone are more
-    than 1.2 times."""
+def test_a_grid_is_built_packed():
+    """Building a band-64 grid allocates at its peak the grid's other arrays and at most
+    1.15 times its packed table's bytes on the nodes x >= 0; with the table on every node,
+    or unpacked, the table alone is more than 1.2 times."""
     build = sphere_algebra.grid_for_band_limit.__wrapped__
-    sphere_algebra._dPdx(build(64), 32)  # imports and caches outside the measurement
+    build(64)  # imports and caches outside the measurement
     tracemalloc.start()
     try:
         grid = build(64)
-        table = sphere_algebra._dPdx(grid, 32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert grid.P.nbytes + table.nbytes == _table_bytes(64, 65) + _table_bytes(32, 65)
+    assert grid.P.nbytes == _table_bytes(65, 65)
     others = sum(a.nbytes for a in (grid.x, grid.w, grid.phi, grid.sin_theta, grid.w2d, grid.trig))
-    assert peak <= others + 1.15 * (grid.P.nbytes + table.nbytes)
+    assert peak <= others + 1.15 * grid.P.nbytes
 
 
 def _dense_reference(f, grid):
@@ -217,8 +175,8 @@ def _dense_reference(f, grid):
     sign = np.where(m < 0, (-1.0) ** m, 1.0)[:, None]  # Y_l,-m = (-1)^m conj Y_lm
     signed = [sign * t[:, abs(m)] for t in (P, dPdx)]
     E = np.exp(1j * np.outer(m, grid.phi))
-    values, dx = (np.einsum("lj,ljt,jp->tp", f.coeffs, t, E) for t in signed)
-    dphi = np.einsum("lj,ljt,jp->tp", f.coeffs * (1j * m), signed[0], E)
+    values, dx = (np.einsum("lj,ljt,jp->tp", f.coeffs, t, E, optimize=True) for t in signed)
+    dphi = np.einsum("lj,ljt,jp->tp", f.coeffs * (1j * m), signed[0], E, optimize=True)
 
     def analysis(v):
         return np.einsum("tp,ljt,jp->lj", grid.w2d * v, signed[0], E.conj())
@@ -260,6 +218,19 @@ def test_transforms_through_both_read_shapes_match_dense_sums_property(B, shape,
     want[np.abs(np.arange(-L, L + 1)) > np.arange(L + 1)[:, None]] = 0.0
     assert _rel_to(analyze(v, L, grid).coeffs, want) < 1e-13
     assert _rel_to(analyze(got, L, grid).coeffs, f.coeffs) < 1e-12
+
+
+@pytest.mark.parametrize("L", [64, 100])
+def test_gradients_match_the_dense_reference_at_large_band(L):
+    """The x-derivatives from the coefficients, and the phi-derivatives, of a random
+    complex band-L field on the band-2L grid agree with dense einsums over the loop's
+    dP/dx and P to 1e-13 relative."""
+    rng = np.random.default_rng(L)
+    f = _random_complex_field(L, rng)
+    grid = grid_for_band_limit(2 * L)
+    _, dx, dphi, _ = _dense_reference(f, grid)
+    gx, gp = gradients([f], grid)
+    assert _rel_to(gx[0], dx) < 1e-13 and _rel_to(gp[0], dphi) < 1e-13
 
 
 def test_harmonic_equator_value():
@@ -750,13 +721,19 @@ def test_structure_constants_are_imaginary_and_exactly_antisymmetric(l_max):
 
 def _full_table_structure_constants(l_max):
     """The structure constants from one N^2-by-node table T = m_b P_a' P_b,
-    antisymmetrized as T - T^T over all pairs and gathered per order."""
+    antisymmetrized as T - T^T over all pairs and gathered per order, with P' from the
+    unpacked P on every node by the recurrence of _x_derivative."""
     N = (l_max + 1) ** 2
     out = np.zeros((N, N, l_max + 1))
     grid = grid_for_band_limit(2 * l_max)
     ls, ms = lm_pairs(l_max).T
     sign = np.where(ms < 0, sphere_algebra._column_parity(l_max)[l_max + ms], 1.0)[:, None]
-    P, dPdx = (sign * _unpacked(t)[ls, abs(ms)] for t in _full_tables(2 * l_max, l_max)[1:])
+    x, table = _grid_table(2 * l_max)
+    full, m = _unpacked(table), abs(ms)
+    alpha = sphere_algebra._alpha
+    steps = np.stack([-(ls + 1) * alpha(ls, m), ls * alpha(ls + 1, m)])[..., None]
+    dx = sphere_algebra._x_derivative(full[ls - 1, m], full[ls + 1, m], steps) / (x * x - 1.0)
+    P, dPdx = sign * full[ls, m], sign * dx
     T = ms[:, None] * (dPdx[:, None] * P)
     T = (T - T.transpose(1, 0, 2)) * (2.0 * math.pi * grid.w)
     orders = ms[:, None] + ms
@@ -777,7 +754,7 @@ def test_structure_constants_allocate_no_pair_by_node_table():
     """At l_max 12 the kernel's allocations peak at 2 S.nbytes or less. The
     full table T, N^2 (2 l_max + 1) doubles, is 1.9 S.nbytes alone, and
     with its antisymmetrized copy the full-table kernel peaks at 6.8."""
-    structure_constants(12)  # builds the band-24 grid and its derivative table
+    structure_constants(12)  # builds the band-24 grid
     tracemalloc.start()
     try:
         S = structure_constants(12)
