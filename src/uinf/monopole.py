@@ -229,6 +229,48 @@ class _Jet:
     __rsub__ = lambda self, other: self * -1.0 + other
 
 
+class _Dirs(tuple):
+    """Row 1 of a degree-1 _Jet in several directions at once (vector forward
+    mode, Griewank and Walther ch. 13): entry d is the row a jet seeded in
+    direction d alone would hold, or None where that jet would be a plain
+    constant. Each entry comes from the same operation as the one-direction
+    row, so it rounds the same way (x * y and y * x round alike), and an
+    absent entry is never multiplied. Degree 1 multiplies a row 1 only by a
+    row 0, never by another row 1."""
+
+    __array_ufunc__ = None  # an ndarray on the left defers to the reflected operator
+
+    def __add__(self, other):
+        return _Dirs(x if y is None else y if x is None else x + y for x, y in zip(self, other))
+
+    def __mul__(self, other):
+        return _Dirs(None if x is None else x * other for x in self)
+
+    def __truediv__(self, other):
+        return _Dirs(None if x is None else x / other for x in self)
+
+    __rmul__ = __mul__
+
+
+# radial nodes per block of the jet passes: their few dozen live rows stay in cache
+_BLOCK = 8192
+
+
+def _in_blocks(n, rows_of):
+    """The groups of rows that rows_of(s) returns for each slice s of at most
+    _BLOCK of the n nodes, each group joined into one (rows, n) array."""
+    out = None
+    for start in range(0, n, _BLOCK):
+        s = slice(start, start + _BLOCK)
+        groups = rows_of(s)
+        if out is None:
+            out = [np.empty((len(rows), n)) for rows in groups]
+        for block, rows in zip(out, groups):
+            for row, values in zip(block, rows):
+                row[s] = values
+    return out
+
+
 def _energy_density_at(xi, K, H, Kp, Hp):
     return (
         Kp ** 2
@@ -344,13 +386,14 @@ def cutoff_growth(profile):
 def linearized_forcing(profile, c):
     """Variational derivatives of the correction integral at the base
     profile, Phi_q = ds/dq - d/dxi[ds/dq'] for q = K, H and the density s of
-    the full table c. Each partial of s is row 1 of s on first-order jets
-    that seed one of K, H, K', H' with a unit tangent; the outer d/dxi is fd1."""
+    the full table c. The four partials of s are row 1 of s on one pass of
+    first-order jets in four directions, each seeding one of K, H, K', H'
+    with a unit tangent, node block by node block; the outer d/dxi is fd1."""
     xi = profile.grid.xi
     args = (profile.K, profile.H) + profile.derivatives
-    dK, dH, dKp, dHp = (
-        _second_line_density_at(xi, *args[:i], _Jet([q, 1.0], 1), *args[i + 1:], c).rows[1]
-        for i, q in enumerate(args))
+    seeds = [_Dirs(1.0 if j == i else None for j in range(4)) for i in range(4)]
+    (dK, dH, dKp, dHp), = _in_blocks(profile.grid.n, lambda s: [_second_line_density_at(
+        xi[s], *(_Jet([q[s], d], 1) for q, d in zip(args, seeds)), c).rows[1]])
     return dK - fd1(dKp, profile.grid.h), dH - fd1(dHp, profile.grid.h)
 
 
@@ -672,10 +715,15 @@ def perturbation_report(profile, pert):
     grid, xi = profile.grid, profile.grid.xi
     coarse = bps_profile(RadialGrid(grid.xi_max, _DIAGNOSTIC_N))
     min_sv, iterations, change = _min_singular_value(_linear_operator(coarse))
+    base = (profile.K, profile.H) + profile.derivatives
     tangents = (pert.K1, pert.H1, fd1(pert.K1, grid.h), fd1(pert.H1, grid.h))
-    jets = [_Jet([q, unit * t], 4) for q, t in zip((profile.K, profile.H) + profile.derivatives, tangents)]
-    energy = [float(_simpson(row, grid.h)) for row in _energy_density_at(xi, *jets).rows]
-    correction = _second_line_density_at(xi, *jets, pert.coeffs).rows
+
+    def rows(s):
+        jets = [_Jet([q[s], unit * t[s]], 4) for q, t in zip(base, tangents)]
+        return _energy_density_at(xi[s], *jets).rows, _second_line_density_at(xi[s], *jets, pert.coeffs).rows
+
+    energy, correction = _in_blocks(grid.n, rows)
+    energy = [float(_simpson(row, grid.h)) for row in energy]
     # dE = sum_{k>=1} x**k energy[k] + unit x sum_k x**k (integrated correction[k]), x = eps / unit
     poly = unit * np.array([0.0] + [float(_simpson(row, grid.h)) for row in correction])
     poly[1:len(energy)] += energy[1:]

@@ -6,7 +6,8 @@ correction density.
 No package code calls these; they exist to check `uinf.monopole` from the
 outside, so they live with the tests that use them (criterion 12, the
 variational identity, the Jacobian of the response operator, the forcing
-that the package derives on jets).
+that the package derives on jets, and that forcing taken as four
+one-direction jet passes over all nodes).
 """
 
 import numpy as np
@@ -173,3 +174,15 @@ def hand_forcing(profile, coeffs):
         + 2.0 * cc * H * u ** 2
     )
     return phi_K, phi_H
+
+
+def single_seed_forcing(profile, c):
+    """linearized_forcing as four passes of one-direction jets over all
+    nodes, each seeding one of K, H, K', H' with the unit tangent 1.0: the
+    package's one blocked pass in four directions must give these bits."""
+    xi = profile.grid.xi
+    args = (profile.K, profile.H) + profile.derivatives
+    dK, dH, dKp, dHp = (
+        monopole._second_line_density_at(xi, *args[:i], monopole._Jet([q, 1.0], 1), *args[i + 1:], c).rows[1]
+        for i, q in enumerate(args))
+    return dK - fd1(dKp, profile.grid.h), dH - fd1(dHp, profile.grid.h)

@@ -37,6 +37,7 @@ from monopole_checks import (
     perturb_profile,
     random_direction,
     sine_bump,
+    single_seed_forcing,
     variational_check,
 )
 
@@ -190,6 +191,27 @@ def test_linearized_forcing_matches_a_central_difference(reference_profile, term
         assert abs((plus - minus) / (2.0 * step) - paired) <= 1e-6 * abs(paired)
 
 
+@pytest.mark.parametrize("n", [monopole._BLOCK - 1, monopole._BLOCK, monopole._BLOCK + 1,
+                               2 * monopole._BLOCK + 5])
+def test_jet_passes_in_node_blocks_match_one_pass_across_block_edges(monkeypatch, n):
+    """Around one and two node blocks, on the closed-form profile with the
+    published table and on a bumped one with a drawn table, the blocked
+    forcing is the four one-direction passes over all nodes bit for bit, and
+    the report is the one the same jets give in a single block."""
+    rng = np.random.default_rng(n)
+    profile = bps_profile(RadialGrid(25.0, n))
+    runs = [(profile, dict(SECOND_LINE_COEFFS)),
+            (perturb_profile(profile, rng, amplitude=0.2),
+             dict(zip(SECOND_LINE_COEFFS, rng.uniform(0.5, 2.0, len(SECOND_LINE_COEFFS)))))]
+    for base, coeffs in runs:
+        for got, want in zip(linearized_forcing(base, coeffs), single_seed_forcing(base, coeffs)):
+            assert np.array_equal(got, want)
+    pairs = [(base, solve_perturbation(base, coeffs)) for base, coeffs in runs]
+    blocked = [perturbation_report(base, pert) for base, pert in pairs]
+    monkeypatch.setattr(monopole, "_BLOCK", n)
+    assert repr([perturbation_report(base, pert) for base, pert in pairs]) == repr(blocked)
+
+
 @pytest.mark.parametrize("term", [None, *SECOND_LINE_COEFFS])
 def test_linearized_forcing_is_the_hand_derived_one(reference_profile, term):
     """The forcing read off jets of the correction density equals the
@@ -233,6 +255,46 @@ def test_jet_products_and_powers_are_truncated_polynomial_products(drawn, power)
         assert got.shape == want.shape
         assert (np.abs(got - want) <= 1e-14 * scale).all()
     assert np.array_equal(cases[1][0].rows[0], a[0] ** power)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), power=st.integers(1, 5))
+def test_jets_in_several_directions_are_the_one_direction_jets(k, seed, power):
+    """A degree-1 jet whose row 1 is a _Dirs of k directions, some absent
+    (None), gives in each direction d what the jet seeded in d alone gives,
+    bit for bit, and where d is absent on every operand, None beside the
+    plain arithmetic's row 0: for +, - and * between two such jets and with
+    an array or a float on either side, / by an array or a float, and the
+    powers 1 to 5. Row-1 entries are arrays or floats."""
+    rng = np.random.default_rng(seed)
+
+    def value():
+        v = rng.standard_normal(9) * 10.0 ** rng.integers(-3, 4, size=9)
+        return v if rng.random() < 0.7 else float(v[0])
+
+    def jet():
+        dirs = monopole._Dirs(value() if rng.random() < 0.6 else None for _ in range(k))
+        return monopole._Jet([rng.standard_normal(9) * 10.0 ** rng.integers(-3, 4, size=9), dirs], 1)
+
+    def alone(v, d):
+        if not isinstance(v, monopole._Jet):
+            return v
+        return v.rows[0] if v.rows[1][d] is None else monopole._Jet([v.rows[0], v.rows[1][d]], 1)
+
+    a, b, x = jet(), jet(), value()
+    cases = [(op, left, right) for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q)
+             for left, right in ((a, b), (a, x), (x, a))]
+    cases += [(lambda p, q: p / q, a, x), (lambda p, q: p ** q, a, power)]
+    for op, left, right in cases:
+        got = op(left, right)
+        assert len(got.rows) == 2 and len(got.rows[1]) == k
+        for d in range(k):
+            one = op(alone(left, d), alone(right, d))
+            if isinstance(one, monopole._Jet):
+                assert np.array_equal(got.rows[0], one.rows[0])
+                assert np.array_equal(got.rows[1][d], one.rows[1])
+            else:
+                assert np.array_equal(got.rows[0], one) and got.rows[1][d] is None
 
 
 @settings(max_examples=30, deadline=None)
