@@ -191,7 +191,7 @@ def cmd_reduce_two_dim(args):
     rep = reduction.two_dim_report(cfg, BlockMetric(g, args.b), bg)
     document, checks = _reduce_result(args, rep, groups=("group_0_rel", "group_1_rel"),
                                       residuals=("pointwise_residual_rel",))
-    nested = _reduce_result(args, rep["report"])[1]
+    nested = _route_checks(rep["report"])
     return document, checks + [dict(c, name="report." + c["name"]) for c in nested]
 
 
@@ -511,7 +511,7 @@ def main(argv=None):
     except MemoryError as exc:  # an array larger than the host can hold
         print("error: out of memory: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return 0 if all(c["ok"] for c in checks) else 1

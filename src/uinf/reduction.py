@@ -3,8 +3,9 @@
 The full-space field strength built from a potential jet and a fixed
 monopole-type flux background is contracted into scalar and quartic
 densities, then split into groups by the power of the inverse sphere-block
-metric each monomial carries. Three independent routes keep the split
-honest:
+metric each monomial carries. That block is 1/b^2 times the unit sphere's,
+so group k's densities are built once, at unit radius, and scaled by
+b^(-2k) at each radius. Three independent routes keep the split honest:
 
   * the classified groups summed against the full-index contraction
     evaluated pointwise (the reference route),
@@ -106,68 +107,66 @@ def _ghat_inv(grid):
     return np.stack([np.ones_like(s2), 1.0 / s2])
 
 
-def _block_invariants(nd, grid, ginv, b):
-    """Inverse sphere metric gh, raised spacetime field strength fup, its
-    square S, the mixed-block products P and their spacetime trace X."""
+def _block_invariants(nd, grid, ginv):
+    """Inverse unit-sphere metric gh, raised spacetime field strength fup,
+    its square S, the mixed-block products P and their spacetime trace X."""
     gh = _ghat_inv(grid)
     flow, dAex = nd["flow"], nd["dAex"]
     fup = np.einsum("ac,bd,cdij->abij", ginv, ginv, flow)
     S = np.einsum("abij,abij->ij", flow, fup)
     P = np.einsum("mij,maij,mbij->abij", gh, dAex, dAex)
-    X = np.einsum("ab,abij->ij", ginv, P) / b**2
+    X = np.einsum("ab,abij->ij", ginv, P)
     return gh, fup, S, P, X
 
 
-def _scalar_groups(nd, grid, ginv, b, q):
-    """Node densities of the terms of the four scalar-sector groups, one
-    list per group, ordered by the inverse sphere-block power."""
-    gh, fup, S, P, X = _block_invariants(nd, grid, ginv, b)
+def _scalar_groups(nd, grid, ginv, q):
+    """Node densities at unit radius of the terms of the four scalar-sector
+    groups, one list per group, ordered by the inverse sphere-block power."""
+    gh, fup, S, P, X = _block_invariants(nd, grid, ginv)
     s = nd["s"]
     dAex, flow = nd["dAex"], nd["flow"]
     dphst, dphiex = nd["dphst"], nd["dphiex"]
     vup = np.einsum("ab,bij->aij", ginv, dphst)
-    Bc = 2.0 / (q**2 * b**4)
+    Bc = 2.0 / q**2
     p_st = np.einsum("aij,aij->ij", dphst, vup)
-    p_ex = np.einsum("mij,mij,mij->ij", gh, dphiex, dphiex) / b**2
+    p_ex = np.einsum("mij,mij,mij->ij", gh, dphiex, dphiex)
     W = np.einsum("mnij,mlij,lij,nij->ij", fup, flow, vup, dphst)
     E = np.einsum("mij,maij,mij->aij", gh, dAex, dphiex)
-    Z1 = -np.einsum("mnij,mij,nij->ij", fup, E, dphst) / b**2
-    Z2 = np.einsum("abij,aij,bij->ij", P, vup, vup) / b**2
-    Q1 = np.einsum("ab,aij,bij->ij", ginv, E, E) / b**4
-    Q2 = np.einsum("ab,aij,bij->ij", ginv, nd["bracket"][-1, :-1], dphst) / (q * b**4)  # {phi, A_a}
+    Z1 = -np.einsum("mnij,mij,nij->ij", fup, E, dphst)
+    Z2 = np.einsum("abij,aij,bij->ij", P, vup, vup)
+    Q1 = np.einsum("ab,aij,bij->ij", ginv, E, E)
+    Q2 = np.einsum("ab,aij,bij->ij", ginv, nd["bracket"][-1, :-1], dphst) / q  # {phi, A_a}
     # the top group's cycle piece, kept on its own arithmetic path
     fhat = np.zeros((2, 2) + nd["shape"])
     fhat[0, 1] = s / q
     fhat[1, 0] = -s / q
-    fhat_upup = np.einsum("mij,nij,mnij->mnij", gh, gh, fhat) / b**4
-    vex_up = gh * dphiex / b**2
-    t2bg = np.einsum("mpij,mnij,nij,pij->ij", fhat_upup, fhat, vex_up, dphiex)
+    fhat_upup = np.einsum("mij,nij,mnij->mnij", gh, gh, fhat)
+    t2bg = np.einsum("mpij,mnij,nij,pij->ij", fhat_upup, fhat, gh * dphiex, dphiex)
     return [[S * p_st, -2.0 * W],
             [2.0 * X * p_st, S * p_ex, -4.0 * Z1, -2.0 * Z2],
             [Bc * p_st, 2.0 * X * p_ex, -2.0 * Q1, -4.0 * Q2],
             [Bc * p_ex, -2.0 * t2bg]]
 
 
-def _ym_groups(nd, grid, ginv, b, q):
-    """Node densities of the terms of the five quartic-sector groups."""
-    gh, fup, S, P, X = _block_invariants(nd, grid, ginv, b)
+def _ym_groups(nd, grid, ginv, q):
+    """Node densities at unit radius of the terms of the five quartic-sector groups."""
+    gh, fup, S, P, X = _block_invariants(nd, grid, ginv)
     s = nd["s"]
     dAex, flow = nd["dAex"], nd["flow"]
-    Bc = 2.0 / (q**2 * b**4)
+    Bc = 2.0 / q**2
     M = np.einsum("ab,bcij->acij", ginv, flow)
     M2 = np.einsum("abij,bcij->acij", M, M)
     t4s = np.einsum("abij,baij->ij", M2, M2)
     NN = np.einsum("aeij,ef->afij", M2, ginv)  # (g^-1 F)^2 g^-1
-    C1 = -np.einsum("abij,abij->ij", P, NN) / b**2
-    C_adj = -np.einsum("abij,abij->ij", nd["bracket"], fup) / (q * b**4)
+    C1 = -np.einsum("abij,abij->ij", P, NN)
+    C_adj = -np.einsum("abij,abij->ij", nd["bracket"], fup) / q
     Pup = np.einsum("ac,bd,cdij->abij", ginv, ginv, P)
-    C_alt = np.einsum("abij,abij->ij", P, Pup) / b**4
+    C_alt = np.einsum("abij,abij->ij", P, Pup)
     ehat = np.zeros((2, 2) + nd["shape"])
-    ehat[0, 1] = s / (q * b**2)
-    ehat[1, 0] = -1.0 / (q * b**2 * s)
-    V = gh[:, None] * dAex / b**2
+    ehat[0, 1] = s / q
+    ehat[1, 0] = -1.0 / (q * s)
     Wm = -np.einsum("mn,pnij->mpij", ginv, dAex)
-    C3 = np.einsum("mnij,naij,apij,pmij->ij", ehat, V, Wm, ehat)
+    C3 = np.einsum("mnij,naij,apij,pmij->ij", ehat, gh[:, None] * dAex, Wm, ehat)
     e2 = np.einsum("mnij,npij->mpij", ehat, ehat)
     t4e = np.einsum("mnij,nmij->ij", e2, e2)
     return [[S * S, -2.0 * t4s],
@@ -218,7 +217,8 @@ def _relative(residual, magnitude):
 def _reduce_common(sector, cfg, scal, metrics, background):
     """(reports, grid, node data, full field matrix) of one sector's split, one
     report per metric; the metrics share one spacetime block and differ in b,
-    so the grid, the node data, F and the covariant integral are built once."""
+    so the grid, the node data, F, the covariant integral and the unit-radius
+    group densities are built once; group k's integrals scale by b^(-2k)."""
     if sector == "scalar" and scal is None:
         raise ValueError("the scalar sector needs a scalar jet")
     spacetime = metrics[0].spacetime
@@ -228,27 +228,26 @@ def _reduce_common(sector, cfg, scal, metrics, background):
     nd = _node_data(cfg, scal, grid)
     q = background.q
     charged = replace(cfg, coupling=q)  # the covariant route's coupling, fixed by the flux
-    covariant = (scalar_kinetic_integral(charged, scal, spacetime) if sector == "scalar"
-                 else yang_mills_integral(charged, spacetime))
     F = _full_field_matrix(nd, cfg.dim, q)
     ginv = np.linalg.inv(spacetime)
+    if sector == "scalar":
+        covariant, const = scalar_kinetic_integral(charged, scal, spacetime), 2.0 / q**2
+        groups = _scalar_groups(nd, grid, ginv, q)
+        v = np.concatenate([nd["dphst"], nd["dphiex"]]).transpose(1, 2, 0)  # full-space grad
+    else:
+        covariant, const = yang_mills_integral(charged, spacetime), 4.0 / q**2
+        groups = _ym_groups(nd, grid, ginv, q)
+    gk1 = [_integrate(grid, sum(terms[1:], terms[0])) for terms in groups]  # the written order
+    mag1 = [_integrate(grid, sum(np.abs(term) for term in terms)) for terms in groups]
     reports = []
     for b in (metric.b for metric in metrics):
         # the reference route at sphere-block scales t = 0..4, one kernel call on the stack of
         # their inverse metrics; t = 1 is the metric itself, where the sums are total and sum(mag)
         t = np.arange(5.0)
         scaled = _full_inverse_metric(grid, ginv, b, t)
-        if sector == "scalar":
-            groups = _scalar_groups(nd, grid, ginv, b, q)
-            v = np.concatenate([nd["dphst"], nd["dphiex"]]).transpose(1, 2, 0)  # full-space grad
-            refs = [_integrate(grid, d) for d in 0.5 * delta3(F, v, scaled)]
-            const = 2.0 / q**2
-        else:
-            groups = _ym_groups(nd, grid, ginv, b, q)
-            refs = [_integrate(grid, d) for d in trace4(F, scaled)]
-            const = 4.0 / q**2
-        gk = [_integrate(grid, sum(terms[1:], terms[0])) for terms in groups]  # the written order
-        mag = [_integrate(grid, sum(np.abs(term) for term in terms)) for terms in groups]
+        densities = 0.5 * delta3(F, v, scaled) if sector == "scalar" else trace4(F, scaled)
+        refs = [_integrate(grid, d) for d in densities]
+        gk, mag = ([c * b ** (-2 * k) for k, c in enumerate(cs)] for cs in (gk1, mag1))
         total, ref = float(sum(gk)), refs[1]
         predicted, scan_mag = (sum(c * t**k for k, c in enumerate(cs)) for cs in (gk, mag))
         scan = _relative(np.abs(np.array(refs) - predicted), scan_mag)
@@ -387,6 +386,7 @@ def born_infeld_report(cfg, spacetime_metric, background, alpha, C, b_list):
     F_vac = np.zeros_like(F)
     F_vac[..., D:, D:] = F[..., D:, D:]  # the flux background alone
     w_coord = (grid.w / grid.sin_theta)[:, None] * (2.0 * math.pi / grid.n_phi)
+    _, _, S, _, X = _block_invariants(nd, grid, ginv)
 
     def rhs_integral(Fst, g):
         return _integrate(grid, born_infeld_density(Fst, g, alpha, C) * (abs(alpha) / abs(q)))
@@ -407,8 +407,7 @@ def born_infeld_report(cfg, spacetime_metric, background, alpha, C, b_list):
         except ValueError as exc:
             raise ValueError("%s at radius %r" % (exc, b)) from None
         lhs = lhs_full - lhs_vac
-        _, _, S, _, X = _block_invariants(nd, grid, ginv, b)
-        kk_reference = C / 4.0 * b**2 * math.sqrt(-det_st) * _integrate(grid, S + 2.0 * X)
+        kk_reference = C / 4.0 * b**2 * math.sqrt(-det_st) * _integrate(grid, S + 2.0 * X / b**2)
         ratio = lhs / rhs
         rows.append({
             "b": b,

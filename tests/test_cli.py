@@ -1260,6 +1260,21 @@ def test_out_of_memory_is_an_error_line_not_a_traceback(capsys, argv):
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
 
+def test_a_handler_key_error_is_not_a_usage_error(monkeypatch):
+    """Exit 2 means bad flags or input, and no input raises a KeyError: a
+    handler that reads a key its report lacks raises it, not exit 2."""
+    real = monopole.perturbation_report
+
+    def without_backward_error(*args, **kw):
+        rep = real(*args, **kw)
+        del rep["backward_error"]
+        return rep
+
+    monkeypatch.setattr(monopole, "perturbation_report", without_backward_error)
+    with pytest.raises(KeyError, match="backward_error"):
+        main(["monopole", "perturb", "--xi-max", "10", "--n", "800"])
+
+
 _BAD_FIELDS = [
     [1, 2],
     "field",

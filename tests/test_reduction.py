@@ -43,14 +43,14 @@ B_SCAN_EXPONENT = 2.5876502650226536
 SCALAR_GROUPS_EXACT = {
     1.0: [-0.5813614633039716, -0.03578010074760477, 0.4198914129912111,
           1.3221607362569663e-17],
-    0.05: [-0.5813614633039716, -14.312040299041906, 67182.62607859376,
-           -2.29515216589674e-10],
+    0.05: [-0.5813614633039716, -14.312040299041907, 67182.62607859376,
+           8.461828712044581e-10],
 }
 YM_GROUPS_EXACT = {
     1.0: [-2.4390898406725743, -3.525661582219011, -0.05050907243435276,
           7.334858510479964e-18, 0.0],
-    0.05: [-2.4390898406725743, -1410.2646328876049, -8081.451589496625,
-           5.253951643274703e-08, 3.9056228628930146e-05],
+    0.05: [-2.4390898406725743, -1410.2646328876042, -8081.45158949644,
+           4.694309446707175e-10, 0.0],
 }
 TWO_DIM_CONSTANT = 64.0
 
@@ -396,7 +396,8 @@ def test_one_term_off_by_a_millionth_fails_a_route(monkeypatch, seed0_fields, ba
 
             def mutated(nd, grid, *rest, k=k, j=j):
                 groups = real(nd, grid, *rest)
-                shares.append(float(np.sum(grid.w2d * np.abs(groups[k][j]))) / total_mag)
+                unit = float(np.sum(grid.w2d * np.abs(groups[k][j])))  # at unit radius
+                shares.append(unit * b ** (-2 * k) / total_mag)
                 groups[k][j] = groups[k][j] * (1.0 + 1e-6)
                 return groups
 
@@ -431,28 +432,30 @@ def test_b_scan_rows_equal_the_reports_at_their_radii(background, dim, seed):
 
 
 def test_b_scan_computes_the_radius_free_data_once(monkeypatch, seed0_fields, background):
-    """The node data and the covariant integral do not depend on the radius:
-    a four-radius scan makes each once, not once per radius."""
+    """The node data, the covariant integral and the unit-radius group
+    densities do not depend on the radius: a four-radius scan makes each
+    once, not once per radius."""
     cfg, scal = seed0_fields
     calls = []
-    for name in ("_node_data", "scalar_kinetic_integral"):
+    for name in ("_node_data", "scalar_kinetic_integral", "_scalar_groups"):
         _count_calls(monkeypatch, calls, name)
     b_scan(cfg, scal, lorentz(4), background, SCAN_RADII)
-    assert sorted(calls) == ["_node_data", "scalar_kinetic_integral"]
+    assert sorted(calls) == ["_node_data", "_scalar_groups", "scalar_kinetic_integral"]
 
 
 def test_born_infeld_report_computes_the_radius_free_data_once(monkeypatch, background):
-    """A four-radius report builds the node data and the field matrix once,
-    the rhs pair of densities once and lhs's pair per radius; each row is
-    still the one-radius report at its radius, bit for bit."""
+    """A four-radius report builds the node data, the field matrix and the
+    unit-radius block invariants once, the rhs pair of densities once and
+    lhs's pair per radius; each row is still the one-radius report at its
+    radius, bit for bit."""
     cfg = random_gauge_config(4, 2, np.random.default_rng(2), amplitude=0.25)
     alone = [born_infeld_report(cfg, lorentz(4), background, 0.5, 1.0, [b])[0] for b in SCAN_RADII]
-    names = ("_node_data", "_full_field_matrix", "born_infeld_density")
+    names = ("_node_data", "_full_field_matrix", "_block_invariants", "born_infeld_density")
     calls = []
     for name in names:
         _count_calls(monkeypatch, calls, name)
     rows = born_infeld_report(cfg, lorentz(4), background, 0.5, 1.0, SCAN_RADII)
-    assert [calls.count(name) for name in names] == [1, 1, 2 + 2 * len(SCAN_RADII)]
+    assert [calls.count(name) for name in names] == [1, 1, 1, 2 + 2 * len(SCAN_RADII)]
     assert rows == alone
 
 
@@ -513,20 +516,47 @@ def test_reference_scales_come_from_one_kernel_call(monkeypatch, seed0_fields, b
             assert rep["reference_total"] == reduction._integrate(grid, scale * stacked)
 
 
-def _ym_groups_literal_nn(nd, grid, ginv, b, q):
+@pytest.mark.parametrize("sector", ["scalar", "yang_mills"])
+@pytest.mark.parametrize("b", [0.5, 0.1, 0.05])
+def test_reference_route_reads_the_radius_as_a_sphere_block_scale(seed0_fields, background,
+                                                                  sector, b):
+    """The reference route keeps its own radius arithmetic: its integrals at
+    radius b and sphere-block scales t = 0..4 equal those at radius 1 and
+    scales t / b^2, to 1e-15 of the magnitude the forward scan divides by.
+    The groups scale their unit-radius densities by b^(-2k), so this is the
+    check on b that does not hold by construction."""
+    cfg, scal = seed0_fields
+    scal = scal if sector == "scalar" else None
+    grid, _ = reduction._grid_for(cfg, scal)
+    nd = reduction._node_data(cfg, scal, grid)
+    F = reduction._full_field_matrix(nd, 4, background.q)
+    ginv = np.linalg.inv(lorentz(4))
+    v = None if scal is None else np.concatenate([nd["dphst"], nd["dphiex"]]).transpose(1, 2, 0)
+
+    def reference(radius, scales):
+        G = reduction._full_inverse_metric(grid, ginv, radius, scales)
+        densities = reduction.trace4(F, G) if v is None else 0.5 * reduction.delta3(F, v, G)
+        return [reduction._integrate(grid, d) for d in densities]
+
+    mags = _reduce(sector, cfg, scal, metric4(b), background)["group_magnitudes"]
+    t = np.arange(5.0)
+    for tk, at_b, at_1 in zip(t, reference(b, t), reference(1.0, t / b**2)):
+        assert abs(at_b - at_1) <= 1e-15 * sum(m * tk**k for k, m in enumerate(mags))
+
+
+def _ym_groups_literal_nn(nd, grid, ginv, q):
     """_ym_groups with its C1 term built from the literal five-factor
     contraction g^-1 F g^-1 F g^-1: the oracle of the ordered product."""
-    groups = reduction._ym_groups(nd, grid, ginv, b, q)
-    P = reduction._block_invariants(nd, grid, ginv, b)[3]
+    groups = reduction._ym_groups(nd, grid, ginv, q)
+    P = reduction._block_invariants(nd, grid, ginv)[3]
     flow = nd["flow"]
     NN = np.einsum("ab,bcij,cd,deij,ef->afij", ginv, flow, ginv, flow, ginv)
-    groups[1][1] = -8.0 * -np.einsum("abij,abij->ij", P, NN) / b**2
+    groups[1][1] = -8.0 * -np.einsum("abij,abij->ij", P, NN)
     return groups
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
-@pytest.mark.parametrize("b", [1.0, 0.05])
-def test_ym_groups_equal_the_literal_five_factor_contraction(background, dim, b):
+def test_ym_groups_equal_the_literal_five_factor_contraction(background, dim):
     """NN = (g^-1 F)^2 g^-1 read off M2 equals the literal five-operand
     contraction to 1e-14 of its largest node value, term for term."""
     rng = np.random.default_rng(10 + dim)
@@ -534,8 +564,8 @@ def test_ym_groups_equal_the_literal_five_factor_contraction(background, dim, b)
     grid, _ = reduction._grid_for(cfg, None)
     nd = reduction._node_data(cfg, None, grid)
     ginv = np.linalg.inv(lorentz(dim))
-    got = reduction._ym_groups(nd, grid, ginv, b, background.q)
-    want = _ym_groups_literal_nn(nd, grid, ginv, b, background.q)
+    got = reduction._ym_groups(nd, grid, ginv, background.q)
+    want = _ym_groups_literal_nn(nd, grid, ginv, background.q)
     for got_terms, want_terms in zip(got, want):
         for g, w in zip(got_terms, want_terms):
             assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
