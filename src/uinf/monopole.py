@@ -272,12 +272,8 @@ def _in_blocks(n, rows_of):
 
 
 def _energy_density_at(xi, K, H, Kp, Hp):
-    return (
-        Kp ** 2
-        + K ** 2 * H ** 2 / xi ** 2
-        + 0.5 * (Hp - H / xi) ** 2
-        + (1.0 - K ** 2) ** 2 / (2.0 * xi ** 2)
-    )
+    K2, xi2 = K ** 2, xi ** 2
+    return Kp ** 2 + K2 * H ** 2 / xi2 + 0.5 * (Hp - H / xi) ** 2 + (1.0 - K2) ** 2 / (2.0 * xi2)
 
 
 def energy_density(profile):
@@ -343,11 +339,12 @@ def second_line_density(profile, coeffs=None):
 
 def _second_line_density_at(xi, K, H, Kp, Hp, c):
     u = 1.0 - K
+    H2, Kp2, u2 = H ** 2, Kp ** 2, u ** 2
     return (
-        c["h2_kprime2"] * H ** 2 * Kp ** 2
-        + c["dh2_1mk2"] * (Hp - H / xi) ** 2 * u ** 2
-        + c["h2_1mk2"] * H ** 2 * u ** 2
-        + c["kprime2_1mk2"] * Kp ** 2 * u ** 2
+        c["h2_kprime2"] * H2 * Kp2
+        + c["dh2_1mk2"] * (Hp - H / xi) ** 2 * u2
+        + c["h2_1mk2"] * H2 * u2
+        + c["kprime2_1mk2"] * Kp2 * u2
         + c["xi2_1mk4"] * xi ** 2 * u ** 4
     )
 

@@ -618,14 +618,30 @@ def su2_generators():
     return triple, c, residual, _closure_residual(printed, brs[:3])[1]
 
 
+@lru_cache(maxsize=None)
+def _draw_map(l_max):
+    """random_real_field's scatter at band l_max: per filled float slot, its flat index, its normal,
+    its signed 0.6**l (Python's; numpy's power rounds some l apart) and its divisor. Degree l's
+    normals from l^2 on are m = 0's, then (re, im) per m = 1..l; slot m takes (re, im) / sqrt 2,
+    slot -m (-1)^m times its conjugate."""
+    deg = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    j = np.arange(deg.size) - deg**2  # 0 at m = 0, then 2m - 1 (re) and 2m (im)
+    paired = np.flatnonzero(j)
+    take = np.concatenate((np.arange(l_max + 1) ** 2, paired, paired))
+    side = np.repeat([1, 1, -1], [l_max + 1, paired.size, paired.size])
+    deg, m, im = deg[take], (j[take] + 1) // 2, (j[take] > 0) & (j[take] % 2 == 0)
+    sign = np.where(side > 0, 1.0, (-1.0) ** m * (1 - 2 * im))
+    arrays = (deg * (4 * l_max + 2) + 2 * (l_max + side * m) + im, take,
+              sign * np.array([0.6**l for l in range(l_max + 1)])[deg],
+              np.where(m > 0, math.sqrt(2.0), 1.0))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def random_real_field(l_max, rng, amplitude=1.0):
-    """Random real band-limited field whose spectrum decays like 0.6**l."""
+    """Random real band-limited field whose spectrum decays like 0.6**l; one draw of normals."""
+    at, take, power, root = _draw_map(l_max)
     c = np.zeros((l_max + 1, 2 * l_max + 1), dtype=complex)
-    for l in range(l_max + 1):
-        scale = amplitude * 0.6**l
-        c[l, l_max] = scale * rng.standard_normal()
-        for m in range(1, l + 1):
-            z = scale * (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
-            c[l, l_max + m] = z
-            c[l, l_max - m] = (-1.0) ** m * z.conjugate()
+    c.view(float).put(at, amplitude * power * rng.standard_normal((l_max + 1) ** 2)[take] / root)
     return HarmonicField(l_max, c)

@@ -281,6 +281,53 @@ def test_real_field_synthesizes_real():
         assert not np.iscomplexobj(vals) or np.max(np.abs(vals.imag)) == 0.0
 
 
+def _random_real_field_loop(l_max, rng, amplitude=1.0):
+    """random_real_field one scalar normal at a time: per degree l, m = 0's draw, then (re, im)
+    for m = 1..l, with the mirror entry (-1)^m conj(z). The oracle for the bulk draw."""
+    c = np.zeros((l_max + 1, 2 * l_max + 1), dtype=complex)
+    for l in range(l_max + 1):
+        scale = amplitude * 0.6**l
+        c[l, l_max] = scale * rng.standard_normal()
+        for m in range(1, l + 1):
+            z = scale * (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
+            c[l, l_max + m] = z
+            c[l, l_max - m] = (-1.0) ** m * z.conjugate()
+    return HarmonicField(l_max, c)
+
+
+def test_random_real_field_equals_the_scalar_loop_bit_for_bit():
+    """Every coefficient bit, sign bits of zeros included, and the stream position afterwards
+    match the per-coefficient loop. Bands 0-70 cycle through every (seed, amplitude) pair."""
+    cases = [(seed, amplitude) for seed in (0, 7, 2**31 - 1) for amplitude in (1.0, 0.5, 0.4, 0.25)]
+    for l_max in range(71):
+        seed, amplitude = cases[l_max % len(cases)]
+        bulk, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        f = random_real_field(l_max, bulk, amplitude)
+        g = _random_real_field_loop(l_max, loop, amplitude)
+        assert np.array_equal(f.coeffs.view(float), g.coeffs.view(float)), (l_max, seed, amplitude)
+        assert np.array_equal(np.signbit(f.coeffs.view(float)), np.signbit(g.coeffs.view(float)))
+        assert bulk.standard_normal() == loop.standard_normal()
+
+
+class _CountingNormals:
+    """A generator that counts its standard_normal calls and passes them on to a real one."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def standard_normal(self, size=None):
+        self.calls += 1
+        return self._rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 2, 3, 8, 33, 64])
+def test_random_real_field_draws_its_normals_in_one_call(l_max):
+    rng = _CountingNormals(l_max)
+    random_real_field(l_max, rng)
+    assert rng.calls == 1
+
+
 def _random_complex_field(l_max, rng):
     """Field with independent complex coefficients, far from Hermitian."""
     c = rng.standard_normal((l_max + 1, 2 * l_max + 1)) + 1j * rng.standard_normal(

@@ -1,4 +1,5 @@
 from itertools import permutations
+import math
 import tracemalloc
 
 from hypothesis import given, settings
@@ -415,12 +416,9 @@ def test_identity_suite_rejects_missing_base_dims():
         identity_suite(dims=(2, 3, 4), trials=10, rng=np.random.default_rng(0))
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6),
-       signature=st.sampled_from(["euclidean", "lorentzian"]))
-def test_stacked_kernels_match_the_node_functions(seed, signature):
-    """Every kernel on a (2, 3) stack of draws, each with its own metric,
-    equals the same kernel on each node's slice."""
+def _stack_draws(seed, signature):
+    """One draw of the stacked-kernel check, each a (2, 3) stack with a metric per node: (g, F, v)
+    in n = 3, (g, F) in n = 4, and a weak lorentzian (g, F) for Born-Infeld."""
     rng = np.random.default_rng(seed)
 
     def draw(n, signature, scale=1.0):
@@ -431,12 +429,55 @@ def test_stacked_kernels_match_the_node_functions(seed, signature):
     g3, F3, v3 = draw(3, signature)
     g4, F4, _ = draw(4, signature)
     gl, Fl, _ = draw(4, "lorentzian", scale=0.1)
+    return g3, F3, v3, g4, F4, gl, Fl
+
+
+def _literal_sum_misses(g3, F3, v3, g4, F4, stacked):
+    """Per node, |stacked - node| over its rounding bound for delta3 and delta4, the literal
+    signed permutation sums, given their stacked values. The two sides sum the same k! terms of
+    k^k products each in different orders, so with n = k! k^k they differ by at most 2 gamma_n
+    times the summed magnitude of the terms, sum_p sum |low| |up_p| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3). A bound relative to the result fails
+    where the sum cancels; this one does not depend on how far it cancels."""
+    G3, G4 = np.linalg.inv(g3), np.linalg.inv(g4)
+    rows = [
+        (lambda i: delta3(F3[i], v3[i], G3[i]), np.einsum("...ab,...c->...abc", F3, v3),
+         np.einsum("...ab,...c->...abc", tensor_kernels._raise(F3, G3),
+                   tensor_kernels._raise_vector(v3, G3))),
+        (lambda i: delta4(F4[i], G4[i]), np.einsum("...ab,...cd->...abcd", F4, F4),
+         np.einsum("...ab,...cd->...abcd", *2 * [tensor_kernels._raise(F4, G4)])),
+    ]
+    u = np.finfo(float).eps / 2
+    misses = []
+    for (node, low, up), value in zip(rows, stacked):
+        k, idx = low.ndim - 2, "abcd"[:low.ndim - 2]
+        magnitude = sum(np.einsum(f"...{idx},...{''.join(idx[i] for i in p)}->...",
+                                  np.abs(low), np.abs(up)) for p in permutations(range(k)))
+        n = math.factorial(k) * k**k
+        per_node = np.array([node(i) for i in np.ndindex(2, 3)]).reshape(2, 3)
+        misses.append(np.abs(value - per_node) / (2 * n * u / (1 - n * u) * magnitude))
+    return misses
+
+
+def _stacked_literal_sums(g3, F3, v3, g4, F4):
+    return delta3(F3, v3, np.linalg.inv(g3)), delta4(F4, np.linalg.inv(g4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       signature=st.sampled_from(["euclidean", "lorentzian"]))
+def test_stacked_kernels_match_the_node_functions(seed, signature):
+    """Every kernel on a (2, 3) stack of draws, each with its own metric, equals the same
+    kernel on each node's slice: the literal sums within their rounding bound, the rest to
+    1e-12 relative."""
+    g3, F3, v3, g4, F4, gl, Fl = _stack_draws(seed, signature)
+    draws = g3, F3, v3, g4, F4
+    for misses in _literal_sum_misses(*draws, _stacked_literal_sums(*draws)):
+        assert misses.max() <= 1.0
     inv = np.linalg.inv
     rows = [
-        (delta3(F3, v3, inv(g3)), lambda i: delta3(F3[i], v3[i], inv(g3[i]))),
         (trace3(F3, v3, inv(g3)), lambda i: trace3(F3[i], v3[i], inv(g3[i]))),
         (eps(F3, v3, inv(g3)), lambda i: eps(F3[i], v3[i], inv(g3[i]))),
-        (delta4(F4, inv(g4)), lambda i: delta4(F4[i], inv(g4[i]))),
         (trace4(F4, inv(g4)), lambda i: trace4(F4[i], inv(g4[i]))),
         (eps(F4, F4, inv(g4)), lambda i: eps(F4[i], F4[i], inv(g4[i]))),
         (born_infeld_density(Fl, gl, 0.7, C=1.3), lambda i: born_infeld_density(Fl[i], gl[i], 0.7, C=1.3)),
@@ -445,3 +486,29 @@ def test_stacked_kernels_match_the_node_functions(seed, signature):
         assert stacked.shape == (2, 3)
         for i in np.ndindex(2, 3):
             assert stacked[i] == pytest.approx(node(i), rel=1e-12)
+
+
+def test_stacked_literal_sums_hold_their_bound_on_a_cancelling_draw():
+    """Seed 3332, euclidean: delta4 on the stack and on one node's slice differ by 1.06e-12 of
+    the result, which cancels; against the summed magnitude of its terms the gap is small."""
+    draws = _stack_draws(3332, "euclidean")[:5]
+    for misses in _literal_sum_misses(*draws, _stacked_literal_sums(*draws)):
+        assert misses.max() <= 1.0
+
+
+def test_literal_sum_bound_catches_one_term_off_by_1e_9(monkeypatch):
+    """The identity permutation's term of the stacked sums scaled by 1 + 1e-9 misses the
+    bound at every node of the seed-3332 draw."""
+    draws = _stack_draws(3332, "euclidean")[:5]
+    honest = {k: epsilon_symbol(k) for k in (3, 4)}
+
+    def planted(k):
+        sym = honest[k].copy()
+        sym[tuple(range(k))] *= 1.0 + 1e-9
+        return sym
+
+    monkeypatch.setattr(tensor_kernels, "epsilon_symbol", planted)
+    stacked = _stacked_literal_sums(*draws)
+    monkeypatch.undo()
+    for misses in _literal_sum_misses(*draws, stacked):
+        assert misses.min() > 1.0
