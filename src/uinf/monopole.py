@@ -135,13 +135,11 @@ class EnergyBreakdown:
 
 
 def _simpson(y, h):
-    """Composite Simpson integral of y at uniform spacing h: a trapezoid for
-    two nodes, and for an even count the rule on the first n - 1 nodes plus
+    """Composite Simpson integral of y at uniform spacing h, on at least
+    three nodes: for an even count the rule on the first n - 1 nodes plus
     the last interval's weights h/12 (5, 8, -1) (Cartwright, J. Math. Sci.
     Math. Educ. 12(2), 2017), as scipy.integrate.simpson takes them."""
     n = len(y)
-    if n == 2:
-        return 0.5 * h * (y[0] + y[1])
     m = n - 1 + n % 2
     result = h / 3.0 * np.sum(y[0:m - 2:2] + 4.0 * y[1:m - 1:2] + y[2:m:2])
     if n % 2 == 0:
@@ -593,42 +591,31 @@ def spsolve(A, b):
     return _Factorization(A).solve(b)
 
 
-# radial nodes of the coarse companion grid behind the singular value diagnostic
+# radial nodes of the coarse companion grid behind the singularity diagnostic
 _DIAGNOSTIC_N = 400
-# block inverse iteration for that diagnostic: block width (the two regularity
-# and the two cutoff rows), stop rule on the relative change of the estimate,
-# and the iteration cap
-_DIAGNOSTIC_BLOCK = 4
-_DIAGNOSTIC_RTOL = 1e-12
-_DIAGNOSTIC_MAX_ITER = 50
 
 
-def _inverse_largest_sv(Z):
-    """1 / (largest singular value of the tall block Z), from its Gram matrix;
-    NaN when Z is not finite."""
-    gram = Z.T @ Z
-    return 1.0 / math.sqrt(np.linalg.eigvalsh(gram)[-1]) if np.isfinite(gram).all() else math.nan
-
-
-def _min_singular_value(A):
-    """(sigma_min, iterations, last relative change) of the response operator
-    A by block inverse iteration on one factorization of A and its transposed
-    view: Q <- qr(A^-T (A^-1 Q)) from a fixed block, the first cosine (DCT-II)
-    columns over the row index (no random draw, so no numpy.random), with
-    sigma_min estimated as 1 / (the largest singular value of A^-1 Q). It
-    stops once an iteration moves the estimate by at most _DIAGNOSTIC_RTOL
-    relative, or after _DIAGNOSTIC_MAX_ITER iterations; a non-finite
-    estimate stops it at once and is returned as NaN."""
-    lu = _Factorization(A)
-    n = A.shape[0]
-    block = np.cos(math.pi * (np.arange(n)[:, None] + 0.5) * np.arange(_DIAGNOSTIC_BLOCK) / n)
-    Z = lu.solve(np.linalg.qr(block)[0])
-    sigma, iterations, change = _inverse_largest_sv(Z), 0, math.inf
-    while iterations < _DIAGNOSTIC_MAX_ITER and change > _DIAGNOSTIC_RTOL:
-        Z = lu.solve(np.linalg.qr(lu.T.solve(Z))[0])
-        estimate = _inverse_largest_sv(Z)
-        iterations, change, sigma = iterations + 1, abs(estimate - sigma) / estimate, estimate
-    return sigma, iterations, change
+def _inverse_norm(lu, n):
+    """||A^-1||_inf = ||A^-T||_1 of the n x n operator A factored as lu, by
+    Hager's estimator as LAPACK's xLACN2 runs it (Higham, ACM TOMS 14, 1988):
+    A^-T on the uniform vector e/n, at most four steps to the column of A^-T
+    that the last sign vector picks, then Higham's alternating-sign vector.
+    It solves with lu and its transposed view only, and is a lower bound,
+    above the exact norm by rounding at most; a NaN solve leaves it NaN."""
+    y = lu.T.solve(np.full(n, 1.0 / n))
+    est, sign, j = np.abs(y).sum(), np.copysign(1.0, y), None
+    for _ in range(4):
+        z = lu.solve(sign)
+        if j is not None and z[j] >= np.abs(z).max():
+            break
+        j = np.abs(z).argmax()
+        y = lu.T.solve((np.arange(n) == j).astype(float))
+        last, est = est, np.maximum(est, np.abs(y).sum())
+        if est == last or np.array_equal(np.copysign(1.0, y), sign):
+            break
+        sign = np.copysign(1.0, y)
+    alt = np.copysign(1.0 + np.arange(n) / (n - 1), (-1.0) ** np.arange(n))
+    return float(np.maximum(est, 2.0 * np.abs(lu.T.solve(alt)).sum() / (3.0 * n)))
 
 
 def solve_perturbation(profile, coeffs=None):
@@ -690,16 +677,11 @@ def perturbation_report(profile, pert):
     quartic, so their rows on jets of K + eps K1, H + eps H1 and the
     derivatives integrate to dE exactly, as a polynomial in eps.
 
-    min_singular_value, the distance from singularity, is the smallest
-    singular value of the response operator around the closed-form
-    bps_profile on 400 nodes over the profile's xi_max: it depends on xi_max
-    alone. It comes from block inverse iteration, with a block of 4
-    columns, on one factorization of that operator and its transposed view:
-    at small xi_max the two regularity rows share one stencil and the two
-    smallest singular values nearly coincide, which stalls a single vector.
-    It stops when an iteration moves the estimate by at most 1e-12
-    relative, or at a cap of 50 iterations; the count and the last relative
-    change are reported, so a capped run shows a change above 1e-12.
+    singular_distance = 1 / ||A^-1||_inf, the max-norm distance from the
+    response operator A to the nearest singular matrix (Gastinel-Kahan), is
+    read off A around the closed-form bps_profile on 400 nodes over the
+    profile's xi_max, so it depends on xi_max alone; ||A^-1||_inf is
+    Hager's estimate on one factorization of that A.
     """
     response = max(np.abs(pert.K1).max(), np.abs(pert.H1).max(), 1.0)
     # keep the first-order displacement below ~3e-3 in sup norm so the fit
@@ -710,8 +692,8 @@ def perturbation_report(profile, pert):
     # is eps / unit too, which keeps their rows in range
     unit = 2.0 ** math.frexp(epsilons.max())[1]
     grid, xi = profile.grid, profile.grid.xi
-    coarse = bps_profile(RadialGrid(grid.xi_max, _DIAGNOSTIC_N))
-    min_sv, iterations, change = _min_singular_value(_linear_operator(coarse))
+    coarse = _Factorization(_linear_operator(bps_profile(RadialGrid(grid.xi_max, _DIAGNOSTIC_N))))
+    distance = 1.0 / _inverse_norm(coarse, 2 * _DIAGNOSTIC_N)
     base = (profile.K, profile.H) + profile.derivatives
     tangents = (pert.K1, pert.H1, fd1(pert.K1, grid.h), fd1(pert.H1, grid.h))
 
@@ -742,10 +724,8 @@ def perturbation_report(profile, pert):
         "max_response": float(response),
         "base_energy": energy[0] + tail_estimate(grid.xi_max),
         "backward_error": pert.backward_error,
-        "min_singular_value": min_sv,
+        "singular_distance": distance,
         "diagnostic_n": _DIAGNOSTIC_N,
-        "diagnostic_iterations": iterations,
-        "diagnostic_change": change,
         "cutoff": grid.xi_max,
         "n": grid.n,
     }

@@ -551,36 +551,11 @@ def test_monopole_perturb_checks_the_solver_backward_error(monkeypatch, capsys):
     assert [c["name"] for c in parse_report(out)[1] if not c["ok"]] == ["backward_error"]
 
 
-def test_monopole_perturb_fails_a_diagnostic_that_reaches_its_cap(monkeypatch, capsys):
-    """The singularity diagnostic's last relative change is checked against
-    its stop rule, 1e-12; at a cap of one iteration it has not converged,
-    and that check fails alone, or beside a planted backward error."""
-    base = ["monopole", "perturb", "--xi-max", "10", "--n", "800"]
-    rc, out, _ = run(capsys, base)
-    (_, _, meta), checks = parse_report(out)
-    meta = dict(line.split(" = ") for line in meta)
-    change = {c["name"]: c for c in checks}["diagnostic_change"]
-    assert rc == 0 and change["bound"] == 1e-12 and change["ok"]
-    assert float(meta["diagnostic_change"]) == change["value"]
-    assert 1 < int(meta["diagnostic_iterations"]) < monopole._DIAGNOSTIC_MAX_ITER
-    monkeypatch.setattr(monopole, "_DIAGNOSTIC_MAX_ITER", 1)
-    for planted, failing in ((False, ["diagnostic_change"]),
-                             (True, ["backward_error", "diagnostic_change"])):
-        if planted:
-            _plant_backward_error(monkeypatch)
-        rc, out, err = run(capsys, base)
-        assert rc == 1 and err == ""
-        (_, _, meta), checks = parse_report(out)
-        assert dict(line.split(" = ") for line in meta)["diagnostic_iterations"] == "1"
-        assert [c["name"] for c in checks if not c["ok"]] == failing
-        change = {c["name"]: c for c in checks}["diagnostic_change"]
-        assert change["value"] > change["bound"] == 1e-12
-
-
-@pytest.mark.parametrize("xi_max", ["1e-3", "0.1", "1", "1e4"])
+@pytest.mark.parametrize("xi_max", ["1e-3", "0.1", "1", "1e4", "1e80", "1e100"])
 def test_monopole_perturb_diagnostic_converges_across_cutoffs(capsys, xi_max):
-    """At xi_max <= 0.1 the two smallest singular values nearly coincide;
-    the block iteration still converges there and every check passes."""
+    """At xi_max <= 0.1 the two regularity rows share one stencil, and at
+    1e80 and 1e100 ||A^-1||_inf reads 5e159 and 5e199; the singular distance
+    is finite at each, so the report holds no null and every check passes."""
     rc, out, err = run(capsys, ["monopole", "perturb", "--n", "400", "--xi-max", xi_max])
     assert (rc, err) == (0, "")
     assert all(c["ok"] for c in parse_report(out)[1])
@@ -749,8 +724,7 @@ _DEFAULT_BOUNDS = {
     "monopole solve": [("max_residual_first", 1e-8), ("max_residual_second", 1e-8),
                        ("completed_energy_error", 1e-4), ("closed_form_remainder", None)],
     "monopole energy": [("completed_energy_error", 1e-4), ("closed_form_remainder", None)],
-    "monopole perturb": [("backward_error", 1e-8), ("diagnostic_change", 1e-12),
-                         ("linearity_r_squared", 0.9999)],
+    "monopole perturb": [("backward_error", 1e-8), ("linearity_r_squared", 0.9999)],
     "monopole scan-evb": [("completed_energy_error", 1e-4)],
     "algebra structure-constants": [("antisymmetry", 1e-12), ("selection_rule", 1e-12),
                                     ("generator_row", 1e-12)],

@@ -94,9 +94,9 @@ def test_monopole_and_cli_load_no_scipy(module):
 
 
 def test_monopole_perturb_loads_no_random_generator():
-    """The singularity diagnostic starts its iteration from a fixed block, so
-    `monopole perturb` run through the command line in a fresh interpreter
-    leaves numpy.random unloaded."""
+    """The singularity diagnostic's norm estimate starts from the uniform
+    vector, so `monopole perturb` run through the command line in a fresh
+    interpreter leaves numpy.random unloaded."""
     loaded = _loaded_after("import contextlib, io\nfrom uinf import cli\n"
                            "with contextlib.redirect_stdout(io.StringIO()):\n"
                            "    assert cli.main(['monopole', 'perturb', '--n', '64']) == 0")
