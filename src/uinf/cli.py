@@ -8,8 +8,8 @@ Every report carries its checks, one of them "finite". Exit codes: 0 when
 all checks hold, 1 when one fails, a linear solve breaks down or an
 arithmetic error (a zero divisor, an overflow) ends the run, 2 on bad flags,
 flag values, config files or input files. Output is deterministic byte for
-byte: all randomness flows from --seed, nothing timestamps itself, and the
-bytes do not depend on the BLAS thread count.
+byte: the draws of identities and reduce flow from --seed, nothing
+timestamps itself, and the bytes do not depend on the BLAS thread count.
 """
 
 import argparse
@@ -34,7 +34,9 @@ def _csv(columns, rows, meta):
 
 
 def _meta(args, **extra):
-    meta = {"version": __version__, "command": args.command_path, "seed": args.seed}
+    meta = {"version": __version__, "command": args.command_path}
+    if "seed" in args:
+        meta["seed"] = args.seed
     meta.update(extra)
     return meta
 
@@ -375,8 +377,10 @@ def build_parser():
     """The flag table: every flag that takes a value converts and checks it
     with its type, except the paths (--config, --out, --f, --g) and
     --signature, whose choices argparse checks."""
+    seeded = argparse.ArgumentParser(add_help=False)  # the subcommands that draw
+    seeded.add_argument("--seed", type=_at_least(0), default=0,
+                        help="seed of the drawn metrics and tensors (identities) or jets (reduce)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_at_least(0), default=0, help="random generator seed")
     common.add_argument("--config", default=None,
                         help="file of key = value lines merged under explicit flags")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -386,7 +390,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="command", required=True)
 
-    p = top.add_parser("identities", parents=[common],
+    p = top.add_parser("identities", parents=[seeded, common],
                        help="contraction identity ratio suite over random draws")
     p.add_argument("--dims", type=_DIMS, default="3,4,6", help="comma list of dimensions")
     p.add_argument("--trials", type=_at_least(1), default=500)
@@ -397,7 +401,7 @@ def build_parser():
     reduce_sub = reduce_p.add_subparsers(dest="subcommand", required=True)
 
     def add_reduce(name, handler, min_D=1, b_flag=True, lmax=3, amplitude=0.4):
-        sp = reduce_sub.add_parser(name, parents=[common])
+        sp = reduce_sub.add_parser(name, parents=[seeded, common])
         sp.add_argument("--e", type=_NONZERO, default=2.0, help="background coupling")
         sp.add_argument("--lmax", type=_at_least(0), default=lmax)
         sp.add_argument("--amplitude", type=_FINITE, default=amplitude)

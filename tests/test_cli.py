@@ -1343,18 +1343,20 @@ def _options(parser):
             yield parser.prog, action
 
 
+_PATHS = ("--config", "--out", "--f", "--g")
+
+
 def test_every_value_flag_has_a_rule():
     """Each flag that takes a value converts and checks it with a type of
     the flag table (not bare int or float, which let nan, inf and
     out-of-range values through); paths and choices are the exceptions."""
-    exempt = {"--config", "--out", "--f", "--g"}
     progs = set()
     for prog, action in _options(build_parser()):
         progs.add(prog)
         flag = action.option_strings[0]
         if flag == "--signature":
             assert action.choices, prog
-        elif flag not in exempt:
+        elif flag not in _PATHS:
             assert callable(action.type) and action.type not in (int, float, str), (prog, flag)
     assert len(progs) == 13
 
@@ -1406,6 +1408,15 @@ def _value_flags():
 _VALUE_FLAGS = _value_flags()
 
 
+def _taken(path, pairs):
+    """The command path and those of the flag-value pairs its command takes."""
+    argv = list(path)
+    for flag, value in zip(pairs[::2], pairs[1::2]):
+        if flag in _VALUE_FLAGS[path]:
+            argv += [flag, value]
+    return argv
+
+
 @pytest.mark.parametrize("path", sorted(_VALUE_FLAGS), ids=" ".join)
 def test_no_command_takes_tol(tmp_path, capsys, path):
     """Every bound is fixed where its check is built: --tol is an unknown
@@ -1420,16 +1431,86 @@ def test_no_command_takes_tol(tmp_path, capsys, path):
     assert rc == 0 and "--tol" not in out
 
 
+# the commands that draw random numbers; the others are deterministic
+_DRAWS = ("identities", "reduce")
+
+
+@pytest.mark.parametrize("path", sorted(_VALUE_FLAGS), ids=" ".join)
+def test_deterministic_commands_take_no_seed(tmp_path, capsys, path):
+    """--seed is a flag of the commands that draw and of no other: elsewhere
+    --seed is an unknown flag, seed an unknown config key, and --help shows
+    none."""
+    seeded = path[0] in _DRAWS
+    assert ("--seed" in _VALUE_FLAGS[path]) == seeded
+    rc, out, _ = run(capsys, list(path) + ["--help"])
+    assert rc == 0 and ("--seed" in out) == seeded
+    if seeded:
+        return
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n")
+    for argv, name in ((["--seed", "1"], "--seed"), (["--config", str(cfg)], "seed")):
+        rc, out, err = run(capsys, list(path) + argv)
+        assert rc == 2 and out == ""
+        assert name in err
+
+
+# small sizes for the runs below, and for each other value flag a valid value
+# other than its default and its small size
+_SMALL = ["--n", "64", "--trials", "4", "--dims", "3,4", "--lmax", "1"]
+_OTHER = {"--seed": "1", "--dims": "3,4,5", "--trials": "5", "--signature": "lorentzian",
+          "--e": "3", "--lmax": "2", "--amplitude": "0.3", "--D": "3", "--b": "0.5",
+          "--b-list": "0.4,0.2", "--alpha": "0.25", "--C": "2", "--xi-max": "20", "--n": "80",
+          "--coeff": "xi2_1mk4=0", "--v": "2", "--beta": "2", "--evb": "0.2",
+          "--evb-list": "0.1,0.2"}
+
+
+def _without_own_meta(out, dest):
+    """The report less the meta entries a flag writes of itself: its dest and
+    the dest_<name> entries (coeff's table)."""
+    own = re.compile(r"%s(_\w+)?$" % dest)
+    if out.startswith("{"):
+        doc = json.loads(out)
+        doc["meta"] = {k: v for k, v in doc["meta"].items() if not own.match(k)}
+        return doc
+    return [ln for ln in out.splitlines()
+            if not (ln.startswith("# ") and own.match(ln[2:].split(" = ")[0]))]
+
+
+@pytest.mark.parametrize("path", sorted(_VALUE_FLAGS), ids=" ".join)
+def test_every_flag_changes_its_report(tmp_path, capsys, path):
+    """The command-line counterpart of every library default being set by a
+    caller: each value flag but the paths, set to a valid value other than
+    the one of the reference run, changes the report beyond the flag's own
+    meta entries. A flag that only echoes itself is an option with one
+    effective value."""
+    fp, gp = _field_files(tmp_path)
+    base = _taken(path, _SMALL + ["--f", fp, "--g", gp])
+    rc, reference, err = run(capsys, base)
+    assert rc != 2, err
+    actions = {action.option_strings[0]: action for prog, action in _options(build_parser())
+               if prog.split()[1:] == list(path)}
+    idle = []
+    for flag in _VALUE_FLAGS[path]:
+        if flag in _PATHS:
+            continue
+        action, other = actions[flag], _OTHER[flag]
+        parse = action.type or str
+        given = base[base.index(flag) + 1] if flag in base else action.default
+        assert parse(other) != (parse(given) if isinstance(given, str) else given), flag
+        rc, out, err = run(capsys, base + [flag, other])
+        assert rc != 2, err
+        if _without_own_meta(out, action.dest) == _without_own_meta(reference, action.dest):
+            idle.append(flag)
+    assert idle == []
+
+
 @st.composite
 def _argvs(draw):
     """A command path, the fast defaults it takes, and up to three of its
     value flags, each with a value from its edges."""
     path = draw(st.sampled_from(sorted(_VALUE_FLAGS)))
     flags = _VALUE_FLAGS[path]
-    argv = list(path)
-    for flag, value in zip(_FAST[::2], _FAST[1::2]):
-        if flag in flags:
-            argv += [flag, value]
+    argv = _taken(path, _FAST)
     for flag in draw(st.lists(st.sampled_from(flags), max_size=3, unique=True)):
         argv += [flag, draw(st.sampled_from(_EDGES.get(flag, _FLOAT_EDGES)))]
     return argv
