@@ -256,7 +256,10 @@ _BLOCK = 8192
 
 def _in_blocks(n, rows_of):
     """The groups of rows that rows_of(s) returns for each slice s of at most
-    _BLOCK of the n nodes, each group joined into one (rows, n) array."""
+    _BLOCK of the n nodes, each group joined into one (rows, n) array; the
+    groups of one block as they are."""
+    if n <= _BLOCK:
+        return rows_of(slice(0, n))
     out = None
     for start in range(0, n, _BLOCK):
         s = slice(start, start + _BLOCK)

@@ -128,7 +128,7 @@ def _plan(band, L, synthesis):
     blocks, the lower order's and the upper's. One matrix product per pair then covers both
     hemispheres, each node x >= 0 beside its mirror x < 0 as the two sides of a block:
     - synthesis takes cols[pair, position, (block, side)] from the rows [0, parts, 0] and
-      [0, -parts, 0] of _real_parts, the part at its slot on side 0, sign (-1)^(l+m) times
+      [0, -parts, 0] of _rows, the part at its slot on side 0, sign (-1)^(l+m) times
       it on side 1, the first 0 where the read places nothing, and dcols those and D f's
       from [0, D f, 0] and [0, -D f, 0] after them. at_nodes[node, (m, re/im)] indexes the
       flat real product rows (pair, node, block, side, re/im) at each grid node, dx_at[0]
@@ -376,15 +376,14 @@ def _mirror(c, l_max):
     return _column_parity(l_max) * c[..., ::-1].conj()
 
 
-def _real_parts(fields, plan, width):
+def _real_parts(fields, plan):
     """Split each of a list of fields of one band limit, f = h1 + i h2, into
     real fields; h1 = (c + c~)/2, h2 = (c - c~)/2i.
 
-    Returns the rows _sum_over_l gathers from, shaped (parts, width, slots + 2): the
-    coefficients at the plan's slots of every h1, then of every nonzero h2, with m > 0
-    doubled for the one-sided cos/sin sum, between two zeros, then their negatives and
-    width - 2 zero rows (a gradient's D f and -D f); and the mask of fields with a nonzero
-    h2. Exactly Hermitian coefficients give h2 == 0, so real fields keep real values.
+    Returns the parts, shaped (parts, slots): the coefficients at the plan's slots of every
+    h1, then of every nonzero h2, with m > 0 doubled for the one-sided cos/sin sum; and the
+    mask of fields with a nonzero h2. Exactly Hermitian coefficients give h2 == 0, so real
+    fields keep real values.
     """
     coeffs = np.array([f.coeffs for f in fields]).reshape(len(fields), -1).take(plan.gather, axis=1)
     c, mirror = coeffs[:, 0], plan.parity * coeffs[:, 1].conj()
@@ -393,15 +392,22 @@ def _real_parts(fields, plan, width):
     parts = (c + mirror) * plan.weight
     if cplx.any():
         parts = np.concatenate([parts, h2[cplx] / 1j])
+    return parts, cplx
+
+
+def _rows(parts, width):
+    """The rows _sum_over_l gathers from, shaped (parts, width, slots + 2): each part
+    between two zeros, then its negative and width - 2 zero rows (a gradient's D f and
+    -D f)."""
     row = np.zeros((len(parts), width, parts.shape[1] + 2), dtype=complex)
     row[:, 0, 1:-1] = parts
     np.negative(parts, out=row[:, 1, 1:-1])
-    return row, cplx
+    return row
 
 
 def _sum_over_l(row, table, rows, cols):
     """Order amplitudes at the nodes x >= 0 and their mirrors: sum over l of the rows of
-    _real_parts against table[rows]. One matrix product per pair and part takes the columns
+    _rows against table[rows]. One matrix product per pair and part takes the columns
     cols of the part's row, [c | sign (-1)^(l+m) c] and for a gradient [d | sign (-1)^(l+m) d]
     beside them, for both hemispheres, so each part has one product shape at any stack size;
     the product rows, flat per part, that the plan's node gathers index."""
@@ -409,36 +415,117 @@ def _sum_over_l(row, table, rows, cols):
     return (table[rows].transpose(0, 2, 1) @ parts).reshape(len(row), -1)
 
 
-def _sum_over_m(amps, grid, cplx):
-    """Grid values sum_m Re(a_m exp(i m phi)) of order amplitudes (..., parts, node,
-    (m, re/im)) of the parts of _real_parts, per field: h1, or h1 + i h2 where cplx marks it
-    (the stack is complex)."""
-    vals = amps @ grid.trig[:amps.shape[-1] // 2].reshape(amps.shape[-1], grid.n_phi)
-    if not cplx.any():
-        return vals
-    out = vals[..., :len(cplx), :, :].astype(complex)
-    out[..., cplx, :, :] += 1j * vals[..., len(cplx):, :, :]
-    return out
+def _sum_over_m(amps, grid):
+    """Grid values sum_m Re(a_m exp(i m phi)) of order amplitudes (..., node, (m, re/im))."""
+    return amps @ grid.trig[:amps.shape[-1] // 2].reshape(amps.shape[-1], grid.n_phi)
 
 
-def _gradients(fields, grid):
-    """grad_values of fields of one band limit, stacked, and their cplx mask: df/dphi from the
-    synthesis of f, df/dx from that of D f (_x_derivative) over x^2 - 1 at each node, both
-    in one product per pair on P, and both in one stack for one phi sum."""
-    plan = _plan(grid.band_limit, fields[0].l_max, True)
-    row, cplx = _real_parts(fields, plan, 4)
+def _value_kernel(parts, grid, L):
+    """Grid values (parts, n_theta, n_phi) of the parts of _real_parts of band-L fields."""
+    plan = _plan(grid.band_limit, L, True)
+    amps = _sum_over_l(_rows(parts, 2), grid.P, plan.rows, plan.cols).take(plan.at_nodes, axis=1)
+    return _sum_over_m(amps, grid)
+
+
+def _gradient_kernel(parts, grid, L):
+    """(df/dx, df/dphi), shaped (parts, 2, n_theta, n_phi), of the parts of _real_parts of
+    band-L fields: df/dphi from the synthesis of f, df/dx from that of D f (_x_derivative)
+    over x^2 - 1 at each node, both in one product per pair on P, and both in one stack for
+    one phi sum."""
+    plan = _plan(grid.band_limit, L, True)
+    row = _rows(parts, 4)
     row[:, 2:, 1:-1] = _x_derivative(row[:, :2, :-2], row[:, :2, 2:], plan.steps)
     amps = _sum_over_l(row, grid.P, plan.rows, plan.dcols).take(plan.dx_at, axis=1)
     amps *= plan.scale
-    return *_sum_over_m(amps.transpose(1, 0, 2, 3), grid, cplx), cplx
+    return _sum_over_m(amps, grid)
+
+
+def _analysis_kernel(values, grid, L):
+    """The weighted sums over the nodes of a stack of real grid values against each slot's
+    harmonic, order m >= 0 only, as (re, im) pairs (fields, 2 slots): the phi sum, then one
+    Legendre product per pair with each node beside its mirror, and the two sides of each
+    slot combined."""
+    plan = _plan(grid.band_limit, L, False)
+    k = len(values)
+    F = values @ grid.trig[:L + 1].reshape(-1, grid.n_phi).T
+    F *= grid.w2d[:, :1]  # the node's weight times 2 pi / n_phi
+    # the 0 that the equator's mirror and the unused orders read
+    F = np.concatenate([F.view(complex).reshape(k, -1), np.zeros((k, 1))], axis=1)
+    per_pair = grid.P[plan.rows] @ F.take(plan.into, axis=1).view(float)
+    sides = per_pair.view(complex).reshape(k, -1).take(plan.sides, axis=1)
+    n = len(plan.reflect)
+    return (sides[:, :n] + plan.reflect * sides[:, n:]).view(float)
+
+
+# A transform whose dense matrix, and the identity stack it is built from, both have fewer
+# entries than this is one matrix product; a larger one runs its factored kernel. Below it,
+# per-call array overhead outweighs the dense arithmetic (README, "Transforms").
+_DENSE_ENTRIES = 2**15
+
+
+@lru_cache(maxsize=None)
+def _matrix(band, L, kernel):
+    """The real matrix, shaped (inputs, outputs), of a kernel on the grid of that band at
+    field band L, or None when it or its identity stack is too large (_DENSE_ENTRIES). Row
+    k is the kernel's output on unit input k: unit real and imaginary slot parts for
+    synthesis and gradients, unit node values for analysis."""
+    grid = grid_for_band_limit(band)
+    nodes = grid.n_theta * grid.n_phi
+    if kernel is _analysis_kernel:
+        inputs, outputs = nodes, 2 * len(_plan(band, L, False).reflect)
+    else:
+        inputs = 2 * len(_plan(band, L, True).weight)
+        outputs = nodes * (2 if kernel is _gradient_kernel else 1)
+    if inputs * max(inputs, outputs) >= _DENSE_ENTRIES:
+        return None
+    unit = np.eye(inputs)
+    unit = unit.reshape(-1, *grid.w2d.shape) if kernel is _analysis_kernel else unit.view(complex)
+    matrix = kernel(unit, grid, L).reshape(inputs, -1)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _transform(kernel, inputs, grid, L):
+    """The kernel's output on a stack of inputs, through its matrix when it has one, which
+    reads complex inputs as their real and imaginary parts. The stack is the matmul batch
+    axis there too, so each row has one product shape at any stack size and a stacked row
+    equals the one-field call."""
+    matrix = _matrix(grid.band_limit, L, kernel)
+    if matrix is None:
+        return kernel(inputs, grid, L)
+    flat = inputs.reshape(len(inputs), 1, -1)
+    return (flat.view(float) if np.iscomplexobj(flat) else flat) @ matrix
+
+
+def _with_h2(vals, cplx):
+    """Per field h1, or h1 + i h2 where cplx marks it (the stack is then complex), from the
+    values (parts, ...) of the parts of _real_parts."""
+    if not cplx.any():
+        return vals
+    out = vals[:len(cplx)].astype(complex)
+    out[cplx] += 1j * vals[len(cplx):]
+    return out
+
+
+def _synthesis(kernel, fields, grid):
+    """A synthesis kernel's output (fields, outputs, n_theta, n_phi) for fields of one band
+    limit, stacked, and their cplx mask."""
+    L = fields[0].l_max
+    parts, cplx = _real_parts(fields, _plan(grid.band_limit, L, True))
+    out = _transform(kernel, parts, grid, L).reshape(len(parts), -1, grid.n_theta, grid.n_phi)
+    return _with_h2(out, cplx), cplx
+
+
+def _gradients(fields, grid):
+    """grad_values of fields of one band limit, stacked, and their cplx mask."""
+    grads, cplx = _synthesis(_gradient_kernel, fields, grid)
+    return grads[:, 0], grads[:, 1], cplx
 
 
 def _values(fields, grid):
     """Grid values of fields of one band limit, stacked, and their cplx mask."""
-    plan = _plan(grid.band_limit, fields[0].l_max, True)
-    row, cplx = _real_parts(fields, plan, 2)
-    amps = _sum_over_l(row, grid.P, plan.rows, plan.cols).take(plan.at_nodes, axis=1)
-    return _sum_over_m(amps, grid, cplx), cplx
+    vals, cplx = _synthesis(_value_kernel, fields, grid)
+    return vals[:, 0], cplx
 
 
 def _by_band(kernel, fields, grid):
@@ -475,8 +562,8 @@ def analyze(values, l_max, grid):
 
 def _analyze(values, L, grid):
     """Coefficients (fields, l, 2L+1) of a stack of grid values, each as by
-    analyze bit for bit: the Legendre stage makes the field axis a matmul
-    batch axis, so each field has one product shape at any stack size."""
+    analyze bit for bit: the field axis is a matmul batch axis, so each field
+    has one product shape at any stack size."""
     if values.shape[1:] != (grid.n_theta, grid.n_phi):
         raise ValueError("value array does not match the grid")
     if not np.isfinite(values).all():
@@ -484,18 +571,8 @@ def _analyze(values, L, grid):
     plan = _plan(grid.band_limit, L, False)
     cplx = np.iscomplexobj(values)
     parts = np.stack([values.real, values.imag], 1).reshape(-1, *grid.w2d.shape) if cplx else values
-    k = len(parts)
-    F = parts @ grid.trig[:L + 1].reshape(-1, grid.n_phi).T
-    F *= grid.w2d[:, :1]  # the node's weight times 2 pi / n_phi
-    # the 0 that the equator's mirror and the unused orders read
-    F = np.concatenate([F.view(complex).reshape(k, -1), np.zeros((k, 1))], axis=1)
-    per_pair = grid.P[plan.rows] @ F.take(plan.into, axis=1).view(float)
-    sides = per_pair.view(complex).reshape(k, -1).take(plan.sides, axis=1)
-    n = len(plan.reflect)
-    slots = np.empty((k, 2 * n + 1), dtype=complex)
-    np.add(sides[:, :n], plan.reflect * sides[:, n:], out=slots[:, :n])
-    np.multiply(plan.parity, slots[:, :n].conj(), out=slots[:, n:-1])
-    slots[:, -1] = 0.0
+    half = _transform(_analysis_kernel, parts, grid, L).reshape(len(parts), -1).view(complex)
+    slots = np.concatenate([half, plan.parity * half.conj(), np.zeros((len(half), 1))], axis=1)
     coeffs = slots.take(plan.place, axis=1)
     return coeffs[0::2] + 1j * coeffs[1::2] if cplx else coeffs
 
@@ -620,10 +697,10 @@ def su2_generators():
 
 @lru_cache(maxsize=None)
 def _draw_map(l_max):
-    """random_real_field's scatter at band l_max: per filled float slot, its flat index, its normal,
-    its signed 0.6**l (Python's; numpy's power rounds some l apart) and its divisor. Degree l's
-    normals from l^2 on are m = 0's, then (re, im) per m = 1..l; slot m takes (re, im) / sqrt 2,
-    slot -m (-1)^m times its conjugate."""
+    """random_real_field's scatter at band l_max: per filled float slot, its flat index, its normal
+    and its signed 0.6**l (Python's; numpy's power rounds some l apart). Degree l's normals from
+    l^2 on are m = 0's, then (re, im) per m = 1..l; the l_max + 1 slots m = 0 come first, then
+    slot m takes (re, im) / sqrt 2, and slot -m (-1)^m times its conjugate."""
     deg = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
     j = np.arange(deg.size) - deg**2  # 0 at m = 0, then 2m - 1 (re) and 2m (im)
     paired = np.flatnonzero(j)
@@ -632,8 +709,7 @@ def _draw_map(l_max):
     deg, m, im = deg[take], (j[take] + 1) // 2, (j[take] > 0) & (j[take] % 2 == 0)
     sign = np.where(side > 0, 1.0, (-1.0) ** m * (1 - 2 * im))
     arrays = (deg * (4 * l_max + 2) + 2 * (l_max + side * m) + im, take,
-              sign * np.array([0.6**l for l in range(l_max + 1)])[deg],
-              np.where(m > 0, math.sqrt(2.0), 1.0))
+              sign * np.array([0.6**l for l in range(l_max + 1)])[deg])
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
@@ -641,7 +717,9 @@ def _draw_map(l_max):
 
 def random_real_field(l_max, rng, amplitude=1.0):
     """Random real band-limited field whose spectrum decays like 0.6**l; one draw of normals."""
-    at, take, power, root = _draw_map(l_max)
+    at, take, power = _draw_map(l_max)
     c = np.zeros((l_max + 1, 2 * l_max + 1), dtype=complex)
-    c.view(float).put(at, amplitude * power * rng.standard_normal((l_max + 1) ** 2)[take] / root)
+    values = amplitude * power * rng.standard_normal((l_max + 1) ** 2)[take]
+    values[l_max + 1:] /= math.sqrt(2.0)
+    c.view(float).put(at, values)
     return HarmonicField(l_max, c)

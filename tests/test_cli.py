@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+from functools import lru_cache
 import io
 import json
 import math
@@ -74,9 +75,13 @@ def test_identities_exits_clean(capsys):
 
 
 def _scale(monkeypatch, module, kernel, factor=1.0 + 1e-6):
-    """Plant a fault: the module's kernel returns its value times factor."""
+    """Plant a fault: the module's kernel returns its value times factor. The transform
+    matrices start from an empty cache, as in a fresh process, so they are built from the
+    faulty kernel; the clean cache comes back with the kernel."""
     clean = getattr(module, kernel)
     monkeypatch.setattr(module, kernel, lambda *args, **kw: clean(*args, **kw) * factor)
+    monkeypatch.setattr(sphere_algebra, "_matrix", lru_cache(maxsize=None)(
+        sphere_algebra._matrix.__wrapped__))
 
 
 _FAULT = 1.0 + 1e-6

@@ -41,16 +41,16 @@ YM_GROUPS_B1 = (
 B_SCAN_EXPONENT = 2.5876502650226536
 # every group integral of the seed 0 draw, bit for bit
 SCALAR_GROUPS_EXACT = {
-    1.0: [-0.5813614633039716, -0.03578010074760477, 0.4198914129912111,
-          1.3221607362569663e-17],
-    0.05: [-0.5813614633039716, -14.312040299041907, 67182.62607859376,
-           8.461828712044581e-10],
+    1.0: [-0.5813614633039714, -0.03578010074760468, 0.41989141299121113,
+          1.398377581858421e-17],
+    0.05: [-0.5813614633039714, -14.31204029904187, 67182.62607859376,
+           8.949616523893891e-10],
 }
 YM_GROUPS_EXACT = {
-    1.0: [-2.4390898406725743, -3.525661582219011, -0.05050907243435276,
-          7.334858510479964e-18, 0.0],
-    0.05: [-2.4390898406725743, -1410.2646328876042, -8081.45158949644,
-           4.694309446707175e-10, 0.0],
+    1.0: [-2.4390898406725747, -3.525661582219011, -0.05050907243435283,
+          -1.3798143170766413e-16, 0.0],
+    0.05: [-2.4390898406725747, -1410.2646328876042, -8081.451589496451,
+           -8.830811629290501e-09, 0.0],
 }
 TWO_DIM_CONSTANT = 64.0
 

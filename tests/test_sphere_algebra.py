@@ -168,7 +168,8 @@ def test_a_grid_is_built_packed():
 
 def _dense_reference(f, grid):
     """(values, df/dx, df/dphi) of f on the grid, and the analysis of given values, as
-    einsums over the loop's full tables: one term per (l, m), no packing."""
+    einsums over the loop's full tables: one term per (l, m), no packing. The analysis
+    applies term to each factor, so abs gives the summed magnitudes of its terms."""
     L = f.l_max
     P, dPdx = _legendre_loop(L, grid.x)
     m = np.arange(-L, L + 1)
@@ -178,14 +179,35 @@ def _dense_reference(f, grid):
     values, dx = (np.einsum("lj,ljt,jp->tp", f.coeffs, t, E, optimize=True) for t in signed)
     dphi = np.einsum("lj,ljt,jp->tp", f.coeffs * (1j * m), signed[0], E, optimize=True)
 
-    def analysis(v):
-        return np.einsum("tp,ljt,jp->lj", grid.w2d * v, signed[0], E.conj())
+    def analysis(v, term=lambda t: t):
+        return np.einsum("tp,ljt,jp->lj", grid.w2d * term(v), term(signed[0]), term(E.conj()))
 
     return values, dx, dphi, analysis
 
 
 def _rel_to(got, want):
     return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1.0 - n * u)
+
+
+def _analysis_misses(v, L, grid, analysis):
+    """|analyze(v) - analysis(v)|, the dense einsum of _dense_reference, over its rounding
+    bound, per coefficient inside the band (outside it analyze gives exact zeros). Both sum the
+    n = nodes terms w v Y of a coefficient, each a product of up to four factors, in different
+    orders, so they differ by at most 2 gamma_(n+4) times the summed magnitude sum w |v| |Y|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3). A bound
+    relative to the result fails where the sum cancels; this one does not depend on how far
+    it cancels."""
+    inside = np.abs(np.arange(-L, L + 1)) <= np.arange(L + 1)[:, None]
+    got, want = analyze(v, L, grid).coeffs, analysis(v)
+    assert not got[~inside].any()
+    bound = 2 * _gamma(grid.n_theta * grid.n_phi + 4) * analysis(v, np.abs).real
+    return np.abs(got - want)[inside] / bound[inside]
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,11 +220,12 @@ def _rel_to(got, want):
 @example(B=3, shape="full", where=0.0, cplx=False, seed=4)
 def test_transforms_through_both_read_shapes_match_dense_sums_property(B, shape, where, cplx,
                                                                         seed):
-    """synthesize, gradients and analyze of a band-L field on a band-B grid agree with
-    dense einsums over the loop's full tables to 1e-13 relative, with L <= B/2 (a
-    one-block read of pairs 0..L), B/2 < L < B and L = B (two-block reads of every pair);
-    synthesize then analyze gives the coefficients back to 1e-12, since a flat spectrum
-    at full band loses more in the round trip (4.2e-13 at band 40 with unpacked tables)."""
+    """synthesize and gradients of a band-L field on a band-B grid agree with dense einsums
+    over the loop's full tables to 1e-13 relative, and analyze of random node values within
+    the rounding bound of _analysis_misses, with L <= B/2 (a one-block read of pairs 0..L),
+    B/2 < L < B and L = B (two-block reads of every pair); synthesize then analyze gives the
+    coefficients back to 1e-12, since a flat spectrum at full band loses more in the round
+    trip (4.2e-13 at band 40 with unpacked tables)."""
     lo, hi = {"half": (0, B // 2), "between": (B // 2 + 1, B - 1), "full": (B, B)}[shape]
     L = lo + round(where * (hi - lo))
     rng = np.random.default_rng(seed)
@@ -214,10 +237,21 @@ def test_transforms_through_both_read_shapes_match_dense_sums_property(B, shape,
     gx, gp = gradients([f], grid)
     assert _rel_to(gx[0], dx) < 1e-13 and _rel_to(gp[0], dphi) < 1e-13
     v = rng.standard_normal(got.shape) + (1j * rng.standard_normal(got.shape) if cplx else 0.0)
-    want = analysis(v)
-    want[np.abs(np.arange(-L, L + 1)) > np.arange(L + 1)[:, None]] = 0.0
-    assert _rel_to(analyze(v, L, grid).coeffs, want) < 1e-13
+    assert _analysis_misses(v, L, grid, analysis).max() <= 1.0
     assert _rel_to(analyze(got, L, grid).coeffs, f.coeffs) < 1e-12
+
+
+def test_analysis_holds_its_bound_on_a_cancelling_draw():
+    """B = 35, L = 0, real, seed 1071733024 of the property above: the one coefficient is a
+    sum of random terms that cancels, and missed 1e-13 of itself by a factor 133; against
+    the summed magnitudes of its terms the gap is small."""
+    rng = np.random.default_rng(1071733024)
+    f = random_real_field(0, rng)  # the property's field draw, before its node values
+    grid = grid_for_band_limit(35)
+    v = rng.standard_normal((grid.n_theta, grid.n_phi))
+    analysis = _dense_reference(f, grid)[3]
+    assert _rel_to(analyze(v, 0, grid).coeffs, analysis(v)) > 1e-13
+    assert _analysis_misses(v, 0, grid, analysis).max() <= 1.0
 
 
 @pytest.mark.parametrize("L", [64, 100])
@@ -231,6 +265,76 @@ def test_gradients_match_the_dense_reference_at_large_band(L):
     _, dx, dphi, _ = _dense_reference(f, grid)
     gx, gp = gradients([f], grid)
     assert _rel_to(gx[0], dx) < 1e-13 and _rel_to(gp[0], dphi) < 1e-13
+
+
+_KERNELS = {"value": sphere_algebra._value_kernel, "gradient": sphere_algebra._gradient_kernel,
+            "analysis": sphere_algebra._analysis_kernel}
+# every (grid band, field band, kernel) that the small-band benchmark, the default reduce and
+# algebra runs and the frozen reduction values reach; the larger transforms of the default
+# `algebra bracket` (L = 8 fields on the band-16 grid) stay factored
+_REACHED = [(2, 1, "gradient"), (2, 2, "analysis"), (4, 2, "gradient"), (4, 4, "analysis"),
+            (6, 3, "gradient"), (6, 3, "value"), (6, 6, "analysis"), (8, 4, "gradient"),
+            (8, 8, "analysis"), (12, 2, "gradient"), (12, 2, "value")]
+
+
+def _kernel_inputs(kernel, grid, L, rng, k=3):
+    """A stack of k random kernel inputs: node values for analysis, complex slot parts
+    otherwise."""
+    if kernel is sphere_algebra._analysis_kernel:
+        return rng.standard_normal((k, grid.n_theta, grid.n_phi))
+    slots = len(sphere_algebra._plan(grid.band_limit, L, True).weight)
+    return rng.standard_normal((k, slots)) + 1j * rng.standard_normal((k, slots))
+
+
+def _term_magnitudes(kernel, grid, L, monkeypatch):
+    """Per unit input, the summed magnitudes of the terms of each kernel output: the
+    matrix's entries in absolute value, except that D f's two terms (_x_derivative), which
+    cancel in a gradient's entries, are taken apart."""
+    matrix = sphere_algebra._matrix(grid.band_limit, L, kernel)
+    if kernel is not sphere_algebra._gradient_kernel:
+        return np.abs(matrix)
+    unit = np.eye(len(matrix)).view(complex)
+    total = 0.0
+    for side in (0, 1):
+        monkeypatch.setattr(sphere_algebra, "_x_derivative", lambda below, above, factors,
+                            side=side: factors[side] * (below, above)[side])
+        total = total + np.abs(kernel(unit, grid, L).reshape(len(matrix), -1))
+    monkeypatch.undo()
+    return total
+
+
+@pytest.mark.parametrize("band", range(17))
+def test_transform_matrices_match_the_factored_kernels(band, monkeypatch):
+    """At every field band and kernel whose matrix is under the size rule on the grid of
+    that band, the matrix route and the factored kernel called directly agree to
+    2 gamma_(n+4) times the summed magnitudes of the terms, n the number of inputs, each
+    term a product of up to five factors (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3); outputs whose terms are all zero agree exactly."""
+    rng = np.random.default_rng(band)
+    grid = grid_for_band_limit(band)
+    built = set()
+    for L in range(band + 1):
+        for name, kernel in _KERNELS.items():
+            if sphere_algebra._matrix(band, L, kernel) is None:
+                continue
+            built.add((band, L, name))
+            x = _kernel_inputs(kernel, grid, L, rng)
+            got, want = (out.reshape(len(x), -1) for out in
+                         (sphere_algebra._transform(kernel, x, grid, L), kernel(x, grid, L)))
+            terms = _term_magnitudes(kernel, grid, L, monkeypatch)
+            bound = 2 * _gamma(len(terms) + 4) * (np.abs(x.reshape(len(x), -1).view(float)) @ terms)
+            assert np.all(np.abs(got - want) <= bound)
+    assert {key for key in _REACHED if key[0] == band} <= built
+
+
+@pytest.mark.parametrize("band", [64, 96, 128])
+def test_large_grids_build_no_matrix(band):
+    """The large-grid benchmark's grids run every transform factored: the smallest matrix of
+    such a grid, a band-0 synthesis, is already over the size rule."""
+    assert sphere_algebra._matrix(band, 0, sphere_algebra._value_kernel) is None
+    for L in (band // 2, band):
+        for kernel in _KERNELS.values():
+            assert sphere_algebra._matrix(band, L, kernel) is None
 
 
 def test_harmonic_equator_value():
